@@ -4,10 +4,11 @@ A family of norms on n-by-n complex matrices, one for each iid random
 vector with enough moments and each even degree d: on Hermitian matrices
 the d-th power of the norm is a cumulant-weighted symmetric polynomial in
 the eigenvalues, and the same partition sum over trace words extends it to
-all square matrices.  The package evaluates these norms by three
-independent routes, emits their symbolic trace-polynomial form, implements
-the positive-definite CHS combinations H_{d,alpha}, and verifies
-everything against a seeded Monte Carlo oracle.
+all square matrices.  The package evaluates these norms by three routes
+(partition sum, truncated series, constant term) plus a trace-word sum kept
+as an independent oracle, emits their symbolic trace-polynomial form,
+implements the positive-definite CHS combinations H_{d,alpha}, and
+verifies everything against a seeded Monte Carlo oracle.
 """
 
 from .cumulants import (
@@ -45,6 +46,7 @@ from .normengine import (
     series_norm_pow,
     symbolic_formula,
     t_pi,
+    word_sum_norm_pow,
 )
 from .oracle import (
     McEstimate,
@@ -119,6 +121,7 @@ __all__ = [
     "symbolic_formula",
     "t_pi",
     "trace_powers",
+    "word_sum_norm_pow",
     "y_of",
     "z_of",
 ]

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: norm, formula, hunter, oracle, verify.  Exit codes: 0 success,
-1 verification suite failure, 2 parse error (bad file or bad string),
-3 precondition violation (odd degree on an analytic path, missing moments,
-non-Hermitian input to a Hermitian-only method).
+1 verification suite failure, 2 parse error (bad file, bad string or bad
+$RVNORMS_SEED), 3 precondition violation (odd degree on an analytic path,
+missing moments, non-Hermitian input to a Hermitian-only method, result
+outside float range, verify --trials below 1).
 """
 
 from __future__ import annotations
@@ -21,8 +22,10 @@ from .normengine import (
     circle_extension_check,
     general_norm_pow,
     hermitian_norm_pow,
+    norm_root,
     series_norm_pow,
     symbolic_formula,
+    word_sum_norm_pow,
 )
 from .oracle import mc_norm
 from .partitions import enumerate_partitions, hunter_coefficient
@@ -46,7 +49,11 @@ integers, rationals p/q (kept exact), or floats.  Catalog:
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("RVNORMS_SEED", "20240901"))
+    text = os.environ.get("RVNORMS_SEED", "20240901")
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"RVNORMS_SEED must be an integer, got {text!r}") from None
 
 
 def _fmt_value(v) -> str:
@@ -84,10 +91,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=("partition", "series", "words", "auto"),
         default="partition",
-        help="partition: cumulant sum (trace-word form on non-Hermitian input); "
-        "series: truncated-series extraction (Hermitian only); words: trace-word "
-        "sum; auto: run partition and series and report their discrepancy "
-        "(words plus circle quadrature on non-Hermitian input)",
+        help="partition: cumulant sum (its constant-term form on non-Hermitian "
+        "input); series: truncated-series extraction (Hermitian only); words: "
+        "trace-word sum, the independent oracle; auto: run partition and series "
+        "and report their discrepancy (words plus circle quadrature on "
+        "non-Hermitian input)",
     )
     p_norm.add_argument("--json", action="store_true")
 
@@ -137,21 +145,21 @@ def _cmd_norm(args) -> int:
         value = series_norm_pow(Z, spec, d)
         used = "series"
     elif method == "words":
-        value = general_norm_pow(Z, spec, d)
+        value = word_sum_norm_pow(Z, spec, d)
         used = "words"
     else:  # auto
         if hermitian:
             value = hermitian_norm_pow(Z, spec, d)
             if spec.has_mgf:
                 other = series_norm_pow(Z, spec, d)
-                discrepancy = abs(float(value) - float(other))
+                discrepancy = float(abs(value - other))
             used = "auto(partition,series)"
         else:
-            value = general_norm_pow(Z, spec, d)
+            value = word_sum_norm_pow(Z, spec, d)
             quad, alg = circle_extension_check(Z, spec, d)
             discrepancy = abs(quad - alg)
             used = "auto(words,circle)"
-    norm_value = float(value) ** (1.0 / d)
+    norm_value = norm_root(value, d)
     if args.json:
         out = {
             "matrix": args.matrix,
@@ -292,6 +300,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.trials is not None and args.trials < 1:
+        raise PreconditionError(f"verify needs --trials >= 1, got {args.trials}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     seed = args.seed if args.seed is not None else _default_seed()
     reports = [run_suite(name, trials=args.trials, seed=seed) for name in names]
@@ -329,6 +339,9 @@ def main(argv=None) -> int:
         return 2
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except OverflowError as exc:  # e.g. an exact entry too large for a float tolerance
+        print(f"error: value outside float range: {exc}", file=sys.stderr)
         return 3
 
 

@@ -1,6 +1,6 @@
 """Dense square matrices over Python scalars, with the few linear-algebra
-pieces the norm engine needs: trace powers, a Hermitian Jacobi eigensolver,
-majorization, and the JSON matrix file format.
+pieces the norm engine needs: trace powers, traces of products, a Hermitian
+Jacobi eigensolver, majorization, and the JSON matrix file format.
 
 Matrices are immutable and entries may be int, Fraction, float, or complex;
 arithmetic follows Python's numeric tower, so exact inputs stay exact.
@@ -151,6 +151,13 @@ def trace_powers(A: Matrix, d: int) -> list:
         P = P @ A
         out.append(P.trace())
     return out
+
+
+def trace_of_product(A: Matrix, B: Matrix):
+    """tr(AB) = sum_ij A_ij B_ji in O(n^2), without forming AB."""
+    if A.n != B.n:
+        raise ValueError("dimension mismatch")
+    return sum(a * b for row, col in zip(A.rows, zip(*B.rows)) for a, b in zip(row, col))
 
 
 def _jacobi_real_symmetric(S: np.ndarray, tol: float, max_sweeps: int = 60) -> np.ndarray:

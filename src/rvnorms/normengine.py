@@ -1,6 +1,6 @@
 """Evaluation routes for the random-vector matrix norms.
 
-Three independent routes compute the d-th power of the norm:
+Three routes compute the d-th power of the norm:
 
 * the partition/cumulant sum (Hermitian inputs): sum over partitions of d
   of kappa_pi * p_pi / y_pi, with the power-sum products taken from trace
@@ -8,15 +8,25 @@ Three independent routes compute the d-th power of the norm:
 * truncated-series extraction (Hermitian inputs, distributions with a
   moment generating function): exponentiate sum_j kappa_j tr(A^j) t^j / j!
   and read off the coefficient of t^d;
-* the adjoint-placement trace-word sum (arbitrary square inputs): sum over
-  partitions of kappa_pi * T_pi(Z) / y_pi, where T_pi averages the
-  C(d, d/2) ways of distributing d/2 adjoints over the letter slots.
+* the constant-term route (arbitrary square inputs): the partition sum at
+  M(s) = s Z + s^{-1} Z* has constant term C(d, d/2) times the norm power,
+  read off as [x^d u^{d/2}] exp(sum_k kappa_k tau_k(u) x^k / k!), where
+  tau_k(u) sums the traces of the length-k words in Z, Z* with u counting
+  adjoints.
+
+The adjoint-placement trace-word sum, sum over partitions of kappa_pi *
+T_pi(Z) / y_pi with T_pi averaging the C(d, d/2) ways of distributing d/2
+adjoints over the letter slots, multiplies out every distinct trace word.
+It is kept as :func:`word_sum_norm_pow`, the independent oracle that the
+CLI's ``words`` method, the circle-average check and the ``paths`` suite
+compare against.
 
 All routes run in exact rational arithmetic when the matrix entries and
 cumulants are rational; the d-th root at the very end is the only
 irrational step.  Floating-point inputs are normalized by their largest
 entry before evaluation and rescaled by homogeneity, which keeps powers
-up to degree ~10 in range.
+up to degree ~10 in range; a rescaled power that leaves the float range is
+refused rather than returned as 0.0 or inf.
 """
 
 from __future__ import annotations
@@ -24,11 +34,11 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
 from .cumulants import CumulantVector, DistributionSpec, distribution_cumulants, kappa_product
 from .errors import MomentExistenceError, NonHermitianError, PreconditionError
-from .matrixcore import Matrix, is_hermitian, trace_powers
+from .matrixcore import Matrix, is_hermitian, trace_of_product, trace_powers
 from .partitions import Partition, enumerate_partitions, y_of
 from .scalars import exact_div, real_part_checked
 from .series import TruncatedSeries
@@ -55,6 +65,24 @@ def _normalized(Z: Matrix):
     if m == 0.0:
         return Z, None
     return Z * (1.0 / m), m
+
+
+def _rescaled(total, scale: float, d: int):
+    """total * scale**d, undoing :func:`_normalized`.
+
+    A product that underflows to 0 or overflows is refused: 0.0 for a
+    nonzero matrix would break strict positivity, and inf is no value.
+    """
+    try:
+        out = total * scale**d
+    except OverflowError:
+        out = math.inf
+    if total != 0 and (out == 0 or math.isinf(out)):
+        raise PreconditionError(
+            f"norm power outside float range: normalized value {total!r} "
+            f"times scale {scale!r} to the power {d}"
+        )
+    return out
 
 
 def bell_value(ell: int, x):
@@ -92,7 +120,7 @@ def hermitian_norm_pow(A: Matrix, spec: DistributionSpec, d: int):
         term = kp * prod((tp[i - 1] for i in p.parts), start=1)
         total = total + exact_div(term, y_of(p))
     if scale is not None:
-        total = total * scale**d
+        total = _rescaled(total, scale, d)
     return total
 
 
@@ -118,7 +146,7 @@ def series_norm_pow(A: Matrix, spec: DistributionSpec, d: int):
     ]
     total = TruncatedSeries(coeffs).exp().coefficient(d)
     if scale is not None:
-        total = total * scale**d
+        total = _rescaled(total, scale, d)
     return total
 
 
@@ -156,11 +184,12 @@ def t_pi(Z: Matrix, p: Partition):
     return real_part_checked(_t_pi_raw(Z, Z.adjoint(), p, {}))
 
 
-def general_norm_pow(Z: Matrix, spec: DistributionSpec, d: int):
+def word_sum_norm_pow(Z: Matrix, spec: DistributionSpec, d: int):
     """Norm power for arbitrary square Z: sum_pi kappa_pi * T_pi(Z) / y_pi.
 
-    Restricts to :func:`hermitian_norm_pow` on Hermitian inputs and is
-    strictly positive for Z != 0.
+    Multiplies out every distinct trace word of the placement tables.  This
+    is the independent oracle for :func:`general_norm_pow`, equal to it
+    exactly on rational input.
     """
     _require_even_degree(d)
     k = distribution_cumulants(spec, d)
@@ -175,16 +204,140 @@ def general_norm_pow(Z: Matrix, spec: DistributionSpec, d: int):
         total = total + exact_div(kp * _t_pi_raw(Zs, Zadj, p, cache), y_of(p))
     total = real_part_checked(total)
     if scale is not None:
-        total = total * scale**d
+        total = _rescaled(total, scale, d)
     return total
+
+
+def _adjoint_count_traces(Z: Matrix, m: int, half: int) -> list:
+    """tau[k][j] = tr(C_{k,j}) for k = 1..m and j = 0..min(k, half).
+
+    C_{k,j} is the sum of the length-k words in Z and Z* with j adjoints.
+    The matrices are built up to h = ceil(m/2) by C_{k,j} = C_{k-1,j} Z +
+    C_{k-1,j-1} Z*, the upper half of each level as C_{k,k-j} = C_{k,j}*.
+    A longer word splits after its first h letters, so tr(C_{k,j}) =
+    sum_i tr(C_{h,i} C_{k-h,j-i}) costs no further matrix product.
+    """
+    h = (m + 1) // 2
+    C = [None, [Z, Z.adjoint()]]
+    for k in range(2, h + 1):
+        prev, row = C[k - 1], [None] * (k + 1)
+        for j in range(k // 2 + 1):
+            row[j] = prev[j] @ Z
+            if j:
+                row[j] = row[j] + prev[j - 1] @ C[1][1]
+        for j in range(k // 2 + 1, k + 1):
+            row[j] = row[k - j].adjoint()
+        C.append(row)
+    tau = [None]
+    for k in range(1, m + 1):
+        if k <= h:
+            low = [C[k][j].trace() for j in range(k // 2 + 1)]
+        else:
+            b = k - h
+            low = [
+                sum(
+                    trace_of_product(C[h][i], C[b][j - i])
+                    for i in range(max(0, j - b), min(h, j) + 1)
+                )
+                for j in range(k // 2 + 1)
+            ]
+        # tr(C_{k,k-j}) = conj tr(C_{k,j})
+        full = low + [t.conjugate() for t in reversed(low[: (k + 1) // 2])]
+        tau.append(full[: half + 1])
+    return tau
+
+
+def _bivariate_exp_coefficient(f: list, d: int, half: int):
+    """[x^d u^half] of exp(sum_k f_k(u) x^k).
+
+    ``f[k]`` lists the u-coefficients of f_k, or is None when f_k = 0.  This
+    is the recurrence of :meth:`TruncatedSeries.exp`, k g_k = sum_j j f_j
+    g_{k-j}, with each product of u-polynomials truncated above u^half.
+    """
+    g = [[1] + [0] * half]
+    for k in range(1, d + 1):
+        acc = [0] * (half + 1)
+        for j in range(1, k + 1):
+            if f[j] is None:
+                continue
+            gk = g[k - j]
+            for a, c in enumerate(f[j]):
+                if c == 0:
+                    continue
+                c = j * c
+                for b in range(half + 1 - a):
+                    acc[a + b] += c * gk[b]
+        # an untouched zero stays int: float coefficients never meet Fraction(0)
+        g.append([exact_div(v, k) if v else v for v in acc])
+    return g[d][half]
+
+
+def general_norm_pow(Z: Matrix, spec: DistributionSpec, d: int):
+    """Norm power for arbitrary square Z by the constant-term route:
+
+        [x^d u^{d/2}] exp(sum_k kappa_k tau_k(u) x^k / k!) / C(d, d/2)
+
+    with tau_k(u) = sum_j tr(C_{k,j}) u^j (see :func:`_adjoint_count_traces`).
+    Equals :func:`word_sum_norm_pow` exactly on rational input, restricts
+    to :func:`hermitian_norm_pow` on Hermitian input and is strictly
+    positive for Z != 0.
+    """
+    _require_even_degree(d)
+    kappas = distribution_cumulants(spec, d).kappas
+    Zs, scale = _normalized(Z)
+    if Zs.is_exact():
+        # Integer entries; homogeneity of degree d divides L**d back out.
+        L = lcm(*(Fraction(v).denominator for r in Zs.rows for v in r))
+        Zs = Matrix([[int(v * L) for v in r] for r in Zs.rows])
+    else:
+        L = 1
+        kappas = [float(c) for c in kappas]
+    half = d // 2
+    m = max((k for k in range(1, d + 1) if kappas[k - 1] != 0), default=0)
+    tau = _adjoint_count_traces(Zs, m, half)
+    f = [None] * (d + 1)
+    for k in range(1, m + 1):
+        if kappas[k - 1] != 0:
+            f[k] = [exact_div(kappas[k - 1] * t, factorial(k)) for t in tau[k]]
+    total = exact_div(_bivariate_exp_coefficient(f, d, half), comb(d, half) * L**d)
+    total = real_part_checked(total)
+    if scale is not None:
+        total = _rescaled(total, scale, d)
+    return total
+
+
+def norm_root(value, d: int) -> float:
+    """value ** (1/d) as a float.
+
+    An exact value outside the float range (float() overflows, or gives 0.0
+    for a nonzero value) is rooted in log space: divided by 2**(d*e) for the
+    e that brings it near 1, rooted, and multiplied back by 2**e, each step
+    exact but the root.  A root that is itself outside the float range is
+    refused.
+    """
+    try:
+        v = float(value)
+    except OverflowError:
+        v = math.inf
+    if value == 0 or 0.0 < abs(v) < math.inf:
+        return v ** (1.0 / d)
+    f = Fraction(value)
+    e = (f.numerator.bit_length() - f.denominator.bit_length()) // d
+    try:
+        root = math.ldexp(float(f / Fraction(2) ** (d * e)) ** (1.0 / d), e)
+    except OverflowError:
+        root = math.inf
+    if not 0.0 < root < math.inf:
+        raise PreconditionError(f"norm of degree {d} is outside float range")
+    return root
 
 
 def norm(Z: Matrix, spec: DistributionSpec, d: int) -> float:
     """The norm itself: general_norm_pow(Z, spec, d) ** (1/d)."""
-    val = float(general_norm_pow(Z, spec, d))
-    if val < 0.0:
-        raise ArithmeticError(f"norm power came out negative ({val!r})")
-    return val ** (1.0 / d)
+    value = general_norm_pow(Z, spec, d)
+    if value < 0:
+        raise ArithmeticError(f"norm power came out negative ({value!r})")
+    return norm_root(value, d)
 
 
 # -- symbolic output ---------------------------------------------------------
@@ -320,7 +473,9 @@ def circle_extension_check(
     """Compare the circle-average extension against the trace-word value.
 
     The average of the Hermitian norm power of e^{it} Z + e^{-it} Z* over
-    the circle, divided by C(d, d/2), must equal the trace-word norm power.
+    the circle, divided by C(d, d/2), must equal the trace-word norm power
+    (:func:`word_sum_norm_pow`, not the constant-term route, which is the
+    algebraic form of this same average).
     The integrand is a trigonometric polynomial of degree at most d, so the
     trapezoid rule on more than d equally spaced points is exact up to
     roundoff.  Returns (quadrature value, algebraic value).
@@ -336,7 +491,7 @@ def circle_extension_check(
         M = Z * e + Zadj * e.conjugate()
         total += float(hermitian_norm_pow(M, spec, d))
     quad = total / q / comb(d, d // 2)
-    alg = float(general_norm_pow(Z, spec, d))
+    alg = float(word_sum_norm_pow(Z, spec, d))
     return quad, alg
 
 

@@ -17,7 +17,12 @@ import numpy as np
 
 from .cumulants import DistributionSpec
 from .matrixcore import Matrix, is_majorized
-from .normengine import general_norm_pow, hermitian_norm_pow, series_norm_pow
+from .normengine import (
+    general_norm_pow,
+    hermitian_norm_pow,
+    series_norm_pow,
+    word_sum_norm_pow,
+)
 from .oracle import khintchine_check
 from .sympoly import hunter_poly, hunter_poly_recursive
 
@@ -208,7 +213,8 @@ def paths_suite(
     max_n: int = 5,
 ) -> SuiteReport:
     """Partition, series, and trace-word routes agree to 1e-10 relative on
-    random Hermitian matrices; the general route restricts to the Hermitian one."""
+    random Hermitian matrices; the trace-word oracle restricts to the
+    Hermitian route."""
     families = families if families is not None else mgf_family_specs()
     report = SuiteReport("paths", trials)
     rng = stream(seed)
@@ -225,7 +231,7 @@ def paths_suite(
                         abs(v1 - v2) <= 1e-10 * ref,
                         f"paths partition-vs-series {name} d={d} trial={t}: {v1} vs {v2}",
                     )
-                v3 = float(general_norm_pow(A, spec, d))
+                v3 = float(word_sum_norm_pow(A, spec, d))
                 report.record(
                     abs(v1 - v3) <= 1e-10 * ref,
                     f"paths partition-vs-words {name} d={d} trial={t}: {v1} vs {v3}",

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -229,6 +230,57 @@ def test_cli_byte_determinism(tmp_path):
     r2 = subprocess.run(cmd, capture_output=True)
     assert r1.returncode == r2.returncode == 0
     assert r1.stdout == r2.stdout
+
+
+def _run_cli(argv, env_extra=None):
+    env = dict(os.environ, **(env_extra or {}))
+    return subprocess.run(
+        [sys.executable, "-m", "rvnorms.cli", *argv], capture_output=True, text=True, env=env
+    )
+
+
+@pytest.mark.parametrize("entry", [1e-200, 1e308])
+def test_norm_out_of_float_range_exit_3(tmp_path, entry):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 2, "re": [[entry, 0], [0, entry]]}))
+    r = _run_cli(["norm", str(path), "exponential", "-d", "4"])
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert "Traceback" not in r.stderr and "scale" in r.stderr
+
+
+@pytest.mark.parametrize("method", ["partition", "auto"])
+def test_norm_exact_power_beyond_float_range(tmp_path, method):
+    # norm^4 = 10^400 is exact but no float; the norm 1e100 is.
+    path = tmp_path / "m.json"
+    path.write_text('{"n": 1, "re": [[' + "1" + "0" * 100 + "]]}")
+    r = _run_cli(["norm", str(path), "exponential", "-d", "4", "--method", method, "--json"])
+    assert r.returncode == 0, r.stderr
+    out = json.loads(r.stdout)
+    assert out["norm_pow"] == [10**400, 1]
+    assert out["norm"] == pytest.approx(1e100, rel=1e-15)
+
+
+def test_norm_exact_entry_beyond_float_range_exit_3(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text('{"n": 1, "re": [[' + "1" + "0" * 400 + "]]}")
+    r = _run_cli(["norm", str(path), "exponential", "-d", "4"])
+    assert r.returncode == 3
+    assert "Traceback" not in r.stderr and "float range" in r.stderr
+
+
+def test_bad_seed_env_exit_2():
+    r = _run_cli(["verify", "--suite", "hunter", "--trials", "1"], {"RVNORMS_SEED": "abc"})
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr and "RVNORMS_SEED" in r.stderr
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_trials_below_one_exit_3(trials):
+    r = _run_cli(["verify", "--suite", "hunter", "--trials", trials])
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert "Traceback" not in r.stderr and "--trials" in r.stderr
 
 
 def test_env_var_default_seed(identity2, monkeypatch, capsys):

@@ -14,11 +14,13 @@ from rvnorms.normengine import (
     general_norm_pow,
     hermitian_norm_pow,
     norm,
+    norm_root,
     normal_norm_pow_closed,
     pareto_norm_pow_multinomial,
     series_norm_pow,
     symbolic_formula,
     t_pi,
+    word_sum_norm_pow,
 )
 from rvnorms.partitions import Partition
 from rvnorms.scalars import real_part_checked
@@ -384,6 +386,73 @@ def test_scale_guard_large_entries():
     b = float(hermitian_norm_pow(big, spec, 6))
     assert b == pytest.approx(a * (1e8) ** 6, rel=1e-10)
     assert math.isfinite(float(general_norm_pow(big, spec, 4)))
+
+
+@pytest.mark.parametrize("route", [hermitian_norm_pow, series_norm_pow, general_norm_pow])
+@pytest.mark.parametrize("entry", [1e-200, 1e308])
+def test_scale_guard_refuses_out_of_range(route, entry):
+    # diag(1e-200)^4 underflows to 0.0, diag(1e308)^4 overflows: both refused.
+    A = Matrix.diagonal([entry, entry])
+    with pytest.raises(PreconditionError, match="scale"):
+        route(A, DistributionSpec.exponential(), 4)
+
+
+def test_norm_root_exact_values_outside_float_range():
+    assert norm_root(Fraction(10) ** 400, 4) == pytest.approx(1e100, rel=1e-15)
+    assert norm_root(Fraction(1, 10**400), 4) == pytest.approx(1e-100, rel=1e-15)
+    assert norm_root(Fraction(81, 16), 4) == 1.5
+    assert norm_root(0, 4) == 0.0
+    with pytest.raises(PreconditionError, match="outside float range"):
+        norm_root(Fraction(10) ** 1300, 4)
+    with pytest.raises(PreconditionError, match="outside float range"):
+        norm_root(Fraction(1, 10**1300), 4)
+    assert norm(Matrix([[10**100]]), DistributionSpec.exponential(), 4) == pytest.approx(1e100)
+
+
+# -- constant-term route against the word-sum oracle -------------------------
+
+
+def rational_general(rnd, n):
+    while True:
+        Z = Matrix([rational_vector(rnd, n) for _ in range(n)])
+        if Z != Z.adjoint():
+            return Z
+
+
+@pytest.mark.parametrize("d", [2, 4, 6, 8, 10])
+def test_constant_term_route_equals_word_sum_exact(d):
+    rnd = random.Random(100 + d)
+    for name, spec in default_family_specs():
+        Z = rational_general(rnd, 3)
+        a = general_norm_pow(Z, spec, d)
+        b = word_sum_norm_pow(Z, spec, d)
+        assert a == b and type(a) is type(b) is Fraction, (name, a, b)
+
+
+def test_constant_term_route_matches_word_sum_float():
+    rng = stream(101)
+    for d in (2, 4, 6, 8):
+        for name, spec in default_family_specs():
+            Z = random_general(rng, 6)
+            a = general_norm_pow(Z, spec, d)
+            b = word_sum_norm_pow(Z, spec, d)
+            assert isinstance(a, float)
+            assert abs(a - b) <= 1e-12 * abs(b), (name, d, a, b)
+
+
+def test_constant_term_route_matrix_products(monkeypatch):
+    calls = []
+    matmul = Matrix.__matmul__
+
+    def counting(self, other):
+        calls.append(1)
+        return matmul(self, other)
+
+    Z = random_general(stream(102), 8)
+    monkeypatch.setattr(Matrix, "__matmul__", counting)
+    general_norm_pow(Z, DistributionSpec.gamma(2, Fraction(1, 2)), 8)
+    # C_{k,j} for k = 2, 3, 4: 3 + 3 + 5 products; the word sum takes 233.
+    assert len(calls) <= 16
 
 
 # -- symbolic formulas -------------------------------------------------------
