@@ -25,14 +25,15 @@ All routes run in exact rational arithmetic when the matrix entries and
 cumulants are rational; the d-th root at the very end is the only
 irrational step.  Floating-point inputs are normalized by their largest
 entry before evaluation and rescaled by homogeneity, which keeps powers
-up to degree ~10 in range; a rescaled power that leaves the float range is
-refused rather than returned as 0.0 or inf.
+up to degree ~10 in range; a rescaled power that leaves the normal float
+range is refused rather than returned as 0.0, a subnormal or inf.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 from math import comb, factorial, lcm, prod
 
@@ -40,7 +41,7 @@ from .cumulants import CumulantVector, DistributionSpec, distribution_cumulants,
 from .errors import MomentExistenceError, NonHermitianError, PreconditionError
 from .matrixcore import Matrix, is_hermitian, trace_of_product, trace_powers
 from .partitions import Partition, enumerate_partitions, y_of
-from .scalars import exact_div, real_part_checked
+from .scalars import exact_div, is_exact, real_part_checked
 from .series import TruncatedSeries
 from .words import placement_terms, word_json, word_text
 
@@ -70,14 +71,23 @@ def _normalized(Z: Matrix):
 def _rescaled(total, scale: float, d: int):
     """total * scale**d, undoing :func:`_normalized`.
 
-    A product that underflows to 0 or overflows is refused: 0.0 for a
-    nonzero matrix would break strict positivity, and inf is no value.
+    A product outside the normal float range is refused: 0.0 for a nonzero
+    matrix would break strict positivity, a subnormal keeps too few digits
+    for its d-th root, and inf is no value.
     """
     try:
-        out = total * scale**d
+        power = scale**d
     except OverflowError:
-        out = math.inf
-    if total != 0 and (out == 0 or math.isinf(out)):
+        power = math.inf
+    if sys.float_info.min <= power < math.inf:
+        out = total * power
+    else:
+        # scale**d alone leaves the range; one factor at a time, every
+        # partial product lies between total and the result.
+        out = total
+        for _ in range(d):
+            out *= scale
+    if total != 0 and not sys.float_info.min <= abs(out) < math.inf:
         raise PreconditionError(
             f"norm power outside float range: normalized value {total!r} "
             f"times scale {scale!r} to the power {d}"
@@ -209,7 +219,7 @@ def word_sum_norm_pow(Z: Matrix, spec: DistributionSpec, d: int):
 
 
 def _adjoint_count_traces(Z: Matrix, m: int, half: int) -> list:
-    """tau[k][j] = tr(C_{k,j}) for k = 1..m and j = 0..min(k, half).
+    """tau[k][j] = tr(C_{k,j}) for k = 1..m and j = 0..half (0 for j > k).
 
     C_{k,j} is the sum of the length-k words in Z and Z* with j adjoints.
     The matrices are built up to h = ceil(m/2) by C_{k,j} = C_{k-1,j} Z +
@@ -243,33 +253,8 @@ def _adjoint_count_traces(Z: Matrix, m: int, half: int) -> list:
             ]
         # tr(C_{k,k-j}) = conj tr(C_{k,j})
         full = low + [t.conjugate() for t in reversed(low[: (k + 1) // 2])]
-        tau.append(full[: half + 1])
+        tau.append((full + [0] * half)[: half + 1])
     return tau
-
-
-def _bivariate_exp_coefficient(f: list, d: int, half: int):
-    """[x^d u^half] of exp(sum_k f_k(u) x^k).
-
-    ``f[k]`` lists the u-coefficients of f_k, or is None when f_k = 0.  This
-    is the recurrence of :meth:`TruncatedSeries.exp`, k g_k = sum_j j f_j
-    g_{k-j}, with each product of u-polynomials truncated above u^half.
-    """
-    g = [[1] + [0] * half]
-    for k in range(1, d + 1):
-        acc = [0] * (half + 1)
-        for j in range(1, k + 1):
-            if f[j] is None:
-                continue
-            gk = g[k - j]
-            for a, c in enumerate(f[j]):
-                if c == 0:
-                    continue
-                c = j * c
-                for b in range(half + 1 - a):
-                    acc[a + b] += c * gk[b]
-        # an untouched zero stays int: float coefficients never meet Fraction(0)
-        g.append([exact_div(v, k) if v else v for v in acc])
-    return g[d][half]
 
 
 def general_norm_pow(Z: Matrix, spec: DistributionSpec, d: int):
@@ -285,22 +270,28 @@ def general_norm_pow(Z: Matrix, spec: DistributionSpec, d: int):
     _require_even_degree(d)
     kappas = distribution_cumulants(spec, d).kappas
     Zs, scale = _normalized(Z)
-    if Zs.is_exact():
+    L = 1
+    if not Zs.is_exact():
+        kappas = [float(c) for c in kappas]
+    elif all(is_exact(c) for c in kappas):
         # Integer entries; homogeneity of degree d divides L**d back out.
+        # Float cumulants keep the rational matrix: L**d may exceed the
+        # float range although the norm power does not.
         L = lcm(*(Fraction(v).denominator for r in Zs.rows for v in r))
         Zs = Matrix([[int(v * L) for v in r] for r in Zs.rows])
-    else:
-        L = 1
-        kappas = [float(c) for c in kappas]
     half = d // 2
     m = max((k for k in range(1, d + 1) if kappas[k - 1] != 0), default=0)
     tau = _adjoint_count_traces(Zs, m, half)
-    f = [None] * (d + 1)
+    # The x-series of exp(sum_k kappa_k tau_k(u) x^k / k!), each coefficient
+    # a u-series truncated above u^half.
+    f = [0] * (d + 1)
     for k in range(1, m + 1):
         if kappas[k - 1] != 0:
-            f[k] = [exact_div(kappas[k - 1] * t, factorial(k)) for t in tau[k]]
-    total = exact_div(_bivariate_exp_coefficient(f, d, half), comb(d, half) * L**d)
-    total = real_part_checked(total)
+            f[k] = TruncatedSeries(
+                exact_div(kappas[k - 1] * t, factorial(k)) for t in tau[k]
+            )
+    g = TruncatedSeries(f).exp().coefficient(d).coefficient(half)
+    total = real_part_checked(exact_div(g, comb(d, half) * L**d))
     if scale is not None:
         total = _rescaled(total, scale, d)
     return total
@@ -309,8 +300,9 @@ def general_norm_pow(Z: Matrix, spec: DistributionSpec, d: int):
 def norm_root(value, d: int) -> float:
     """value ** (1/d) as a float.
 
-    An exact value outside the float range (float() overflows, or gives 0.0
-    for a nonzero value) is rooted in log space: divided by 2**(d*e) for the
+    An exact value outside the normal float range (float() overflows, or
+    gives 0.0 or a subnormal with few significant digits) is rooted in log
+    space: divided by 2**(d*e) for the
     e that brings it near 1, rooted, and multiplied back by 2**e, each step
     exact but the root.  A root that is itself outside the float range is
     refused.
@@ -319,7 +311,7 @@ def norm_root(value, d: int) -> float:
         v = float(value)
     except OverflowError:
         v = math.inf
-    if value == 0 or 0.0 < abs(v) < math.inf:
+    if value == 0 or sys.float_info.min <= abs(v) < math.inf:
         return v ** (1.0 / d)
     f = Fraction(value)
     e = (f.numerator.bit_length() - f.denominator.bit_length()) // d

@@ -2,7 +2,9 @@
 
 A series holds coefficients c_0..c_degree of t^0..t^degree; addition,
 multiplication, and exponentiation are exact modulo t^(degree+1) whenever
-the coefficients are exact (int or Fraction).
+the coefficients are exact (int or Fraction).  A scalar operand acts as a
+constant series, so the coefficients may themselves be truncated series
+(a bivariate series truncated in each variable).
 """
 
 from __future__ import annotations
@@ -40,15 +42,21 @@ class TruncatedSeries:
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+    def __add__(self, other) -> "TruncatedSeries":
+        if not isinstance(other, TruncatedSeries):
+            return TruncatedSeries((self.coeffs[0] + other,) + self.coeffs[1:])
         self._check(other)
         return TruncatedSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+
+    __radd__ = __add__
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)
         return TruncatedSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+    def __mul__(self, other) -> "TruncatedSeries":
+        if not isinstance(other, TruncatedSeries):
+            return self.scaled(other)
         self._check(other)
         d = self.degree
         out = [0] * (d + 1)
@@ -61,8 +69,14 @@ class TruncatedSeries:
                     out[i + j] = out[i + j] + a * b
         return TruncatedSeries(tuple(out))
 
+    __rmul__ = __mul__
+
     def scaled(self, c) -> "TruncatedSeries":
         return TruncatedSeries(tuple(c * a for a in self.coeffs))
+
+    def __truediv__(self, c) -> "TruncatedSeries":
+        """Divide every coefficient by the scalar c, exactly when both are."""
+        return TruncatedSeries(tuple(exact_div(a, c) for a in self.coeffs))
 
     def exp(self) -> "TruncatedSeries":
         """exp of a series with zero constant term.

@@ -269,6 +269,27 @@ def test_norm_exact_entry_beyond_float_range_exit_3(tmp_path):
     assert "Traceback" not in r.stderr and "float range" in r.stderr
 
 
+def test_norm_float_law_on_large_denominators(tmp_path):
+    # lcm(denominators)**4 exceeds the float range; the norm power does not.
+    path = tmp_path / "m.json"
+    den = [[10**20 + 1, 10**20 + 3], [10**20 + 7, 10**20 + 9]]
+    re = [
+        [f"{10**10 * (2 * i + j + 1)}/{q}" for j, q in enumerate(row)]
+        for i, row in enumerate(den)
+    ]
+    path.write_text(json.dumps({"n": 2, "re": re}))
+    norms = {}
+    for method in ("partition", "words"):
+        r = _run_cli(
+            ["norm", str(path), "normal:mu=0,sigma=0.5", "-d", "4", "--method", method, "--json"]
+        )
+        assert r.returncode == 0, r.stderr
+        out = json.loads(r.stdout)
+        assert out["hermitian"] is False
+        norms[method] = out["norm"]
+    assert norms["partition"] == pytest.approx(norms["words"], rel=1e-12)
+
+
 def test_bad_seed_env_exit_2():
     r = _run_cli(["verify", "--suite", "hunter", "--trials", "1"], {"RVNORMS_SEED": "abc"})
     assert r.returncode == 2

@@ -5,7 +5,12 @@ from math import comb, factorial
 
 import pytest
 
-from rvnorms.cumulants import CumulantVector, DistributionSpec, distribution_cumulants
+from rvnorms.cumulants import (
+    CumulantVector,
+    DistributionSpec,
+    distribution_cumulants,
+    parse_distribution,
+)
 from rvnorms.errors import NonHermitianError, PreconditionError
 from rvnorms.matrixcore import Matrix, trace_powers
 from rvnorms.normengine import (
@@ -397,10 +402,23 @@ def test_scale_guard_refuses_out_of_range(route, entry):
         route(A, DistributionSpec.exponential(), 4)
 
 
+def test_rescale_refuses_subnormal_and_keeps_in_range_products():
+    from rvnorms.normengine import _rescaled
+
+    # 1e-320 is subnormal: refused, not rooted from 4 digits.
+    with pytest.raises(PreconditionError, match="scale"):
+        _rescaled(1.0, 1e-80, 4)
+    # scale**4 leaves the float range but total * scale**4 does not.
+    assert _rescaled(1e-5, 1e78, 4) == pytest.approx(1e307, rel=1e-14)
+    assert _rescaled(1e10, 1e-79, 4) == pytest.approx(1e-306, rel=1e-14, abs=0)
+
+
 def test_norm_root_exact_values_outside_float_range():
     assert norm_root(Fraction(10) ** 400, 4) == pytest.approx(1e100, rel=1e-15)
-    assert norm_root(Fraction(1, 10**400), 4) == pytest.approx(1e-100, rel=1e-15)
+    assert norm_root(Fraction(1, 10**400), 4) == pytest.approx(1e-100, rel=1e-15, abs=0)
     assert norm_root(Fraction(81, 16), 4) == 1.5
+    # 1e-320 is a subnormal float with 4 significant digits: rooted exactly.
+    assert norm_root(Fraction(1, 10**320), 4) == pytest.approx(1e-80, rel=1e-15, abs=0)
     assert norm_root(0, 4) == 0.0
     with pytest.raises(PreconditionError, match="outside float range"):
         norm_root(Fraction(10) ** 1300, 4)
@@ -438,6 +456,28 @@ def test_constant_term_route_matches_word_sum_float():
             b = word_sum_norm_pow(Z, spec, d)
             assert isinstance(a, float)
             assert abs(a - b) <= 1e-12 * abs(b), (name, d, a, b)
+
+
+@pytest.mark.parametrize(
+    "denominators, d",
+    [
+        ([10**20 + 1, 10**20 + 3, 10**20 + 7, 10**20 + 9], 4),
+        ([9901, 9907, 9923, 9929, 9931, 9941, 9949, 9967, 9973], 10),
+    ],
+)
+def test_constant_term_route_float_cumulants_on_exact_matrix(denominators, d):
+    # The lcm L of the denominators has L**d above the float range; with
+    # float cumulants the route must not scale the matrix to integers.
+    n = math.isqrt(len(denominators))
+    Z = Matrix(
+        [[Fraction(1, denominators[n * i + j]) for j in range(n)] for i in range(n)]
+    )
+    for text in ("normal:mu=0,sigma=0.5", "gamma:alpha=1.5,beta=0.5"):
+        spec = parse_distribution(text)
+        a = general_norm_pow(Z, spec, d)
+        b = word_sum_norm_pow(Z, spec, d)
+        assert isinstance(a, float) and b > 0
+        assert abs(a - b) <= 1e-12 * abs(b), (text, a, b)
 
 
 def test_constant_term_route_matrix_products(monkeypatch):
