@@ -4,7 +4,8 @@ Subcommands: norm, formula, hunter, oracle, verify.  Exit codes: 0 success,
 1 verification suite failure, 2 parse error (bad file, bad string or bad
 $RVNORMS_SEED), 3 precondition violation (odd degree on an analytic path,
 missing moments, non-Hermitian input to a Hermitian-only method, result
-outside float range, verify --trials below 1).
+outside float range, verify --trials below 1, a seed outside [0, 2**64), a
+general-mode formula above degree FORMULA_MAX_DEGREE).
 """
 
 from __future__ import annotations
@@ -46,6 +47,12 @@ integers, rationals p/q (kept exact), or floats.  Catalog:
   poisson:alpha=A               A>0
   pareto:alpha=A                A>0; moments (and degree d) must stay below A
 """
+
+
+# Largest degree `formula` builds in general mode.  The cost grows about 3x
+# per +2 in degree: d=14 takes 0.7 s, d=16 1.9 s and d=18 6-7 s on a 2-vCPU
+# host, so d=20 would exceed a 10 s budget.
+FORMULA_MAX_DEGREE = 18
 
 
 def _default_seed() -> int:
@@ -101,7 +108,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_formula = sub.add_parser("formula", help="print the symbolic trace-polynomial form")
     p_formula.add_argument("dist", help="distribution string (rational parameters stay exact)")
-    p_formula.add_argument("-d", "--degree", type=int, required=True)
+    p_formula.add_argument(
+        "-d", "--degree", type=int, required=True,
+        help=f"even degree; at most {FORMULA_MAX_DEGREE} in general mode",
+    )
     p_formula.add_argument("--mode", choices=("hermitian", "general"), default="general")
     p_formula.add_argument("--json", action="store_true")
 
@@ -187,8 +197,13 @@ def _cmd_norm(args) -> int:
 
 
 def _cmd_formula(args) -> int:
-    spec = parse_distribution(args.dist)
     d = args.degree
+    if args.mode == "general" and d > FORMULA_MAX_DEGREE:
+        raise PreconditionError(
+            f"formula in general mode is limited to degree {FORMULA_MAX_DEGREE} "
+            f"(its cost triples with every +2 in degree), got {d}"
+        )
+    spec = parse_distribution(args.dist)
     kappas = distribution_cumulants(spec, d)
     poly = symbolic_formula(kappas, d, hermitian_mode=(args.mode == "hermitian"))
     if args.json:

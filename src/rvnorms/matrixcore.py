@@ -126,8 +126,14 @@ def default_hermitian_tol(Z: Matrix) -> float:
 
 
 def is_hermitian(Z: Matrix, tol: float | None = None) -> bool:
-    """True iff max entrywise |Z - Z*| <= tol (default 1e-12 * (1 + max|entry|))."""
+    """True iff max entrywise |Z - Z*| <= tol.
+
+    Without ``tol``, an exact matrix must equal its adjoint exactly and any
+    other gets the tolerance 1e-12 * (1 + max|entry|).
+    """
     if tol is None:
+        if Z.is_exact():
+            return Z == Z.adjoint()
         tol = default_hermitian_tol(Z)
     for i in range(Z.n):
         for j in range(Z.n):

@@ -39,7 +39,7 @@ class McEstimate:
         return abs(self.value - target) <= sigmas * self.stderr
 
 
-def _check_seed(seed: int) -> int:
+def check_seed(seed: int) -> int:
     if not isinstance(seed, int) or not 0 <= seed < 2**64:
         raise PreconditionError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
     return seed
@@ -48,7 +48,7 @@ def _check_seed(seed: int) -> int:
 def block_stream(seed: int, block: int = 0) -> np.random.Generator:
     """The deterministic substream for one block: Philox keyed by the seed,
     counter advanced to the block's disjoint range."""
-    _check_seed(seed)
+    check_seed(seed)
     return np.random.Generator(np.random.Philox(key=seed, counter=block << 128))
 
 
@@ -120,7 +120,7 @@ def mc_norm_pow(
     spec.require_moments(d)
     if samples < 10**4:
         raise PreconditionError(f"at least 10^4 samples required, got {samples}")
-    _check_seed(seed)
+    check_seed(seed)
     lam = np.array([float(v) for v in lambdas], dtype=np.float64)
     if lam.size == 0:
         raise PreconditionError("lambdas must be nonempty")
@@ -161,19 +161,28 @@ def mc_norm(
     threads: int = 1,
 ) -> McEstimate:
     """Estimate the norm itself for Hermitian A: eigenvalues by Jacobi, then
-    the d-th root of :func:`mc_norm_pow` with first-order error propagation."""
+    the d-th root of :func:`mc_norm_pow` with first-order error propagation.
+
+    The matrix is divided by the power of two ``s`` at or just below its
+    largest entry (at least the smallest normal power of two), which is
+    exact; the largest eigenvalue magnitude is then in [1, 2n), so neither
+    the eigensolver nor the sampled powers leave the float range at any
+    scale.  The root is taken before multiplying ``s`` back.
+    """
     if not is_hermitian(A):
         raise NonHermitianError(
             "the sampling oracle handles Hermitian matrices only; "
             "general Z is covered analytically by the circle-average check"
         )
-    lams = hermitian_eigenvalues(A)
+    exponent = max(math.frexp(A.max_abs())[1] - 1, -1022)
+    lams = hermitian_eigenvalues(A * math.ldexp(1.0, -exponent))
+    scale = math.ldexp(1.0, exponent)
     est = mc_norm_pow(lams, spec, d, samples, seed, threads=threads)
     if est.value <= 0.0:
         return McEstimate(0.0, 0.0, samples, seed)
     value = est.value ** (1.0 / d)
     stderr = est.stderr * value / (d * est.value)
-    return McEstimate(value, stderr, samples, seed)
+    return McEstimate(scale * value, scale * stderr, samples, seed)
 
 
 # -- Khintchine bounds -------------------------------------------------------

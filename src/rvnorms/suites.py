@@ -23,7 +23,7 @@ from .normengine import (
     series_norm_pow,
     word_sum_norm_pow,
 )
-from .oracle import khintchine_check
+from .oracle import check_seed, khintchine_check
 from .sympoly import hunter_poly, hunter_poly_recursive
 
 
@@ -53,7 +53,7 @@ def mgf_family_specs() -> list[tuple[str, DistributionSpec]]:
 
 
 def stream(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed))
+    return np.random.Generator(np.random.Philox(key=check_seed(seed)))
 
 
 def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> Matrix:
@@ -315,5 +315,5 @@ def run_suite(name: str, trials: int | None = None, seed: int | None = None) -> 
     if trials is not None:
         kwargs["trials"] = trials
     if seed is not None:
-        kwargs["seed"] = seed
+        kwargs["seed"] = check_seed(seed)
     return fn(**kwargs)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -319,3 +320,80 @@ def test_help_lists_catalog(capsys):
     out = capsys.readouterr().out
     for family in ("gamma", "pareto", "finite_discrete", "rademacher"):
         assert family in out
+
+
+def test_norm_exact_near_hermitian_takes_general_route(tmp_path):
+    # An off-diagonal 1e-14 is far below the float tolerance but not zero.
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 2, "re": [[1, "1/100000000000000"], [0, 1]]}))
+    values = {}
+    for method in ("partition", "words"):
+        r = _run_cli(["norm", str(path), "exponential", "-d", "2", "--method", method, "--json"])
+        assert r.returncode == 0, r.stderr
+        out = json.loads(r.stdout)
+        assert out["hermitian"] is False
+        values[method] = out["norm_pow"]
+    assert values["partition"] == values["words"]
+    assert values["words"] == [60000000000000000000000000001, 20000000000000000000000000000]
+    text = _run_cli(["norm", str(path), "exponential", "-d", "2"]).stdout
+    assert "general" in text and "method: partition(words)" in text
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_verify_seed_out_of_range_exit_3(seed):
+    r = _run_cli(["verify", "--suite", "axioms", "--trials", "1", "--seed", seed])
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert "Traceback" not in r.stderr and "seed" in r.stderr
+
+
+@pytest.mark.parametrize("suite", ["axioms", "hunter"])
+def test_verify_env_seed_out_of_range_exit_3(suite):
+    r = _run_cli(["verify", "--suite", suite, "--trials", "1"], {"RVNORMS_SEED": "-1"})
+    assert r.returncode == 3
+    assert "Traceback" not in r.stderr and "seed" in r.stderr
+
+
+def test_verify_largest_seed_accepted(capsys):
+    assert cli.main(["verify", "--suite", "hunter", "--trials", "1", "--seed", str(2**64 - 1)]) == 0
+
+
+@pytest.mark.parametrize("entry", [1e308, 1e-200])
+def test_oracle_out_of_unit_scale_is_finite(tmp_path, entry):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 2, "re": [[entry, 0], [0, entry]]}))
+    argv = ["oracle", str(path), "normal:mu=0,sigma=1", "-d", "4", "--samples", "10000", "--json"]
+    r = _run_cli(argv)
+    assert r.returncode == 0, r.stderr
+    assert "Warning" not in r.stderr
+    out = json.loads(r.stdout)
+    path.write_text(json.dumps({"n": 2, "re": [[1, 0], [0, 1]]}))
+    unit = json.loads(_run_cli(argv).stdout)
+    assert math.isfinite(out["value"]) and out["value"] > 0
+    assert abs(out["value"] - entry * unit["value"]) <= 5 * out["stderr"]
+
+
+def test_formula_over_degree_limit_exit_3_before_work(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "distribution_cumulants", refuse)
+    monkeypatch.setattr(cli, "symbolic_formula", refuse)
+    rc = cli.main(["formula", "exponential", "-d", str(cli.FORMULA_MAX_DEGREE + 2)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert f"degree {cli.FORMULA_MAX_DEGREE}" in captured.err
+
+
+def test_formula_hermitian_mode_not_degree_limited(capsys):
+    d = cli.FORMULA_MAX_DEGREE + 2
+    assert cli.main(["formula", "exponential", "-d", str(d), "--mode", "hermitian"]) == 0
+    assert capsys.readouterr().out.startswith(f"1/{d} tr(A^{d})\n")
+
+
+def test_formula_at_degree_limit_exit_0(capsys):
+    d = cli.FORMULA_MAX_DEGREE
+    assert cli.main(["formula", "exponential", "-d", str(d)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith("tr(" + "Z*" * (d // 2) + "Z" * (d // 2) + ")")

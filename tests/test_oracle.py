@@ -108,6 +108,17 @@ def test_mc_norm_agrees_with_analytic():
     assert abs(est.value - target) <= 4 * est.stderr + 1e-12
 
 
+@pytest.mark.parametrize("scale", [1e308, 1e-200, 3.0, 2.0**-1074])
+def test_mc_norm_is_scale_safe(scale):
+    # Same seed, so the draws are shared: the estimate for scale * I is
+    # scale times the one for I, up to rounding.
+    spec = DistributionSpec.normal(0, 1)
+    unit = mc_norm(Matrix.identity(2), spec, 4, 10**4, seed=11)
+    est = mc_norm(Matrix.diagonal([scale, scale]), spec, 4, 10**4, seed=11)
+    assert math.isfinite(est.value) and est.value > 0
+    assert abs(est.value - scale * unit.value) <= 5 * est.stderr
+
+
 def test_mc_norm_zero_matrix():
     est = mc_norm(Matrix.zeros(2), DistributionSpec.exponential(), 3, 10**4, seed=10)
     assert est.value == 0.0 and est.stderr == 0.0

@@ -48,7 +48,35 @@ def test_placements_2_2_fixture():
     assert terms == {("ss", "zz"): 2, ("sz", "sz"): 4}
 
 
-@pytest.mark.parametrize("d", [2, 4, 6, 8])
+def _enumerated_placements(parts):
+    """Brute-force table: every choice of d/2 adjoint slots, split into
+    segments of the part lengths, each segment canonicalized."""
+    d = sum(parts)
+    counts = {}
+    for adjoint_slots in itertools.combinations(range(d), d // 2):
+        marked = set(adjoint_slots)
+        letters = "".join("s" if i in marked else "z" for i in range(d))
+        factors, pos = [], 0
+        for part in parts:
+            factors.append(canonical_rotation(letters[pos : pos + part]))
+            pos += part
+        key = tuple(sorted(factors))
+        counts[key] = counts.get(key, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
+@pytest.mark.parametrize("d", [2, 4, 6, 8, 10, 12])
+def test_placements_equal_enumeration(d):
+    for p in enumerate_partitions(d):
+        assert placement_terms(p.parts) == _enumerated_placements(p.parts), p.parts
+
+
+def test_placements_unsorted_parts_equal_enumeration():
+    for parts in ((1, 3, 2), (2, 1, 1, 4), (1, 5)):
+        assert placement_terms(parts) == _enumerated_placements(parts)
+
+
+@pytest.mark.parametrize("d", [2, 4, 6, 8, 14])
 def test_placement_count_conservation(d):
     for p in enumerate_partitions(d):
         total = sum(mult for _, mult in placement_terms(p.parts))
