@@ -1,11 +1,14 @@
 """Command-line front end.
 
 Subcommands: norm, formula, hunter, oracle, verify.  Exit codes: 0 success,
-1 verification suite failure, 2 parse error (bad file, bad string or bad
+1 verification suite failure (or, from the ``rvnorms`` entry point, a
+reader that closed stdout early, which ends without a traceback), 2 parse
+error (bad file, bad string, a number that parses to inf or nan, or bad
 $RVNORMS_SEED), 3 precondition violation (odd degree on an analytic path,
 missing moments, non-Hermitian input to a Hermitian-only method, result
 outside float range, verify --trials below 1, a seed outside [0, 2**64), a
-general-mode formula above degree FORMULA_MAX_DEGREE).
+general-mode formula above degree FORMULA_MAX_DEGREE, a Hermitian-mode
+formula or hunter above degree PARTITION_MAX_DEGREE).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .cumulants import distribution_cumulants, parse_distribution
+from .cumulants import distribution_cumulants, parse_distribution, parse_scalar
 from .errors import ParseError, PreconditionError
 from .matrixcore import is_hermitian, load_matrix
 from .normengine import (
@@ -29,8 +32,7 @@ from .normengine import (
     word_sum_norm_pow,
 )
 from .oracle import mc_norm
-from .partitions import enumerate_partitions, hunter_coefficient
-from .sympoly import hunter_poly, hunter_poly_recursive
+from .sympoly import hunter_poly, hunter_poly_recursive, hunter_terms
 from .suites import SUITES, run_suite
 
 CATALOG_HELP = """\
@@ -53,6 +55,14 @@ integers, rationals p/q (kept exact), or floats.  Catalog:
 # per +2 in degree: d=14 takes 0.7 s, d=16 1.9 s and d=18 6-7 s on a 2-vCPU
 # host, so d=20 would exceed a 10 s budget.
 FORMULA_MAX_DEGREE = 18
+
+# Largest degree for Hermitian-mode `formula` and for `hunter`, which walk
+# every partition of d (about 1.4x more per +2 in degree).  On a 2-vCPU
+# host Hermitian `formula exponential -d D --json` takes 5.3 s at 44 and
+# 6.8-8.3 s at 46; `hunter -d D --alpha D --json --at 1,1/2`, which also
+# evaluates H at the point exactly, takes 6.3 s at 44 and 10.2 s at 46.
+# d=44 keeps every form within a 10 s budget.
+PARTITION_MAX_DEGREE = 44
 
 
 def _default_seed() -> int:
@@ -110,13 +120,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_formula.add_argument("dist", help="distribution string (rational parameters stay exact)")
     p_formula.add_argument(
         "-d", "--degree", type=int, required=True,
-        help=f"even degree; at most {FORMULA_MAX_DEGREE} in general mode",
+        help=f"even degree; at most {FORMULA_MAX_DEGREE} in general mode and "
+        f"{PARTITION_MAX_DEGREE} in hermitian mode",
     )
     p_formula.add_argument("--mode", choices=("hermitian", "general"), default="general")
     p_formula.add_argument("--json", action="store_true")
 
     p_hunter = sub.add_parser("hunter", help="positive-definite CHS combinations H_{d,alpha}")
-    p_hunter.add_argument("-d", "--degree", type=int, required=True)
+    p_hunter.add_argument(
+        "-d", "--degree", type=int, required=True, help=f"at most {PARTITION_MAX_DEGREE}"
+    )
     p_hunter.add_argument("--alpha", type=int, required=True)
     p_hunter.add_argument("--at", help="comma-separated point to evaluate at, e.g. 1,1/2,-2")
     p_hunter.add_argument("--json", action="store_true")
@@ -196,6 +209,14 @@ def _cmd_norm(args) -> int:
     return 0
 
 
+def _require_partition_degree(command: str, d: int) -> None:
+    if d > PARTITION_MAX_DEGREE:
+        raise PreconditionError(
+            f"{command} is limited to degree {PARTITION_MAX_DEGREE} "
+            f"(it walks every partition of the degree), got {d}"
+        )
+
+
 def _cmd_formula(args) -> int:
     d = args.degree
     if args.mode == "general" and d > FORMULA_MAX_DEGREE:
@@ -203,6 +224,8 @@ def _cmd_formula(args) -> int:
             f"formula in general mode is limited to degree {FORMULA_MAX_DEGREE} "
             f"(its cost triples with every +2 in degree), got {d}"
         )
+    if args.mode == "hermitian":
+        _require_partition_degree("formula in hermitian mode", d)
     spec = parse_distribution(args.dist)
     kappas = distribution_cumulants(spec, d)
     poly = symbolic_formula(kappas, d, hermitian_mode=(args.mode == "hermitian"))
@@ -215,65 +238,23 @@ def _cmd_formula(args) -> int:
     return 0
 
 
-def _parse_point(text: str) -> list:
-    out = []
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            raise ParseError("empty coordinate in --at")
-        if "/" in item:
-            try:
-                out.append(Fraction(item))
-                continue
-            except (ValueError, ZeroDivisionError):
-                raise ParseError(f"bad rational {item!r}") from None
-        try:
-            out.append(int(item))
-        except ValueError:
-            try:
-                out.append(float(item))
-            except ValueError:
-                raise ParseError(f"bad coordinate {item!r}") from None
-    return out
-
-
-def _hunter_expansion_text(d: int, alpha: int) -> str:
-    pieces = []
-    for p in enumerate_partitions(d):
-        c = hunter_coefficient(p, alpha)
-        if not c:
-            continue
-        factors = " ".join(
-            f"h{i}" + (f"^{m}" if m > 1 else "")
-            for i, m in sorted(p.multiplicities.items())
-        )
-        pieces.append(f"{c} {factors}")
-    return " + ".join(pieces) if pieces else "0"
-
-
 def _cmd_hunter(args) -> int:
     d, alpha = args.degree, args.alpha
     if d < 0 or alpha < 1:
         raise PreconditionError("hunter needs degree >= 0 and alpha >= 1")
-    expansion = _hunter_expansion_text(d, alpha)
+    _require_partition_degree("hunter", d)
     value = rec = None
     point = None
     if args.at is not None:
-        point = _parse_point(args.at)
+        point = [parse_scalar(item) for item in args.at.split(",")]
         value = hunter_poly(d, alpha, point)
         rec = hunter_poly_recursive(d, alpha, point)
+    terms = hunter_terms(d, alpha)
     if args.json:
         out = {
             "degree": d,
             "alpha": alpha,
-            "terms": [
-                {
-                    "coeff": hunter_coefficient(p, alpha),
-                    "parts": list(p.parts),
-                }
-                for p in enumerate_partitions(d)
-                if hunter_coefficient(p, alpha)
-            ],
+            "terms": [{"coeff": c, "parts": list(p.parts)} for p, c in terms],
         }
         if point is not None:
             out["at"] = [_json_value(v) for v in point]
@@ -281,7 +262,14 @@ def _cmd_hunter(args) -> int:
             out["value_recursive"] = _json_value(rec)
         print(json.dumps(out))
     else:
-        print(f"H_{{{d},{alpha}}} = {expansion}")
+        pieces = []
+        for p, c in terms:
+            factors = " ".join(
+                f"h{i}" + (f"^{m}" if m > 1 else "")
+                for i, m in sorted(p.multiplicities.items())
+            )
+            pieces.append(f"{c} {factors}")
+        print(f"H_{{{d},{alpha}}} = {' + '.join(pieces) or '0'}")
         if point is not None:
             print(f"value at {args.at}: {_fmt_value(value)}")
             print(f"recursive form:  {_fmt_value(rec)}")
@@ -361,7 +349,16 @@ def main(argv=None) -> int:
 
 
 def main_entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (e.g. `rvnorms formula ... | head -1`).
+        # Point stdout at devnull so the interpreter's final flush cannot
+        # fail again and print to stderr.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, factorial, isfinite, prod
 
 from .errors import MomentExistenceError, ParseError, PreconditionError
 from .partitions import Partition
@@ -201,7 +201,12 @@ _CONSTRUCTORS = {
 }
 
 
-def _parse_scalar(text: str):
+def parse_scalar(text: str):
+    """Parse one number: ``p/q`` as an exact Fraction, then int, then float.
+
+    A float that parses to inf or nan (``inf``, ``nan``, ``1e400``) is a
+    ParseError: no law parameter or evaluation point can take it.
+    """
     text = text.strip()
     if "/" in text:
         try:
@@ -213,9 +218,12 @@ def _parse_scalar(text: str):
     except ValueError:
         pass
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ParseError(f"cannot parse number {text!r}") from None
+    if not isfinite(value):
+        raise ParseError(f"number {text!r} is not finite")
+    return value
 
 
 def parse_distribution(text: str) -> DistributionSpec:
@@ -241,9 +249,9 @@ def parse_distribution(text: str) -> DistributionSpec:
             if key not in keys:
                 raise ParseError(f"{family} does not take parameter {key!r} (takes {keys})")
             if "|" in value:
-                kwargs[key] = tuple(_parse_scalar(v) for v in value.split("|"))
+                kwargs[key] = tuple(parse_scalar(v) for v in value.split("|"))
             else:
-                kwargs[key] = _parse_scalar(value)
+                kwargs[key] = parse_scalar(value)
     try:
         return ctor(**kwargs)
     except TypeError:

@@ -1,12 +1,16 @@
-"""Dense square matrices over Python scalars, with the few linear-algebra
-pieces the norm engine needs: trace powers, traces of products, a Hermitian
-Jacobi eigensolver, majorization, and the JSON matrix file format.
+"""Dense square matrices with the few linear-algebra pieces the norm engine
+needs: trace powers, traces of products, Hermitian eigenvalues,
+majorization, and the JSON matrix file format.
 
-Matrices are immutable and entries may be int, Fraction, float, or complex;
-arithmetic follows Python's numeric tower, so exact inputs stay exact.
-Dimensions are desk scale (n up to a few dozen), so products are plain
-O(n^3) loops.  The analytic norm paths never touch the eigensolver; it
-exists for the Monte Carlo oracle and the Schur-convexity tests.
+A Matrix is immutable and holds one numpy array, validated once in its
+constructor.  Entries that are all exact (int, Fraction) or a mix of exact
+and inexact values are stored with ``dtype=object``, so exact arithmetic
+stays in Python ints and Fractions and never overflows; all-inexact entries
+(float, complex, or a numeric ndarray) are stored as complex128.  Entries,
+traces and traces of products come out as Python int, Fraction or complex.
+The analytic norm paths never touch the eigensolver (LAPACK ``eigvalsh``
+through numpy); it exists for the Monte Carlo oracle and the
+Schur-convexity tests.
 """
 
 from __future__ import annotations
@@ -20,32 +24,55 @@ from typing import Iterable
 import numpy as np
 
 from .errors import NonHermitianError, ParseError
+from .scalars import EXACT_TYPES, is_exact
+
+_INEXACT_TYPES = (float, complex)
 
 
-def _check_finite(v):
-    if isinstance(v, float):
-        if not math.isfinite(v):
-            raise ValueError(f"non-finite entry {v!r}")
-    elif isinstance(v, complex):
-        if not cmath.isfinite(v):
-            raise ValueError(f"non-finite entry {v!r}")
-    elif not isinstance(v, (int, Fraction)):
-        raise ValueError(f"unsupported entry type {type(v).__name__}")
-    return v
+def _scalar(v):
+    """A Python int, Fraction or complex for one entry or sum of entries."""
+    return v if is_exact(v) else complex(v)
 
 
 class Matrix:
-    """Immutable dense n-by-n matrix."""
+    """Immutable dense n-by-n matrix over one numpy array ``array``.
 
-    __slots__ = ("rows", "n")
+    Built from rows of int, Fraction, float or complex entries, or from a
+    square ndarray.  Non-finite and unsupported entries raise ValueError.
+    """
 
-    def __init__(self, rows: Iterable[Iterable]):
-        rows = tuple(tuple(_check_finite(v) for v in r) for r in rows)
-        n = len(rows)
-        if n == 0 or any(len(r) != n for r in rows):
+    __slots__ = ("array", "n", "_exact")
+
+    def __init__(self, rows: Iterable[Iterable] | np.ndarray):
+        if isinstance(rows, np.ndarray) and rows.dtype != object:
+            if rows.dtype.kind not in "biufc":
+                raise ValueError(f"unsupported array dtype {rows.dtype}")
+            a = rows.astype(complex)
+        else:
+            if not isinstance(rows, np.ndarray):
+                rows = [list(r) for r in rows]
+            a = np.array(rows, dtype=object)
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
             raise ValueError("matrix must be square and nonempty")
-        self.rows = rows
-        self.n = n
+        exact = False
+        if a.dtype == object:
+            kinds = {type(v) for v in a.flat}
+            for t in kinds:
+                if not issubclass(t, EXACT_TYPES + _INEXACT_TYPES):
+                    raise ValueError(f"unsupported entry type {t.__name__}")
+            exact = all(issubclass(t, EXACT_TYPES) for t in kinds)
+            if not any(issubclass(t, EXACT_TYPES) for t in kinds):
+                a = a.astype(complex)
+            elif not exact:
+                for v in a.flat:
+                    if isinstance(v, _INEXACT_TYPES) and not cmath.isfinite(v):
+                        raise ValueError(f"non-finite entry {v!r}")
+        if a.dtype != object and not np.isfinite(a).all():
+            raise ValueError("non-finite entry")
+        a.flags.writeable = False
+        self.array = a
+        self.n = a.shape[0]
+        self._exact = exact
 
     @classmethod
     def zeros(cls, n: int) -> "Matrix":
@@ -62,63 +89,55 @@ class Matrix:
         return cls([[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
     def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
+        return _scalar(self.array[ij])
+
+    def _same_size(self, other: "Matrix") -> None:
+        if self.n != other.n:
+            raise ValueError("dimension mismatch")
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        return Matrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
+        self._same_size(other)
+        return Matrix(self.array + other.array)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        return Matrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
+        self._same_size(other)
+        return Matrix(self.array - other.array)
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-v for v in r] for r in self.rows])
+        return Matrix(-self.array)
 
     def __mul__(self, scalar) -> "Matrix":
-        return Matrix([[v * scalar for v in r] for r in self.rows])
+        return Matrix(self.array * scalar)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        cols = tuple(zip(*other.rows))
-        return Matrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
-        )
+        self._same_size(other)
+        return Matrix(self.array @ other.array)
 
     def adjoint(self) -> "Matrix":
-        return Matrix(
-            [[self.rows[j][i].conjugate() for j in range(self.n)] for i in range(self.n)]
-        )
+        return Matrix(np.conjugate(self.array).T)
 
     def trace(self):
-        return sum(self.rows[i][i] for i in range(self.n))
+        return _scalar(np.trace(self.array))
 
     def max_abs(self) -> float:
-        return max(float(abs(v)) for r in self.rows for v in r)
+        return float(np.abs(self.array).max())
 
     def is_exact(self) -> bool:
-        return all(isinstance(v, (int, Fraction)) for r in self.rows for v in r)
+        """True iff every entry is an int or a Fraction."""
+        return self._exact
 
     def to_numpy(self) -> np.ndarray:
-        return np.array([[complex(v) for v in r] for r in self.rows], dtype=complex)
+        return self.array.astype(complex)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.rows == other.rows
+        return np.array_equal(self.array, other.array)
 
     def __repr__(self) -> str:
-        return f"Matrix({[list(r) for r in self.rows]!r})"
+        return f"Matrix({self.array.tolist()!r})"
 
 
 def default_hermitian_tol(Z: Matrix) -> float:
@@ -135,16 +154,13 @@ def is_hermitian(Z: Matrix, tol: float | None = None) -> bool:
         if Z.is_exact():
             return Z == Z.adjoint()
         tol = default_hermitian_tol(Z)
-    for i in range(Z.n):
-        for j in range(Z.n):
-            diff = Z.rows[i][j] - Z.rows[j][i].conjugate()
-            if float(abs(diff)) > tol:
-                return False
-    return True
+    with np.errstate(over="ignore"):  # an inf difference is simply > tol
+        diff = np.abs(Z.array - np.conjugate(Z.array).T).max()
+    return float(diff) <= tol
 
 
 def frobenius_norm(Z: Matrix) -> float:
-    return math.sqrt(sum(float(abs(v)) ** 2 for r in Z.rows for v in r))
+    return float(np.linalg.norm(Z.to_numpy()))
 
 
 def trace_powers(A: Matrix, d: int) -> list:
@@ -161,75 +177,17 @@ def trace_powers(A: Matrix, d: int) -> list:
 
 def trace_of_product(A: Matrix, B: Matrix):
     """tr(AB) = sum_ij A_ij B_ji in O(n^2), without forming AB."""
-    if A.n != B.n:
-        raise ValueError("dimension mismatch")
-    return sum(a * b for row, col in zip(A.rows, zip(*B.rows)) for a, b in zip(row, col))
-
-
-def _jacobi_real_symmetric(S: np.ndarray, tol: float, max_sweeps: int = 60) -> np.ndarray:
-    """Cyclic Jacobi sweeps on a real symmetric matrix, in place."""
-    n = S.shape[0]
-    for _ in range(max_sweeps):
-        off = math.sqrt(max(0.0, float(np.sum(S * S) - np.sum(np.diag(S) ** 2))))
-        if off <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = S[p, q]
-                if apq == 0.0:
-                    continue
-                diff = S[q, q] - S[p, p]
-                if abs(apq) < 1e-36 * abs(diff):
-                    t = apq / diff
-                else:
-                    theta = diff / (2.0 * apq)
-                    t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                    if theta < 0.0:
-                        t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                colp = S[:, p].copy()
-                colq = S[:, q].copy()
-                S[:, p] = c * colp - s * colq
-                S[:, q] = s * colp + c * colq
-                rowp = S[p, :].copy()
-                rowq = S[q, :].copy()
-                S[p, :] = c * rowp - s * rowq
-                S[q, :] = s * rowp + c * rowq
-                S[p, q] = 0.0
-                S[q, p] = 0.0
-    return S
+    A._same_size(B)
+    return _scalar((A.array * B.array.T).sum())
 
 
 def hermitian_eigenvalues(A: Matrix, tol: float | None = None) -> list[float]:
-    """Eigenvalues of a Hermitian matrix, nonincreasing, by cyclic Jacobi.
-
-    Complex input is embedded in the 2n-by-2n real symmetric matrix
-    [[Re A, -Im A], [Im A, Re A]], whose spectrum is that of A doubled.
-    Rotations continue until the off-diagonal Frobenius mass is below
-    1e-12 * ||A||_F.
-    """
+    """Eigenvalues of a Hermitian matrix, nonincreasing, by LAPACK's
+    ``eigvalsh`` (which reads the lower triangle and scales internally, so
+    entries near the float limits give finite eigenvalues)."""
     if not is_hermitian(A, tol):
         raise NonHermitianError("hermitian_eigenvalues requires a Hermitian matrix")
-    arr = A.to_numpy()
-    frob = float(np.linalg.norm(arr))
-    conv = 1e-12 * frob
-    if A.n == 1:
-        return [float(arr[0, 0].real)]
-    re = arr.real.copy()
-    im = arr.imag.copy()
-    # Symmetrize exactly so Jacobi sees S = S^T even after float roundoff.
-    re = (re + re.T) / 2.0
-    im = (im - im.T) / 2.0
-    if np.any(im != 0.0):
-        S = np.block([[re, -im], [im, re]])
-        S = _jacobi_real_symmetric(S, conv)
-        lams = np.sort(np.diag(S))[::-1]
-        lams = lams[0::2]
-    else:
-        S = _jacobi_real_symmetric(re, conv)
-        lams = np.sort(np.diag(S))[::-1]
-    return [float(v) for v in lams]
+    return np.linalg.eigvalsh(A.to_numpy())[::-1].tolist()
 
 
 def is_majorized(x, y) -> bool:
@@ -326,8 +284,9 @@ def matrix_from_json(obj) -> Matrix:
 
 
 def matrix_to_json(Z: Matrix) -> dict:
-    re = [[_entry_to_json(v.real if isinstance(v, complex) else v) for v in r] for r in Z.rows]
-    im = [[float(v.imag) if isinstance(v, complex) else 0 for v in r] for r in Z.rows]
+    rows = Z.array.tolist()
+    re = [[_entry_to_json(v.real if isinstance(v, complex) else v) for v in r] for r in rows]
+    im = [[float(v.imag) if isinstance(v, complex) else 0 for v in r] for r in rows]
     return {"n": Z.n, "re": re, "im": im}
 
 

@@ -277,8 +277,8 @@ def general_norm_pow(Z: Matrix, spec: DistributionSpec, d: int):
         # Integer entries; homogeneity of degree d divides L**d back out.
         # Float cumulants keep the rational matrix: L**d may exceed the
         # float range although the norm power does not.
-        L = lcm(*(Fraction(v).denominator for r in Zs.rows for v in r))
-        Zs = Matrix([[int(v * L) for v in r] for r in Zs.rows])
+        L = lcm(*(v.denominator for v in Zs.array.flat))
+        Zs = Matrix(Zs.array * L // 1)  # Fraction(k, 1) // 1 is the int k
     half = d // 2
     m = max((k for k in range(1, d + 1) if kappas[k - 1] != 0), default=0)
     tau = _adjoint_count_traces(Zs, m, half)

@@ -160,13 +160,14 @@ def mc_norm(
     seed: int,
     threads: int = 1,
 ) -> McEstimate:
-    """Estimate the norm itself for Hermitian A: eigenvalues by Jacobi, then
-    the d-th root of :func:`mc_norm_pow` with first-order error propagation.
+    """Estimate the norm itself for Hermitian A: eigenvalues by LAPACK's
+    ``eigvalsh`` (see :func:`hermitian_eigenvalues`), then the d-th root of
+    :func:`mc_norm_pow` with first-order error propagation.
 
     The matrix is divided by the power of two ``s`` at or just below its
     largest entry (at least the smallest normal power of two), which is
-    exact; the largest eigenvalue magnitude is then in [1, 2n), so neither
-    the eigensolver nor the sampled powers leave the float range at any
+    exact; the largest eigenvalue magnitude is then in [1, 2n), so the
+    sampled powers |<X, lambda>|^d do not leave the float range at any
     scale.  The root is taken before multiplying ``s`` back.
     """
     if not is_hermitian(A):

@@ -59,12 +59,12 @@ def stream(seed: int) -> np.random.Generator:
 def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> Matrix:
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     h = (g + g.conj().T) * (scale / 2.0)
-    return Matrix([[complex(h[i, j]) for j in range(n)] for i in range(n)])
+    return Matrix(h)
 
 
 def random_general(rng: np.random.Generator, n: int, scale: float = 1.0) -> Matrix:
     g = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) * scale
-    return Matrix([[complex(g[i, j]) for j in range(n)] for i in range(n)])
+    return Matrix(g)
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> Matrix:
@@ -74,7 +74,7 @@ def random_unitary(rng: np.random.Generator, n: int) -> Matrix:
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
         v /= np.linalg.norm(v)
         U = U - 2.0 * np.outer(U @ v, v.conj())
-    return Matrix([[complex(U[i, j]) for j in range(n)] for i in range(n)])
+    return Matrix(U)
 
 
 def random_rational_vector(rnd: random.Random, n: int, nonzero: bool = True) -> list[Fraction]:

@@ -3,8 +3,9 @@ monomial symmetric polynomials, and the positive-definite combinations
 H_{d,alpha} of CHS products.
 
 Everything here is plain evaluation at a point; exact inputs give exact
-outputs.  ``chs`` uses the prefix dynamic program (n*d work); the raw
-monomial sum is kept as a brute-force oracle for tests.
+outputs.  ``chs_prefix`` computes h_0..h_d by one prefix dynamic program
+(n*d work) and ``chs`` reads h_d from it; the raw monomial sum is kept as a
+brute-force oracle for tests.
 """
 
 from __future__ import annotations
@@ -18,23 +19,18 @@ from .scalars import exact_div
 
 
 def chs(d: int, x) -> object:
-    """Complete homogeneous symmetric polynomial h_d(x), all degree-d monomials.
+    """Complete homogeneous symmetric polynomial h_d(x), all degree-d monomials."""
+    if d < 0:
+        raise ValueError("d must be nonnegative")
+    return chs_prefix(d, x)[d]
+
+
+def chs_prefix(d: int, x) -> list:
+    """h_0(x)..h_d(x) in one pass.
 
     Dynamic program over prefixes: after absorbing x_i,
     h_new[j] = h_old[j] + x_i * h_new[j-1].
     """
-    if d < 0:
-        raise ValueError("d must be nonnegative")
-    x = list(x)
-    h = [1] + [0] * d
-    for xi in x:
-        for j in range(1, d + 1):
-            h[j] = h[j] + xi * h[j - 1]
-    return h[d]
-
-
-def chs_prefix(d: int, x) -> list:
-    """h_0(x)..h_d(x) in one pass (same dynamic program as :func:`chs`)."""
     x = list(x)
     h = [1] + [0] * d
     for xi in x:

@@ -397,3 +397,60 @@ def test_formula_at_degree_limit_exit_0(capsys):
     assert cli.main(["formula", "exponential", "-d", str(d)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].endswith("tr(" + "Z*" * (d // 2) + "Z" * (d // 2) + ")")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["norm", "M", "normal:mu=inf,sigma=1", "-d", "4"],
+        ["norm", "M", "gamma:alpha=nan,beta=1", "-d", "4"],
+        ["norm", "M", "normal:mu=0,sigma=1e400", "-d", "4"],
+        ["formula", "exponential:beta=inf", "-d", "4", "--mode", "hermitian"],
+        ["oracle", "M", "normal:mu=nan,sigma=1", "-d", "4", "--samples", "10000"],
+        ["hunter", "-d", "4", "--alpha", "2", "--at", "inf,1"],
+        ["hunter", "-d", "4", "--alpha", "2", "--at", "nan,1"],
+        ["hunter", "-d", "4", "--alpha", "2", "--at", "1e400,1"],
+    ],
+)
+def test_non_finite_numbers_exit_2(identity2, argv):
+    r = _run_cli([identity2 if a == "M" else a for a in argv])
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "Traceback" not in r.stderr and "not finite" in r.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, blocked",
+    [
+        (["formula", "exponential", "--mode", "hermitian"], ("distribution_cumulants", "symbolic_formula")),
+        (["hunter", "--alpha", "2", "--at", "1,2"], ("hunter_terms", "hunter_poly", "parse_scalar")),
+    ],
+)
+def test_partition_degree_limit_exit_3_before_work(monkeypatch, capsys, argv, blocked):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in blocked:
+        monkeypatch.setattr(cli, name, refuse)
+    rc = cli.main(argv + ["-d", str(cli.PARTITION_MAX_DEGREE + 2)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert f"degree {cli.PARTITION_MAX_DEGREE}" in captured.err
+
+
+def test_closed_stdout_ends_without_traceback():
+    # About 97 kB of output, more than a pipe holds, so the writer is still
+    # writing when the reader closes its end after the first line.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rvnorms.cli", "formula", "exponential", "-d", "12"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert first.startswith(b"1/924 tr(")
+    assert err == b""

@@ -14,6 +14,7 @@ from rvnorms.cumulants import (
     kappa_product,
     moments_to_cumulants,
     parse_distribution,
+    parse_scalar,
 )
 from rvnorms.errors import MomentExistenceError, ParseError, PreconditionError
 from rvnorms.partitions import Partition
@@ -233,3 +234,17 @@ def test_spec_validation_errors():
         DistributionSpec.finite_discrete((1, 1), (Fraction(1, 2), Fraction(1, 2)))
     with pytest.raises(PreconditionError):
         DistributionSpec.finite_discrete((0, 1), (Fraction(1, 3), Fraction(1, 3)))
+
+
+def test_parse_scalar_types():
+    assert parse_scalar(" 3 ") == 3 and type(parse_scalar("3")) is int
+    assert parse_scalar("-2/6") == Fraction(-1, 3)
+    assert parse_scalar("0.5") == 0.5
+
+
+@pytest.mark.parametrize("text", ["inf", "-inf", "nan", "1e400", "-1e400"])
+def test_parse_scalar_rejects_non_finite(text):
+    with pytest.raises(ParseError):
+        parse_scalar(text)
+    with pytest.raises(ParseError):
+        parse_distribution(f"normal:mu={text},sigma=1")

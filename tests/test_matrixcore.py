@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from rvnorms.matrixcore import (
     load_matrix,
     matrix_from_json,
     matrix_to_json,
+    trace_of_product,
     trace_powers,
 )
 from rvnorms.suites import random_hermitian, random_unitary, stream
@@ -226,3 +228,52 @@ def test_jacobi_matches_numpy_eigh():
         ours = hermitian_eigenvalues(A)
         ref = sorted(np.linalg.eigvalsh(A.to_numpy()).tolist(), reverse=True)
         assert ours == pytest.approx(ref, abs=1e-9)
+
+
+def test_eigenvalues_at_float_limit():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert hermitian_eigenvalues(Matrix.diagonal([1e308, 1e308])) == [1e308, 1e308]
+
+
+@pytest.mark.parametrize(
+    "rows, kinds",
+    [
+        ([[1, Fraction(1, 2)], [3, 10**40]], (int, Fraction)),
+        ([[1, 0.5], [Fraction(1, 3), 2 + I]], (int, Fraction, complex)),
+        ([[1.0, 0.5], [0.25, 2 + I]], (complex,)),
+        (np.array([[1.0, 0.5], [0.25, 2.0]]), (complex,)),
+    ],
+    ids=["exact", "mixed", "float", "ndarray"],
+)
+def test_entries_and_traces_are_python_scalars(rows, kinds):
+    Z = Matrix(rows)
+    entries = [Z[i, j] for i in range(2) for j in range(2)]
+    assert all(type(v) in kinds for v in entries)
+    assert type(Z.trace()) in kinds
+    assert type(trace_of_product(Z, Z.adjoint())) in kinds
+    assert Z.is_exact() == (kinds == (int, Fraction))
+
+
+def test_exact_entries_do_not_overflow():
+    big = 10**40
+    Z = Matrix([[big, 1], [Fraction(1, 3), 2]])
+    assert (Z @ Z)[0, 0] == big * big + Fraction(1, 3)
+    assert trace_powers(Z, 3)[2] == sum(
+        Z[i, j] * Z[j, k] * Z[k, i] for i in range(2) for j in range(2) for k in range(2)
+    )
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [["x"]],
+        [[1, float("nan")], [0, 1]],
+        [[Fraction(1, 2), complex(0, float("inf"))], [0, 1]],
+        np.array([[np.nan]]),
+        np.array([["1"]]),
+    ],
+)
+def test_matrix_rejects_bad_entries(rows):
+    with pytest.raises(ValueError):
+        Matrix(rows)

@@ -11,6 +11,7 @@ from rvnorms.cumulants import (
     distribution_cumulants,
     parse_distribution,
 )
+from rvnorms import normengine
 from rvnorms.errors import NonHermitianError, PreconditionError
 from rvnorms.matrixcore import Matrix, trace_powers
 from rvnorms.normengine import (
@@ -707,3 +708,19 @@ def test_pareto_multinomial_matches_cumulant_path():
 def test_pareto_multinomial_existence():
     with pytest.raises(PreconditionError):
         pareto_norm_pow_multinomial([1, 1], Fraction(4), 4)
+
+
+def test_constant_term_route_scales_exact_input_to_plain_ints(monkeypatch):
+    seen = []
+    real = normengine._adjoint_count_traces
+
+    def spy(Z, m, half):
+        seen.append(Z)
+        return real(Z, m, half)
+
+    monkeypatch.setattr(normengine, "_adjoint_count_traces", spy)
+    Z = Matrix([[1, Fraction(2, 3)], [Fraction(-1, 5), 2]])
+    value = general_norm_pow(Z, DistributionSpec.exponential(), 4)
+    assert value == word_sum_norm_pow(Z, DistributionSpec.exponential(), 4)
+    assert [type(v) for v in seen[0].array.flat] == [int] * 4
+    assert list(seen[0].array.flat) == [15, 10, -3, 30]

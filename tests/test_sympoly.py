@@ -248,3 +248,8 @@ def test_bernoulli_norm_matches_cumulant_path():
         assert via_monomials == via_cumulants  # both exact rationals
         oracle = brute_force_bernoulli_norm(lambdas, q, d)
         assert via_monomials == oracle
+
+
+def test_chs_rejects_negative_degree():
+    with pytest.raises(ValueError):
+        chs(-1, [1, 2])
