@@ -8,7 +8,8 @@ $RVNORMS_SEED), 3 precondition violation (odd degree on an analytic path,
 missing moments, non-Hermitian input to a Hermitian-only method, result
 outside float range, verify --trials below 1, a seed outside [0, 2**64), a
 general-mode formula above degree FORMULA_MAX_DEGREE, a Hermitian-mode
-formula or hunter above degree PARTITION_MAX_DEGREE).
+formula or hunter above degree PARTITION_MAX_DEGREE, a norm above the
+degree NORM_MAX_DEGREE gives its method).
 """
 
 from __future__ import annotations
@@ -64,6 +65,21 @@ FORMULA_MAX_DEGREE = 18
 # d=44 keeps every form within a 10 s budget.
 PARTITION_MAX_DEGREE = 44
 
+# Largest degree `norm` evaluates, per --method; above it `norm` exits 3
+# before it reads the matrix.  Wall time of one `norm` run on a 2-vCPU
+# host, exact 3x3 input with small denominators, against the same 10 s
+# budget:
+# - partition: non-Hermitian input takes the costlier constant-term route:
+#   at d=100 0.3-2.2 s for nine families and 7.5 s for pareto:alpha=1001/2,
+#   at d=120 up to 4.5 s (bernoulli) and 17.8 s for that pareto law.
+#   Hermitian input takes 0.3 s at d=100.
+# - series (Hermitian only): up to 3.9 s at d=300 and 9.1 s at d=400
+#   (finite_discrete).
+# - words: 2.6 s at d=14, 9.4-10.5 s at d=16 (exponential, gamma).
+# - auto on non-Hermitian input (words plus circle quadrature): 4.8 s at
+#   d=14, 14.6 s at d=16.
+NORM_MAX_DEGREE = {"partition": 100, "series": 300, "words": 14, "auto": 14}
+
 
 def _default_seed() -> int:
     text = os.environ.get("RVNORMS_SEED", "20240901")
@@ -103,7 +119,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_norm.add_argument("matrix", help="path to a matrix JSON file {n, re, im}")
     p_norm.add_argument("dist", help="distribution string")
-    p_norm.add_argument("-d", "--degree", type=int, required=True)
+    p_norm.add_argument(
+        "-d", "--degree", type=int, required=True,
+        help="even degree; at most "
+        + ", ".join(f"{d} for {m}" for m, d in NORM_MAX_DEGREE.items()),
+    )
     p_norm.add_argument(
         "--method",
         choices=("partition", "series", "words", "auto"),
@@ -155,6 +175,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_norm(args) -> int:
+    limit = NORM_MAX_DEGREE[args.method]
+    if args.degree > limit:
+        raise PreconditionError(
+            f"norm --method {args.method} is limited to degree {limit}, got {args.degree}"
+        )
     Z = load_matrix(args.matrix)
     spec = parse_distribution(args.dist)
     d = args.degree
@@ -247,9 +272,10 @@ def _cmd_hunter(args) -> int:
     point = None
     if args.at is not None:
         point = [parse_scalar(item) for item in args.at.split(",")]
-        value = hunter_poly(d, alpha, point)
-        rec = hunter_poly_recursive(d, alpha, point)
     terms = hunter_terms(d, alpha)
+    if point is not None:
+        value = hunter_poly(d, alpha, point, terms)
+        rec = hunter_poly_recursive(d, alpha, point)
     if args.json:
         out = {
             "degree": d,

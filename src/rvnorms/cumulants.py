@@ -337,13 +337,29 @@ def distribution_moments(spec: DistributionSpec, d: int) -> list:
     return cumulants_to_moments(distribution_cumulants(spec, d))
 
 
+def _types(v):
+    return tuple(type(x) for x in v) if isinstance(v, tuple) else type(v)
+
+
 def distribution_cumulants(spec: DistributionSpec, d: int) -> CumulantVector:
-    """Cumulants kappa_1..kappa_d for the named distribution."""
+    """Cumulants kappa_1..kappa_d for the named distribution.
+
+    Computed once per law and degree.  The cache key carries the type of
+    every parameter next to its value: 1, 1.0 and Fraction(1) compare and
+    hash equal, and a float law must not get the exact cumulants of its
+    rational twin.
+    """
     if d < 1:
         raise PreconditionError("d must be >= 1")
     spec.require_moments(d)
+    params = tuple((k, v, _types(v)) for k, v in spec.params.items())
+    return _cumulants(spec.family, params, d)
+
+
+@lru_cache(maxsize=256)
+def _cumulants(fam: str, params: tuple, d: int) -> CumulantVector:
+    spec = DistributionSpec(fam, {k: v for k, v, _ in params})
     p = spec.params
-    fam = spec.family
     if fam == "gamma":
         a, b = p["alpha"], p["beta"]
         return CumulantVector(tuple(a * b**r * factorial(r - 1) for r in range(1, d + 1)))

@@ -1,32 +1,41 @@
 """Evaluation routes for the random-vector matrix norms.
 
-Three routes compute the d-th power of the norm:
+One kernel, the complete-Bell recurrence
+B_n = sum_k C(n-1, k-1) a_k B_{n-k} over u-polynomials truncated above
+u^{d/2} (:func:`_bell`), computes the d-th power of the norm on two routes:
 
-* the partition/cumulant sum (Hermitian inputs): sum over partitions of d
-  of kappa_pi * p_pi / y_pi, with the power-sum products taken from trace
-  powers rather than eigenvalues;
+* Hermitian inputs: (1/d!) B_d(kappa_1 tr A, ..., kappa_d tr A^d), scalar
+  a_k taken from trace powers (the u-degree is 0);
+* the constant-term route (arbitrary square inputs): the Hermitian form at
+  M(s) = s Z + s^{-1} Z* has constant term C(d, d/2) times the norm power;
+  that constant term is [u^{d/2}] B_d(a_1(u), ..., a_d(u)) / d! with
+  a_k(u) = kappa_k tau_k(u), where tau_k(u) sums the traces of the
+  length-k words in Z, Z* with u counting adjoints.
+
+On exact input the kernel runs in Python ints: the matrix is scaled to
+integers by the lcm of its entry denominators, each cumulant enters as
+numerator over denominator, and one Fraction is formed at the end.  On
+float input it runs normalized, on B_n / n!.  The partition walk
+sum_pi kappa_pi p_pi / y_pi is the tests' oracle for the kernel.
+
+Two independent routes serve as oracles:
+
 * truncated-series extraction (Hermitian inputs, distributions with a
   moment generating function): exponentiate sum_j kappa_j tr(A^j) t^j / j!
-  and read off the coefficient of t^d;
-* the constant-term route (arbitrary square inputs): the partition sum at
-  M(s) = s Z + s^{-1} Z* has constant term C(d, d/2) times the norm power,
-  read off as [x^d u^{d/2}] exp(sum_k kappa_k tau_k(u) x^k / k!), where
-  tau_k(u) sums the traces of the length-k words in Z, Z* with u counting
-  adjoints.
-
-The adjoint-placement trace-word sum, sum over partitions of kappa_pi *
-T_pi(Z) / y_pi with T_pi averaging the C(d, d/2) ways of distributing d/2
-adjoints over the letter slots, multiplies out every distinct trace word.
-It is kept as :func:`word_sum_norm_pow`, the independent oracle that the
-CLI's ``words`` method, the circle-average check and the ``paths`` suite
-compare against.
+  with :meth:`TruncatedSeries.exp` and read off the coefficient of t^d;
+  it is the CLI's ``series`` method and the check behind ``auto``;
+* the adjoint-placement trace-word sum, sum over partitions of kappa_pi *
+  T_pi(Z) / y_pi with T_pi averaging the C(d, d/2) ways of distributing
+  d/2 adjoints over the letter slots, which multiplies out every distinct
+  trace word: :func:`word_sum_norm_pow`, compared against by the CLI's
+  ``words`` method, the circle-average check and the ``paths`` suite.
 
 All routes run in exact rational arithmetic when the matrix entries and
 cumulants are rational; the d-th root at the very end is the only
 irrational step.  Floating-point inputs are normalized by their largest
-entry before evaluation and rescaled by homogeneity, which keeps powers
-up to degree ~10 in range; a rescaled power that leaves the normal float
-range is refused rather than returned as 0.0, a subnormal or inf.
+entry before evaluation and rescaled by homogeneity; a rescaled power that
+leaves the normal float range is refused rather than returned as 0.0, a
+subnormal or inf.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ import math
 import sys
 from fractions import Fraction
 from math import comb, factorial, lcm, prod
+from operator import mul
 
 from .cumulants import CumulantVector, DistributionSpec, distribution_cumulants, kappa_product
 from .errors import MomentExistenceError, NonHermitianError, PreconditionError
@@ -95,40 +105,99 @@ def _rescaled(total, scale: float, d: int):
     return out
 
 
+def _bell(a, d: int, half: int = 0, den=None):
+    """Coefficients of u^0..u^half in the complete Bell polynomial
+    B_d(a_1(u), ..., a_d(u)), as (numerators, common denominator).
+
+    ``a[k]`` (``a[0]`` is unused) lists the coefficients of u^0..u^half of
+    a_k(u), which may have no term above u^k; a_k past the end of ``a`` are
+    zero.  With half = 0 the a_k are scalars in one-element lists.  The
+    recurrence is
+
+        B_n = sum_{k=1}^{n} C(n-1, k-1) a_k B_{n-k},   B_0 = 1,
+
+    each product truncated above u^half.  With ``den``, a_k is ``a[k]`` over
+    the integer ``den[k]`` and B_n is kept as numerators over
+    D_n = lcm_k(den[k] D_{n-k}), so integer input stays in integers and no
+    gcd is taken.  Without ``den`` the recurrence runs normalized, on
+    B_n / n! given a_k / k!, with weight k/n in place of C(n-1, k-1), so
+    that no float intermediate carries a factor n!; the denominator is 1.
+    Coefficients of B_n below u^(n - d + half) are never formed: the
+    remaining degree d - n raises the u-degree by at most d - n, so they
+    cannot reach u^half of B_d.
+    """
+    ks = [k for k in range(1, min(d + 1, len(a))) if any(a[k])]
+    B = [[1] + [0] * half]
+    D = [1] * (d + 1)
+    zero = 0 if den is not None else 0.0  # float input with every a_k = 0 gives 0.0
+    for n in range(1, d + 1):
+        lo, hi = max(0, n - d + half), min(n, half)
+        row = [zero] * (half + 1)
+        if den is not None:
+            D[n] = lcm(*(den[k] * D[n - k] for k in ks if k <= n))
+        for k in ks:
+            if k > n:
+                break
+            if den is None:
+                w = k / n
+            else:
+                w = comb(n - 1, k - 1) * (D[n] // (den[k] * D[n - k]))
+            ak, prev = a[k], B[n - k]
+            plo, phi = max(0, n - k - d + half), min(n - k, half)
+            for j in range(lo, hi + 1):
+                i0, i1 = max(0, j - phi), min(k, j - plo)
+                if i0 <= i1:
+                    terms = map(mul, ak[i0 : i1 + 1], reversed(prev[j - i1 : j - i0 + 1]))
+                    row[j] += w * sum(terms)
+        B.append(row)
+    return B[d], D[d]
+
+
+def _kernel_inputs(Z: Matrix, spec: DistributionSpec, d: int):
+    """(Zs, c, den, L, scale): the matrix and cumulant factors for :func:`_bell`.
+
+    The kernel's a_k is c_k times a trace of Zs.  When Z and every kappa_k
+    are exact, Zs = L Z has integer entries (L the lcm of the entry
+    denominators), kappa_k = c_k / den[k] in lowest terms, and the norm
+    power carries the factor L^d.  Otherwise c_k = kappa_k / k!, formed
+    exactly and rounded to a float once, for the normalized recurrence,
+    and den and L are None.  A float Z is divided by its
+    largest entry (``scale``, see :func:`_normalized`); an exact Z with
+    float cumulants keeps its rational entries, because L**d may exceed the
+    float range although the norm power does not.
+    """
+    kappas = distribution_cumulants(spec, d).kappas
+    Zs, scale = _normalized(Z)
+    if not (Zs.is_exact() and all(is_exact(c) for c in kappas)):
+        c = [float(Fraction(kappa) / factorial(k)) for k, kappa in enumerate(kappas, 1)]
+        return Zs, c, None, None, scale
+    L = lcm(*(v.denominator for v in Zs.array.flat))
+    Zs = Matrix(Zs.array * L // 1)  # Fraction(k, 1) // 1 is the int k
+    c = [kappa.numerator for kappa in kappas]
+    return Zs, c, [1] + [kappa.denominator for kappa in kappas], L, scale
+
+
 def bell_value(ell: int, x):
     """Complete Bell polynomial B_ell(x_1..x_ell) = ell! * sum_pi x_pi / y_pi."""
     if ell < 0:
         raise ValueError("ell must be nonnegative")
-    if ell == 0:
-        return 1
     x = list(x)
     if len(x) < ell:
         raise PreconditionError(f"B_{ell} needs {ell} arguments, got {len(x)}")
-    total = 0
-    for p in enumerate_partitions(ell):
-        total = total + exact_div(prod((x[i - 1] for i in p.parts), start=1), y_of(p))
-    return factorial(ell) * total
+    return _bell([None] + [[v] for v in x[:ell]], ell, den=[1] * (ell + 1))[0][0]
 
 
 def hermitian_norm_pow(A: Matrix, spec: DistributionSpec, d: int):
-    """Norm power via the partition/cumulant sum; Hermitian input only.
-
-    Equals (1/d!) * B_d(kappa_1 tr A, ..., kappa_d tr A^d) and is strictly
-    positive for A != 0.
+    """Norm power (1/d!) * B_d(kappa_1 tr A, ..., kappa_d tr A^d); Hermitian
+    input only.  Strictly positive for A != 0.
     """
     _require_even_degree(d)
     if not is_hermitian(A):
         raise NonHermitianError("hermitian_norm_pow requires a Hermitian matrix")
-    k = distribution_cumulants(spec, d)
-    As, scale = _normalized(A)
+    As, c, den, L, scale = _kernel_inputs(A, spec, d)
     tp = [real_part_checked(t) for t in trace_powers(As, d)]
-    total = 0
-    for p in enumerate_partitions(d):
-        kp = kappa_product(p, k)
-        if kp == 0:
-            continue
-        term = kp * prod((tp[i - 1] for i in p.parts), start=1)
-        total = total + exact_div(term, y_of(p))
+    (b,), D = _bell([None] + [[ck * t] for ck, t in zip(c, tp)], d, den=den)
+    total = b if L is None else Fraction(b, D * factorial(d) * L**d)
     if scale is not None:
         total = _rescaled(total, scale, d)
     return total
@@ -262,36 +331,24 @@ def general_norm_pow(Z: Matrix, spec: DistributionSpec, d: int):
 
         [x^d u^{d/2}] exp(sum_k kappa_k tau_k(u) x^k / k!) / C(d, d/2)
 
-    with tau_k(u) = sum_j tr(C_{k,j}) u^j (see :func:`_adjoint_count_traces`).
+    with tau_k(u) = sum_j tr(C_{k,j}) u^j (see :func:`_adjoint_count_traces`),
+    the coefficient of x^d taken as B_d / d! by the Bell kernel.
     Equals :func:`word_sum_norm_pow` exactly on rational input, restricts
     to :func:`hermitian_norm_pow` on Hermitian input and is strictly
     positive for Z != 0.
     """
     _require_even_degree(d)
-    kappas = distribution_cumulants(spec, d).kappas
-    Zs, scale = _normalized(Z)
-    L = 1
-    if not Zs.is_exact():
-        kappas = [float(c) for c in kappas]
-    elif all(is_exact(c) for c in kappas):
-        # Integer entries; homogeneity of degree d divides L**d back out.
-        # Float cumulants keep the rational matrix: L**d may exceed the
-        # float range although the norm power does not.
-        L = lcm(*(v.denominator for v in Zs.array.flat))
-        Zs = Matrix(Zs.array * L // 1)  # Fraction(k, 1) // 1 is the int k
     half = d // 2
-    m = max((k for k in range(1, d + 1) if kappas[k - 1] != 0), default=0)
+    Zs, c, den, L, scale = _kernel_inputs(Z, spec, d)
+    m = max((k for k in range(1, d + 1) if c[k - 1] != 0), default=0)
     tau = _adjoint_count_traces(Zs, m, half)
-    # The x-series of exp(sum_k kappa_k tau_k(u) x^k / k!), each coefficient
-    # a u-series truncated above u^half.
-    f = [0] * (d + 1)
-    for k in range(1, m + 1):
-        if kappas[k - 1] != 0:
-            f[k] = TruncatedSeries(
-                exact_div(kappas[k - 1] * t, factorial(k)) for t in tau[k]
-            )
-    g = TruncatedSeries(f).exp().coefficient(d).coefficient(half)
-    total = real_part_checked(exact_div(g, comb(d, half) * L**d))
+    a = [None] + [[c[k - 1] * x for x in tau[k]] for k in range(1, m + 1)]
+    b, D = _bell(a, d, half, den)
+    if L is None:
+        total = b[half] / comb(d, half)
+    else:
+        total = Fraction(b[half], D * factorial(d) * comb(d, half) * L**d)
+    total = real_part_checked(total)
     if scale is not None:
         total = _rescaled(total, scale, d)
     return total

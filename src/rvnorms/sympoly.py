@@ -106,18 +106,20 @@ def hunter_terms(d: int, alpha: int) -> list[tuple[Partition, int]]:
     return out
 
 
-def hunter_poly(d: int, alpha: int, x) -> object:
+def hunter_poly(d: int, alpha: int, x, terms=None) -> object:
     """H_{d,alpha}(x) = sum over partitions of d with at most alpha parts of
     the coefficient times the product of CHS factors h_{part}(x).
 
-    Strictly positive for even d and x != 0; alpha = 1 reduces to h_d(x).
+    ``terms`` is ``hunter_terms(d, alpha)`` when the caller already holds
+    it, so that the partitions of d are walked once.  Strictly positive for
+    even d and x != 0; alpha = 1 reduces to h_d(x).
     """
     if d < 0:
         raise ValueError("d must be nonnegative")
     x = list(x)
     h = chs_prefix(d, x)
     total = 0
-    for p, c in hunter_terms(d, alpha):
+    for p, c in hunter_terms(d, alpha) if terms is None else terms:
         total = total + c * prod((h[part] for part in p.parts), start=1)
     return total
 

@@ -439,6 +439,45 @@ def test_partition_degree_limit_exit_3_before_work(monkeypatch, capsys, argv, bl
     assert f"degree {cli.PARTITION_MAX_DEGREE}" in captured.err
 
 
+@pytest.mark.parametrize("method", ["partition", "series", "words", "auto"])
+def test_norm_over_degree_limit_exit_3_before_work(monkeypatch, capsys, method):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in (
+        "load_matrix",
+        "parse_distribution",
+        "hermitian_norm_pow",
+        "general_norm_pow",
+        "series_norm_pow",
+        "word_sum_norm_pow",
+        "circle_extension_check",
+    ):
+        monkeypatch.setattr(cli, name, refuse)
+    limit = cli.NORM_MAX_DEGREE[method]
+    rc = cli.main(["norm", "M", "exponential", "-d", str(limit + 2), "--method", method])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert f"degree {limit}" in captured.err
+
+
+def test_hunter_at_walks_the_partitions_once(monkeypatch, capsys):
+    from rvnorms import sympoly
+
+    calls = []
+    real = sympoly.enumerate_partitions
+
+    def spy(d):
+        calls.append(d)
+        return real(d)
+
+    monkeypatch.setattr(sympoly, "enumerate_partitions", spy)
+    assert cli.main(["hunter", "-d", "6", "--alpha", "2", "--at", "1,1/2,-2"]) == 0
+    assert calls == [6]
+    assert "value at 1,1/2,-2: " in capsys.readouterr().out
+
+
 def test_closed_stdout_ends_without_traceback():
     # About 97 kB of output, more than a pipe holds, so the writer is still
     # writing when the reader closes its end after the first line.

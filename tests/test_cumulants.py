@@ -248,3 +248,14 @@ def test_parse_scalar_rejects_non_finite(text):
         parse_scalar(text)
     with pytest.raises(ParseError):
         parse_distribution(f"normal:mu={text},sigma=1")
+
+
+def test_cumulant_cache_keeps_exact_and_float_laws_apart():
+    # 1, 1.0 and Fraction(1) compare and hash equal; each law keeps its type.
+    for sigma in (1, 1.0, Fraction(1), 1.0, 1):
+        k = distribution_cumulants(DistributionSpec.normal(0, sigma), 4)
+        assert type(k.kappas[1]) is type(sigma)
+    for atoms in ((-1, 1), (-1.0, 1.0), (-1, 1)):
+        spec = DistributionSpec.finite_discrete(atoms, (Fraction(1, 2), Fraction(1, 2)))
+        k = distribution_cumulants(spec, 4)
+        assert {type(v) for v in k.kappas} <= ({float} if isinstance(atoms[0], float) else {int, Fraction})

@@ -221,13 +221,14 @@ def test_int_entries_stay_exact_through_json():
 
 
 def test_jacobi_matches_numpy_eigh():
+    # U diag(lam) U* with U unitary has the spectrum lam by construction.
     rng = stream(14)
     for _ in range(8):
         n = int(rng.integers(2, 9))
-        A = random_hermitian(rng, n, scale=3.0)
-        ours = hermitian_eigenvalues(A)
-        ref = sorted(np.linalg.eigvalsh(A.to_numpy()).tolist(), reverse=True)
-        assert ours == pytest.approx(ref, abs=1e-9)
+        lam = rng.uniform(-3.0, 3.0, size=n)
+        U = random_unitary(rng, n).to_numpy()
+        A = Matrix(U @ np.diag(lam) @ U.conj().T)
+        assert hermitian_eigenvalues(A) == pytest.approx(sorted(lam, reverse=True), abs=1e-9)
 
 
 def test_eigenvalues_at_float_limit():

@@ -28,8 +28,9 @@ from rvnorms.normengine import (
     t_pi,
     word_sum_norm_pow,
 )
-from rvnorms.partitions import Partition
-from rvnorms.scalars import real_part_checked
+from rvnorms.cumulants import kappa_product
+from rvnorms.partitions import Partition, enumerate_partitions, y_of
+from rvnorms.scalars import exact_div, real_part_checked
 from rvnorms.sympoly import chs
 from rvnorms.suites import (
     default_family_specs,
@@ -57,6 +58,27 @@ def rational_symmetric(rnd, n):
     return Matrix(entries)
 
 
+def partition_walk_bell(ell, x):
+    """B_ell(x) = ell! * sum over partitions pi of ell of x_pi / y_pi."""
+    total = 0
+    for p in enumerate_partitions(ell):
+        total = total + exact_div(math.prod(x[i - 1] for i in p.parts), y_of(p))
+    return factorial(ell) * total
+
+
+def partition_walk_norm_pow(A, spec, d):
+    """The partition/cumulant sum over every partition of d: the oracle for
+    the Bell kernel behind hermitian_norm_pow."""
+    k = distribution_cumulants(spec, d)
+    tp = [real_part_checked(t) for t in trace_powers(A, d)]
+    total = 0
+    for p in enumerate_partitions(d):
+        kp = kappa_product(p, k)
+        if kp != 0:
+            total = total + exact_div(kp * math.prod(tp[i - 1] for i in p.parts), y_of(p))
+    return total
+
+
 # -- Bell polynomials --------------------------------------------------------
 
 
@@ -69,6 +91,13 @@ def test_bell_low_degrees():
         x1, x2, x3, x4 = x
         expected = x1**4 + 6 * x1**2 * x2 + 4 * x1 * x3 + 3 * x2**2 + x4
         assert bell_value(4, x) == expected
+
+
+def test_bell_value_equals_partition_walk():
+    rnd = random.Random(4)
+    for ell in range(13):
+        x = rational_vector(rnd, ell)
+        assert bell_value(ell, x) == partition_walk_bell(ell, x), ell
 
 
 def test_bell_needs_enough_arguments():
@@ -89,7 +118,49 @@ def test_hermitian_norm_is_bell_transform():
         assert hermitian_norm_pow(A, spec, d) == via_bell, name
 
 
-# -- Hermitian partition path ------------------------------------------------
+# -- Hermitian route ---------------------------------------------------------
+
+
+def oracle_family_specs():
+    """Every family; pareto with alpha above the largest degree tested."""
+    return [
+        (name, DistributionSpec.pareto(Fraction(51, 2)) if name == "pareto" else spec)
+        for name, spec in default_family_specs()
+    ]
+
+
+@pytest.mark.parametrize("d", range(2, 25, 2))
+def test_bell_kernel_equals_partition_walk_exact(d):
+    rnd = random.Random(200 + d)
+    diagonal = Matrix.diagonal(rational_vector(rnd, 3))
+    dense = rational_symmetric(rnd, 3)
+    for name, spec in oracle_family_specs():
+        for A in (diagonal, dense):
+            got = hermitian_norm_pow(A, spec, d)
+            want = partition_walk_norm_pow(A, spec, d)
+            assert got == want and type(got) is type(want) is Fraction, (name, d)
+
+
+def test_zero_matrix_keeps_the_type_of_its_path():
+    spec = DistributionSpec.exponential()
+    value = hermitian_norm_pow(Matrix([[0.0, 0.0], [0.0, 0.0]]), spec, 4)
+    assert value == 0 and type(value) is float
+    value = hermitian_norm_pow(Matrix([[0, 0], [0, 0]]), spec, 4)
+    assert value == 0 and type(value) is Fraction
+
+
+@pytest.mark.parametrize("d", [100, 140, 160])
+def test_bell_kernel_matches_series_float_high_degree(d):
+    # series_norm_pow multiplies the exact kappa_j = (j-1)! into a float
+    # trace, which overflows at d=160 unless the spectral radius stays
+    # within about 1.4 times the largest entry: near-diagonal input.
+    rng = stream(97)
+    A = Matrix.diagonal(rng.uniform(-2.0, 2.0, size=8).tolist()) + random_hermitian(rng, 8, 0.01)
+    spec = DistributionSpec.exponential()
+    a = hermitian_norm_pow(A, spec, d)
+    b = series_norm_pow(A, spec, d)
+    assert isinstance(a, float) and math.isfinite(a) and a > 0
+    assert abs(a - b) <= 1e-10 * abs(b), (a, b)
 
 
 def test_exponential_gives_chs():
