@@ -75,9 +75,12 @@ PARTITION_MAX_DEGREE = 44
 #   Hermitian input takes 0.3 s at d=100.
 # - series (Hermitian only): up to 3.9 s at d=300 and 9.1 s at d=400
 #   (finite_discrete).
-# - words: 2.6 s at d=14, 9.4-10.5 s at d=16 (exponential, gamma).
-# - auto on non-Hermitian input (words plus circle quadrature): 4.8 s at
-#   d=14, 14.6 s at d=16.
+# - words: 0.8-1.5 s at d=14 (five families), 2.3-4.4 s at d=16
+#   (exponential, gamma).
+# - auto on non-Hermitian input (words plus circle quadrature): 0.8-1.6 s
+#   at d=14, 2.4-4.1 s at d=16.
+# words and auto stay at 14, the limit set when d=16 took 9-15 s, until
+# they are re-measured on slower hosts.
 NORM_MAX_DEGREE = {"partition": 100, "series": 300, "words": 14, "auto": 14}
 
 
@@ -203,9 +206,8 @@ def _cmd_norm(args) -> int:
                 discrepancy = float(abs(value - other))
             used = "auto(partition,series)"
         else:
-            value = word_sum_norm_pow(Z, spec, d)
-            quad, alg = circle_extension_check(Z, spec, d)
-            discrepancy = abs(quad - alg)
+            quad, value = circle_extension_check(Z, spec, d)
+            discrepancy = abs(quad - float(value))
             used = "auto(words,circle)"
     norm_value = norm_root(value, d)
     if args.json:

@@ -26,9 +26,12 @@ Two independent routes serve as oracles:
   it is the CLI's ``series`` method and the check behind ``auto``;
 * the adjoint-placement trace-word sum, sum over partitions of kappa_pi *
   T_pi(Z) / y_pi with T_pi averaging the C(d, d/2) ways of distributing
-  d/2 adjoints over the letter slots, which multiplies out every distinct
-  trace word: :func:`word_sum_norm_pow`, compared against by the CLI's
-  ``words`` method, the circle-average check and the ``paths`` suite.
+  d/2 adjoints over the letter slots: :func:`word_sum_norm_pow` evaluates
+  the trace polynomial that :func:`symbolic_formula` builds (and the
+  ``formula`` command prints), multiplying out every distinct trace word.
+  It uses no cumulant recurrence and no C_{k,j} matrices, and is compared
+  against by the CLI's ``words`` method, the circle-average check and the
+  ``paths`` suite.
 
 All routes run in exact rational arithmetic when the matrix entries and
 cumulants are rational; the d-th root at the very end is the only
@@ -47,7 +50,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm, prod
 from operator import mul
 
-from .cumulants import CumulantVector, DistributionSpec, distribution_cumulants, kappa_product
+from .cumulants import CumulantVector, DistributionSpec, distribution_cumulants
 from .errors import MomentExistenceError, NonHermitianError, PreconditionError
 from .matrixcore import Matrix, is_hermitian, trace_of_product, trace_powers
 from .partitions import Partition, enumerate_partitions, y_of
@@ -220,8 +223,10 @@ def series_norm_pow(A: Matrix, spec: DistributionSpec, d: int):
     k = distribution_cumulants(spec, d)
     As, scale = _normalized(A)
     tp = [real_part_checked(t) for t in trace_powers(As, d)]
+    # kappa_j / j! first: an exact kappa_j = (j-1)! times a float trace
+    # would overflow long before the norm power does
     coeffs = [0] + [
-        exact_div(k.kappas[j - 1] * tp[j - 1], factorial(j)) for j in range(1, d + 1)
+        exact_div(k.kappas[j - 1], factorial(j)) * tp[j - 1] for j in range(1, d + 1)
     ]
     total = TruncatedSeries(coeffs).exp().coefficient(d)
     if scale is not None:
@@ -229,59 +234,33 @@ def series_norm_pow(A: Matrix, spec: DistributionSpec, d: int):
     return total
 
 
-def _word_trace(Z: Matrix, Zadj: Matrix, word: str, cache: dict):
-    t = cache.get(word)
-    if t is None:
-        M = Z if word[0] == "z" else Zadj
-        for ch in word[1:]:
-            M = M @ (Z if ch == "z" else Zadj)
-        t = M.trace()
-        cache[word] = t
-    return t
-
-
-def _t_pi_raw(Z: Matrix, Zadj: Matrix, p: Partition, cache: dict):
-    total = 0
-    for factors, mult in placement_terms(p.parts):
-        term = mult
-        for w in factors:
-            term = term * _word_trace(Z, Zadj, w, cache)
-        total = total + term
-    return exact_div(total, comb(p.d, p.d // 2))
-
-
 def t_pi(Z: Matrix, p: Partition):
     """Average of the partitioned trace products over all adjoint placements.
 
-    Enumerates the C(d, d/2) letter strings with d/2 adjoints, splits each
-    into segments of the part lengths, multiplies the segment traces, and
-    divides by C(d, d/2).  The result is real up to roundoff; the residue
-    is checked and discarded.
+    Evaluates the partition's placement table (the C(d, d/2) letter strings
+    with d/2 adjoints, split into segments of the part lengths and
+    aggregated) as a trace polynomial with coefficients multiplicity /
+    C(d, d/2).  The result is real up to roundoff; the residue is checked
+    and discarded.
     """
     if p.d % 2 or p.d < 2:
         raise PreconditionError(f"t_pi needs an even degree >= 2, got {p.d}")
-    return real_part_checked(_t_pi_raw(Z, Z.adjoint(), p, {}))
+    denom = comb(p.d, p.d // 2)
+    table = {factors: Fraction(mult, denom) for factors, mult in placement_terms(p.parts)}
+    return real_part_checked(TracePolynomial(p.d, False, table).evaluate(Z))
 
 
 def word_sum_norm_pow(Z: Matrix, spec: DistributionSpec, d: int):
     """Norm power for arbitrary square Z: sum_pi kappa_pi * T_pi(Z) / y_pi.
 
-    Multiplies out every distinct trace word of the placement tables.  This
-    is the independent oracle for :func:`general_norm_pow`, equal to it
-    exactly on rational input.
+    Evaluates :func:`symbolic_formula` at Z, multiplying out every distinct
+    trace word.  This is the independent oracle for :func:`general_norm_pow`,
+    equal to it exactly on rational input.
     """
     _require_even_degree(d)
-    k = distribution_cumulants(spec, d)
+    kappas = distribution_cumulants(spec, d)
     Zs, scale = _normalized(Z)
-    Zadj = Zs.adjoint()
-    cache: dict = {}
-    total = 0
-    for p in enumerate_partitions(d):
-        kp = kappa_product(p, k)
-        if kp == 0:
-            continue
-        total = total + exact_div(kp * _t_pi_raw(Zs, Zadj, p, cache), y_of(p))
-    total = real_part_checked(total)
+    total = real_part_checked(symbolic_formula(kappas, d).evaluate(Zs))
     if scale is not None:
         total = _rescaled(total, scale, d)
     return total
@@ -424,6 +403,36 @@ class TracePolynomial:
                 out.append((key, coeff))
         return out
 
+    def evaluate(self, Z: Matrix):
+        """The polynomial at Z: the sum of coefficient times factor traces.
+
+        A word's letters 'z' and 's' stand for Z and Z* (a Hermitian-mode
+        word of k letters 'z' is tr(Z^k)).  Each word's matrix is its prefix
+        one letter shorter times Z or Z*, and prefixes are cached, so every
+        distinct prefix costs one matrix product; a word's last letter
+        enters through :func:`trace_of_product`.  Exact input gives an exact
+        sum; otherwise the terms' real and imaginary parts are summed by
+        ``math.fsum`` and the complex result may carry an imaginary roundoff
+        residue for the caller to check and discard.
+        """
+        letters = {"z": Z, "s": Z.adjoint()}
+        prefixes = dict(letters)
+
+        def trace(w: str):
+            if len(w) == 1:
+                return letters[w].trace()
+            for i in range(2, len(w)):
+                if w[:i] not in prefixes:
+                    prefixes[w[:i]] = prefixes[w[: i - 1]] @ letters[w[i - 1]]
+            return trace_of_product(prefixes[w[:-1]], letters[w[-1]])
+
+        traces = {w: trace(w) for w in {w for key in self.terms for w in key}}
+        values = [prod((traces[w] for w in key), start=c) for key, c in self.terms.items()]
+        if all(is_exact(v) for v in values):
+            return sum(values)
+        # thousands of rounded terms: a running sum would lose digits
+        return complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
+
     def _factor_text(self, word: str) -> str:
         if self.hermitian:
             k = len(word)
@@ -486,30 +495,28 @@ def symbolic_formula(kappas, d: int, hermitian_mode: bool = False) -> TracePolyn
     In general mode each partition contributes its aggregated adjoint
     placements with coefficient kappa_pi * multiplicity / (y_pi * C(d, d/2));
     in Hermitian mode the term for a partition is kappa_pi / y_pi times the
-    product of tr(A^part).  Cumulants may be Fractions (exact output) or any
+    product of tr(A^part).  :meth:`TracePolynomial.evaluate` gives the norm
+    power at a matrix.  Cumulants may be Fractions (exact output) or any
     ring elements supporting * and /.
     """
     _require_even_degree(d)
     ks = kappas.kappas if isinstance(kappas, CumulantVector) else tuple(kappas)
     if len(ks) < d:
         raise PreconditionError(f"need cumulants up to degree {d}, got {len(ks)}")
+    denom = 1 if hermitian_mode else comb(d, d // 2)
     terms: dict = {}
-    if hermitian_mode:
-        for p in enumerate_partitions(d):
-            kp = prod((ks[i - 1] for i in p.parts), start=1)
-            if kp == 0:
-                continue
-            key = tuple(sorted("z" * part for part in p.parts))
-            terms[key] = terms.get(key, 0) + exact_div(kp, y_of(p))
-    else:
-        denom = comb(d, d // 2)
-        for p in enumerate_partitions(d):
-            kp = prod((ks[i - 1] for i in p.parts), start=1)
-            if kp == 0:
-                continue
-            base = exact_div(kp, y_of(p) * denom)
-            for factors, mult in placement_terms(p.parts):
-                terms[factors] = terms.get(factors, 0) + mult * base
+    for p in enumerate_partitions(d):
+        kp = prod((ks[i - 1] for i in p.parts), start=1)
+        if kp == 0:
+            continue
+        base = exact_div(kp, y_of(p) * denom)
+        if hermitian_mode:
+            table = ((tuple(sorted("z" * part for part in p.parts)), 1),)
+        else:
+            table = placement_terms(p.parts)
+        # factor tuples never repeat: their word lengths give the partition
+        for factors, mult in table:
+            terms[factors] = mult * base
     return TracePolynomial(d, hermitian_mode, terms)
 
 
@@ -518,7 +525,7 @@ def symbolic_formula(kappas, d: int, hermitian_mode: bool = False) -> TracePolyn
 
 def circle_extension_check(
     Z: Matrix, spec: DistributionSpec, d: int, quadrature_points: int | None = None
-) -> tuple[float, float]:
+):
     """Compare the circle-average extension against the trace-word value.
 
     The average of the Hermitian norm power of e^{it} Z + e^{-it} Z* over
@@ -527,7 +534,8 @@ def circle_extension_check(
     algebraic form of this same average).
     The integrand is a trigonometric polynomial of degree at most d, so the
     trapezoid rule on more than d equally spaced points is exact up to
-    roundoff.  Returns (quadrature value, algebraic value).
+    roundoff.  Returns (quadrature value as a float, trace-word value as
+    :func:`word_sum_norm_pow` returns it, exact on exact input).
     """
     _require_even_degree(d)
     q = quadrature_points if quadrature_points is not None else 2 * d + 2
@@ -540,8 +548,7 @@ def circle_extension_check(
         M = Z * e + Zadj * e.conjugate()
         total += float(hermitian_norm_pow(M, spec, d))
     quad = total / q / comb(d, d // 2)
-    alg = float(word_sum_norm_pow(Z, spec, d))
-    return quad, alg
+    return quad, word_sum_norm_pow(Z, spec, d)
 
 
 def normal_norm_pow_closed(A: Matrix, mu, sigma, d: int):

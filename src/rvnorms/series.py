@@ -2,9 +2,7 @@
 
 A series holds coefficients c_0..c_degree of t^0..t^degree; addition,
 multiplication, and exponentiation are exact modulo t^(degree+1) whenever
-the coefficients are exact (int or Fraction).  A scalar operand acts as a
-constant series, so the coefficients may themselves be truncated series
-(a bivariate series truncated in each variable).
+the coefficients are exact (int or Fraction).
 """
 
 from __future__ import annotations
@@ -20,10 +18,6 @@ class TruncatedSeries:
         if not coeffs:
             raise ValueError("series needs at least the constant coefficient")
         self.coeffs = coeffs
-
-    @classmethod
-    def zero(cls, degree: int) -> "TruncatedSeries":
-        return cls((0,) * (degree + 1))
 
     @classmethod
     def one(cls, degree: int) -> "TruncatedSeries":
@@ -42,21 +36,15 @@ class TruncatedSeries:
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
 
-    def __add__(self, other) -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return TruncatedSeries((self.coeffs[0] + other,) + self.coeffs[1:])
+    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)
         return TruncatedSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    __radd__ = __add__
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)
         return TruncatedSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __mul__(self, other) -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return self.scaled(other)
+    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)
         d = self.degree
         out = [0] * (d + 1)
@@ -68,15 +56,6 @@ class TruncatedSeries:
                 if b != 0:
                     out[i + j] = out[i + j] + a * b
         return TruncatedSeries(tuple(out))
-
-    __rmul__ = __mul__
-
-    def scaled(self, c) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(c * a for a in self.coeffs))
-
-    def __truediv__(self, c) -> "TruncatedSeries":
-        """Divide every coefficient by the scalar c, exactly when both are."""
-        return TruncatedSeries(tuple(exact_div(a, c) for a in self.coeffs))
 
     def exp(self) -> "TruncatedSeries":
         """exp of a series with zero constant term.

@@ -77,6 +77,34 @@ def test_norm_general_matrix_auto_uses_words(tmp_path, capsys):
     assert out["discrepancy"] <= 1e-9
 
 
+def test_norm_auto_evaluates_word_sum_once(tmp_path, monkeypatch, capsys):
+    from rvnorms import normengine
+
+    calls = []
+    real = normengine.word_sum_norm_pow
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(normengine, "word_sum_norm_pow", spy)
+    monkeypatch.setattr(cli, "word_sum_norm_pow", spy)
+    path = write_matrix(tmp_path, "g.json", Matrix([[1, 2], [0, -1]]))
+    assert cli.main(["norm", path, "exponential", "-d", "4", "--method", "auto"]) == 0
+    assert "method: auto(words,circle)" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
+def test_norm_series_float_hermitian_high_degree(tmp_path, capsys):
+    from rvnorms.suites import random_hermitian, stream
+
+    path = write_matrix(tmp_path, "h.json", random_hermitian(stream(97), 8))
+    rc = cli.main(["norm", path, "exponential", "-d", "200", "--method", "series", "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert out["method"] == "series" and math.isfinite(out["norm"]) and out["norm"] > 0
+
+
 def test_exit_3_pareto_missing_moments(identity2, capsys):
     rc = cli.main(["norm", identity2, "pareto:alpha=3", "-d", "4"])
     err = capsys.readouterr().err

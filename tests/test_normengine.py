@@ -151,9 +151,8 @@ def test_zero_matrix_keeps_the_type_of_its_path():
 
 @pytest.mark.parametrize("d", [100, 140, 160])
 def test_bell_kernel_matches_series_float_high_degree(d):
-    # series_norm_pow multiplies the exact kappa_j = (j-1)! into a float
-    # trace, which overflows at d=160 unless the spectral radius stays
-    # within about 1.4 times the largest entry: near-diagonal input.
+    # Near-diagonal input; test_series_float_generic_high_degree takes a
+    # generic Hermitian matrix.
     rng = stream(97)
     A = Matrix.diagonal(rng.uniform(-2.0, 2.0, size=8).tolist()) + random_hermitian(rng, 8, 0.01)
     spec = DistributionSpec.exponential()
@@ -161,6 +160,18 @@ def test_bell_kernel_matches_series_float_high_degree(d):
     b = series_norm_pow(A, spec, d)
     assert isinstance(a, float) and math.isfinite(a) and a > 0
     assert abs(a - b) <= 1e-10 * abs(b), (a, b)
+
+
+@pytest.mark.parametrize("d", [160, 200, 300])
+def test_series_float_generic_high_degree(d):
+    # kappa_j = (j-1)! is divided by j! before it meets the float trace, so
+    # the series stays finite wherever the norm power is.
+    A = random_hermitian(stream(97), 8)
+    spec = DistributionSpec.exponential()
+    a = series_norm_pow(A, spec, d)
+    b = hermitian_norm_pow(A, spec, d)
+    assert isinstance(a, float) and math.isfinite(a) and a > 0
+    assert abs(a - b) <= 1e-12 * abs(b), (a, b)
 
 
 def test_exponential_gives_chs():
@@ -673,6 +684,23 @@ def test_symbolic_formula_evaluates_to_norm():
         assert float(general_norm_pow(Z, spec, 4)) == pytest.approx(
             real_part_checked(total)
         )
+
+
+def test_evaluate_one_product_per_distinct_prefix(monkeypatch):
+    calls = []
+    matmul = Matrix.__matmul__
+
+    def counting(self, other):
+        calls.append(1)
+        return matmul(self, other)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counting)
+    d = 8
+    poly = symbolic_formula(distribution_cumulants(DistributionSpec.exponential(), d), d)
+    words = {w for key in poly.terms for w in key}
+    prefixes = {w[:i] for w in words for i in range(2, len(w))}
+    poly.evaluate(Matrix([[1, 2], [Fraction(1, 3), -1]]))
+    assert len(calls) == len(prefixes)
 
 
 def test_symbolic_ordering_deterministic():

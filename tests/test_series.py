@@ -58,17 +58,3 @@ def test_float_path_matches_exact():
     g = TruncatedSeries((0.0, 1 / 3, -2 / 5, 1 / 7))
     for a, b in zip(f.exp().coeffs, g.exp().coeffs):
         assert abs(float(a) - b) < 1e-14
-
-
-def test_scalar_operands_act_as_constant_series():
-    a = TruncatedSeries((1, 2, 3))
-    assert (a + 5).coeffs == (6, 2, 3) and (5 + a).coeffs == (6, 2, 3)
-    assert (a * 2).coeffs == (2, 4, 6) and (2 * a).coeffs == (2, 4, 6)
-    assert (a / 4).coeffs == (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
-
-
-def test_exp_with_series_coefficients():
-    # exp(x (1 + u)) truncated at x^3, u^3: [x^3 u^j] = C(3, j) / 3!.
-    u = TruncatedSeries((1, 1, 0, 0))
-    g = TruncatedSeries((0, u, 0, 0)).exp().coefficient(3)
-    assert g.coeffs == tuple(Fraction(math.comb(3, j), 6) for j in range(4))
