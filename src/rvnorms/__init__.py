@@ -45,7 +45,6 @@ from .normengine import (
     pareto_norm_pow_multinomial,
     series_norm_pow,
     symbolic_formula,
-    t_pi,
     word_sum_norm_pow,
 )
 from .oracle import (
@@ -119,7 +118,6 @@ __all__ = [
     "sample",
     "series_norm_pow",
     "symbolic_formula",
-    "t_pi",
     "trace_powers",
     "word_sum_norm_pow",
     "y_of",

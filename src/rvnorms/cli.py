@@ -360,9 +360,13 @@ _DISPATCH = {
 }
 
 
+# Built once: constructing the five subparsers costs more than a small
+# `norm` evaluation, and parse_args leaves the parser unchanged.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
     except ParseError as exc:

@@ -1,6 +1,7 @@
 """Dense square matrices with the few linear-algebra pieces the norm engine
 needs: trace powers, traces of products, Hermitian eigenvalues,
-majorization, and the JSON matrix file format.
+majorization, the power-of-two scale of a float matrix, and the JSON
+matrix file format.
 
 A Matrix is immutable and holds one numpy array, validated once in its
 constructor.  Entries that are all exact (int, Fraction) or a mix of exact
@@ -140,6 +141,16 @@ class Matrix:
         return f"Matrix({self.array.tolist()!r})"
 
 
+def scale_exponent(Z: Matrix) -> int:
+    """The binary exponent e for which Z * 2**-e has its largest entry in
+    [1/2, 1), so that scaling by 2**-e is exact; 0 for the zero matrix.
+
+    e is at least -1022, so 2**-e stays a finite float: a matrix of
+    subnormal entries is scaled up by 2**1022 and ends below 1/2.
+    """
+    return max(math.frexp(Z.max_abs())[1], -1022)
+
+
 def default_hermitian_tol(Z: Matrix) -> float:
     return 1e-12 * (1.0 + Z.max_abs())
 
@@ -181,11 +192,11 @@ def trace_of_product(A: Matrix, B: Matrix):
     return _scalar((A.array * B.array.T).sum())
 
 
-def hermitian_eigenvalues(A: Matrix, tol: float | None = None) -> list[float]:
+def hermitian_eigenvalues(A: Matrix) -> list[float]:
     """Eigenvalues of a Hermitian matrix, nonincreasing, by LAPACK's
     ``eigvalsh`` (which reads the lower triangle and scales internally, so
     entries near the float limits give finite eigenvalues)."""
-    if not is_hermitian(A, tol):
+    if not is_hermitian(A):
         raise NonHermitianError("hermitian_eigenvalues requires a Hermitian matrix")
     return np.linalg.eigvalsh(A.to_numpy())[::-1].tolist()
 

@@ -13,10 +13,10 @@ u^{d/2} (:func:`_bell`), computes the d-th power of the norm on two routes:
   length-k words in Z, Z* with u counting adjoints.
 
 On exact input the kernel runs in Python ints: the matrix is scaled to
-integers by the lcm of its entry denominators, each cumulant enters as
-numerator over denominator, and one Fraction is formed at the end.  On
-float input it runs normalized, on B_n / n!.  The partition walk
-sum_pi kappa_pi p_pi / y_pi is the tests' oracle for the kernel.
+integers (see below), each cumulant enters as numerator over denominator,
+and one Fraction is formed at the end.  On float input it runs normalized,
+on B_n / n!.  The partition walk sum_pi kappa_pi p_pi / y_pi is the tests'
+oracle for the kernel.
 
 Two independent routes serve as oracles:
 
@@ -35,10 +35,14 @@ Two independent routes serve as oracles:
 
 All routes run in exact rational arithmetic when the matrix entries and
 cumulants are rational; the d-th root at the very end is the only
-irrational step.  Floating-point inputs are normalized by their largest
-entry before evaluation and rescaled by homogeneity; a rescaled power that
-leaves the normal float range is refused rather than returned as 0.0, a
-subnormal or inf.
+irrational step.  Every route scales its input in one step and undoes it
+by absolute homogeneity, |||cZ||| = |c| |||Z|||: an exact matrix is
+multiplied by the lcm L of its entry denominators and the power divided by
+L^d (:func:`_scaled`, :func:`_rescaled`); a float matrix is multiplied by
+the power of two 2^-e that puts its largest entry in [1/2, 1), which is
+exact, and the power multiplied back by 2^(d e) in one ``ldexp``.  A float
+power that leaves the normal range there is refused rather than returned
+as 0.0, a subnormal or inf.
 """
 
 from __future__ import annotations
@@ -52,8 +56,8 @@ from operator import mul
 
 from .cumulants import CumulantVector, DistributionSpec, distribution_cumulants
 from .errors import MomentExistenceError, NonHermitianError, PreconditionError
-from .matrixcore import Matrix, is_hermitian, trace_of_product, trace_powers
-from .partitions import Partition, enumerate_partitions, y_of
+from .matrixcore import Matrix, is_hermitian, scale_exponent, trace_of_product, trace_powers
+from .partitions import enumerate_partitions, y_of
 from .scalars import exact_div, is_exact, real_part_checked
 from .series import TruncatedSeries
 from .words import placement_terms, word_json, word_text
@@ -67,43 +71,45 @@ def _require_even_degree(d: int) -> None:
         )
 
 
-def _normalized(Z: Matrix):
-    """Scale guard for the float path: (Z / max|entry|, max|entry|).
+def _scaled(Z: Matrix, kappas):
+    """(Zs, scale): Z brought to the scale every route evaluates at.
 
-    Exact matrices pass through untouched; the caller multiplies the final
-    degree-d form by scale**d.
+    If Z and every cumulant are exact, Zs = L Z has int entries (L the lcm
+    of the entry denominators) and scale = Fraction(1, L).  A float Z gives
+    Zs = Z * 2**-e, exact, with e = :func:`scale_exponent` and scale = e.
+    An exact Z with float cumulants keeps its rational entries (scale
+    Fraction(1)), because L**d may exceed the float range although the norm
+    power does not.
     """
-    if Z.is_exact():
-        return Z, None
-    m = Z.max_abs()
-    if m == 0.0:
-        return Z, None
-    return Z * (1.0 / m), m
+    if not Z.is_exact():
+        e = scale_exponent(Z)
+        return Z * 2.0**-e, e
+    if not all(is_exact(kappa) for kappa in kappas):
+        return Z, Fraction(1)
+    L = lcm(*(v.denominator for v in Z.array.flat))
+    return Matrix(Z.array * L // 1), Fraction(1, L)  # Fraction(k, 1) // 1 is the int k
 
 
-def _rescaled(total, scale: float, d: int):
-    """total * scale**d, undoing :func:`_normalized`.
+def _rescaled(total, scale, d: int):
+    """The norm power of Z from ``total``, the degree-d form at Zs (see
+    :func:`_scaled`), by homogeneity.
 
-    A product outside the normal float range is refused: 0.0 for a nonzero
-    matrix would break strict positivity, a subnormal keeps too few digits
-    for its d-th root, and inf is no value.
+    Exact input gives total * scale**d; float input gives one
+    ldexp(total, d*e), exact unless the result is subnormal.  A float result
+    outside the normal range is refused: 0.0 for a nonzero matrix would
+    break strict positivity, a subnormal keeps too few digits for its d-th
+    root, and inf is no value.
     """
+    if isinstance(scale, Fraction):
+        return total * scale**d
     try:
-        power = scale**d
+        out = math.ldexp(total, d * scale)
     except OverflowError:
-        power = math.inf
-    if sys.float_info.min <= power < math.inf:
-        out = total * power
-    else:
-        # scale**d alone leaves the range; one factor at a time, every
-        # partial product lies between total and the result.
-        out = total
-        for _ in range(d):
-            out *= scale
+        out = math.inf
     if total != 0 and not sys.float_info.min <= abs(out) < math.inf:
         raise PreconditionError(
             f"norm power outside float range: normalized value {total!r} "
-            f"times scale {scale!r} to the power {d}"
+            f"times scale 2**{d * scale}"
         )
     return out
 
@@ -156,28 +162,17 @@ def _bell(a, d: int, half: int = 0, den=None):
     return B[d], D[d]
 
 
-def _kernel_inputs(Z: Matrix, spec: DistributionSpec, d: int):
-    """(Zs, c, den, L, scale): the matrix and cumulant factors for :func:`_bell`.
+def _kernel_inputs(Zs: Matrix, kappas):
+    """(c, den): the cumulant factors for :func:`_bell`, whose a_k is c_k
+    times a trace of Zs (from :func:`_scaled`).
 
-    The kernel's a_k is c_k times a trace of Zs.  When Z and every kappa_k
-    are exact, Zs = L Z has integer entries (L the lcm of the entry
-    denominators), kappa_k = c_k / den[k] in lowest terms, and the norm
-    power carries the factor L^d.  Otherwise c_k = kappa_k / k!, formed
-    exactly and rounded to a float once, for the normalized recurrence,
-    and den and L are None.  A float Z is divided by its
-    largest entry (``scale``, see :func:`_normalized`); an exact Z with
-    float cumulants keeps its rational entries, because L**d may exceed the
-    float range although the norm power does not.
+    On an integer Zs, kappa_k = c_k / den[k] in lowest terms.  Otherwise
+    c_k = kappa_k / k!, formed exactly and rounded to a float once, for the
+    normalized recurrence, and den is None.
     """
-    kappas = distribution_cumulants(spec, d).kappas
-    Zs, scale = _normalized(Z)
-    if not (Zs.is_exact() and all(is_exact(c) for c in kappas)):
-        c = [float(Fraction(kappa) / factorial(k)) for k, kappa in enumerate(kappas, 1)]
-        return Zs, c, None, None, scale
-    L = lcm(*(v.denominator for v in Zs.array.flat))
-    Zs = Matrix(Zs.array * L // 1)  # Fraction(k, 1) // 1 is the int k
-    c = [kappa.numerator for kappa in kappas]
-    return Zs, c, [1] + [kappa.denominator for kappa in kappas], L, scale
+    if Zs.is_exact() and all(is_exact(kappa) for kappa in kappas):
+        return [kappa.numerator for kappa in kappas], [1] + [kappa.denominator for kappa in kappas]
+    return [float(Fraction(kappa) / factorial(k)) for k, kappa in enumerate(kappas, 1)], None
 
 
 def bell_value(ell: int, x):
@@ -197,13 +192,13 @@ def hermitian_norm_pow(A: Matrix, spec: DistributionSpec, d: int):
     _require_even_degree(d)
     if not is_hermitian(A):
         raise NonHermitianError("hermitian_norm_pow requires a Hermitian matrix")
-    As, c, den, L, scale = _kernel_inputs(A, spec, d)
+    kappas = distribution_cumulants(spec, d).kappas
+    As, scale = _scaled(A, kappas)
+    c, den = _kernel_inputs(As, kappas)
     tp = [real_part_checked(t) for t in trace_powers(As, d)]
     (b,), D = _bell([None] + [[ck * t] for ck, t in zip(c, tp)], d, den=den)
-    total = b if L is None else Fraction(b, D * factorial(d) * L**d)
-    if scale is not None:
-        total = _rescaled(total, scale, d)
-    return total
+    total = b if den is None else Fraction(b, D * factorial(d))
+    return _rescaled(total, scale, d)
 
 
 def series_norm_pow(A: Matrix, spec: DistributionSpec, d: int):
@@ -220,34 +215,13 @@ def series_norm_pow(A: Matrix, spec: DistributionSpec, d: int):
         )
     if not is_hermitian(A):
         raise NonHermitianError("series_norm_pow requires a Hermitian matrix")
-    k = distribution_cumulants(spec, d)
-    As, scale = _normalized(A)
+    kappas = distribution_cumulants(spec, d).kappas
+    As, scale = _scaled(A, kappas)
     tp = [real_part_checked(t) for t in trace_powers(As, d)]
     # kappa_j / j! first: an exact kappa_j = (j-1)! times a float trace
     # would overflow long before the norm power does
-    coeffs = [0] + [
-        exact_div(k.kappas[j - 1], factorial(j)) * tp[j - 1] for j in range(1, d + 1)
-    ]
-    total = TruncatedSeries(coeffs).exp().coefficient(d)
-    if scale is not None:
-        total = _rescaled(total, scale, d)
-    return total
-
-
-def t_pi(Z: Matrix, p: Partition):
-    """Average of the partitioned trace products over all adjoint placements.
-
-    Evaluates the partition's placement table (the C(d, d/2) letter strings
-    with d/2 adjoints, split into segments of the part lengths and
-    aggregated) as a trace polynomial with coefficients multiplicity /
-    C(d, d/2).  The result is real up to roundoff; the residue is checked
-    and discarded.
-    """
-    if p.d % 2 or p.d < 2:
-        raise PreconditionError(f"t_pi needs an even degree >= 2, got {p.d}")
-    denom = comb(p.d, p.d // 2)
-    table = {factors: Fraction(mult, denom) for factors, mult in placement_terms(p.parts)}
-    return real_part_checked(TracePolynomial(p.d, False, table).evaluate(Z))
+    coeffs = [0] + [exact_div(kappas[j - 1], factorial(j)) * tp[j - 1] for j in range(1, d + 1)]
+    return _rescaled(TruncatedSeries(coeffs).exp().coefficient(d), scale, d)
 
 
 def word_sum_norm_pow(Z: Matrix, spec: DistributionSpec, d: int):
@@ -258,12 +232,9 @@ def word_sum_norm_pow(Z: Matrix, spec: DistributionSpec, d: int):
     equal to it exactly on rational input.
     """
     _require_even_degree(d)
-    kappas = distribution_cumulants(spec, d)
-    Zs, scale = _normalized(Z)
-    total = real_part_checked(symbolic_formula(kappas, d).evaluate(Zs))
-    if scale is not None:
-        total = _rescaled(total, scale, d)
-    return total
+    kappas = distribution_cumulants(spec, d).kappas
+    Zs, scale = _scaled(Z, kappas)
+    return _rescaled(real_part_checked(symbolic_formula(kappas, d).evaluate(Zs)), scale, d)
 
 
 def _adjoint_count_traces(Z: Matrix, m: int, half: int) -> list:
@@ -318,19 +289,18 @@ def general_norm_pow(Z: Matrix, spec: DistributionSpec, d: int):
     """
     _require_even_degree(d)
     half = d // 2
-    Zs, c, den, L, scale = _kernel_inputs(Z, spec, d)
+    kappas = distribution_cumulants(spec, d).kappas
+    Zs, scale = _scaled(Z, kappas)
+    c, den = _kernel_inputs(Zs, kappas)
     m = max((k for k in range(1, d + 1) if c[k - 1] != 0), default=0)
     tau = _adjoint_count_traces(Zs, m, half)
     a = [None] + [[c[k - 1] * x for x in tau[k]] for k in range(1, m + 1)]
     b, D = _bell(a, d, half, den)
-    if L is None:
+    if den is None:
         total = b[half] / comb(d, half)
     else:
-        total = Fraction(b[half], D * factorial(d) * comb(d, half) * L**d)
-    total = real_part_checked(total)
-    if scale is not None:
-        total = _rescaled(total, scale, d)
-    return total
+        total = Fraction(b[half], D * factorial(d) * comb(d, half))
+    return _rescaled(real_part_checked(total), scale, d)
 
 
 def norm_root(value, d: int) -> float:
@@ -523,9 +493,7 @@ def symbolic_formula(kappas, d: int, hermitian_mode: bool = False) -> TracePolyn
 # -- cross-checks ------------------------------------------------------------
 
 
-def circle_extension_check(
-    Z: Matrix, spec: DistributionSpec, d: int, quadrature_points: int | None = None
-):
+def circle_extension_check(Z: Matrix, spec: DistributionSpec, d: int):
     """Compare the circle-average extension against the trace-word value.
 
     The average of the Hermitian norm power of e^{it} Z + e^{-it} Z* over
@@ -533,14 +501,12 @@ def circle_extension_check(
     (:func:`word_sum_norm_pow`, not the constant-term route, which is the
     algebraic form of this same average).
     The integrand is a trigonometric polynomial of degree at most d, so the
-    trapezoid rule on more than d equally spaced points is exact up to
+    trapezoid rule on its 2d + 2 equally spaced points is exact up to
     roundoff.  Returns (quadrature value as a float, trace-word value as
     :func:`word_sum_norm_pow` returns it, exact on exact input).
     """
     _require_even_degree(d)
-    q = quadrature_points if quadrature_points is not None else 2 * d + 2
-    if q < d + 1:
-        raise PreconditionError(f"need at least d+1={d + 1} quadrature points, got {q}")
+    q = 2 * d + 2
     Zadj = Z.adjoint()
     total = 0.0
     for j in range(q):

@@ -20,7 +20,13 @@ import numpy as np
 
 from .cumulants import DistributionSpec
 from .errors import NonHermitianError, PreconditionError
-from .matrixcore import Matrix, frobenius_norm, hermitian_eigenvalues, is_hermitian
+from .matrixcore import (
+    Matrix,
+    frobenius_norm,
+    hermitian_eigenvalues,
+    is_hermitian,
+    scale_exponent,
+)
 from .normengine import general_norm_pow, hermitian_norm_pow
 
 BLOCK_SAMPLES = 1 << 16
@@ -35,8 +41,9 @@ class McEstimate:
     samples: int
     seed: int
 
-    def within(self, target: float, sigmas: float = 4.0) -> bool:
-        return abs(self.value - target) <= sigmas * self.stderr
+    def within(self, target: float) -> bool:
+        """True iff the estimate lies within 4 standard errors of ``target``."""
+        return abs(self.value - target) <= 4.0 * self.stderr
 
 
 def check_seed(seed: int) -> int:
@@ -164,26 +171,26 @@ def mc_norm(
     ``eigvalsh`` (see :func:`hermitian_eigenvalues`), then the d-th root of
     :func:`mc_norm_pow` with first-order error propagation.
 
-    The matrix is divided by the power of two ``s`` at or just below its
-    largest entry (at least the smallest normal power of two), which is
-    exact; the largest eigenvalue magnitude is then in [1, 2n), so the
-    sampled powers |<X, lambda>|^d do not leave the float range at any
-    scale.  The root is taken before multiplying ``s`` back.
+    The matrix is scaled as the analytic float routes scale it: multiplied
+    by the power of two 2^-e that puts its largest entry in [1/2, 1)
+    (:func:`~rvnorms.matrixcore.scale_exponent`), which is exact.  The
+    largest eigenvalue magnitude is then below n, so the sampled powers
+    |<X, lambda>|^d do not leave the float range at any scale.  The root is
+    taken before 2^e is multiplied back in by ``ldexp``.
     """
     if not is_hermitian(A):
         raise NonHermitianError(
             "the sampling oracle handles Hermitian matrices only; "
             "general Z is covered analytically by the circle-average check"
         )
-    exponent = max(math.frexp(A.max_abs())[1] - 1, -1022)
-    lams = hermitian_eigenvalues(A * math.ldexp(1.0, -exponent))
-    scale = math.ldexp(1.0, exponent)
+    e = scale_exponent(A)
+    lams = hermitian_eigenvalues(A * 2.0**-e)
     est = mc_norm_pow(lams, spec, d, samples, seed, threads=threads)
     if est.value <= 0.0:
         return McEstimate(0.0, 0.0, samples, seed)
     value = est.value ** (1.0 / d)
     stderr = est.stderr * value / (d * est.value)
-    return McEstimate(scale * value, scale * stderr, samples, seed)
+    return McEstimate(math.ldexp(value, e), math.ldexp(stderr, e), samples, seed)
 
 
 # -- Khintchine bounds -------------------------------------------------------

@@ -25,18 +25,18 @@ def exact_div(num, den):
     return num / den
 
 
-def real_part_checked(value, *, tol: float = 1e-10):
+def real_part_checked(value):
     """Return the real part of ``value``, requiring a negligible imaginary residue.
 
-    The allowance is ``tol`` relative to the magnitude of the value (with a
+    The allowance is 1e-10 relative to the magnitude of the value (with a
     floor of 1), which is what a numerically-Hermitian computation leaves
     behind.  Exact and real inputs pass through untouched.
     """
     if isinstance(value, complex):
         scale = max(1.0, abs(value))
-        if abs(value.imag) > tol * scale:
+        if abs(value.imag) > 1e-10 * scale:
             raise ArithmeticError(
-                f"imaginary residue {value.imag!r} exceeds {tol!r} of scale {scale!r}"
+                f"imaginary residue {value.imag!r} exceeds 1e-10 of scale {scale!r}"
             )
         return value.real
     return value

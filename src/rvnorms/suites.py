@@ -56,15 +56,13 @@ def stream(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=check_seed(seed)))
 
 
-def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> Matrix:
+def random_hermitian(rng: np.random.Generator, n: int) -> Matrix:
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    h = (g + g.conj().T) * (scale / 2.0)
-    return Matrix(h)
+    return Matrix((g + g.conj().T) * 0.5)
 
 
-def random_general(rng: np.random.Generator, n: int, scale: float = 1.0) -> Matrix:
-    g = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) * scale
-    return Matrix(g)
+def random_general(rng: np.random.Generator, n: int) -> Matrix:
+    return Matrix(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> Matrix:
@@ -77,18 +75,19 @@ def random_unitary(rng: np.random.Generator, n: int) -> Matrix:
     return Matrix(U)
 
 
-def random_rational_vector(rnd: random.Random, n: int, nonzero: bool = True) -> list[Fraction]:
+def random_rational_vector(rnd: random.Random, n: int) -> list[Fraction]:
+    """n rationals p/q with |p| <= 9 and 1 <= q <= 9, not all zero."""
     while True:
         out = [Fraction(rnd.randint(-9, 9), rnd.randint(1, 9)) for _ in range(n)]
-        if not nonzero or any(v != 0 for v in out):
+        if any(v != 0 for v in out):
             return out
 
 
-def robin_hood_pair(rng: np.random.Generator, n: int, transfers: int = 3):
-    """A majorization pair: x obtained from y by averaging transfers."""
+def robin_hood_pair(rng: np.random.Generator, n: int):
+    """A majorization pair: x obtained from y by three averaging transfers."""
     y = [float(v) for v in rng.uniform(-1.0, 1.0, size=n)]
     x = list(y)
-    for _ in range(transfers):
+    for _ in range(3):
         i, j = rng.integers(0, n, size=2)
         if x[i] == x[j]:
             continue
@@ -129,24 +128,18 @@ def _norm_value(pow_value, d: int) -> float:
     return float(pow_value) ** (1.0 / d)
 
 
-def axioms_suite(
-    trials: int = 1000,
-    seed: int = 2024,
-    degrees=(2, 4),
-    families=None,
-    n: int = 4,
-) -> SuiteReport:
+def axioms_suite(trials: int = 1000, seed: int = 2024) -> SuiteReport:
     """Triangle inequality, absolute homogeneity, and strict positivity on
-    random Hermitian pairs (partition path) and general pairs (word path)."""
-    families = families if families is not None else default_family_specs()
+    random 4x4 Hermitian pairs (partition path) and general pairs (word
+    path), for every catalog family at d = 2 and 4: six checks a trial."""
     report = SuiteReport("axioms", trials)
     rng = stream(seed)
-    for name, spec in families:
-        for d in degrees:
+    for name, spec in default_family_specs():
+        for d in (2, 4):
             for t in range(trials):
                 ctx = f"{name} d={d} trial={t}"
-                A = random_hermitian(rng, n)
-                B = random_hermitian(rng, n)
+                A = random_hermitian(rng, 4)
+                B = random_hermitian(rng, 4)
                 nA = _norm_value(hermitian_norm_pow(A, spec, d), d)
                 nB = _norm_value(hermitian_norm_pow(B, spec, d), d)
                 nAB = _norm_value(hermitian_norm_pow(A + B, spec, d), d)
@@ -160,8 +153,8 @@ def axioms_suite(
                 )
                 report.record(nA > 0.0, f"hermitian positivity {ctx}")
 
-                Z = random_general(rng, n)
-                W = random_general(rng, n)
+                Z = random_general(rng, 4)
+                W = random_general(rng, 4)
                 nZ = _norm_value(general_norm_pow(Z, spec, d), d)
                 nW = _norm_value(general_norm_pow(W, spec, d), d)
                 nZW = _norm_value(general_norm_pow(Z + W, spec, d), d)
@@ -177,22 +170,16 @@ def axioms_suite(
     return report
 
 
-def schur_suite(
-    trials: int = 500,
-    seed: int = 2025,
-    degrees=(2, 4),
-    families=None,
-    n: int = 5,
-) -> SuiteReport:
-    """Majorization monotonicity: x from y by averaging transfers, then
-    norm(diag(x)) <= norm(diag(y)) within 1e-12 of scale."""
-    families = families if families is not None else default_family_specs()
+def schur_suite(trials: int = 500, seed: int = 2025) -> SuiteReport:
+    """Majorization monotonicity: x from y in R^5 by averaging transfers,
+    then norm(diag(x)) <= norm(diag(y)) within 1e-12 of scale, for every
+    catalog family at d = 2 and 4."""
     report = SuiteReport("schur", trials)
     rng = stream(seed)
-    for name, spec in families:
-        for d in degrees:
+    for name, spec in default_family_specs():
+        for d in (2, 4):
             for t in range(trials):
-                x, y = robin_hood_pair(rng, n)
+                x, y = robin_hood_pair(rng, 5)
                 if not is_majorized(x, y):
                     report.record(False, f"generator produced a non-majorized pair {x} {y}")
                     continue
@@ -205,32 +192,25 @@ def schur_suite(
     return report
 
 
-def paths_suite(
-    trials: int = 50,
-    seed: int = 2026,
-    degrees=(2, 4, 6),
-    families=None,
-    max_n: int = 5,
-) -> SuiteReport:
+def paths_suite(trials: int = 50, seed: int = 2026) -> SuiteReport:
     """Partition, series, and trace-word routes agree to 1e-10 relative on
-    random Hermitian matrices; the trace-word oracle restricts to the
-    Hermitian route."""
-    families = families if families is not None else mgf_family_specs()
+    random Hermitian matrices of size 2 to 5, for every family with a moment
+    generating function at d = 2, 4 and 6; the trace-word oracle restricts
+    to the Hermitian route."""
     report = SuiteReport("paths", trials)
     rng = stream(seed)
-    for name, spec in families:
-        for d in degrees:
+    for name, spec in mgf_family_specs():
+        for d in (2, 4, 6):
             for t in range(trials):
-                n = int(rng.integers(2, max_n + 1))
+                n = int(rng.integers(2, 6))
                 A = random_hermitian(rng, n)
                 v1 = float(hermitian_norm_pow(A, spec, d))
                 ref = max(1.0, abs(v1))
-                if spec.has_mgf:
-                    v2 = float(series_norm_pow(A, spec, d))
-                    report.record(
-                        abs(v1 - v2) <= 1e-10 * ref,
-                        f"paths partition-vs-series {name} d={d} trial={t}: {v1} vs {v2}",
-                    )
+                v2 = float(series_norm_pow(A, spec, d))
+                report.record(
+                    abs(v1 - v2) <= 1e-10 * ref,
+                    f"paths partition-vs-series {name} d={d} trial={t}: {v1} vs {v2}",
+                )
                 v3 = float(word_sum_norm_pow(A, spec, d))
                 report.record(
                     abs(v1 - v3) <= 1e-10 * ref,
@@ -239,18 +219,14 @@ def paths_suite(
     return report
 
 
-def hunter_suite(
-    trials: int = 1000,
-    seed: int = 2027,
-    degrees=(2, 4, 6),
-    alphas=(1, 2, 3, 4),
-) -> SuiteReport:
+def hunter_suite(trials: int = 1000, seed: int = 2027) -> SuiteReport:
     """H_{d,alpha} positivity on random nonzero rational points, plus exact
-    agreement between the direct expansion and the recursion."""
+    agreement between the direct expansion and the recursion, for d = 2, 4,
+    6 and alpha = 1..4."""
     report = SuiteReport("hunter", trials)
     rnd = random.Random(seed)
-    for d in degrees:
-        for alpha in alphas:
+    for d in (2, 4, 6):
+        for alpha in (1, 2, 3, 4):
             for t in range(trials):
                 x = random_rational_vector(rnd, rnd.randint(2, 4))
                 direct = hunter_poly(d, alpha, x)
@@ -266,21 +242,16 @@ def hunter_suite(
     return report
 
 
-def khintchine_suite(
-    trials: int = 200,
-    seed: int = 2028,
-    ps=(2, 4, 6),
-    n: int = 4,
-) -> SuiteReport:
-    """Frobenius sandwich for Rademacher entries on random Hermitian and
-    general matrices; the p=2 lower bound is tight."""
+def khintchine_suite(trials: int = 200, seed: int = 2028) -> SuiteReport:
+    """Frobenius sandwich for Rademacher entries on random 4x4 Hermitian and
+    general matrices at p = 2, 4 and 6; the p=2 lower bound is tight."""
     report = SuiteReport("khintchine", trials)
     rng = stream(seed)
-    for p in ps:
+    for p in (2, 4, 6):
         for t in range(trials):
             for kind, Z in (
-                ("hermitian", random_hermitian(rng, n)),
-                ("general", random_general(rng, n)),
+                ("hermitian", random_hermitian(rng, 4)),
+                ("general", random_general(rng, 4)),
             ):
                 try:
                     lower, middle, upper = khintchine_check(Z, p)

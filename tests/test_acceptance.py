@@ -173,19 +173,25 @@ def test_criterion_2_exponential_chs_identity():
 
 def test_criterion_3_path_agreement():
     t0 = time.perf_counter()
-    report = paths_suite(trials=50, seed=20240903, degrees=(2, 4, 6), max_n=5)
+    report = paths_suite(trials=50, seed=20240903)
+    # 50 trials x 9 families with an MGF x 3 degrees x 2 route comparisons
+    assert report.checks == 50 * 9 * 3 * 2
     _finish(3, "three-route path agreement 1e-10", report.failures, time.perf_counter() - t0, limit=30.0)
 
 
 def test_criterion_4_norm_axioms():
     t0 = time.perf_counter()
-    report = axioms_suite(trials=1000, seed=20240904, degrees=(2, 4))
+    report = axioms_suite(trials=1000, seed=20240904)
+    # 1000 pairs x 10 families x 2 degrees x 6 checks
+    assert report.checks == 1000 * 10 * 2 * 6
     _finish(4, "norm axioms (1000 pairs/family)", report.failures, time.perf_counter() - t0, limit=60.0)
 
 
 def test_criterion_5_schur_convexity():
     t0 = time.perf_counter()
-    report = schur_suite(trials=500, seed=20240905, degrees=(2, 4))
+    report = schur_suite(trials=500, seed=20240905)
+    # 500 pairs x 10 families x 2 degrees
+    assert report.checks == 500 * 10 * 2
     _finish(5, "Schur convexity (500 pairs)", report.failures, time.perf_counter() - t0)
 
 
@@ -225,13 +231,17 @@ def test_criterion_7_circle_average_extension():
 
 def test_criterion_8_hunter_positivity():
     t0 = time.perf_counter()
-    report = hunter_suite(trials=1000, seed=20240908, degrees=(2, 4, 6), alphas=(1, 2, 3, 4))
+    report = hunter_suite(trials=1000, seed=20240908)
+    # 1000 points x 3 degrees x 4 alphas x (recursion, positivity)
+    assert report.checks == 1000 * 3 * 4 * 2
     _finish(8, "Hunter positivity + recursion", report.failures, time.perf_counter() - t0)
 
 
 def test_criterion_9_khintchine_bounds():
     t0 = time.perf_counter()
-    report = khintchine_suite(trials=200, seed=20240909, ps=(2, 4, 6))
+    report = khintchine_suite(trials=200, seed=20240909)
+    # 200 trials x 2 matrix kinds x 3 p, plus the p=2 tightness checks
+    assert report.checks == 200 * 2 * 3 + 200 * 2
     _finish(9, "Khintchine bounds (200+200/p)", report.failures, time.perf_counter() - t0)
 
 

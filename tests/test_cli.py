@@ -141,6 +141,35 @@ def test_exit_2_argparse_errors():
     assert exc.value.code == 2
 
 
+def test_parser_is_reused_across_calls(identity2, monkeypatch, capsys):
+    # One parser, built at import, serves every call: an argparse error in
+    # between leaves no state behind, and defaults are fresh for each
+    # subcommand.
+    def refuse():
+        raise AssertionError("main built a new parser")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert cli.main(["norm", identity2, "exponential", "-d", "2", "--json"]) == 0
+    first = json.loads(capsys.readouterr().out)
+    assert first["method"] == "partition" and first["norm_pow"] == [3, 1]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["norm", identity2, "exponential", "-d", "2", "--method", "nope"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert cli.main(["formula", "exponential", "-d", "2"]) == 0
+    assert capsys.readouterr().out == "1/2 tr(Z*Z)\n1/2 tr(Z*) tr(Z)\n"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["hunter", "-d", "2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert cli.main(["norm", identity2, "exponential", "-d", "4", "--method", "words"]) == 0
+    text = capsys.readouterr().out
+    assert "method: words" in text and "degree: 4" in text
+    assert cli.main(["hunter", "-d", "2", "--alpha", "1", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["degree"] == 2 and doc["alpha"] == 1 and "at" not in doc
+
+
 def test_formula_uniform_d4_json(capsys):
     rc = cli.main(["formula", "uniform:a=-1,b=1", "-d", "4", "--json"])
     out = json.loads(capsys.readouterr().out)

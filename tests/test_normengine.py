@@ -25,11 +25,10 @@ from rvnorms.normengine import (
     pareto_norm_pow_multinomial,
     series_norm_pow,
     symbolic_formula,
-    t_pi,
     word_sum_norm_pow,
 )
 from rvnorms.cumulants import kappa_product
-from rvnorms.partitions import Partition, enumerate_partitions, y_of
+from rvnorms.partitions import enumerate_partitions, y_of
 from rvnorms.scalars import exact_div, real_part_checked
 from rvnorms.sympoly import chs
 from rvnorms.suites import (
@@ -154,7 +153,7 @@ def test_bell_kernel_matches_series_float_high_degree(d):
     # Near-diagonal input; test_series_float_generic_high_degree takes a
     # generic Hermitian matrix.
     rng = stream(97)
-    A = Matrix.diagonal(rng.uniform(-2.0, 2.0, size=8).tolist()) + random_hermitian(rng, 8, 0.01)
+    A = Matrix.diagonal(rng.uniform(-2.0, 2.0, size=8).tolist()) + random_hermitian(rng, 8) * 0.01
     spec = DistributionSpec.exponential()
     a = hermitian_norm_pow(A, spec, d)
     b = series_norm_pow(A, spec, d)
@@ -359,37 +358,6 @@ def test_normal_closed_form_cross_check():
 # -- trace words -------------------------------------------------------------
 
 
-def test_t_pi_fixtures_random_complex():
-    rng = stream(23)
-    for _ in range(8):
-        Z = random_general(rng, 3)
-        Zs = Z.adjoint()
-        tr = lambda M: M.trace()
-        t2 = t_pi(Z, Partition((2,)))
-        assert t2 == pytest.approx(real_part_checked(tr(Zs @ Z)))
-        t11 = t_pi(Z, Partition((1, 1)))
-        assert t11 == pytest.approx(real_part_checked(tr(Zs) * tr(Z)))
-        t31 = t_pi(Z, Partition((3, 1)))
-        expected = (
-            3 * tr(Zs @ Zs @ Z) * tr(Z) + 3 * tr(Z @ Z @ Zs) * tr(Zs)
-        ) / 6
-        assert t31 == pytest.approx(real_part_checked(expected))
-
-
-def test_t_pi_odd_rejected():
-    with pytest.raises(PreconditionError):
-        t_pi(Matrix.identity(2), Partition((3,)))
-
-
-def test_t_pi_exact_on_rational_matrices():
-    rnd = random.Random(29)
-    Z = Matrix([[Fraction(1, 2), 2], [-1, Fraction(3, 4)]])
-    v = t_pi(Z, Partition((2,)))
-    Zs = Z.adjoint()
-    assert v == (Zs @ Z).trace()
-    assert isinstance(v, Fraction)
-
-
 def test_general_d2_formula():
     rng = stream(31)
     for name, spec in [mgf_family_specs()[0], mgf_family_specs()[3]]:
@@ -488,12 +456,16 @@ def test_scale_guard_refuses_out_of_range(route, entry):
 def test_rescale_refuses_subnormal_and_keeps_in_range_products():
     from rvnorms.normengine import _rescaled
 
-    # 1e-320 is subnormal: refused, not rooted from 4 digits.
+    # 2**-1060 is subnormal: refused, not rooted from 15 bits.
     with pytest.raises(PreconditionError, match="scale"):
-        _rescaled(1.0, 1e-80, 4)
-    # scale**4 leaves the float range but total * scale**4 does not.
-    assert _rescaled(1e-5, 1e78, 4) == pytest.approx(1e307, rel=1e-14)
-    assert _rescaled(1e10, 1e-79, 4) == pytest.approx(1e-306, rel=1e-14, abs=0)
+        _rescaled(1.0, -265, 4)
+    # 2**(4e) leaves the float range but total * 2**(4e) does not.
+    assert _rescaled(0.75 * 2.0**-40, 260, 4) == 0.75 * 2.0**1000
+    assert _rescaled(0.75 * 2.0**40, -260, 4) == 0.75 * 2.0**-1000
+    with pytest.raises(PreconditionError, match="scale"):
+        _rescaled(0.75, 257, 4)
+    assert _rescaled(0.0, 300, 4) == 0.0
+    assert _rescaled(Fraction(3), Fraction(1, 2), 4) == Fraction(3, 16)
 
 
 def test_norm_root_exact_values_outside_float_range():
@@ -760,11 +732,6 @@ def test_circle_check_random_general():
         assert abs(quad - alg) <= 1e-9 * max(1.0, abs(alg)), name
 
 
-def test_circle_check_point_count_validation():
-    with pytest.raises(PreconditionError):
-        circle_extension_check(Matrix.identity(2), DistributionSpec.exponential(), 4, 3)
-
-
 def test_wallis_normalization():
     # (1/2pi) integral (2 cos t)^d dt = C(d, d/2): mean over the grid of
     # (2cos)^d must equal the binomial, which is what makes the Hermitian
@@ -809,17 +776,72 @@ def test_pareto_multinomial_existence():
         pareto_norm_pow_multinomial([1, 1], Fraction(4), 4)
 
 
-def test_constant_term_route_scales_exact_input_to_plain_ints(monkeypatch):
+HERM_Q = Matrix([[1, Fraction(2, 3)], [Fraction(2, 3), Fraction(-1, 5)]])
+GEN_Q = Matrix([[1, Fraction(2, 3)], [Fraction(-1, 5), 2]])
+
+
+def _spy_on_evaluated_matrix(monkeypatch, route):
+    """Record the matrix each route evaluates its degree-d form at."""
     seen = []
-    real = normengine._adjoint_count_traces
+    if route is word_sum_norm_pow:
+        owner, name = normengine.TracePolynomial, "evaluate"
+        real = owner.evaluate
 
-    def spy(Z, m, half):
-        seen.append(Z)
-        return real(Z, m, half)
+        def spy(self, Z):
+            seen.append(Z)
+            return real(self, Z)
 
-    monkeypatch.setattr(normengine, "_adjoint_count_traces", spy)
-    Z = Matrix([[1, Fraction(2, 3)], [Fraction(-1, 5), 2]])
-    value = general_norm_pow(Z, DistributionSpec.exponential(), 4)
-    assert value == word_sum_norm_pow(Z, DistributionSpec.exponential(), 4)
+    else:
+        owner = normengine
+        name = "_adjoint_count_traces" if route is general_norm_pow else "trace_powers"
+        real = getattr(owner, name)
+
+        def spy(Z, *args):
+            seen.append(Z)
+            return real(Z, *args)
+
+    monkeypatch.setattr(owner, name, spy)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "route, Z, ints, reference",
+    [
+        (hermitian_norm_pow, HERM_Q, [15, 10, 10, -3], series_norm_pow),
+        (series_norm_pow, HERM_Q, [15, 10, 10, -3], hermitian_norm_pow),
+        (general_norm_pow, GEN_Q, [15, 10, -3, 30], word_sum_norm_pow),
+        (word_sum_norm_pow, GEN_Q, [15, 10, -3, 30], general_norm_pow),
+    ],
+    ids=["hermitian", "series", "constant-term", "words"],
+)
+def test_constant_term_route_scales_exact_input_to_plain_ints(monkeypatch, route, Z, ints, reference):
+    spec = DistributionSpec.exponential()
+    want = reference(Z, spec, 4)
+    seen = _spy_on_evaluated_matrix(monkeypatch, route)
+    value = route(Z, spec, 4)
+    assert value == want and type(value) is Fraction
     assert [type(v) for v in seen[0].array.flat] == [int] * 4
-    assert list(seen[0].array.flat) == [15, 10, -3, 30]
+    assert list(seen[0].array.flat) == ints
+
+
+@pytest.mark.parametrize(
+    "route", [hermitian_norm_pow, series_norm_pow, general_norm_pow, word_sum_norm_pow]
+)
+def test_float_route_scales_by_the_oracle_power_of_two(monkeypatch, route):
+    from rvnorms import oracle
+    from rvnorms.matrixcore import scale_exponent
+
+    A = random_hermitian(stream(41), 3) * 37.0
+    e = scale_exponent(A)
+    assert 0.5 <= A.max_abs() * 2.0**-e < 1.0
+    want = route(A, DistributionSpec.exponential(), 4)
+    seen = _spy_on_evaluated_matrix(monkeypatch, route)
+    assert route(A, DistributionSpec.exponential(), 4) == want
+    assert seen[0] == A * 2.0**-e
+    assert all(x * 2.0**e == y for x, y in zip(seen[0].array.flat, A.array.flat))
+
+    eig_inputs = []
+    real_eig = oracle.hermitian_eigenvalues
+    monkeypatch.setattr(oracle, "hermitian_eigenvalues", lambda M: eig_inputs.append(M) or real_eig(M))
+    oracle.mc_norm(A, DistributionSpec.exponential(), 4, 10**4, seed=3)
+    assert eig_inputs == [A * 2.0**-e]
