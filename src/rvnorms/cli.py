@@ -6,10 +6,11 @@ reader that closed stdout early, which ends without a traceback), 2 parse
 error (bad file, bad string, a number that parses to inf or nan, or bad
 $RVNORMS_SEED), 3 precondition violation (odd degree on an analytic path,
 missing moments, non-Hermitian input to a Hermitian-only method, result
-outside float range, verify --trials below 1, a seed outside [0, 2**64), a
-general-mode formula above degree FORMULA_MAX_DEGREE, a Hermitian-mode
-formula or hunter above degree PARTITION_MAX_DEGREE, a norm above the
-degree NORM_MAX_DEGREE gives its method).
+outside float range, a float norm power that lost its precision (negative,
+or zero for a nonzero matrix), verify --trials below 1, a seed outside
+[0, 2**64), a general-mode formula above degree FORMULA_MAX_DEGREE, a
+Hermitian-mode formula or hunter above degree PARTITION_MAX_DEGREE, a norm
+above the degree NORM_MAX_DEGREE gives its method).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .normengine import (
     word_sum_norm_pow,
 )
 from .oracle import mc_norm
+from .scalars import is_exact
 from .sympoly import hunter_poly, hunter_poly_recursive, hunter_terms
 from .suites import SUITES, run_suite
 
@@ -59,10 +61,11 @@ FORMULA_MAX_DEGREE = 18
 
 # Largest degree for Hermitian-mode `formula` and for `hunter`, which walk
 # every partition of d (about 1.4x more per +2 in degree).  On a 2-vCPU
-# host Hermitian `formula exponential -d D --json` takes 5.3 s at 44 and
-# 6.8-8.3 s at 46; `hunter -d D --alpha D --json --at 1,1/2`, which also
-# evaluates H at the point exactly, takes 6.3 s at 44 and 10.2 s at 46.
-# d=44 keeps every form within a 10 s budget.
+# host Hermitian `formula exponential -d D --json` takes 4.7-5.3 s at 44
+# and 6.8-8.3 s at 46; `hunter -d D --alpha D --json --at 1,1/2`, which
+# also evaluates H at the point exactly, takes 1.8-1.9 s at 44 and 2.7 s
+# at 46, most of it the partition walk.  The Hermitian formula sets the
+# limit: d=44 keeps it within a 10 s budget.
 PARTITION_MAX_DEGREE = 44
 
 # Largest degree `norm` evaluates, per --method; above it `norm` exits 3
@@ -209,6 +212,10 @@ def _cmd_norm(args) -> int:
             quad, value = circle_extension_check(Z, spec, d)
             discrepancy = abs(quad - float(value))
             used = "auto(words,circle)"
+    if value == 0 and not is_exact(value) and Z.array.any():
+        raise PreconditionError(
+            f"norm power {value!r} for a nonzero matrix: the float evaluation lost its precision"
+        )
     norm_value = norm_root(value, d)
     if args.json:
         out = {

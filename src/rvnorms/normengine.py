@@ -311,8 +311,13 @@ def norm_root(value, d: int) -> float:
     space: divided by 2**(d*e) for the
     e that brings it near 1, rooted, and multiplied back by 2**e, each step
     exact but the root.  A root that is itself outside the float range is
-    refused.
+    refused, and so is a negative value, which only a float evaluation
+    that lost its precision can give.
     """
+    if value < 0:
+        raise PreconditionError(
+            f"norm power {value!r} is negative: the float evaluation lost its precision"
+        )
     try:
         v = float(value)
     except OverflowError:

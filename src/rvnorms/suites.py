@@ -24,7 +24,7 @@ from .normengine import (
     word_sum_norm_pow,
 )
 from .oracle import check_seed, khintchine_check
-from .sympoly import hunter_poly, hunter_poly_recursive
+from .sympoly import hunter_poly, hunter_poly_recursive, hunter_terms
 
 
 def default_family_specs() -> list[tuple[str, DistributionSpec]]:
@@ -227,9 +227,10 @@ def hunter_suite(trials: int = 1000, seed: int = 2027) -> SuiteReport:
     rnd = random.Random(seed)
     for d in (2, 4, 6):
         for alpha in (1, 2, 3, 4):
+            terms = hunter_terms(d, alpha)
             for t in range(trials):
                 x = random_rational_vector(rnd, rnd.randint(2, 4))
-                direct = hunter_poly(d, alpha, x)
+                direct = hunter_poly(d, alpha, x, terms)
                 rec = hunter_poly_recursive(d, alpha, x)
                 report.record(
                     direct == rec,

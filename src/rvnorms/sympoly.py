@@ -6,16 +6,23 @@ Everything here is plain evaluation at a point; exact inputs give exact
 outputs.  ``chs_prefix`` computes h_0..h_d by one prefix dynamic program
 (n*d work) and ``chs`` reads h_d from it; the raw monomial sum is kept as a
 brute-force oracle for tests.
+
+Both forms of H_{d,alpha} run in Python ints on an exact point: the point
+is scaled by the lcm L of its denominators (:func:`_scaled_point`), and
+since h_k(Lx) = L^k h_k(x) and H_{d,alpha} is homogeneous of degree d, one
+Fraction(total, L**d) at the end gives the value (:func:`_rescaled`).  A
+point with a float coordinate is evaluated as it is.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import factorial, prod
+from fractions import Fraction
+from math import factorial, lcm, prod
 
 from .errors import PreconditionError
 from .partitions import Partition, enumerate_partitions, hunter_coefficient, z_of
-from .scalars import exact_div
+from .scalars import exact_div, is_exact
 
 
 def chs(d: int, x) -> object:
@@ -106,6 +113,25 @@ def hunter_terms(d: int, alpha: int) -> list[tuple[Partition, int]]:
     return out
 
 
+def _scaled_point(x) -> tuple[list, int | None]:
+    """(xs, L): an exact point (ints and Fractions) as the ints xs = L x, L
+    the lcm of its denominators; a point with any other coordinate comes
+    back as it is, with L = None."""
+    if not all(is_exact(v) for v in x):
+        return x, None
+    L = lcm(*(v.denominator for v in x))
+    return [v.numerator * (L // v.denominator) for v in x], L
+
+
+def _rescaled(total, x, L: int | None, d: int):
+    """H(x) from total = H(L x), degree-d homogeneous: Fraction(total, L**d)
+    when x has a Fraction coordinate and d >= 1, else total itself, so an
+    int point gives an int and a float point its float."""
+    if L is None or not d or not any(isinstance(v, Fraction) for v in x):
+        return total
+    return Fraction(total, L**d)
+
+
 def hunter_poly(d: int, alpha: int, x, terms=None) -> object:
     """H_{d,alpha}(x) = sum over partitions of d with at most alpha parts of
     the coefficient times the product of CHS factors h_{part}(x).
@@ -117,28 +143,40 @@ def hunter_poly(d: int, alpha: int, x, terms=None) -> object:
     if d < 0:
         raise ValueError("d must be nonnegative")
     x = list(x)
-    h = chs_prefix(d, x)
+    xs, L = _scaled_point(x)
+    h = chs_prefix(d, xs)
     total = 0
     for p, c in hunter_terms(d, alpha) if terms is None else terms:
-        total = total + c * prod((h[part] for part in p.parts), start=1)
-    return total
+        total = total + c * prod([h[part] for part in p.parts])
+    return _rescaled(total, x, L, d)
 
 
 def hunter_poly_recursive(d: int, alpha: int, x) -> object:
-    """H_{d,alpha} by the recursion H_{d,a} = sum_i h_i * H_{d-i,a-1},
-    base case H_{l,1} = h_l; agrees exactly with :func:`hunter_poly`."""
+    """H_{d,alpha} = [t^d] G(t) for G = (sum_k h_k t^k)^alpha, by the power
+    recurrence k g_k = sum_{j=1..k} ((alpha+1) j - k) h_j g_{k-j}, g_0 = 1,
+    which follows from H G' = alpha H' G.  O(d^2) for every alpha, and
+    independent of the partition expansion in :func:`hunter_poly`.
+
+    On an exact point every g_k is an int (the power of an integer series
+    with constant term 1), so the division by k must leave no remainder.
+    """
     if d < 0:
         raise ValueError("d must be nonnegative")
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
     x = list(x)
-    h = chs_prefix(d, x)
-    level = h[:]  # alpha = 1
-    for _ in range(alpha - 1):
-        level = [
-            sum(h[i] * level[ell - i] for i in range(ell + 1)) for ell in range(d + 1)
-        ]
-    return level[d]
+    xs, L = _scaled_point(x)
+    h = chs_prefix(d, xs)
+    g = [1] + [0] * d
+    for k in range(1, d + 1):
+        s = sum(((alpha + 1) * j - k) * h[j] * g[k - j] for j in range(1, k + 1))
+        if L is None:
+            g[k] = s / k
+        else:
+            g[k], r = divmod(s, k)
+            if r:
+                raise ArithmeticError(f"power recurrence left remainder {r} at k={k}")
+    return _rescaled(g[d], x, L, d)
 
 
 def bernoulli_norm_hermitian(lambdas, q, d: int) -> object:

@@ -319,6 +319,32 @@ def test_norm_exact_power_beyond_float_range(tmp_path, method):
     assert out["norm"] == pytest.approx(1e100, rel=1e-15)
 
 
+@pytest.mark.parametrize(
+    "d, method",
+    [(40, "partition"), (60, "partition"), (60, "series")],
+)
+def test_norm_float_power_that_lost_its_precision_exit_3(tmp_path, capsys, d, method):
+    # The float recurrences cancel down to a negative or zero power here
+    # (-7.7e-34, 0.0 and -6.1e-42); the exact norms are 0.10594 and 0.07548.
+    path = tmp_path / "m.json"
+    path.write_text('{"n": 2, "re": [[1.0, 0.0], [0.0, -0.5]]}')
+    argv = ["norm", str(path), "uniform:a=-1,b=3/2", "-d", str(d), "--method", method]
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "lost its precision" in captured.err
+
+
+@pytest.mark.parametrize("d, want", [(40, 0.10594), (60, 0.07548)])
+@pytest.mark.parametrize("method", ["partition", "series"])
+def test_norm_exact_twin_of_cancelling_float_matrix(tmp_path, capsys, d, want, method):
+    path = tmp_path / "m.json"
+    path.write_text('{"n": 2, "re": [[1, 0], [0, "-1/2"]]}')
+    argv = ["norm", str(path), "uniform:a=-1,b=3/2", "-d", str(d), "--method", method, "--json"]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["norm"] == pytest.approx(want, abs=5e-6)
+
+
 def test_norm_exact_entry_beyond_float_range_exit_3(tmp_path):
     path = tmp_path / "m.json"
     path.write_text('{"n": 1, "re": [[' + "1" + "0" * 400 + "]]}")

@@ -475,6 +475,8 @@ def test_norm_root_exact_values_outside_float_range():
     # 1e-320 is a subnormal float with 4 significant digits: rooted exactly.
     assert norm_root(Fraction(1, 10**320), 4) == pytest.approx(1e-80, rel=1e-15, abs=0)
     assert norm_root(0, 4) == 0.0
+    with pytest.raises(PreconditionError, match="lost its precision"):
+        norm_root(-7.7e-34, 40)  # a float power never gives a complex root
     with pytest.raises(PreconditionError, match="outside float range"):
         norm_root(Fraction(10) ** 1300, 4)
     with pytest.raises(PreconditionError, match="outside float range"):

@@ -1,3 +1,5 @@
+import pytest
+
 from rvnorms.matrixcore import is_majorized
 from rvnorms.suites import (
     SUITES,
@@ -38,6 +40,23 @@ def test_paths_suite_smoke():
 def test_hunter_suite_smoke():
     report = hunter_suite(trials=5, seed=4)
     assert report.passed
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+def test_hunter_suite_builds_each_expansion_once(monkeypatch, trials):
+    from rvnorms import suites
+
+    calls = []
+    real = suites.hunter_terms
+
+    def spy(d, alpha):
+        calls.append((d, alpha))
+        return real(d, alpha)
+
+    monkeypatch.setattr(suites, "hunter_terms", spy)
+    report = hunter_suite(trials=trials, seed=4)
+    assert report.passed and report.checks == trials * 3 * 4 * 2
+    assert len(calls) == 12 and len(set(calls)) == 12
 
 
 def test_khintchine_suite_smoke():

@@ -163,6 +163,18 @@ def test_hunter_direct_equals_recursive():
         assert hunter_poly(d, alpha, x) == hunter_poly_recursive(d, alpha, x)
 
 
+def test_hunter_power_recurrence_divides_exactly():
+    # hunter_poly_recursive raises ArithmeticError if a division by k leaves
+    # a remainder; the scaled points below have large integer coordinates.
+    rnd = random.Random(71)
+    for alpha in range(1, 9):
+        for d in range(17):
+            x = [Fraction(rnd.randint(-50, 50), rnd.randint(1, 40)) for _ in range(rnd.randint(1, 4))]
+            assert hunter_poly_recursive(d, alpha, x) == hunter_poly(d, alpha, x), (alpha, d, x)
+            ints = [rnd.randint(-30, 30) for _ in range(3)]
+            assert hunter_poly_recursive(d, alpha, ints) == hunter_poly(d, alpha, ints)
+
+
 def test_hunter_generating_identity():
     # Truncated: sum_l H_{l,alpha} t^l == (sum_l h_l t^l)(sum_l H_{l,alpha-1} t^l)
     rnd = random.Random(53)
