@@ -54,18 +54,19 @@ integers, rationals p/q (kept exact), or floats.  Catalog:
 """
 
 
-# Largest degree `formula` builds in general mode.  The cost grows about 3x
-# per +2 in degree: d=14 takes 0.7 s, d=16 1.9 s and d=18 6-7 s on a 2-vCPU
-# host, so d=20 would exceed a 10 s budget.
+# Largest degree `formula` builds in general mode.  The cost grows 3-5x per
+# +2 in degree: `formula exponential -d D --json` takes 0.4-0.5 s at 14,
+# 0.8 s at 16 and 2.4-2.8 s at 18 on a 2-vCPU host (about 0.3 s of each is
+# interpreter start-up), so d=20 would take 8-11 s, at or over a 10 s budget.
 FORMULA_MAX_DEGREE = 18
 
 # Largest degree for Hermitian-mode `formula` and for `hunter`, which walk
 # every partition of d (about 1.4x more per +2 in degree).  On a 2-vCPU
-# host Hermitian `formula exponential -d D --json` takes 4.7-5.3 s at 44
-# and 6.8-8.3 s at 46; `hunter -d D --alpha D --json --at 1,1/2`, which
-# also evaluates H at the point exactly, takes 1.8-1.9 s at 44 and 2.7 s
-# at 46, most of it the partition walk.  The Hermitian formula sets the
-# limit: d=44 keeps it within a 10 s budget.
+# host Hermitian `formula exponential -d D --json` takes 2.7-3.0 s at 44
+# and 3.8 s at 46; `hunter -d D --alpha D --json --at 1,1/2`, which also
+# evaluates H at the point exactly, takes 1.2-1.7 s at 44 and 1.6-1.7 s at
+# 46.  The Hermitian formula sets the limit: d=44 keeps it well within a
+# 10 s budget.
 PARTITION_MAX_DEGREE = 44
 
 # Largest degree `norm` evaluates, per --method; above it `norm` exits 3

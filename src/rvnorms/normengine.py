@@ -51,6 +51,7 @@ import cmath
 import math
 import sys
 from fractions import Fraction
+from itertools import groupby
 from math import comb, factorial, lcm, prod
 from operator import mul
 
@@ -368,15 +369,11 @@ class TracePolynomial:
     def ordered_terms(self) -> list:
         """Terms grouped by partition in reverse-lexicographic order, then by
         factor tuple; the partition of a term is the multiset of factor lengths."""
-        by_partition: dict[tuple[int, ...], list] = {}
-        for key, coeff in self.terms.items():
-            parts = tuple(sorted((len(w) for w in key), reverse=True))
-            by_partition.setdefault(parts, []).append((key, coeff))
-        out = []
-        for p in enumerate_partitions(self.degree):
-            for key, coeff in sorted(by_partition.get(p.parts, [])):
-                out.append((key, coeff))
-        return out
+        rank = {p.parts: i for i, p in enumerate(enumerate_partitions(self.degree))}
+        return sorted(
+            self.terms.items(),
+            key=lambda term: (rank[tuple(sorted(map(len, term[0]), reverse=True))], term[0]),
+        )
 
     def evaluate(self, Z: Matrix):
         """The polynomial at Z: the sum of coefficient times factor traces.
@@ -408,42 +405,35 @@ class TracePolynomial:
         # thousands of rounded terms: a running sum would lose digits
         return complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
 
-    def _factor_text(self, word: str) -> str:
-        if self.hermitian:
-            k = len(word)
-            return "tr(A)" if k == 1 else f"tr(A^{k})"
-        return f"tr({word_text(word)})"
-
-    def term_text(self, key, coeff) -> str:
-        factors = []
-        run = None
-        count = 0
-        for w in list(key) + [None]:
-            if w == run:
-                count += 1
-                continue
-            if run is not None:
-                factors.append(
-                    self._factor_text(run) + (f"^{count}" if count > 1 else "")
-                )
-            run, count = w, 1
-        return f"{coeff} {' '.join(factors)}"
+    def _rendered(self, hermitian_form, general_form) -> dict:
+        """Each distinct factor word in its printed form, rendered once."""
+        form = hermitian_form if self.hermitian else general_form
+        return {w: form(w) for w in {w for key in self.terms for w in key}}
 
     def text(self) -> str:
-        lines = [self.term_text(k, c) for k, c in self.ordered_terms()]
+        names = self._rendered(
+            lambda w: "tr(A)" if len(w) == 1 else f"tr(A^{len(w)})",
+            lambda w: f"tr({word_text(w)})",
+        )
+        lines = []
+        for key, coeff in self.ordered_terms():
+            factors = []
+            # a sorted key holds repeated factors side by side: print w^count
+            for w, run in groupby(key):
+                count = len(list(run))
+                factors.append(names[w] + (f"^{count}" if count > 1 else ""))
+            lines.append(f"{coeff} {' '.join(factors)}")
         return "\n".join(lines) if lines else "0"
 
     def to_json(self) -> dict:
+        names = self._rendered(lambda w: f"A^{len(w)}", word_json)
         terms = []
         for key, coeff in self.ordered_terms():
             frac = Fraction(coeff) if isinstance(coeff, int) else coeff
             if not isinstance(frac, Fraction):
                 raise PreconditionError("JSON form requires exact rational coefficients")
-            factors = [
-                f"A^{len(w)}" if self.hermitian else word_json(w) for w in key
-            ]
             terms.append(
-                {"coeff": [frac.numerator, frac.denominator], "factors": factors}
+                {"coeff": [frac.numerator, frac.denominator], "factors": [names[w] for w in key]}
             )
         return {
             "degree": self.degree,

@@ -30,8 +30,20 @@ class Partition:
         for a, b in zip(parts, parts[1:]):
             if a < b:
                 raise ValueError(f"parts must be nonincreasing, got {parts!r}")
+        self._fill(parts, sum(parts))
+
+    @classmethod
+    def _trusted(cls, parts: tuple[int, ...], d: int) -> "Partition":
+        """The partition of ``d`` with ``parts``, which the caller guarantees
+        to be a nonincreasing tuple of positive ints summing to ``d``; built
+        without the checks."""
+        p = cls.__new__(cls)
+        p._fill(parts, d)
+        return p
+
+    def _fill(self, parts: tuple[int, ...], d: int) -> None:
         self.parts = parts
-        self.d = sum(parts)
+        self.d = d
         mult: dict[int, int] = {}
         for v in parts:
             mult[v] = mult.get(v, 0) + 1
@@ -66,29 +78,43 @@ def enumerate_partitions(d: int) -> list[Partition]:
 
     The order is fixed so symbolic output and test fixtures are
     deterministic: (4), (3,1), (2,2), (2,1,1), (1,1,1,1) for d=4.
-    ``d = 0`` yields the single empty partition.
+    ``d = 0`` yields the single empty partition.  Algorithm ZS1 (Zoghbi &
+    Stojmenovic, "Fast algorithms for generating integer partitions",
+    Int. J. Comput. Math. 70, 1998), in constant amortized time per
+    partition; each tuple it yields is a partition of d by construction, so
+    it is wrapped without :class:`Partition`'s checks.
     """
     if not isinstance(d, int) or d < 0:
         raise ValueError(f"d must be a nonnegative integer, got {d!r}")
     if d == 0:
-        return [Partition(())]
-    out = [Partition((d,))]
-    cur = (d,)
-    while True:
-        # Rightmost part that can still be decremented.
-        i = len(cur) - 1
-        while i >= 0 and cur[i] == 1:
-            i -= 1
-        if i < 0:
-            return out
-        rest = len(cur) - i  # units freed: everything from position i on
-        cur = cur[:i] + (cur[i] - 1,)
-        remaining = rest
-        while remaining > 0:
-            nxt = min(cur[-1], remaining)
-            cur += (nxt,)
-            remaining -= nxt
-        out.append(Partition(cur))
+        return [Partition._trusted((), 0)]
+    # x[1..m] holds the current partition; x[1..h] are its parts above 1
+    x = [1] * (d + 1)
+    x[1], m, h = d, 1, 1
+    out = [Partition._trusted((d,), d)]
+    while x[1] != 1:
+        if x[h] == 2:
+            m += 1
+            x[h] = 1
+            h -= 1
+        else:
+            # lower x[h] by one and spread the freed units in parts of at most x[h]
+            r = x[h] - 1
+            t = m - h + 1
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            if t == 0:
+                m = h
+            else:
+                m = h + 1
+                if t > 1:
+                    h += 1
+                    x[h] = t
+        out.append(Partition._trusted(tuple(x[1 : m + 1]), d))
+    return out
 
 
 def y_of(p: Partition) -> int:

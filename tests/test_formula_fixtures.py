@@ -1,6 +1,8 @@
 """`formula` output in general mode, byte for byte, against SHA-256 digests
 of the stdout of the enumeration-based placement tables (commit 612983c),
-for six families whose cumulants are all nonzero, at d = 2..10."""
+for six families whose cumulants are all nonzero, at d = 2..10, and of the
+per-part fold that followed them (commit f82f82d) for two families at
+d = 12 and 14."""
 
 import hashlib
 import json
@@ -10,7 +12,9 @@ import pytest
 
 from rvnorms import cli
 
-DIGESTS = json.loads((Path(__file__).parent / "fixtures" / "formula_general_sha256.json").read_text())
+FIXTURES = Path(__file__).parent / "fixtures"
+DIGESTS = json.loads((FIXTURES / "formula_general_sha256.json").read_text())
+DIGESTS_D12_D14 = json.loads((FIXTURES / "formula_general_d12_d14_sha256.json").read_text())
 
 DISTS = (
     "gamma:alpha=7/4,beta=3/4",
@@ -34,3 +38,20 @@ def test_formula_general_bytes_unchanged(dist, d, fmt, capsys):
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[f"{dist} -d {d} {fmt}"]
+
+
+DISTS_D12_D14 = ("gamma:alpha=7/4,beta=3/4", "finite_discrete:atoms=-2|1|3,probs=1/6|1/3|1/2")
+
+
+def test_d12_d14_fixture_covers_every_case():
+    assert len(DIGESTS_D12_D14) == len(DISTS_D12_D14) * 2 * 2
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("d", [12, 14])
+@pytest.mark.parametrize("dist", DISTS_D12_D14)
+def test_formula_general_bytes_unchanged_d12_d14(dist, d, fmt, capsys):
+    argv = ["formula", dist, "-d", str(d)] + (["--json"] if fmt == "json" else [])
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS_D12_D14[f"{dist} -d {d} {fmt}"]

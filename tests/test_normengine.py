@@ -700,6 +700,23 @@ def test_symbolic_json_form():
     assert {"coeff": [1, 108], "factors": ["sZ", "sZ"]} in doc["terms"]
 
 
+@pytest.mark.parametrize("render", ["word_text", "word_json"])
+def test_symbolic_rendering_renders_each_word_once(render, monkeypatch):
+    calls = []
+    original = getattr(normengine, render)
+
+    def counting(word):
+        calls.append(word)
+        return original(word)
+
+    monkeypatch.setattr(normengine, render, counting)
+    d = 8
+    poly = symbolic_formula(distribution_cumulants(DistributionSpec.exponential(), d), d)
+    poly.text() if render == "word_text" else poly.to_json()
+    occurrences = [w for key in poly.terms for w in key]
+    assert sorted(calls) == sorted(set(occurrences)) and len(calls) < len(occurrences)
+
+
 # -- circle-average extension ------------------------------------------------
 
 

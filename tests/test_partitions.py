@@ -75,6 +75,21 @@ def test_partition_validation():
         Partition((2, 0))
 
 
+@pytest.mark.parametrize("parts", [(1, 2), (2, 0), (3, -1), (2.0, 1), ("2",), (3, 1, 2)])
+def test_partition_from_outside_checks_its_parts(parts):
+    # the enumerator skips these checks; a caller's parts still get them
+    with pytest.raises(ValueError):
+        Partition(parts)
+
+
+@pytest.mark.parametrize("d", [0, 1, 7, 16])
+def test_enumerated_partitions_equal_checked_ones(d):
+    for p in enumerate_partitions(d):
+        q = Partition(p.parts)
+        assert (p.parts, p.d, p.multiplicities) == (q.parts, q.d, q.multiplicities)
+        assert list(p.multiplicities) == list(q.multiplicities)
+
+
 def test_y_fixtures():
     assert y_of(Partition((4, 4, 2, 1, 1, 1))) == 13824
     assert y_of(Partition((1,))) == 1

@@ -5,7 +5,16 @@ import pytest
 
 from rvnorms.errors import PreconditionError
 from rvnorms.partitions import enumerate_partitions
-from rvnorms.words import canonical_rotation, placement_terms, word_json, word_text
+from rvnorms.words import necklaces, placement_terms, word_json, word_text
+
+
+def canonical_rotation(word: str) -> str:
+    """Lexicographically minimal cyclic rotation ('s' sorts before 'z'): the
+    oracle for the necklace generator and the brute-force placement tables."""
+    if len(word) <= 1:
+        return word
+    doubled = word + word
+    return min(doubled[i : i + len(word)] for i in range(len(word)))
 
 
 def test_canonical_rotation():
@@ -21,6 +30,26 @@ def test_canonical_rotation_is_minimal_rotation():
         rotations = {word[i:] + word[:i] for i in range(len(word))}
         assert canonical_rotation(word) == min(rotations)
         assert canonical_rotation(word) in rotations
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_necklaces_are_the_minimal_rotations(k):
+    words = ["".join(w) for w in itertools.product("sz", repeat=k)]
+    classes = {}
+    for word in words:
+        classes.setdefault(canonical_rotation(word), set()).add(word)
+    got = necklaces(k)
+    assert [word for word, _, _ in got] == sorted(classes)
+    for word, adjoints, size in got:
+        assert adjoints == word.count("s")
+        assert size == len({word[i:] + word[:i] for i in range(k)}) == len(classes[word])
+    assert sum(size for _, _, size in got) == 2**k
+
+
+def test_necklace_counts():
+    # binary necklaces of length 1..12 (OEIS A000031)
+    counts = [len(necklaces(k)) for k in range(1, 13)]
+    assert counts == [2, 3, 4, 6, 8, 14, 20, 36, 60, 108, 188, 352]
 
 
 def test_placements_single_part_d2():
@@ -69,6 +98,21 @@ def _enumerated_placements(parts):
 def test_placements_equal_enumeration(d):
     for p in enumerate_partitions(d):
         assert placement_terms(p.parts) == _enumerated_placements(p.parts), p.parts
+
+
+# a sample of the 135 partitions of 14: one part, two equal or unequal
+# parts, repeated and mixed lengths, all ones (all 135 take about 7 s)
+D14_SAMPLE = (
+    (14,), (7, 7), (8, 6), (9, 5), (10, 4), (12, 2), (13, 1), (5, 5, 4),
+    (6, 4, 4), (6, 6, 2), (4, 4, 3, 3), (5, 4, 3, 2), (7, 3, 3, 1),
+    (3, 3, 3, 3, 2), (4, 2, 2, 2, 2, 1, 1), (2,) * 7, (3, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
+    (1,) * 14,
+)
+
+
+@pytest.mark.parametrize("parts", D14_SAMPLE, ids=lambda parts: "-".join(map(str, parts)))
+def test_placements_equal_enumeration_d14(parts):
+    assert placement_terms(parts) == _enumerated_placements(parts)
 
 
 def test_placements_unsorted_parts_equal_enumeration():
