@@ -39,16 +39,17 @@ from .normengine import (
     bell_value,
     circle_extension_check,
     general_norm_pow,
+    general_norm_pow_stack,
     hermitian_norm_pow,
+    hermitian_norm_pow_stack,
     norm,
-    normal_norm_pow_closed,
-    pareto_norm_pow_multinomial,
     series_norm_pow,
     symbolic_formula,
     word_sum_norm_pow,
 )
 from .oracle import (
     McEstimate,
+    khintchine_bounds,
     khintchine_check,
     khintchine_constant,
     mc_norm,
@@ -93,14 +94,17 @@ __all__ = [
     "enumerate_partitions",
     "frobenius_norm",
     "general_norm_pow",
+    "general_norm_pow_stack",
     "hermitian_eigenvalues",
     "hermitian_norm_pow",
+    "hermitian_norm_pow_stack",
     "hunter_coefficient",
     "hunter_poly",
     "hunter_poly_recursive",
     "is_hermitian",
     "is_majorized",
     "kappa_product",
+    "khintchine_bounds",
     "khintchine_check",
     "khintchine_constant",
     "load_matrix",
@@ -111,8 +115,6 @@ __all__ = [
     "moments_to_cumulants",
     "monomial_sym",
     "norm",
-    "normal_norm_pow_closed",
-    "pareto_norm_pow_multinomial",
     "parse_distribution",
     "power_sum_product",
     "sample",

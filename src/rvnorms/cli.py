@@ -7,7 +7,8 @@ error (bad file, bad string, a number that parses to inf or nan, or bad
 $RVNORMS_SEED), 3 precondition violation (odd degree on an analytic path,
 missing moments, non-Hermitian input to a Hermitian-only method, result
 outside float range, a float norm power that lost its precision (negative,
-or zero for a nonzero matrix), verify --trials below 1, a seed outside
+or zero for a nonzero matrix), verify --trials below 1 or above
+VERIFY_MAX_TRIALS of a suite it runs, a seed outside
 [0, 2**64), a general-mode formula above degree FORMULA_MAX_DEGREE, a
 Hermitian-mode formula or hunter above degree PARTITION_MAX_DEGREE, a norm
 above the degree NORM_MAX_DEGREE gives its method).
@@ -86,6 +87,14 @@ PARTITION_MAX_DEGREE = 44
 # words and auto stay at 14, the limit set when d=16 took 9-15 s, until
 # they are re-measured on slower hosts.
 NORM_MAX_DEGREE = {"partition": 100, "series": 300, "words": 14, "auto": 14}
+
+# Largest --trials `verify` runs, per suite; above it `verify` exits 3
+# before any suite starts.  Measured in process on a 2-vCPU host, the
+# slower of two seeds: axioms 2.1 ms a trial, schur 1.3, paths 17.8,
+# hunter 0.62, khintchine 0.21.  Each cap is about 5 s of its suite at that
+# cost, half a 10 s budget for slower hosts, and is at least the suite's
+# default trial count.
+VERIFY_MAX_TRIALS = {"axioms": 2400, "schur": 4000, "paths": 250, "hunter": 8000, "khintchine": 20000}
 
 
 def _default_seed() -> int:
@@ -174,7 +183,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--suite", choices=tuple(SUITES) + ("all",), default="all"
     )
-    p_verify.add_argument("--trials", type=int, default=None, help="override per-suite default")
+    p_verify.add_argument(
+        "--trials", type=int, default=None,
+        help="override per-suite default; at most "
+        + ", ".join(f"{t} for {name}" for name, t in VERIFY_MAX_TRIALS.items()),
+    )
     p_verify.add_argument("--seed", type=int, default=None, help="default $RVNORMS_SEED")
     p_verify.add_argument("--json", action="store_true")
 
@@ -339,9 +352,16 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.trials is not None and args.trials < 1:
-        raise PreconditionError(f"verify needs --trials >= 1, got {args.trials}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
+    if args.trials is not None:
+        if args.trials < 1:
+            raise PreconditionError(f"verify needs --trials >= 1, got {args.trials}")
+        for name in names:
+            if args.trials > VERIFY_MAX_TRIALS[name]:
+                raise PreconditionError(
+                    f"verify --suite {name} is limited to {VERIFY_MAX_TRIALS[name]} trials, "
+                    f"got {args.trials}"
+                )
     seed = args.seed if args.seed is not None else _default_seed()
     reports = [run_suite(name, trials=args.trials, seed=seed) for name in names]
     failed = any(not r.passed for r in reports)

@@ -341,19 +341,35 @@ def _types(v):
     return tuple(type(x) for x in v) if isinstance(v, tuple) else type(v)
 
 
-def distribution_cumulants(spec: DistributionSpec, d: int) -> CumulantVector:
-    """Cumulants kappa_1..kappa_d for the named distribution.
-
-    Computed once per law and degree.  The cache key carries the type of
-    every parameter next to its value: 1, 1.0 and Fraction(1) compare and
-    hash equal, and a float law must not get the exact cumulants of its
-    rational twin.
-    """
+def _law_key(spec: DistributionSpec, d: int) -> tuple:
+    """(family, params, d), the cache key of a law and degree, once the law
+    is known to have moments up to d.  It carries the type of every
+    parameter next to its value: 1, 1.0 and Fraction(1) compare and hash
+    equal, and a float law must not get the exact cumulants of its
+    rational twin."""
     if d < 1:
         raise PreconditionError("d must be >= 1")
     spec.require_moments(d)
-    params = tuple((k, v, _types(v)) for k, v in spec.params.items())
-    return _cumulants(spec.family, params, d)
+    return spec.family, tuple((k, v, _types(v)) for k, v in spec.params.items()), d
+
+
+def distribution_cumulants(spec: DistributionSpec, d: int) -> CumulantVector:
+    """Cumulants kappa_1..kappa_d for the named distribution, computed once
+    per law and degree."""
+    return _cumulants(*_law_key(spec, d))
+
+
+def normalized_cumulants(spec: DistributionSpec, d: int) -> tuple:
+    """The floats kappa_k / k! for k = 1..d, each formed exactly and rounded
+    once, computed once per law and degree: the cumulant factors of the
+    float Bell recurrence."""
+    return _normalized_cumulants(*_law_key(spec, d))
+
+
+@lru_cache(maxsize=256)
+def _normalized_cumulants(fam: str, params: tuple, d: int) -> tuple:
+    kappas = _cumulants(fam, params, d).kappas
+    return tuple(float(Fraction(kappa) / factorial(k)) for k, kappa in enumerate(kappas, 1))
 
 
 @lru_cache(maxsize=256)

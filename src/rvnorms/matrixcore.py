@@ -76,10 +76,6 @@ class Matrix:
         self._exact = exact
 
     @classmethod
-    def zeros(cls, n: int) -> "Matrix":
-        return cls([[0] * n for _ in range(n)])
-
-    @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -141,33 +137,50 @@ class Matrix:
         return f"Matrix({self.array.tolist()!r})"
 
 
-def scale_exponent(Z: Matrix) -> int:
-    """The binary exponent e for which Z * 2**-e has its largest entry in
+def scale_exponents(max_abs):
+    """The binary exponent e for which a matrix whose largest entry
+    magnitude is ``max_abs`` has its largest entry of Z * 2**-e in
     [1/2, 1), so that scaling by 2**-e is exact; 0 for the zero matrix.
+    Elementwise on an array of magnitudes, one per matrix of a stack.
 
     e is at least -1022, so 2**-e stays a finite float: a matrix of
     subnormal entries is scaled up by 2**1022 and ends below 1/2.
     """
-    return max(math.frexp(Z.max_abs())[1], -1022)
+    return np.maximum(np.frexp(max_abs)[1], -1022)
 
 
-def default_hermitian_tol(Z: Matrix) -> float:
-    return 1e-12 * (1.0 + Z.max_abs())
+def scale_exponent(Z: Matrix) -> int:
+    """:func:`scale_exponents` for one matrix."""
+    return int(scale_exponents(Z.max_abs()))
+
+
+def hermitian_tolerance(max_abs):
+    """The default Hermitian tolerance of a matrix whose largest entry
+    magnitude is ``max_abs`` (elementwise on an array): 1e-12 * (1 +
+    max_abs)."""
+    return 1e-12 * (1.0 + max_abs)
+
+
+def hermitian_mask(Z: np.ndarray, tol=None) -> np.ndarray:
+    """For a stack of inexact matrices (..., n, n): True where the
+    largest entrywise |Z - Z*| is at most ``tol`` (a float, or one per
+    matrix), by default :func:`hermitian_tolerance` of that matrix."""
+    if tol is None:
+        tol = hermitian_tolerance(np.abs(Z).max(axis=(-2, -1)))
+    with np.errstate(over="ignore"):  # an inf difference is simply > tol
+        diff = np.abs(Z - np.conjugate(Z).swapaxes(-2, -1)).max(axis=(-2, -1))
+    return diff <= tol
 
 
 def is_hermitian(Z: Matrix, tol: float | None = None) -> bool:
     """True iff max entrywise |Z - Z*| <= tol.
 
     Without ``tol``, an exact matrix must equal its adjoint exactly and any
-    other gets the tolerance 1e-12 * (1 + max|entry|).
+    other gets :func:`hermitian_tolerance` (see :func:`hermitian_mask`).
     """
-    if tol is None:
-        if Z.is_exact():
-            return Z == Z.adjoint()
-        tol = default_hermitian_tol(Z)
-    with np.errstate(over="ignore"):  # an inf difference is simply > tol
-        diff = np.abs(Z.array - np.conjugate(Z.array).T).max()
-    return float(diff) <= tol
+    if tol is None and Z.is_exact():
+        return Z == Z.adjoint()
+    return bool(hermitian_mask(Z.array, tol))
 
 
 def frobenius_norm(Z: Matrix) -> float:

@@ -2,7 +2,7 @@
 
 One kernel, the complete-Bell recurrence
 B_n = sum_k C(n-1, k-1) a_k B_{n-k} over u-polynomials truncated above
-u^{d/2} (:func:`_bell`), computes the d-th power of the norm on two routes:
+u^{d/2}, computes the d-th power of the norm on two routes:
 
 * Hermitian inputs: (1/d!) B_d(kappa_1 tr A, ..., kappa_d tr A^d), scalar
   a_k taken from trace powers (the u-degree is 0);
@@ -12,10 +12,14 @@ u^{d/2} (:func:`_bell`), computes the d-th power of the norm on two routes:
   a_k(u) = kappa_k tau_k(u), where tau_k(u) sums the traces of the
   length-k words in Z, Z* with u counting adjoints.
 
-On exact input the kernel runs in Python ints: the matrix is scaled to
-integers (see below), each cumulant enters as numerator over denominator,
-and one Fraction is formed at the end.  On float input it runs normalized,
-on B_n / n!.  The partition walk sum_pi kappa_pi p_pi / y_pi is the tests'
+On exact input (matrix and cumulants) the kernel runs in Python ints
+(:func:`_bell`): the matrix is scaled to integers (see below), each
+cumulant enters as numerator over denominator, and one Fraction is formed
+at the end.  On float input it runs normalized, on B_n / n!, over a stack
+of N matrices at once (:func:`_bell_stack`):
+:func:`hermitian_norm_pow_stack` and :func:`general_norm_pow_stack` take an
+(N, n, n) array and return N norm powers, and one float matrix is a stack
+of one.  The partition walk sum_pi kappa_pi p_pi / y_pi is the tests'
 oracle for the kernel.
 
 Two independent routes serve as oracles:
@@ -40,9 +44,10 @@ by absolute homogeneity, |||cZ||| = |c| |||Z|||: an exact matrix is
 multiplied by the lcm L of its entry denominators and the power divided by
 L^d (:func:`_scaled`, :func:`_rescaled`); a float matrix is multiplied by
 the power of two 2^-e that puts its largest entry in [1/2, 1), which is
-exact, and the power multiplied back by 2^(d e) in one ``ldexp``.  A float
-power that leaves the normal range there is refused rather than returned
-as 0.0, a subnormal or inf.
+exact, and the power multiplied back by 2^(d e) in one ``ldexp``; in a
+stack, each matrix has its own e (:func:`_float_stack`,
+:func:`_rescaled_stack`).  A float power that leaves the normal range
+there is refused rather than returned as 0.0, a subnormal or inf.
 """
 
 from __future__ import annotations
@@ -55,11 +60,27 @@ from itertools import groupby
 from math import comb, factorial, lcm, prod
 from operator import mul
 
-from .cumulants import CumulantVector, DistributionSpec, distribution_cumulants
-from .errors import MomentExistenceError, NonHermitianError, PreconditionError
-from .matrixcore import Matrix, is_hermitian, scale_exponent, trace_of_product, trace_powers
+import numpy as np
+
+from .cumulants import (
+    CumulantVector,
+    DistributionSpec,
+    distribution_cumulants,
+    normalized_cumulants,
+)
+from .errors import NonHermitianError, PreconditionError
+from .matrixcore import (
+    Matrix,
+    hermitian_mask,
+    hermitian_tolerance,
+    is_hermitian,
+    scale_exponent,
+    scale_exponents,
+    trace_of_product,
+    trace_powers,
+)
 from .partitions import enumerate_partitions, y_of
-from .scalars import exact_div, is_exact, real_part_checked
+from .scalars import exact_div, is_exact, real_part_checked, real_parts_checked
 from .series import TruncatedSeries
 from .words import placement_terms, word_json, word_text
 
@@ -115,43 +136,49 @@ def _rescaled(total, scale, d: int):
     return out
 
 
-def _bell(a, d: int, half: int = 0, den=None):
+def _rescaled_stack(total: np.ndarray, e: np.ndarray, d: int) -> np.ndarray:
+    """:func:`_rescaled` on each normalized value of a stack, with its
+    matrix's binary exponent.  When every result is 0 or normal, one
+    ``ldexp`` over the stack gives them; otherwise :func:`_rescaled` runs
+    value by value and refuses the first that is neither."""
+    with np.errstate(over="ignore", under="ignore"):
+        out = np.ldexp(total, d * e)
+    size = np.abs(out)
+    if ((total == 0) | ((sys.float_info.min <= size) & (size < math.inf))).all():
+        return out
+    return np.array([_rescaled(t, s, d) for t, s in zip(total.tolist(), e.tolist())])
+
+
+def _bell(a, d: int, half: int, den):
     """Coefficients of u^0..u^half in the complete Bell polynomial
-    B_d(a_1(u), ..., a_d(u)), as (numerators, common denominator).
+    B_d(a_1(u), ..., a_d(u)), as (numerators, common denominator), for
+    exact input.
 
     ``a[k]`` (``a[0]`` is unused) lists the coefficients of u^0..u^half of
-    a_k(u), which may have no term above u^k; a_k past the end of ``a`` are
-    zero.  With half = 0 the a_k are scalars in one-element lists.  The
-    recurrence is
+    the numerator of a_k(u), which may have no term above u^k; a_k past the
+    end of ``a`` are zero.  With half = 0 the a_k are scalars in
+    one-element lists.  The recurrence is
 
         B_n = sum_{k=1}^{n} C(n-1, k-1) a_k B_{n-k},   B_0 = 1,
 
-    each product truncated above u^half.  With ``den``, a_k is ``a[k]`` over
-    the integer ``den[k]`` and B_n is kept as numerators over
+    each product truncated above u^half.  a_k is ``a[k]`` over the integer
+    ``den[k]`` and B_n is kept as numerators over
     D_n = lcm_k(den[k] D_{n-k}), so integer input stays in integers and no
-    gcd is taken.  Without ``den`` the recurrence runs normalized, on
-    B_n / n! given a_k / k!, with weight k/n in place of C(n-1, k-1), so
-    that no float intermediate carries a factor n!; the denominator is 1.
-    Coefficients of B_n below u^(n - d + half) are never formed: the
-    remaining degree d - n raises the u-degree by at most d - n, so they
-    cannot reach u^half of B_d.
+    gcd is taken.  Coefficients of B_n below u^(n - d + half) are never
+    formed: the remaining degree d - n raises the u-degree by at most
+    d - n, so they cannot reach u^half of B_d.
     """
     ks = [k for k in range(1, min(d + 1, len(a))) if any(a[k])]
     B = [[1] + [0] * half]
     D = [1] * (d + 1)
-    zero = 0 if den is not None else 0.0  # float input with every a_k = 0 gives 0.0
     for n in range(1, d + 1):
         lo, hi = max(0, n - d + half), min(n, half)
-        row = [zero] * (half + 1)
-        if den is not None:
-            D[n] = lcm(*(den[k] * D[n - k] for k in ks if k <= n))
+        row = [0] * (half + 1)
+        D[n] = lcm(*(den[k] * D[n - k] for k in ks if k <= n))
         for k in ks:
             if k > n:
                 break
-            if den is None:
-                w = k / n
-            else:
-                w = comb(n - 1, k - 1) * (D[n] // (den[k] * D[n - k]))
+            w = comb(n - 1, k - 1) * (D[n] // (den[k] * D[n - k]))
             ak, prev = a[k], B[n - k]
             plo, phi = max(0, n - k - d + half), min(n - k, half)
             for j in range(lo, hi + 1):
@@ -163,17 +190,83 @@ def _bell(a, d: int, half: int = 0, den=None):
     return B[d], D[d]
 
 
-def _kernel_inputs(Zs: Matrix, kappas):
-    """(c, den): the cumulant factors for :func:`_bell`, whose a_k is c_k
-    times a trace of Zs (from :func:`_scaled`).
+def _bell_stack(a: np.ndarray, d: int) -> np.ndarray:
+    """B_d / d! for a stack, as the coefficients of u^0..u^half.
 
-    On an integer Zs, kappa_k = c_k / den[k] in lowest terms.  Otherwise
-    c_k = kappa_k / k!, formed exactly and rounded to a float once, for the
-    normalized recurrence, and den is None.
+    ``a[:, k-1, :]`` holds the coefficients of u^0..u^half of a_k(u) / k!
+    for k = 1..m (a_k = 0 above m).  The recurrence runs normalized, on
+    b_n = B_n / n!, so that no float intermediate carries a factor n!:
+
+        b_n = sum_{k=1}^{min(n, m)} (k/n) (a_k / k!) b_{n-k},   b_0 = 1,
+
+    each product truncated above u^half.  The truncated product with
+    a_k(u) / k! is the lower-triangular Toeplitz matrix T_k[j, i] =
+    a_k[j - i] / k!, so each b_n takes one batched elementwise product of
+    [T_1 ... T_K] with (b_{n-1}, ..., b_{n-K}).  Its sums run in a fixed
+    order, over i and then over k, one term after another, so every matrix
+    gets the same value whatever stack it is evaluated in.
     """
-    if Zs.is_exact() and all(is_exact(kappa) for kappa in kappas):
-        return [kappa.numerator for kappa in kappas], [1] + [kappa.denominator for kappa in kappas]
-    return [float(Fraction(kappa) / factorial(k)) for k, kappa in enumerate(kappas, 1)], None
+    N, m, h1 = a.shape
+    T = np.zeros((N, m, h1, h1), dtype=a.dtype)  # T[:, k-1, j, i] = a_k[j - i] / k!
+    for i in range(h1):
+        T[:, :, i:, i] = a[:, :, : h1 - i]
+    R = np.zeros((N, d + 1, h1), dtype=a.dtype)  # R[:, d - n] = b_n
+    R[:, d, 0] = 1.0
+    weight = np.arange(1, m + 1)[None, :, None] / np.arange(1, d + 1)[:, None, None]  # k/n
+    for n in range(1, d + 1):
+        K = min(n, m)
+        prev = R[:, d - n + 1 : d - n + 1 + K]  # b_{n-1}, ..., b_{n-K}
+        if h1 == 1:  # one coefficient: nothing to sum over i
+            S = T[:, :K, :, 0] * prev
+        else:
+            S = (T[:, :K] * prev[:, :, None, :])[..., ::-1].cumsum(axis=3)[..., -1]
+        R[:, d - n] = (weight[n - 1, :K] * S).cumsum(axis=1)[:, -1]
+    # + 0.0: a sum of zeros is +0.0, as a sum started from 0 gives it
+    return R[:, 0] + 0.0
+
+
+def _int_kernel_cumulants(Z: Matrix, spec: DistributionSpec, d: int):
+    """The cumulants kappa_1..kappa_d when Z and all of them are exact, so
+    that the int kernel applies; None otherwise, without computing them
+    for an inexact Z."""
+    if not Z.is_exact():
+        return None
+    kappas = distribution_cumulants(spec, d).kappas
+    return kappas if all(is_exact(kappa) for kappa in kappas) else None
+
+
+def _exact_factors(kappas):
+    """(c, den): the cumulant factors for :func:`_bell`, kappa_k = c_k /
+    den[k] in lowest terms."""
+    return [kappa.numerator for kappa in kappas], [1] + [kappa.denominator for kappa in kappas]
+
+
+def _float_factors(spec: DistributionSpec, d: int):
+    """(c, m): c[k-1] = kappa_k / k! for k = 1..m as a float array (see
+    :func:`~rvnorms.cumulants.normalized_cumulants`); m is the largest
+    k <= d with a nonzero factor (0 if none), above which every a_k
+    vanishes."""
+    c = normalized_cumulants(spec, d)
+    m = max((k for k in range(1, d + 1) if c[k - 1] != 0), default=0)
+    return np.array(c[:m]), m
+
+
+def _float_stack(Z, hermitian: bool):
+    """(Zs, e) for a stack (N, n, n) of float matrices: each Z[i] times
+    2**-e[i], exact, with e from :func:`scale_exponents`, so that its
+    largest entry lies in [1/2, 1).  Non-finite entries raise ValueError;
+    with ``hermitian``, a matrix outside the Hermitian tolerance of
+    :func:`hermitian_mask` raises NonHermitianError."""
+    Z = np.asarray(Z, dtype=complex)
+    if Z.ndim != 3 or Z.shape[1] != Z.shape[2] or Z.shape[1] == 0:
+        raise ValueError(f"a stack of square matrices (N, n, n) is required, got shape {Z.shape}")
+    max_abs = np.abs(Z).max(axis=(1, 2))
+    if not np.isfinite(max_abs).all():
+        raise ValueError("non-finite entry")
+    if hermitian and not hermitian_mask(Z, hermitian_tolerance(max_abs)).all():
+        raise NonHermitianError("the Hermitian route requires Hermitian matrices")
+    e = scale_exponents(max_abs)
+    return Z * np.ldexp(1.0, -e)[:, None, None], e
 
 
 def bell_value(ell: int, x):
@@ -183,23 +276,55 @@ def bell_value(ell: int, x):
     x = list(x)
     if len(x) < ell:
         raise PreconditionError(f"B_{ell} needs {ell} arguments, got {len(x)}")
-    return _bell([None] + [[v] for v in x[:ell]], ell, den=[1] * (ell + 1))[0][0]
+    return _bell([None] + [[v] for v in x[:ell]], ell, 0, [1] * (ell + 1))[0][0]
 
 
 def hermitian_norm_pow(A: Matrix, spec: DistributionSpec, d: int):
     """Norm power (1/d!) * B_d(kappa_1 tr A, ..., kappa_d tr A^d); Hermitian
     input only.  Strictly positive for A != 0.
+
+    Exact input (matrix and cumulants) runs in Python ints; anything else
+    is :func:`hermitian_norm_pow_stack` on a stack of one.
     """
     _require_even_degree(d)
-    if not is_hermitian(A):
+    if A.is_exact() and not is_hermitian(A):
         raise NonHermitianError("hermitian_norm_pow requires a Hermitian matrix")
-    kappas = distribution_cumulants(spec, d).kappas
+    kappas = _int_kernel_cumulants(A, spec, d)
+    if kappas is None:
+        return float(hermitian_norm_pow_stack(A.array[None], spec, d)[0])
     As, scale = _scaled(A, kappas)
-    c, den = _kernel_inputs(As, kappas)
-    tp = [real_part_checked(t) for t in trace_powers(As, d)]
-    (b,), D = _bell([None] + [[ck * t] for ck, t in zip(c, tp)], d, den=den)
-    total = b if den is None else Fraction(b, D * factorial(d))
-    return _rescaled(total, scale, d)
+    c, den = _exact_factors(kappas)
+    tp = trace_powers(As, d)
+    (b,), D = _bell([None] + [[ck * t] for ck, t in zip(c, tp)], d, 0, den)
+    return _rescaled(Fraction(b, D * factorial(d)), scale, d)
+
+
+def hermitian_norm_pow_stack(A, spec: DistributionSpec, d: int) -> np.ndarray:
+    """The norm powers of a stack (N, n, n) of float Hermitian matrices, as
+    N floats: for each, B_d(kappa_1 tr A, ..., kappa_d tr A^d) / d! by
+    :func:`_bell_stack`, at the power-of-two scale of :func:`_float_stack`.
+
+    The trace powers come from one batched product per power; each must
+    be real to within :func:`~rvnorms.scalars.real_parts_checked`'s
+    residue.  A value outside the float range is refused
+    (:func:`_rescaled_stack`).
+    """
+    _require_even_degree(d)
+    As, e = _float_stack(A, hermitian=True)
+    c, m = _float_factors(spec, d)
+    tp = _trace_power_stack(As, m)
+    return _rescaled_stack(_bell_stack((tp * c)[:, :, None], d)[:, 0], e, d)
+
+
+def _trace_power_stack(A: np.ndarray, m: int) -> np.ndarray:
+    """(N, m): the real parts of tr A^k, k = 1..m, for a stack of
+    Hermitian matrices, checked by :func:`real_parts_checked`."""
+    P = np.empty((m,) + A.shape, dtype=complex)  # P[k-1] = A^k
+    if m:
+        P[0] = A
+    for k in range(1, m):
+        np.matmul(P[k - 1], A, out=P[k])
+    return real_parts_checked(P.trace(axis1=2, axis2=3).T)
 
 
 def series_norm_pow(A: Matrix, spec: DistributionSpec, d: int):
@@ -239,7 +364,8 @@ def word_sum_norm_pow(Z: Matrix, spec: DistributionSpec, d: int):
 
 
 def _adjoint_count_traces(Z: Matrix, m: int, half: int) -> list:
-    """tau[k][j] = tr(C_{k,j}) for k = 1..m and j = 0..half (0 for j > k).
+    """tau[k][j] = tr(C_{k,j}) for k = 1..m and j = 0..half (0 for j > k),
+    for one exact matrix.
 
     C_{k,j} is the sum of the length-k words in Z and Z* with j adjoints.
     The matrices are built up to h = ceil(m/2) by C_{k,j} = C_{k-1,j} Z +
@@ -277,6 +403,58 @@ def _adjoint_count_traces(Z: Matrix, m: int, half: int) -> list:
     return tau
 
 
+def _adjoint_count_trace_stack(Z: np.ndarray, m: int, half: int) -> np.ndarray:
+    """(N, m, half+1): tau[:, k-1, j] = tr(C_{k,j}) for k = 1..m and
+    j = 0..half, for a stack; the stacked form of
+    :func:`_adjoint_count_traces`.
+
+    Level k of C is built from level k-1 by two batched products, for its
+    lower half; its upper half is C_{k,k-j} = C_{k,j}*.  For each k > h =
+    ceil(m/2), every pairwise trace tr(C_{h,i} C_{k-h,j}) is an entry of
+    one product of the (h+1) x n^2 matrix of level h by the n^2 x (k-h+1)
+    matrix of level k-h transposed, and tau_k(u) = tr(C_h(u) C_{k-h}(u))
+    sums them along antidiagonals.
+    """
+    N, n, _ = Z.shape
+    h = (m + 1) // 2
+    tau = np.zeros((N, m, half + 1), dtype=complex)
+    if m == 0:
+        return tau
+    levels = [None, np.stack([Z, np.conjugate(Z).swapaxes(1, 2)], axis=1)]
+    Zr, Zh = Z[:, None], levels[1][:, 1:]
+    for k in range(2, h + 1):
+        prev = levels[k - 1]
+        low = prev[:, : k // 2 + 1] @ Zr
+        low[:, 1:] += prev[:, : k // 2] @ Zh
+        high = np.conjugate(low[:, (k + 1) // 2 - 1 :: -1]).swapaxes(2, 3)
+        levels.append(np.concatenate([low, high], axis=1))
+    for k in range(1, h + 1):
+        top = min(k, half) + 1
+        tau[:, k - 1, :top] = np.trace(levels[k][:, :top], axis1=2, axis2=3)
+    left = levels[h].reshape(N, h + 1, n * n)
+    for k in range(h + 1, m + 1):
+        right = levels[k - h].swapaxes(2, 3).reshape(N, k - h + 1, n * n)  # rows vec(C^T)
+        low = _antidiagonal_sums(left @ right.swapaxes(1, 2))[:, : k // 2 + 1]
+        # tr(C_{k,k-j}) = conj tr(C_{k,j})
+        full = np.concatenate([low, np.conjugate(low[:, (k + 1) // 2 - 1 :: -1])], axis=1)
+        top = min(k, half) + 1
+        tau[:, k - 1, :top] = full[:, :top]
+    return tau
+
+
+def _antidiagonal_sums(P: np.ndarray) -> np.ndarray:
+    """(N, r + c - 1) from (N, r, c): out[:, s] = sum_{i+j=s} P[:, i, j],
+    the coefficients of a product of two polynomials from the table of
+    coefficient products.  Each row i is shifted right by
+    i by padding the rows to length r + c and reading them back at length
+    r + c - 1."""
+    N, r, c = P.shape
+    padded = np.zeros((N, r, c + r), dtype=P.dtype)
+    padded[:, :, :c] = P
+    sheared = padded.reshape(N, r * (c + r))[:, : r * (c + r - 1)].reshape(N, r, c + r - 1)
+    return sheared.sum(axis=1)
+
+
 def general_norm_pow(Z: Matrix, spec: DistributionSpec, d: int):
     """Norm power for arbitrary square Z by the constant-term route:
 
@@ -286,22 +464,39 @@ def general_norm_pow(Z: Matrix, spec: DistributionSpec, d: int):
     the coefficient of x^d taken as B_d / d! by the Bell kernel.
     Equals :func:`word_sum_norm_pow` exactly on rational input, restricts
     to :func:`hermitian_norm_pow` on Hermitian input and is strictly
-    positive for Z != 0.
+    positive for Z != 0.  Exact input (matrix and cumulants) runs in
+    Python ints; anything else is :func:`general_norm_pow_stack` on a
+    stack of one.
     """
     _require_even_degree(d)
+    kappas = _int_kernel_cumulants(Z, spec, d)
+    if kappas is None:
+        return float(general_norm_pow_stack(Z.array[None], spec, d)[0])
     half = d // 2
-    kappas = distribution_cumulants(spec, d).kappas
     Zs, scale = _scaled(Z, kappas)
-    c, den = _kernel_inputs(Zs, kappas)
+    c, den = _exact_factors(kappas)
     m = max((k for k in range(1, d + 1) if c[k - 1] != 0), default=0)
     tau = _adjoint_count_traces(Zs, m, half)
     a = [None] + [[c[k - 1] * x for x in tau[k]] for k in range(1, m + 1)]
     b, D = _bell(a, d, half, den)
-    if den is None:
-        total = b[half] / comb(d, half)
-    else:
-        total = Fraction(b[half], D * factorial(d) * comb(d, half))
-    return _rescaled(real_part_checked(total), scale, d)
+    return _rescaled(Fraction(b[half], D * factorial(d) * comb(d, half)), scale, d)
+
+
+def general_norm_pow_stack(Z, spec: DistributionSpec, d: int) -> np.ndarray:
+    """The norm powers of a stack (N, n, n) of arbitrary square float
+    matrices, as N floats, by the constant-term route of
+    :func:`general_norm_pow`: tau from :func:`_adjoint_count_trace_stack`,
+    [u^{d/2}] B_d / d! from :func:`_bell_stack`, each value real to within
+    :func:`~rvnorms.scalars.real_parts_checked`'s residue and rescaled by
+    :func:`_rescaled_stack`.
+    """
+    _require_even_degree(d)
+    half = d // 2
+    Zs, e = _float_stack(Z, hermitian=False)
+    c, m = _float_factors(spec, d)
+    tau = _adjoint_count_trace_stack(Zs, m, half)
+    b = _bell_stack(tau * c[:, None], d)[:, half]
+    return _rescaled_stack(real_parts_checked(b / comb(d, half)), e, d)
 
 
 def norm_root(value, d: int) -> float:
@@ -502,74 +697,11 @@ def circle_extension_check(Z: Matrix, spec: DistributionSpec, d: int):
     """
     _require_even_degree(d)
     q = 2 * d + 2
-    Zadj = Z.adjoint()
+    e = np.array([cmath.exp(2j * math.pi * j / q) for j in range(q)])[:, None, None]
+    Zc = Z.to_numpy()
+    M = Zc * e + np.conjugate(Zc).T * np.conjugate(e)
     total = 0.0
-    for j in range(q):
-        e = cmath.exp(2j * math.pi * j / q)
-        M = Z * e + Zadj * e.conjugate()
-        total += float(hermitian_norm_pow(M, spec, d))
+    for value in hermitian_norm_pow_stack(M, spec, d).tolist():
+        total += value
     quad = total / q / comb(d, d // 2)
     return quad, word_sum_norm_pow(Z, spec, d)
-
-
-def normal_norm_pow_closed(A: Matrix, mu, sigma, d: int):
-    """Closed form of the norm power for normal(mu, sigma) entries:
-
-        sum_{k=0}^{d/2} mu^{2k} (tr A)^{2k} / (2k)!
-                        * sigma^{d-2k} (tr A^2)^{d/2-k} / (2^{d/2-k} (d/2-k)!)
-
-    using tr(A^2) = ||A||_F^2 on Hermitian input.  Independent cross-check
-    for the normal family; not the default evaluation path.
-    """
-    _require_even_degree(d)
-    if not is_hermitian(A):
-        raise NonHermitianError("closed normal form requires a Hermitian matrix")
-    tp = trace_powers(A, 2)
-    tr1 = real_part_checked(tp[0])
-    tr2 = real_part_checked(tp[1])
-    half = d // 2
-    total = 0
-    for k in range(half + 1):
-        num = mu ** (2 * k) * tr1 ** (2 * k) * sigma ** (d - 2 * k) * tr2 ** (half - k)
-        total = total + exact_div(num, factorial(2 * k) * 2 ** (half - k) * factorial(half - k))
-    return total
-
-
-def _compositions(total: int, slots: int):
-    if slots == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, slots - 1):
-            yield (first,) + rest
-
-
-def pareto_norm_pow_multinomial(lambdas, alpha, d: int):
-    """Norm power for Pareto(alpha) entries on diag(lambdas) by the raw
-    multinomial expansion of E<X, lambda>^d / d!, using mu_k = alpha/(alpha-k).
-
-    Exists only for d < alpha.  This is the route used for the alpha limits;
-    it avoids the cumulant recursion entirely.
-    """
-    _require_even_degree(d)
-    if not d < alpha:
-        raise MomentExistenceError(
-            f"pareto(alpha={alpha}) has moments only below alpha; degree {d} requested"
-        )
-    lambdas = list(lambdas)
-    exact = isinstance(alpha, (int, Fraction))
-    mu = [1] + [
-        (Fraction(alpha) / (alpha - k)) if exact else alpha / (alpha - k)
-        for k in range(1, d + 1)
-    ]
-    total = 0
-    for ks in _compositions(d, len(lambdas)):
-        weight = factorial(d)
-        for k in ks:
-            weight //= factorial(k)
-        term = weight
-        for lam, k in zip(lambdas, ks):
-            if k:
-                term = term * lam**k * mu[k]
-        total = total + term
-    return exact_div(total, factorial(d))

@@ -22,12 +22,12 @@ from .cumulants import DistributionSpec
 from .errors import NonHermitianError, PreconditionError
 from .matrixcore import (
     Matrix,
-    frobenius_norm,
     hermitian_eigenvalues,
+    hermitian_mask,
     is_hermitian,
     scale_exponent,
 )
-from .normengine import general_norm_pow, hermitian_norm_pow
+from .normengine import general_norm_pow_stack, hermitian_norm_pow_stack
 
 BLOCK_SAMPLES = 1 << 16
 
@@ -206,26 +206,42 @@ def khintchine_constant(p: int) -> float:
     return math.sqrt(2.0) * math.pi ** (-1.0 / (2 * p)) * math.gamma((p + 1) / 2) ** (1.0 / p)
 
 
-def khintchine_check(A: Matrix, p: int) -> tuple[float, float, float]:
-    """(lower, middle, upper) = (||A||_F, Gamma(p+1)^{1/p} * norm, a_p ||A||_F)
-    for Rademacher entries; the chain lower <= middle <= upper is enforced.
+def khintchine_bounds(Z, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lower, middle, upper) = (||Z||_F, Gamma(p+1)^{1/p} * norm, a_p ||Z||_F)
+    for Rademacher entries, as arrays over a stack (N, n, n) of float
+    matrices; the chain lower <= middle <= upper is enforced on every one,
+    and the first that breaks it raises ArithmeticError.
 
-    Even p only: the analytic paths do not cover odd p (the norm itself is
-    still defined there, via the sampling oracle).
+    The Hermitian matrices of the stack (within the tolerance of
+    :func:`~rvnorms.matrixcore.hermitian_mask`) take the Hermitian route as
+    one stack, the others the constant-term route as another.  Even p only:
+    the analytic paths do not cover odd p (the norm itself is still
+    defined there, via the sampling oracle).
     """
     if not isinstance(p, int) or p < 2 or p % 2:
         raise PreconditionError(f"khintchine check needs even integer p >= 2, got {p!r}")
     spec = DistributionSpec.rademacher()
-    lower = frobenius_norm(A)
-    if is_hermitian(A):
-        pw = float(hermitian_norm_pow(A, spec, p))
-    else:
-        pw = float(general_norm_pow(A, spec, p))
+    Z = np.asarray(Z, dtype=complex)
+    lower = np.linalg.norm(Z, axis=(1, 2))
+    hermitian = hermitian_mask(Z)
+    pw = np.empty(len(Z))
+    if hermitian.any():
+        pw[hermitian] = hermitian_norm_pow_stack(Z[hermitian], spec, p)
+    if not hermitian.all():
+        pw[~hermitian] = general_norm_pow_stack(Z[~hermitian], spec, p)
     middle = (factorial(p) * pw) ** (1.0 / p)
     upper = khintchine_constant(p) * lower
-    tol = 1e-9 * max(1.0, upper)
-    if not (lower <= middle + tol and middle <= upper + tol):
+    tol = 1e-9 * np.maximum(1.0, upper)
+    broken = ~((lower <= middle + tol) & (middle <= upper + tol))
+    if broken.any():
+        i = int(np.argmax(broken))
         raise ArithmeticError(
-            f"Khintchine chain violated: {lower!r} <= {middle!r} <= {upper!r} failed"
+            f"Khintchine chain violated: {float(lower[i])!r} <= {float(middle[i])!r} "
+            f"<= {float(upper[i])!r} failed"
         )
     return lower, middle, upper
+
+
+def khintchine_check(A: Matrix, p: int) -> tuple[float, float, float]:
+    """:func:`khintchine_bounds` for one matrix, as three floats."""
+    return tuple(float(v[0]) for v in khintchine_bounds(A.to_numpy()[None], p))

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 EXACT_TYPES = (int, Fraction)
 
 
@@ -40,3 +42,13 @@ def real_part_checked(value):
             )
         return value.real
     return value
+
+
+def real_parts_checked(values: np.ndarray) -> np.ndarray:
+    """:func:`real_part_checked` elementwise on a complex array: the real
+    parts, or the ArithmeticError of the first value whose imaginary
+    residue exceeds 1e-10 of max(1, |value|)."""
+    bad = np.abs(values.imag) > 1e-10 * np.maximum(1.0, np.abs(values))
+    if bad.any():
+        real_part_checked(complex(values[bad][0]))
+    return values.real

@@ -18,13 +18,21 @@ import numpy as np
 from .cumulants import DistributionSpec
 from .matrixcore import Matrix, is_majorized
 from .normengine import (
-    general_norm_pow,
+    general_norm_pow_stack,
     hermitian_norm_pow,
+    hermitian_norm_pow_stack,
     series_norm_pow,
     word_sum_norm_pow,
 )
-from .oracle import check_seed, khintchine_check
+from .oracle import check_seed, khintchine_bounds, khintchine_check
 from .sympoly import hunter_poly, hunter_poly_recursive, hunter_terms
+
+# Trials whose matrices the axioms, schur and khintchine suites evaluate
+# as one stack, so that peak memory is set by this constant and not by
+# --trials.  Measured on a 2-vCPU host: 1000 axioms trials take 2.1 s in
+# blocks of 100 and 1.9-2.3 s in blocks of 250 to 1000, while the peak
+# traced allocation of 300 trials grows from 1.9 MB to 5.6 MB.
+STACK_TRIALS = 100
 
 
 def default_family_specs() -> list[tuple[str, DistributionSpec]]:
@@ -56,23 +64,21 @@ def stream(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=check_seed(seed)))
 
 
-def random_hermitian(rng: np.random.Generator, n: int) -> Matrix:
+def _hermitian_array(rng: np.random.Generator, n: int) -> np.ndarray:
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return Matrix((g + g.conj().T) * 0.5)
+    return (g + g.conj().T) * 0.5
+
+
+def _general_array(rng: np.random.Generator, n: int) -> np.ndarray:
+    return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+
+def random_hermitian(rng: np.random.Generator, n: int) -> Matrix:
+    return Matrix(_hermitian_array(rng, n))
 
 
 def random_general(rng: np.random.Generator, n: int) -> Matrix:
-    return Matrix(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-
-
-def random_unitary(rng: np.random.Generator, n: int) -> Matrix:
-    """A unitary built as a product of n Householder reflections."""
-    U = np.eye(n, dtype=complex)
-    for _ in range(n):
-        v = rng.normal(size=n) + 1j * rng.normal(size=n)
-        v /= np.linalg.norm(v)
-        U = U - 2.0 * np.outer(U @ v, v.conj())
-    return Matrix(U)
+    return Matrix(_general_array(rng, n))
 
 
 def random_rational_vector(rnd: random.Random, n: int) -> list[Fraction]:
@@ -124,71 +130,94 @@ class SuiteReport:
         }
 
 
-def _norm_value(pow_value, d: int) -> float:
-    return float(pow_value) ** (1.0 / d)
+def _blocks(trials: int):
+    """The trial numbers, in consecutive runs of at most STACK_TRIALS."""
+    for start in range(0, trials, STACK_TRIALS):
+        yield range(start, min(start + STACK_TRIALS, trials))
+
+
+def _norm_values(pows: np.ndarray, d: int) -> list[float]:
+    return [v ** (1.0 / d) for v in pows.tolist()]
 
 
 def axioms_suite(trials: int = 1000, seed: int = 2024) -> SuiteReport:
     """Triangle inequality, absolute homogeneity, and strict positivity on
-    random 4x4 Hermitian pairs (partition path) and general pairs (word
-    path), for every catalog family at d = 2 and 4: six checks a trial."""
+    random 4x4 Hermitian pairs (Hermitian route) and general pairs
+    (constant-term route), for every catalog family at d = 2 and 4: six
+    checks a trial.  Each block of trials is drawn first, in the order of
+    one trial at a time, and its matrices evaluated as one Hermitian and
+    one general stack."""
     report = SuiteReport("axioms", trials)
     rng = stream(seed)
     for name, spec in default_family_specs():
         for d in (2, 4):
-            for t in range(trials):
-                ctx = f"{name} d={d} trial={t}"
-                A = random_hermitian(rng, 4)
-                B = random_hermitian(rng, 4)
-                nA = _norm_value(hermitian_norm_pow(A, spec, d), d)
-                nB = _norm_value(hermitian_norm_pow(B, spec, d), d)
-                nAB = _norm_value(hermitian_norm_pow(A + B, spec, d), d)
-                tol = 1e-9 * max(1.0, nA + nB)
-                report.record(nAB <= nA + nB + tol, f"hermitian triangle {ctx}: {nAB} > {nA}+{nB}")
-                c = float(rng.uniform(-2.0, 2.0)) or 1.0
-                nCA = _norm_value(hermitian_norm_pow(A * c, spec, d), d)
-                report.record(
-                    abs(nCA - abs(c) * nA) <= 1e-12 * max(1.0, abs(c) * nA),
-                    f"hermitian homogeneity {ctx}",
+            for block in _blocks(trials):
+                draws = []
+                for _ in block:
+                    A = _hermitian_array(rng, 4)
+                    B = _hermitian_array(rng, 4)
+                    c = float(rng.uniform(-2.0, 2.0)) or 1.0
+                    Z = _general_array(rng, 4)
+                    W = _general_array(rng, 4)
+                    cc = complex(rng.normal(), rng.normal()) or 1.0
+                    draws.append((A, B, c, Z, W, cc))
+                A, B, c, Z, W, cc = (np.array(x) for x in zip(*draws))
+                H = hermitian_norm_pow_stack(
+                    np.concatenate([A, B, A + B, A * c[:, None, None]]), spec, d
                 )
-                report.record(nA > 0.0, f"hermitian positivity {ctx}")
+                G = general_norm_pow_stack(
+                    np.concatenate([Z, W, Z + W, Z * cc[:, None, None]]), spec, d
+                )
+                k = len(block)
+                hn, gn = _norm_values(H, d), _norm_values(G, d)
+                for i, t in enumerate(block):
+                    ctx = f"{name} d={d} trial={t}"
+                    nA, nB, nAB, nCA = hn[i], hn[k + i], hn[2 * k + i], hn[3 * k + i]
+                    tol = 1e-9 * max(1.0, nA + nB)
+                    report.record(nAB <= nA + nB + tol, f"hermitian triangle {ctx}: {nAB} > {nA}+{nB}")
+                    ca = abs(draws[i][2])
+                    report.record(
+                        abs(nCA - ca * nA) <= 1e-12 * max(1.0, ca * nA),
+                        f"hermitian homogeneity {ctx}",
+                    )
+                    report.record(nA > 0.0, f"hermitian positivity {ctx}")
 
-                Z = random_general(rng, 4)
-                W = random_general(rng, 4)
-                nZ = _norm_value(general_norm_pow(Z, spec, d), d)
-                nW = _norm_value(general_norm_pow(W, spec, d), d)
-                nZW = _norm_value(general_norm_pow(Z + W, spec, d), d)
-                tol = 1e-9 * max(1.0, nZ + nW)
-                report.record(nZW <= nZ + nW + tol, f"general triangle {ctx}: {nZW} > {nZ}+{nW}")
-                cc = complex(rng.normal(), rng.normal()) or 1.0
-                nCZ = _norm_value(general_norm_pow(Z * cc, spec, d), d)
-                report.record(
-                    abs(nCZ - abs(cc) * nZ) <= 1e-12 * max(1.0, abs(cc) * nZ),
-                    f"general homogeneity {ctx}",
-                )
-                report.record(nZ > 0.0, f"general positivity {ctx}")
+                    nZ, nW, nZW, nCZ = gn[i], gn[k + i], gn[2 * k + i], gn[3 * k + i]
+                    tol = 1e-9 * max(1.0, nZ + nW)
+                    report.record(nZW <= nZ + nW + tol, f"general triangle {ctx}: {nZW} > {nZ}+{nW}")
+                    ca = abs(draws[i][5])
+                    report.record(
+                        abs(nCZ - ca * nZ) <= 1e-12 * max(1.0, ca * nZ),
+                        f"general homogeneity {ctx}",
+                    )
+                    report.record(nZ > 0.0, f"general positivity {ctx}")
     return report
 
 
 def schur_suite(trials: int = 500, seed: int = 2025) -> SuiteReport:
     """Majorization monotonicity: x from y in R^5 by averaging transfers,
     then norm(diag(x)) <= norm(diag(y)) within 1e-12 of scale, for every
-    catalog family at d = 2 and 4."""
+    catalog family at d = 2 and 4.  The diagonals of a block of trials
+    are evaluated as one stack."""
     report = SuiteReport("schur", trials)
     rng = stream(seed)
     for name, spec in default_family_specs():
         for d in (2, 4):
-            for t in range(trials):
-                x, y = robin_hood_pair(rng, 5)
-                if not is_majorized(x, y):
-                    report.record(False, f"generator produced a non-majorized pair {x} {y}")
-                    continue
-                nx = _norm_value(hermitian_norm_pow(Matrix.diagonal(x), spec, d), d)
-                ny = _norm_value(hermitian_norm_pow(Matrix.diagonal(y), spec, d), d)
-                report.record(
-                    nx <= ny + 1e-12 * max(1.0, ny),
-                    f"schur {name} d={d} trial={t}: {nx} > {ny}",
-                )
+            for block in _blocks(trials):
+                pairs = [robin_hood_pair(rng, 5) for _ in block]
+                k = len(pairs)
+                diag = np.zeros((2, k, 5, 5), dtype=complex)
+                diag[:, :, range(5), range(5)] = np.array(pairs).swapaxes(0, 1)
+                norms = _norm_values(hermitian_norm_pow_stack(diag.reshape(-1, 5, 5), spec, d), d)
+                for i, (t, (x, y)) in enumerate(zip(block, pairs)):
+                    if not is_majorized(x, y):
+                        report.record(False, f"generator produced a non-majorized pair {x} {y}")
+                        continue
+                    nx, ny = norms[i], norms[k + i]
+                    report.record(
+                        nx <= ny + 1e-12 * max(1.0, ny),
+                        f"schur {name} d={d} trial={t}: {nx} > {ny}",
+                    )
     return report
 
 
@@ -243,32 +272,52 @@ def hunter_suite(trials: int = 1000, seed: int = 2027) -> SuiteReport:
     return report
 
 
+def _khintchine_rows(Z: np.ndarray, p: int) -> list:
+    """Per matrix of the stack, (lower, middle, upper) or the
+    ArithmeticError its check raised; a stack that raises is checked
+    again one matrix at a time."""
+    try:
+        return list(zip(*(v.tolist() for v in khintchine_bounds(Z, p))))
+    except ArithmeticError:
+        rows = []
+        for M in Z:
+            try:
+                rows.append(khintchine_check(Matrix(M), p))
+            except ArithmeticError as exc:
+                rows.append(exc)
+        return rows
+
+
 def khintchine_suite(trials: int = 200, seed: int = 2028) -> SuiteReport:
     """Frobenius sandwich for Rademacher entries on random 4x4 Hermitian and
-    general matrices at p = 2, 4 and 6; the p=2 lower bound is tight."""
+    general matrices at p = 2, 4 and 6; the p=2 lower bound is tight.  Each
+    block of trials is checked as one stack per kind."""
     report = SuiteReport("khintchine", trials)
     rng = stream(seed)
     for p in (2, 4, 6):
-        for t in range(trials):
-            for kind, Z in (
-                ("hermitian", random_hermitian(rng, 4)),
-                ("general", random_general(rng, 4)),
-            ):
-                try:
-                    lower, middle, upper = khintchine_check(Z, p)
-                except ArithmeticError as exc:
-                    report.record(False, f"khintchine {kind} p={p} trial={t}: {exc}")
-                    continue
-                tol = 1e-9 * max(1.0, upper)
-                report.record(
-                    lower <= middle + tol and middle <= upper + tol,
-                    f"khintchine {kind} p={p} trial={t}: {lower} {middle} {upper}",
-                )
-                if p == 2:
+        for block in _blocks(trials):
+            draws = [(_hermitian_array(rng, 4), _general_array(rng, 4)) for _ in block]
+            kinds = (
+                ("hermitian", _khintchine_rows(np.array([H for H, _ in draws]), p)),
+                ("general", _khintchine_rows(np.array([G for _, G in draws]), p)),
+            )
+            for i, t in enumerate(block):
+                for kind, rows in kinds:
+                    row = rows[i]
+                    if isinstance(row, ArithmeticError):
+                        report.record(False, f"khintchine {kind} p={p} trial={t}: {row}")
+                        continue
+                    lower, middle, upper = row
+                    tol = 1e-9 * max(1.0, upper)
                     report.record(
-                        abs(lower - middle) <= 1e-12 * max(1.0, lower),
-                        f"khintchine p=2 tightness {kind} trial={t}: {lower} vs {middle}",
+                        lower <= middle + tol and middle <= upper + tol,
+                        f"khintchine {kind} p={p} trial={t}: {lower} {middle} {upper}",
                     )
+                    if p == 2:
+                        report.record(
+                            abs(lower - middle) <= 1e-12 * max(1.0, lower),
+                            f"khintchine p=2 tightness {kind} trial={t}: {lower} vs {middle}",
+                        )
     return report
 
 

@@ -14,7 +14,6 @@ from rvnorms.matrixcore import Matrix
 from rvnorms.normengine import (
     circle_extension_check,
     hermitian_norm_pow,
-    pareto_norm_pow_multinomial,
     symbolic_formula,
 )
 from rvnorms.oracle import mc_norm_pow
@@ -30,6 +29,8 @@ from rvnorms.suites import (
     stream,
 )
 from rvnorms.sympoly import chs
+
+from oracles import pareto_norm_pow_multinomial
 
 
 def _finish(k, desc, failures, elapsed, limit=None):

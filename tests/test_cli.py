@@ -10,6 +10,8 @@ from rvnorms import cli
 from rvnorms.matrixcore import Matrix, matrix_to_json
 from rvnorms.suites import SuiteReport
 
+from oracles import zeros
+
 
 def write_matrix(tmp_path, name, M):
     path = tmp_path / name
@@ -41,7 +43,7 @@ def test_norm_text_output(identity2, capsys):
 
 
 def test_norm_zero_matrix(tmp_path, capsys):
-    path = write_matrix(tmp_path, "z.json", Matrix.zeros(2))
+    path = write_matrix(tmp_path, "z.json", zeros(2))
     rc = cli.main(["norm", path, "rademacher", "-d", "4", "--json"])
     out = json.loads(capsys.readouterr().out)
     assert rc == 0

@@ -18,6 +18,8 @@ from rvnorms.oracle import (
     sample_block,
 )
 
+from oracles import zeros
+
 I = 1j
 
 
@@ -120,7 +122,7 @@ def test_mc_norm_is_scale_safe(scale):
 
 
 def test_mc_norm_zero_matrix():
-    est = mc_norm(Matrix.zeros(2), DistributionSpec.exponential(), 3, 10**4, seed=10)
+    est = mc_norm(zeros(2), DistributionSpec.exponential(), 3, 10**4, seed=10)
     assert est.value == 0.0 and est.stderr == 0.0
 
 

@@ -1,0 +1,198 @@
+"""The float routes on matrix stacks: norm axioms at the degrees and sizes
+the suites' grids leave out, agreement with the exact kernel and with a
+stack of one, and the suites' block evaluation."""
+
+import inspect
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from rvnorms import cli, normengine, suites
+from rvnorms.cumulants import DistributionSpec
+from rvnorms.errors import NonHermitianError, PreconditionError
+from rvnorms.matrixcore import Matrix
+from rvnorms.normengine import (
+    circle_extension_check,
+    general_norm_pow,
+    general_norm_pow_stack,
+    hermitian_norm_pow,
+    hermitian_norm_pow_stack,
+)
+from rvnorms.suites import default_family_specs, stream
+
+STACK_ROUTES = {"hermitian": hermitian_norm_pow_stack, "general": general_norm_pow_stack}
+
+
+def random_stack(rng, kind, count, n):
+    g = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
+    return (g + g.conj().swapaxes(1, 2)) * 0.5 if kind == "hermitian" else g
+
+
+@pytest.mark.parametrize("kind", ["hermitian", "general"])
+@pytest.mark.parametrize("n", [6, 8])
+@pytest.mark.parametrize("d", [6, 8, 10, 12])
+def test_axioms_on_stacks(kind, n, d):
+    # The axioms suite's checks and tolerances, at degrees and sizes
+    # beyond its grid (d = 2, 4 on 4x4), for every family.
+    rng = stream(7000 + 100 * d + n)
+    route = STACK_ROUTES[kind]
+    pairs = 8
+    for name, spec in default_family_specs():
+        A, B = random_stack(rng, kind, pairs, n), random_stack(rng, kind, pairs, n)
+        c = rng.uniform(-2.0, 2.0, size=pairs)
+        if kind == "general":
+            c = c + 1j * rng.uniform(-2.0, 2.0, size=pairs)
+        pows = route(np.concatenate([A, B, A + B, A * c[:, None, None]]), spec, d)
+        nA, nB, nAB, nCA = (pows ** (1.0 / d)).reshape(4, pairs)
+        assert (nA > 0).all(), (name, d, n)
+        assert (nAB <= nA + nB + 1e-9 * np.maximum(1.0, nA + nB)).all(), (name, d, n)
+        scaled = np.abs(c) * nA
+        assert (np.abs(nCA - scaled) <= 1e-12 * np.maximum(1.0, scaled)).all(), (name, d, n)
+
+
+# Laws whose cumulant expansion adds terms of one sign on these inputs, so
+# that the float value keeps its digits (ROADMAP item 1 covers the rest).
+STABLE_LAWS = [
+    DistributionSpec.gamma(2, Fraction(1, 2)),
+    DistributionSpec.exponential(),
+    DistributionSpec.normal(Fraction(1, 2), 1),
+    DistributionSpec.laplace(Fraction(1, 3), 1),
+    DistributionSpec.poisson(Fraction(3, 2)),
+]
+
+
+def dyadic(M):
+    """The float matrix M exactly, as the dyadic rationals its entries are."""
+    return Matrix([[Fraction(float(v)) for v in row] for row in M.real])
+
+
+@pytest.mark.parametrize("spec", STABLE_LAWS, ids=lambda s: s.family)
+def test_stack_values_match_the_exact_kernel_on_dyadic_entries(spec):
+    rng = stream(7100)
+    for d in range(2, 13, 2):
+        for n in (3, 5):
+            H = random_stack(rng, "hermitian", 3, n).real
+            G = rng.normal(size=(3, n, n))
+            for route, exact, stack in (
+                (hermitian_norm_pow_stack, hermitian_norm_pow, H),
+                (general_norm_pow_stack, general_norm_pow, G),
+            ):
+                values = route(stack, spec, d)
+                for M, value in zip(stack, values):
+                    want = exact(dyadic(M), spec, d)
+                    assert type(want) is Fraction
+                    assert abs(value - float(want)) <= 1e-12 * float(want), (spec.family, d, n)
+
+
+@pytest.mark.parametrize("kind", ["hermitian", "general"])
+def test_each_row_matches_a_stack_of_one(kind):
+    rng = stream(7200)
+    route = STACK_ROUTES[kind]
+    for name, spec in default_family_specs():
+        for d in (2, 4, 8):
+            stack = random_stack(rng, kind, 5, 4) * rng.uniform(0.1, 10.0, size=(5, 1, 1))
+            values = route(stack, spec, d)
+            for M, value in zip(stack, values):
+                one = route(M[None], spec, d)[0]
+                assert abs(value - one) <= 1e-13 * abs(one), (name, d)
+
+
+def test_single_matrix_routes_are_a_stack_of_one():
+    rng = stream(7300)
+    spec = DistributionSpec.gamma(2, Fraction(1, 2))
+    H = random_stack(rng, "hermitian", 1, 4)
+    Z = random_stack(rng, "general", 1, 4)
+    assert hermitian_norm_pow(Matrix(H[0]), spec, 6) == hermitian_norm_pow_stack(H, spec, 6)[0]
+    assert general_norm_pow(Matrix(Z[0]), spec, 6) == general_norm_pow_stack(Z, spec, 6)[0]
+
+
+def test_stack_refusals():
+    spec = DistributionSpec.exponential()
+    H = random_stack(stream(7400), "hermitian", 3, 3)
+    bad = H.copy()
+    bad[1, 0, 1] += 1e-6
+    with pytest.raises(NonHermitianError):
+        hermitian_norm_pow_stack(bad, spec, 4)
+    bad[1, 0, 1] = np.inf
+    with pytest.raises(ValueError):
+        general_norm_pow_stack(bad, spec, 4)
+    with pytest.raises(ValueError):
+        hermitian_norm_pow_stack(H[0], spec, 4)
+    with pytest.raises(PreconditionError):
+        hermitian_norm_pow_stack(H, spec, 3)
+    # each matrix has its own scale; one power below the float range is refused
+    tiny = np.array([np.eye(2), np.eye(2) * 1e-200])
+    assert hermitian_norm_pow_stack(tiny[:1], spec, 4)[0] == hermitian_norm_pow(Matrix.identity(2), spec, 4)
+    with pytest.raises(PreconditionError, match="outside float range"):
+        hermitian_norm_pow_stack(tiny, spec, 4)
+
+
+def test_circle_check_evaluates_one_stack(monkeypatch):
+    calls = []
+    real = normengine.hermitian_norm_pow_stack
+
+    def spy(M, spec, d):
+        calls.append(len(M))
+        return real(M, spec, d)
+
+    monkeypatch.setattr(normengine, "hermitian_norm_pow_stack", spy)
+    Z = Matrix([[1, Fraction(2, 3)], [Fraction(-1, 5), 2]])
+    quad, alg = circle_extension_check(Z, DistributionSpec.exponential(), 6)
+    assert calls == [14]
+    assert abs(quad - float(alg)) <= 1e-9 * float(alg)
+
+
+@pytest.mark.parametrize("block", [1, 3])
+@pytest.mark.parametrize("suite", ["axioms", "schur", "khintchine"])
+def test_reports_do_not_depend_on_the_block_size(monkeypatch, suite, block):
+    fn = suites.SUITES[suite]
+    want = fn(trials=7, seed=31).to_json()
+    assert want["failures"] == [] and want["checks"] > 0
+    monkeypatch.setattr(suites, "STACK_TRIALS", block)
+    assert fn(trials=7, seed=31).to_json() == want
+
+
+def test_khintchine_stack_that_raises_is_checked_row_by_row(monkeypatch):
+    want = suites.khintchine_suite(trials=4, seed=32).to_json()
+    real_bounds, real_check = suites.khintchine_bounds, suites.khintchine_check
+
+    def bounds(Z, p):
+        if len(Z) > 1:
+            raise ArithmeticError("stack refused")
+        return real_bounds(Z, p)
+
+    monkeypatch.setattr(suites, "khintchine_bounds", bounds)
+    assert suites.khintchine_suite(trials=4, seed=32).to_json() == want
+
+    rows = []
+
+    def check(M, p):
+        rows.append(M)
+        if len(rows) == 2:
+            raise ArithmeticError("row refused")
+        return real_check(M, p)
+
+    monkeypatch.setattr(suites, "khintchine_check", check)
+    report = suites.khintchine_suite(trials=4, seed=32)
+    assert report.checks == want["checks"] - 1  # no tightness check for the refused row
+    assert report.failures == ["khintchine hermitian p=2 trial=1: row refused"]
+
+
+def test_verify_trial_caps_cover_the_defaults():
+    for name, fn in suites.SUITES.items():
+        assert inspect.signature(fn).parameters["trials"].default <= cli.VERIFY_MAX_TRIALS[name]
+
+
+@pytest.mark.parametrize("suite", ["all", "axioms", "paths"])
+def test_verify_over_trial_cap_exit_3_before_work(monkeypatch, capsys, suite):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "run_suite", refuse)
+    cap = min(cli.VERIFY_MAX_TRIALS.values()) if suite == "all" else cli.VERIFY_MAX_TRIALS[suite]
+    rc = cli.main(["verify", "--suite", suite, "--trials", str(cap + 1)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert f"limited to {cap} trials" in captured.err
