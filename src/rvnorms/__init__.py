@@ -18,14 +18,12 @@ from .cumulants import (
     cumulants_to_moments,
     distribution_cumulants,
     distribution_moments,
-    kappa_product,
     moments_to_cumulants,
     parse_distribution,
 )
 from .errors import MomentExistenceError, NonHermitianError, ParseError, PreconditionError
 from .matrixcore import (
     Matrix,
-    frobenius_norm,
     hermitian_eigenvalues,
     is_hermitian,
     is_majorized,
@@ -59,13 +57,9 @@ from .oracle import (
 from .partitions import Partition, enumerate_partitions, hunter_coefficient, y_of, z_of
 from .series import TruncatedSeries
 from .sympoly import (
-    bernoulli_norm_hermitian,
     chs,
-    chs_powersum_identity_check,
     hunter_poly,
     hunter_poly_recursive,
-    monomial_sym,
-    power_sum_product,
 )
 
 __version__ = "0.1.0"
@@ -83,16 +77,13 @@ __all__ = [
     "TracePolynomial",
     "TruncatedSeries",
     "bell_value",
-    "bernoulli_norm_hermitian",
     "bernoulli_number",
     "chs",
-    "chs_powersum_identity_check",
     "circle_extension_check",
     "cumulants_to_moments",
     "distribution_cumulants",
     "distribution_moments",
     "enumerate_partitions",
-    "frobenius_norm",
     "general_norm_pow",
     "general_norm_pow_stack",
     "hermitian_eigenvalues",
@@ -103,7 +94,6 @@ __all__ = [
     "hunter_poly_recursive",
     "is_hermitian",
     "is_majorized",
-    "kappa_product",
     "khintchine_bounds",
     "khintchine_check",
     "khintchine_constant",
@@ -113,10 +103,8 @@ __all__ = [
     "mc_norm",
     "mc_norm_pow",
     "moments_to_cumulants",
-    "monomial_sym",
     "norm",
     "parse_distribution",
-    "power_sum_product",
     "sample",
     "series_norm_pow",
     "symbolic_formula",

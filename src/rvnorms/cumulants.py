@@ -19,7 +19,6 @@ from functools import lru_cache
 from math import comb, factorial, isfinite, prod
 
 from .errors import MomentExistenceError, ParseError, PreconditionError
-from .partitions import Partition
 
 FAMILIES = (
     "gamma",
@@ -414,12 +413,3 @@ def _half(v):
     if isinstance(v, (int, Fraction)):
         return Fraction(v, 2) if isinstance(v, int) else v / 2
     return v / 2
-
-
-def kappa_product(p: Partition, k: CumulantVector):
-    """kappa_pi = product of kappa over the parts of the partition."""
-    if p.parts and p.parts[0] > k.degree:
-        raise PreconditionError(
-            f"partition needs kappa_{p.parts[0]} but only degree {k.degree} is available"
-        )
-    return prod((k.kappas[i - 1] for i in p.parts), start=1)

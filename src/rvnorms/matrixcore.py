@@ -183,10 +183,6 @@ def is_hermitian(Z: Matrix, tol: float | None = None) -> bool:
     return bool(hermitian_mask(Z.array, tol))
 
 
-def frobenius_norm(Z: Matrix) -> float:
-    return float(np.linalg.norm(Z.to_numpy()))
-
-
 def trace_powers(A: Matrix, d: int) -> list:
     """(tr A, tr A^2, ..., tr A^d) by iterated multiplication."""
     if d < 1:

@@ -19,8 +19,11 @@ at the end.  On float input it runs normalized, on B_n / n!, over a stack
 of N matrices at once (:func:`_bell_stack`):
 :func:`hermitian_norm_pow_stack` and :func:`general_norm_pow_stack` take an
 (N, n, n) array and return N norm powers, and one float matrix is a stack
-of one.  The partition walk sum_pi kappa_pi p_pi / y_pi is the tests'
-oracle for the kernel.
+of one.  A stack has a law axis: its ``spec`` is one law for every matrix
+or a sequence of N laws, one per matrix, and each matrix gets the value it
+gets alone under its own law, bit for bit (:func:`_float_factors`).  The
+partition walk sum_pi kappa_pi p_pi / y_pi is the tests' oracle for the
+kernel.
 
 Two independent routes serve as oracles:
 
@@ -55,6 +58,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import groupby
 from math import comb, factorial, lcm, prod
@@ -241,14 +245,29 @@ def _exact_factors(kappas):
     return [kappa.numerator for kappa in kappas], [1] + [kappa.denominator for kappa in kappas]
 
 
-def _float_factors(spec: DistributionSpec, d: int):
-    """(c, m): c[k-1] = kappa_k / k! for k = 1..m as a float array (see
-    :func:`~rvnorms.cumulants.normalized_cumulants`); m is the largest
-    k <= d with a nonzero factor (0 if none), above which every a_k
-    vanishes."""
-    c = normalized_cumulants(spec, d)
-    m = max((k for k in range(1, d + 1) if c[k - 1] != 0), default=0)
-    return np.array(c[:m]), m
+def _float_factors(spec: DistributionSpec | Sequence[DistributionSpec], N: int, d: int):
+    """(c, m) for a stack of N matrices under ``spec``, one
+    :class:`DistributionSpec` for all of them or a sequence of N, one per
+    matrix.  m[i] is the largest k <= d at which row i's law has a nonzero
+    factor kappa_k / k! (0 if none), above which every a_k vanishes;
+    c[i, k-1] is that factor for k = 1..max(m) (see
+    :func:`~rvnorms.cumulants.normalized_cumulants`), 0 above m[i].  The
+    factors are formed once per distinct law and indexed per row."""
+    if isinstance(spec, DistributionSpec):
+        laws, rows = [spec], np.zeros(N, dtype=np.intp)
+    else:
+        specs = list(spec)
+        if len(specs) != N:
+            raise ValueError(f"{len(specs)} laws for a stack of {N} matrices")
+        laws = list({id(s): s for s in specs}.values())  # distinct, by identity
+        index = {id(law): i for i, law in enumerate(laws)}
+        rows = np.fromiter(map(index.__getitem__, map(id, specs)), dtype=np.intp, count=N)
+    factors = [normalized_cumulants(law, d) for law in laws]
+    ms = [max((k for k, ck in enumerate(c, 1) if ck != 0), default=0) for c in factors]
+    c = np.zeros((len(laws), max(ms, default=0)))
+    for i, (ci, mi) in enumerate(zip(factors, ms)):
+        c[i, :mi] = ci[:mi]
+    return c[rows], np.array(ms)[rows]
 
 
 def _float_stack(Z, hermitian: bool):
@@ -299,32 +318,42 @@ def hermitian_norm_pow(A: Matrix, spec: DistributionSpec, d: int):
     return _rescaled(Fraction(b, D * factorial(d)), scale, d)
 
 
-def hermitian_norm_pow_stack(A, spec: DistributionSpec, d: int) -> np.ndarray:
+def hermitian_norm_pow_stack(
+    A, spec: DistributionSpec | Sequence[DistributionSpec], d: int
+) -> np.ndarray:
     """The norm powers of a stack (N, n, n) of float Hermitian matrices, as
     N floats: for each, B_d(kappa_1 tr A, ..., kappa_d tr A^d) / d! by
     :func:`_bell_stack`, at the power-of-two scale of :func:`_float_stack`.
 
-    The trace powers come from one batched product per power; each must
-    be real to within :func:`~rvnorms.scalars.real_parts_checked`'s
+    ``spec`` is one law for every matrix or a sequence of N laws, one per
+    matrix (:func:`_float_factors`).  The recurrence runs to the largest m
+    in the stack; a row whose law has a smaller m gets zero factors above
+    it, which add exact zeros at the end of each of its sums, so every
+    row's value is the one it gets alone under its own law.  The trace
+    powers come from one batched product per power; each up to its row's
+    m must be real to within :func:`~rvnorms.scalars.real_parts_checked`'s
     residue.  A value outside the float range is refused
     (:func:`_rescaled_stack`).
     """
     _require_even_degree(d)
     As, e = _float_stack(A, hermitian=True)
-    c, m = _float_factors(spec, d)
+    c, m = _float_factors(spec, len(As), d)
     tp = _trace_power_stack(As, m)
     return _rescaled_stack(_bell_stack((tp * c)[:, :, None], d)[:, 0], e, d)
 
 
-def _trace_power_stack(A: np.ndarray, m: int) -> np.ndarray:
-    """(N, m): the real parts of tr A^k, k = 1..m, for a stack of
-    Hermitian matrices, checked by :func:`real_parts_checked`."""
-    P = np.empty((m,) + A.shape, dtype=complex)  # P[k-1] = A^k
-    if m:
+def _trace_power_stack(A: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """(N, max(m)): the real parts of tr A^k, k = 1..max(m), for a stack of
+    Hermitian matrices; those with k <= m[i] are checked by
+    :func:`real_parts_checked`, the rest are 0."""
+    top = int(m.max(initial=0))
+    P = np.empty((top,) + A.shape, dtype=complex)  # P[k-1] = A^k
+    if top:
         P[0] = A
-    for k in range(1, m):
+    for k in range(1, top):
         np.matmul(P[k - 1], A, out=P[k])
-    return real_parts_checked(P.trace(axis1=2, axis2=3).T)
+    tr = P.trace(axis1=2, axis2=3).T
+    return real_parts_checked(np.where(np.arange(1, top + 1) <= m[:, None], tr, 0))
 
 
 def series_norm_pow(A: Matrix, spec: DistributionSpec, d: int):
@@ -482,20 +511,31 @@ def general_norm_pow(Z: Matrix, spec: DistributionSpec, d: int):
     return _rescaled(Fraction(b[half], D * factorial(d) * comb(d, half)), scale, d)
 
 
-def general_norm_pow_stack(Z, spec: DistributionSpec, d: int) -> np.ndarray:
+def general_norm_pow_stack(
+    Z, spec: DistributionSpec | Sequence[DistributionSpec], d: int
+) -> np.ndarray:
     """The norm powers of a stack (N, n, n) of arbitrary square float
     matrices, as N floats, by the constant-term route of
     :func:`general_norm_pow`: tau from :func:`_adjoint_count_trace_stack`,
     [u^{d/2}] B_d / d! from :func:`_bell_stack`, each value real to within
     :func:`~rvnorms.scalars.real_parts_checked`'s residue and rescaled by
     :func:`_rescaled_stack`.
+
+    ``spec`` is one law for every matrix or a sequence of N laws, one per
+    matrix (:func:`_float_factors`).  Rows are evaluated in groups of equal
+    m, because m sets the level h = ceil(m/2) at which the traces split,
+    and so the rounding of every trace above it: each row gets the value
+    it gets alone under its own law.
     """
     _require_even_degree(d)
     half = d // 2
     Zs, e = _float_stack(Z, hermitian=False)
-    c, m = _float_factors(spec, d)
-    tau = _adjoint_count_trace_stack(Zs, m, half)
-    b = _bell_stack(tau * c[:, None], d)[:, half]
+    c, m = _float_factors(spec, len(Zs), d)
+    b = np.empty(len(Zs), dtype=complex)
+    for mk in set(m.tolist()):
+        rows = m == mk
+        tau = _adjoint_count_trace_stack(Zs[rows], mk, half)
+        b[rows] = _bell_stack(tau * c[rows, :mk, None], d)[:, half]
     return _rescaled_stack(real_parts_checked(b / comb(d, half)), e, d)
 
 
@@ -594,7 +634,12 @@ class TracePolynomial:
             return trace_of_product(prefixes[w[:-1]], letters[w[-1]])
 
         traces = {w: trace(w) for w in {w for key in self.terms for w in key}}
-        values = [prod((traces[w] for w in key), start=c) for key, c in self.terms.items()]
+        coeffs = self.terms.values()
+        if not Z.is_exact():
+            # complex(c) * t is the product that Fraction c * complex t
+            # computes, without the Fraction operator's type dispatch
+            coeffs = map(complex, coeffs)
+        values = [prod((traces[w] for w in key), start=c) for key, c in zip(self.terms, coeffs)]
         if all(is_exact(v) for v in values):
             return sum(values)
         # thousands of rounded terms: a running sum would lose digits
@@ -674,9 +719,10 @@ def symbolic_formula(kappas, d: int, hermitian_mode: bool = False) -> TracePolyn
             table = ((tuple(sorted("z" * part for part in p.parts)), 1),)
         else:
             table = placement_terms(p.parts)
+        # far fewer multiplicities than terms: each coefficient formed once
+        coeff = {mult: mult * base for mult in {mult for _, mult in table}}
         # factor tuples never repeat: their word lengths give the partition
-        for factors, mult in table:
-            terms[factors] = mult * base
+        terms.update((factors, coeff[mult]) for factors, mult in table)
     return TracePolynomial(d, hermitian_mode, terms)
 
 

@@ -19,7 +19,6 @@ from .cumulants import DistributionSpec
 from .matrixcore import Matrix, is_majorized
 from .normengine import (
     general_norm_pow_stack,
-    hermitian_norm_pow,
     hermitian_norm_pow_stack,
     series_norm_pow,
     word_sum_norm_pow,
@@ -27,11 +26,15 @@ from .normengine import (
 from .oracle import check_seed, khintchine_bounds, khintchine_check
 from .sympoly import hunter_poly, hunter_poly_recursive, hunter_terms
 
-# Trials whose matrices the axioms, schur and khintchine suites evaluate
-# as one stack, so that peak memory is set by this constant and not by
-# --trials.  Measured on a 2-vCPU host: 1000 axioms trials take 2.1 s in
-# blocks of 100 and 1.9-2.3 s in blocks of 250 to 1000, while the peak
-# traced allocation of 300 trials grows from 1.9 MB to 5.6 MB.
+# Trials whose matrices the suites evaluate together, so that peak memory
+# is set by this constant and not by --trials.  The axioms, schur and paths
+# suites gather successive (family, degree) cells' draws until this many
+# trials are pending and evaluate them as one stack per degree, with each
+# cell's law on its rows; at this many trials or more a cell is its own
+# stack.  khintchine evaluates blocks of this many trials.  Measured on a
+# 2-vCPU host: 1000 axioms trials take 2.1 s in blocks of 100 and 1.9-2.3 s
+# in blocks of 250 to 1000, while the peak traced allocation of 300 trials
+# grows from 1.9 MB to 5.6 MB.
 STACK_TRIALS = 100
 
 
@@ -136,88 +139,131 @@ def _blocks(trials: int):
         yield range(start, min(start + STACK_TRIALS, trials))
 
 
-def _norm_values(pows: np.ndarray, d: int) -> list[float]:
-    return [v ** (1.0 / d) for v in pows.tolist()]
+def _runs(cells, trials: int):
+    """Each cell's blocks of trials (:func:`_blocks`) as (cell, block)
+    items, in order, gathered into runs of at most STACK_TRIALS trials in
+    total: successive cells share a run while their blocks fit, and a
+    block of STACK_TRIALS trials is a run of its own."""
+    run, pending = [], 0
+    for cell in cells:
+        for block in _blocks(trials):
+            if run and pending + len(block) > STACK_TRIALS:
+                yield run
+                run, pending = [], 0
+            run.append((cell, block))
+            pending += len(block)
+    if run:
+        yield run
+
+
+def _stack_pows(route, parts) -> list[list[float]]:
+    """The norm powers of each part (spec, d, stack) by ``route``, one list
+    per part.  The parts of one degree and matrix size are evaluated as
+    one stack, with each part's law on its rows."""
+    groups: dict = {}
+    for i, (_, d, M) in enumerate(parts):
+        groups.setdefault((d, M.shape[-1]), []).append(i)
+    out: list = [None] * len(parts)
+    for (d, _), members in groups.items():
+        laws: list = []
+        for i in members:
+            laws += [parts[i][0]] * len(parts[i][2])
+        pows = route(np.concatenate([parts[i][2] for i in members]), laws, d).tolist()
+        start = 0
+        for i in members:
+            stop = start + len(parts[i][2])
+            out[i], start = pows[start:stop], stop
+    return out
+
+
+def _norm_values(pows: list[float], d: int) -> list[float]:
+    return [v ** (1.0 / d) for v in pows]
 
 
 def axioms_suite(trials: int = 1000, seed: int = 2024) -> SuiteReport:
     """Triangle inequality, absolute homogeneity, and strict positivity on
     random 4x4 Hermitian pairs (Hermitian route) and general pairs
     (constant-term route), for every catalog family at d = 2 and 4: six
-    checks a trial.  Each block of trials is drawn first, in the order of
-    one trial at a time, and its matrices evaluated as one Hermitian and
-    one general stack."""
+    checks a trial.  Each run of trials (:func:`_runs`) is drawn first, in
+    the order of one family, degree and trial at a time, and its matrices
+    evaluated as one Hermitian and one general stack per degree."""
     report = SuiteReport("axioms", trials)
     rng = stream(seed)
-    for name, spec in default_family_specs():
-        for d in (2, 4):
-            for block in _blocks(trials):
-                draws = []
-                for _ in block:
-                    A = _hermitian_array(rng, 4)
-                    B = _hermitian_array(rng, 4)
-                    c = float(rng.uniform(-2.0, 2.0)) or 1.0
-                    Z = _general_array(rng, 4)
-                    W = _general_array(rng, 4)
-                    cc = complex(rng.normal(), rng.normal()) or 1.0
-                    draws.append((A, B, c, Z, W, cc))
-                A, B, c, Z, W, cc = (np.array(x) for x in zip(*draws))
-                H = hermitian_norm_pow_stack(
-                    np.concatenate([A, B, A + B, A * c[:, None, None]]), spec, d
+    cells = [(name, spec, d) for name, spec in default_family_specs() for d in (2, 4)]
+    for run in _runs(cells, trials):
+        herm, gen, drawn = [], [], []
+        for (_, spec, d), block in run:
+            draws = []
+            for _ in block:
+                A = _hermitian_array(rng, 4)
+                B = _hermitian_array(rng, 4)
+                c = float(rng.uniform(-2.0, 2.0)) or 1.0
+                Z = _general_array(rng, 4)
+                W = _general_array(rng, 4)
+                cc = complex(rng.normal(), rng.normal()) or 1.0
+                draws.append((A, B, c, Z, W, cc))
+            A, B, c, Z, W, cc = (np.array(x) for x in zip(*draws))
+            herm.append((spec, d, np.concatenate([A, B, A + B, A * c[:, None, None]])))
+            gen.append((spec, d, np.concatenate([Z, W, Z + W, Z * cc[:, None, None]])))
+            drawn.append(draws)
+        H = _stack_pows(hermitian_norm_pow_stack, herm)
+        G = _stack_pows(general_norm_pow_stack, gen)
+        for ((name, _, d), block), draws, hp, gp in zip(run, drawn, H, G):
+            k = len(block)
+            hn, gn = _norm_values(hp, d), _norm_values(gp, d)
+            for i, t in enumerate(block):
+                ctx = f"{name} d={d} trial={t}"
+                nA, nB, nAB, nCA = hn[i], hn[k + i], hn[2 * k + i], hn[3 * k + i]
+                tol = 1e-9 * max(1.0, nA + nB)
+                report.record(nAB <= nA + nB + tol, f"hermitian triangle {ctx}: {nAB} > {nA}+{nB}")
+                ca = abs(draws[i][2])
+                report.record(
+                    abs(nCA - ca * nA) <= 1e-12 * max(1.0, ca * nA),
+                    f"hermitian homogeneity {ctx}",
                 )
-                G = general_norm_pow_stack(
-                    np.concatenate([Z, W, Z + W, Z * cc[:, None, None]]), spec, d
-                )
-                k = len(block)
-                hn, gn = _norm_values(H, d), _norm_values(G, d)
-                for i, t in enumerate(block):
-                    ctx = f"{name} d={d} trial={t}"
-                    nA, nB, nAB, nCA = hn[i], hn[k + i], hn[2 * k + i], hn[3 * k + i]
-                    tol = 1e-9 * max(1.0, nA + nB)
-                    report.record(nAB <= nA + nB + tol, f"hermitian triangle {ctx}: {nAB} > {nA}+{nB}")
-                    ca = abs(draws[i][2])
-                    report.record(
-                        abs(nCA - ca * nA) <= 1e-12 * max(1.0, ca * nA),
-                        f"hermitian homogeneity {ctx}",
-                    )
-                    report.record(nA > 0.0, f"hermitian positivity {ctx}")
+                report.record(nA > 0.0, f"hermitian positivity {ctx}")
 
-                    nZ, nW, nZW, nCZ = gn[i], gn[k + i], gn[2 * k + i], gn[3 * k + i]
-                    tol = 1e-9 * max(1.0, nZ + nW)
-                    report.record(nZW <= nZ + nW + tol, f"general triangle {ctx}: {nZW} > {nZ}+{nW}")
-                    ca = abs(draws[i][5])
-                    report.record(
-                        abs(nCZ - ca * nZ) <= 1e-12 * max(1.0, ca * nZ),
-                        f"general homogeneity {ctx}",
-                    )
-                    report.record(nZ > 0.0, f"general positivity {ctx}")
+                nZ, nW, nZW, nCZ = gn[i], gn[k + i], gn[2 * k + i], gn[3 * k + i]
+                tol = 1e-9 * max(1.0, nZ + nW)
+                report.record(nZW <= nZ + nW + tol, f"general triangle {ctx}: {nZW} > {nZ}+{nW}")
+                ca = abs(draws[i][5])
+                report.record(
+                    abs(nCZ - ca * nZ) <= 1e-12 * max(1.0, ca * nZ),
+                    f"general homogeneity {ctx}",
+                )
+                report.record(nZ > 0.0, f"general positivity {ctx}")
     return report
 
 
 def schur_suite(trials: int = 500, seed: int = 2025) -> SuiteReport:
     """Majorization monotonicity: x from y in R^5 by averaging transfers,
     then norm(diag(x)) <= norm(diag(y)) within 1e-12 of scale, for every
-    catalog family at d = 2 and 4.  The diagonals of a block of trials
-    are evaluated as one stack."""
+    catalog family at d = 2 and 4.  The diagonals of a run of trials
+    (:func:`_runs`) are evaluated as one stack per degree."""
     report = SuiteReport("schur", trials)
     rng = stream(seed)
-    for name, spec in default_family_specs():
-        for d in (2, 4):
-            for block in _blocks(trials):
-                pairs = [robin_hood_pair(rng, 5) for _ in block]
-                k = len(pairs)
-                diag = np.zeros((2, k, 5, 5), dtype=complex)
-                diag[:, :, range(5), range(5)] = np.array(pairs).swapaxes(0, 1)
-                norms = _norm_values(hermitian_norm_pow_stack(diag.reshape(-1, 5, 5), spec, d), d)
-                for i, (t, (x, y)) in enumerate(zip(block, pairs)):
-                    if not is_majorized(x, y):
-                        report.record(False, f"generator produced a non-majorized pair {x} {y}")
-                        continue
-                    nx, ny = norms[i], norms[k + i]
-                    report.record(
-                        nx <= ny + 1e-12 * max(1.0, ny),
-                        f"schur {name} d={d} trial={t}: {nx} > {ny}",
-                    )
+    cells = [(name, spec, d) for name, spec in default_family_specs() for d in (2, 4)]
+    for run in _runs(cells, trials):
+        drawn, parts = [], []
+        for (_, spec, d), block in run:
+            pairs = [robin_hood_pair(rng, 5) for _ in block]
+            diag = np.zeros((2, len(pairs), 5, 5), dtype=complex)
+            diag[:, :, range(5), range(5)] = np.array(pairs).swapaxes(0, 1)
+            drawn.append(pairs)
+            parts.append((spec, d, diag.reshape(-1, 5, 5)))
+        pows = _stack_pows(hermitian_norm_pow_stack, parts)
+        for ((name, _, d), block), pairs, cell_pows in zip(run, drawn, pows):
+            k = len(pairs)
+            norms = _norm_values(cell_pows, d)
+            for i, (t, (x, y)) in enumerate(zip(block, pairs)):
+                if not is_majorized(x, y):
+                    report.record(False, f"generator produced a non-majorized pair {x} {y}")
+                    continue
+                nx, ny = norms[i], norms[k + i]
+                report.record(
+                    nx <= ny + 1e-12 * max(1.0, ny),
+                    f"schur {name} d={d} trial={t}: {nx} > {ny}",
+                )
     return report
 
 
@@ -225,26 +271,32 @@ def paths_suite(trials: int = 50, seed: int = 2026) -> SuiteReport:
     """Partition, series, and trace-word routes agree to 1e-10 relative on
     random Hermitian matrices of size 2 to 5, for every family with a moment
     generating function at d = 2, 4 and 6; the trace-word oracle restricts
-    to the Hermitian route."""
+    to the Hermitian route.  The partition values of a run of trials
+    (:func:`_runs`) are evaluated as one stack per degree and size; the
+    series and trace-word oracles take one matrix at a time."""
     report = SuiteReport("paths", trials)
     rng = stream(seed)
-    for name, spec in mgf_family_specs():
-        for d in (2, 4, 6):
-            for t in range(trials):
+    cells = [(name, spec, d) for name, spec in mgf_family_specs() for d in (2, 4, 6)]
+    for run in _runs(cells, trials):
+        drawn = []
+        for (name, spec, d), block in run:
+            for t in block:
                 n = int(rng.integers(2, 6))
-                A = random_hermitian(rng, n)
-                v1 = float(hermitian_norm_pow(A, spec, d))
-                ref = max(1.0, abs(v1))
-                v2 = float(series_norm_pow(A, spec, d))
-                report.record(
-                    abs(v1 - v2) <= 1e-10 * ref,
-                    f"paths partition-vs-series {name} d={d} trial={t}: {v1} vs {v2}",
-                )
-                v3 = float(word_sum_norm_pow(A, spec, d))
-                report.record(
-                    abs(v1 - v3) <= 1e-10 * ref,
-                    f"paths partition-vs-words {name} d={d} trial={t}: {v1} vs {v3}",
-                )
+                drawn.append((name, spec, d, t, random_hermitian(rng, n)))
+        parts = [(spec, d, A.array[None]) for _, spec, d, _, A in drawn]
+        pows = _stack_pows(hermitian_norm_pow_stack, parts)
+        for (name, spec, d, t, A), (v1,) in zip(drawn, pows):
+            ref = max(1.0, abs(v1))
+            v2 = float(series_norm_pow(A, spec, d))
+            report.record(
+                abs(v1 - v2) <= 1e-10 * ref,
+                f"paths partition-vs-series {name} d={d} trial={t}: {v1} vs {v2}",
+            )
+            v3 = float(word_sum_norm_pow(A, spec, d))
+            report.record(
+                abs(v1 - v3) <= 1e-10 * ref,
+                f"paths partition-vs-words {name} d={d} trial={t}: {v1} vs {v3}",
+            )
     return report
 
 

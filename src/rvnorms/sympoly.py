@@ -1,11 +1,9 @@
-"""Symmetric-polynomial calculus: complete homogeneous sums, power sums,
-monomial symmetric polynomials, and the positive-definite combinations
-H_{d,alpha} of CHS products.
+"""Symmetric-polynomial calculus: complete homogeneous sums and the
+positive-definite combinations H_{d,alpha} of CHS products.
 
 Everything here is plain evaluation at a point; exact inputs give exact
 outputs.  ``chs_prefix`` computes h_0..h_d by one prefix dynamic program
-(n*d work) and ``chs`` reads h_d from it; the raw monomial sum is kept as a
-brute-force oracle for tests.
+(n*d work) and ``chs`` reads h_d from it.
 
 Both forms of H_{d,alpha} run in Python ints on an exact point: the point
 is scaled by the lcm L of its denominators (:func:`_scaled_point`), and
@@ -16,13 +14,11 @@ point with a float coordinate is evaluated as it is.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import lcm, prod
 
-from .errors import PreconditionError
-from .partitions import Partition, enumerate_partitions, hunter_coefficient, z_of
-from .scalars import exact_div, is_exact
+from .partitions import Partition, enumerate_partitions, hunter_coefficient
+from .scalars import is_exact
 
 
 def chs(d: int, x) -> object:
@@ -44,62 +40,6 @@ def chs_prefix(d: int, x) -> list:
         for j in range(1, d + 1):
             h[j] = h[j] + xi * h[j - 1]
     return h
-
-
-def chs_monomial_sum(d: int, x) -> object:
-    """Brute-force h_d via combinations with repetition; test oracle only."""
-    x = list(x)
-    total = 0
-    for combo in itertools.combinations_with_replacement(range(len(x)), d):
-        total = total + prod((x[i] for i in combo), start=1)
-    return total
-
-
-def power_sum_product(p: Partition, x) -> object:
-    """p_pi(x) = product over parts of sum_i x_i^part."""
-    x = list(x)
-    return prod((sum(xi**part for xi in x) for part in p.parts), start=1)
-
-
-def monomial_sym(p: Partition, x) -> object:
-    """Monomial symmetric polynomial m_pi(x): one term per distinct way of
-    assigning the parts as exponents to distinct variables.
-
-    Zero when the partition has more parts than there are variables.
-    """
-    x = list(x)
-    n = len(x)
-    if p.num_parts > n:
-        return 0
-    values = sorted(p.multiplicities.items())  # (part value, multiplicity)
-    total = 0
-
-    def assign(vi: int, free: tuple[int, ...], acc) -> None:
-        nonlocal total
-        if vi == len(values):
-            total = total + acc
-            return
-        value, mult = values[vi]
-        for chosen in itertools.combinations(free, mult):
-            rest = tuple(i for i in free if i not in chosen)
-            term = acc
-            for i in chosen:
-                term = term * x[i] ** value
-            assign(vi + 1, rest, term)
-
-    assign(0, tuple(range(n)), 1)
-    return total
-
-
-def chs_powersum_identity_check(d: int, x) -> tuple:
-    """Return (h_d(x), sum over partitions of p_pi(x)/z_pi); they agree."""
-    if d % 2:
-        raise PreconditionError("identity check is stated for even d")
-    x = list(x)
-    total = 0
-    for p in enumerate_partitions(d):
-        total = total + exact_div(power_sum_product(p, x), z_of(p))
-    return chs(d, x), total
 
 
 def hunter_terms(d: int, alpha: int) -> list[tuple[Partition, int]]:
@@ -177,31 +117,3 @@ def hunter_poly_recursive(d: int, alpha: int, x) -> object:
             if r:
                 raise ArithmeticError(f"power recurrence left remainder {r} at k={k}")
     return _rescaled(g[d], x, L, d)
-
-
-def bernoulli_norm_hermitian(lambdas, q, d: int) -> object:
-    """Degree-d norm power for Bernoulli(q) entries on a diagonal matrix,
-    via monomial symmetric polynomials:
-
-        sum over partitions pi of d of  q^{|pi|} / prod_j (pi_j!) * m_pi(lambda).
-
-    The coefficient comes from grouping the multinomial expansion of
-    E<X, lambda>^d by exponent pattern: each pattern pi carries
-    d!/prod(pi_j!) monomial weight and a factor q per occupied slot, and
-    the overall 1/d! cancels the d!.  (Collapsing the coefficient to
-    |pi|!/d! instead would undercount patterns with repeated parts, e.g.
-    (2,2) at d=4 gives 1/4, not 1/12.)
-    """
-    if d % 2 or d < 2:
-        raise PreconditionError("even d >= 2 required")
-    if not 0 < q < 1:
-        raise PreconditionError(f"q must lie in (0, 1), got {q!r}")
-    lambdas = list(lambdas)
-    total = 0
-    for p in enumerate_partitions(d):
-        m = monomial_sym(p, lambdas)
-        if m == 0:
-            continue
-        coeff = exact_div(q ** p.num_parts, prod(factorial(part) for part in p.parts))
-        total = total + coeff * m
-    return total

@@ -1,19 +1,26 @@
 """Independent routes and helpers that only the tests use.
 
-The closed normal form and the Pareto multinomial expansion are oracles
-for the cumulant routes; ``random_unitary`` and ``zeros`` build test
-inputs.
+The closed normal form, the Pareto multinomial expansion and the
+Bernoulli monomial-symmetric sum are oracles for the cumulant routes;
+the brute-force monomial sum, power sums, monomial symmetric polynomials
+and the CHS power-sum identity are oracles for ``sympoly``;
+``kappa_product`` and ``frobenius_norm`` are the plain definitions;
+``random_unitary`` and ``zeros`` build test inputs.
 """
 
+import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 
-from rvnorms.errors import MomentExistenceError, NonHermitianError
+from rvnorms.cumulants import CumulantVector
+from rvnorms.errors import MomentExistenceError, NonHermitianError, PreconditionError
 from rvnorms.matrixcore import Matrix, is_hermitian, trace_powers
 from rvnorms.normengine import _require_even_degree
+from rvnorms.partitions import Partition, enumerate_partitions, z_of
 from rvnorms.scalars import exact_div, real_part_checked
+from rvnorms.sympoly import chs
 
 
 def zeros(n: int) -> Matrix:
@@ -89,3 +96,100 @@ def pareto_norm_pow_multinomial(lambdas, alpha, d: int):
                 term = term * lam**k * mu[k]
         total = total + term
     return exact_div(total, factorial(d))
+
+
+def chs_monomial_sum(d: int, x) -> object:
+    """Brute-force h_d via combinations with repetition."""
+    x = list(x)
+    total = 0
+    for combo in itertools.combinations_with_replacement(range(len(x)), d):
+        total = total + prod((x[i] for i in combo), start=1)
+    return total
+
+
+def power_sum_product(p: Partition, x) -> object:
+    """p_pi(x) = product over parts of sum_i x_i^part."""
+    x = list(x)
+    return prod((sum(xi**part for xi in x) for part in p.parts), start=1)
+
+
+def monomial_sym(p: Partition, x) -> object:
+    """Monomial symmetric polynomial m_pi(x): one term per distinct way of
+    assigning the parts as exponents to distinct variables.
+
+    Zero when the partition has more parts than there are variables.
+    """
+    x = list(x)
+    n = len(x)
+    if p.num_parts > n:
+        return 0
+    values = sorted(p.multiplicities.items())  # (part value, multiplicity)
+    total = 0
+
+    def assign(vi: int, free: tuple[int, ...], acc) -> None:
+        nonlocal total
+        if vi == len(values):
+            total = total + acc
+            return
+        value, mult = values[vi]
+        for chosen in itertools.combinations(free, mult):
+            rest = tuple(i for i in free if i not in chosen)
+            term = acc
+            for i in chosen:
+                term = term * x[i] ** value
+            assign(vi + 1, rest, term)
+
+    assign(0, tuple(range(n)), 1)
+    return total
+
+
+def chs_powersum_identity_check(d: int, x) -> tuple:
+    """Return (h_d(x), sum over partitions of p_pi(x)/z_pi); they agree."""
+    if d % 2:
+        raise PreconditionError("identity check is stated for even d")
+    x = list(x)
+    total = 0
+    for p in enumerate_partitions(d):
+        total = total + exact_div(power_sum_product(p, x), z_of(p))
+    return chs(d, x), total
+
+
+def bernoulli_norm_hermitian(lambdas, q, d: int) -> object:
+    """Degree-d norm power for Bernoulli(q) entries on a diagonal matrix,
+    via monomial symmetric polynomials:
+
+        sum over partitions pi of d of  q^{|pi|} / prod_j (pi_j!) * m_pi(lambda).
+
+    The coefficient comes from grouping the multinomial expansion of
+    E<X, lambda>^d by exponent pattern: each pattern pi carries
+    d!/prod(pi_j!) monomial weight and a factor q per occupied slot, and
+    the overall 1/d! cancels the d!.  (Collapsing the coefficient to
+    |pi|!/d! instead would undercount patterns with repeated parts, e.g.
+    (2,2) at d=4 gives 1/4, not 1/12.)
+    """
+    if d % 2 or d < 2:
+        raise PreconditionError("even d >= 2 required")
+    if not 0 < q < 1:
+        raise PreconditionError(f"q must lie in (0, 1), got {q!r}")
+    lambdas = list(lambdas)
+    total = 0
+    for p in enumerate_partitions(d):
+        m = monomial_sym(p, lambdas)
+        if m == 0:
+            continue
+        coeff = exact_div(q ** p.num_parts, prod(factorial(part) for part in p.parts))
+        total = total + coeff * m
+    return total
+
+
+def kappa_product(p: Partition, k: CumulantVector):
+    """kappa_pi = product of kappa over the parts of the partition."""
+    if p.parts and p.parts[0] > k.degree:
+        raise PreconditionError(
+            f"partition needs kappa_{p.parts[0]} but only degree {k.degree} is available"
+        )
+    return prod((k.kappas[i - 1] for i in p.parts), start=1)
+
+
+def frobenius_norm(Z: Matrix) -> float:
+    return float(np.linalg.norm(Z.to_numpy()))

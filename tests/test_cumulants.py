@@ -11,13 +11,14 @@ from rvnorms.cumulants import (
     cumulants_to_moments,
     distribution_cumulants,
     distribution_moments,
-    kappa_product,
     moments_to_cumulants,
     parse_distribution,
     parse_scalar,
 )
 from rvnorms.errors import MomentExistenceError, ParseError, PreconditionError
 from rvnorms.partitions import Partition
+
+from oracles import kappa_product
 
 ALL_SPECS = [
     DistributionSpec.gamma(2, Fraction(1, 2)),

@@ -10,7 +10,6 @@ import pytest
 from rvnorms.errors import NonHermitianError, ParseError
 from rvnorms.matrixcore import (
     Matrix,
-    frobenius_norm,
     hermitian_eigenvalues,
     is_hermitian,
     is_majorized,
@@ -22,7 +21,7 @@ from rvnorms.matrixcore import (
 )
 from rvnorms.suites import random_hermitian, stream
 
-from oracles import random_unitary, zeros
+from oracles import frobenius_norm, random_unitary, zeros
 
 I = 1j
 

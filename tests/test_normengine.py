@@ -13,7 +13,7 @@ from rvnorms.cumulants import (
 )
 from rvnorms import normengine
 from rvnorms.errors import NonHermitianError, PreconditionError
-from rvnorms.matrixcore import Matrix, trace_powers
+from rvnorms.matrixcore import Matrix, trace_of_product, trace_powers
 from rvnorms.normengine import (
     bell_value,
     circle_extension_check,
@@ -25,7 +25,6 @@ from rvnorms.normengine import (
     symbolic_formula,
     word_sum_norm_pow,
 )
-from rvnorms.cumulants import kappa_product
 from rvnorms.partitions import enumerate_partitions, y_of
 from rvnorms.scalars import exact_div, real_part_checked
 from rvnorms.sympoly import chs
@@ -37,7 +36,13 @@ from rvnorms.suites import (
     stream,
 )
 
-from oracles import normal_norm_pow_closed, pareto_norm_pow_multinomial, random_unitary, zeros
+from oracles import (
+    kappa_product,
+    normal_norm_pow_closed,
+    pareto_norm_pow_multinomial,
+    random_unitary,
+    zeros,
+)
 
 I = 1j
 
@@ -657,6 +662,31 @@ def test_symbolic_formula_evaluates_to_norm():
         assert float(general_norm_pow(Z, spec, 4)) == pytest.approx(
             real_part_checked(total)
         )
+
+
+def test_evaluate_on_float_input_equals_the_fraction_products():
+    # On a float matrix each term starts from complex(coeff); the sum is the
+    # one that Fraction coefficient times complex trace gives, bit for bit.
+    rng = stream(62)
+    for spec in (DistributionSpec.gamma(2, Fraction(1, 2)), DistributionSpec.uniform(-1, Fraction(3, 2))):
+        for d in (4, 6):
+            poly = symbolic_formula(distribution_cumulants(spec, d), d)
+            assert all(isinstance(c, Fraction) for c in poly.terms.values())
+            Z = random_general(rng, 3)
+            letters = {"z": Z, "s": Z.adjoint()}
+
+            def trace(w):
+                if len(w) == 1:
+                    return letters[w].trace()
+                M = letters[w[0]]
+                for ch in w[1:-1]:
+                    M = M @ letters[ch]
+                return trace_of_product(M, letters[w[-1]])
+
+            traces = {w: trace(w) for key in poly.terms for w in key}
+            values = [math.prod((traces[w] for w in key), start=c) for key, c in poly.terms.items()]
+            want = complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
+            assert poly.evaluate(Z) == want, (spec.family, d)
 
 
 def test_evaluate_one_product_per_distinct_prefix(monkeypatch):

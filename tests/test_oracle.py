@@ -6,7 +6,7 @@ import pytest
 
 from rvnorms.cumulants import DistributionSpec
 from rvnorms.errors import NonHermitianError, PreconditionError
-from rvnorms.matrixcore import Matrix, frobenius_norm
+from rvnorms.matrixcore import Matrix
 from rvnorms.normengine import hermitian_norm_pow
 from rvnorms.oracle import (
     block_stream,
@@ -18,7 +18,7 @@ from rvnorms.oracle import (
     sample_block,
 )
 
-from oracles import zeros
+from oracles import frobenius_norm, zeros
 
 I = 1j
 

@@ -1,6 +1,7 @@
 """The float routes on matrix stacks: norm axioms at the degrees and sizes
 the suites' grids leave out, agreement with the exact kernel and with a
-stack of one, and the suites' block evaluation."""
+stack of one, the law axis (one law per matrix), and the suites' block
+evaluation across (family, degree) cells."""
 
 import inspect
 from fractions import Fraction
@@ -143,10 +144,81 @@ def test_circle_check_evaluates_one_stack(monkeypatch):
     assert abs(quad - float(alg)) <= 1e-9 * float(alg)
 
 
-@pytest.mark.parametrize("block", [1, 3])
-@pytest.mark.parametrize("suite", ["axioms", "schur", "khintchine"])
+@pytest.mark.parametrize("kind", ["hermitian", "general"])
+def test_mixed_law_stack_rows_equal_each_matrix_alone(kind):
+    # Every default family in one stack, the normal law's m = 2 among laws
+    # with m = d: each row is bit for bit its value alone under its law.
+    rng = stream(7500)
+    route = STACK_ROUTES[kind]
+    laws = [spec for _, spec in default_family_specs()]
+    assert "normal" in {spec.family for spec in laws}
+    for d in range(2, 13, 2):
+        for n in (2, 4):
+            count = 2 * len(laws)
+            row_laws = [laws[i % len(laws)] for i in rng.permutation(count)]
+            stack = random_stack(rng, kind, count, n) * rng.uniform(0.1, 10.0, size=(count, 1, 1))
+            values = route(stack, row_laws, d)
+            for M, spec, value in zip(stack, row_laws, values):
+                assert value == route(M[None], spec, d)[0], (spec.family, d, n)
+
+
+def test_law_sequence_of_the_wrong_length_raises():
+    spec = DistributionSpec.exponential()
+    H = random_stack(stream(7600), "hermitian", 3, 3)
+    for route in STACK_ROUTES.values():
+        with pytest.raises(ValueError, match="2 laws for a stack of 3"):
+            route(H, [spec, spec], 4)
+
+
+def _spy_stack_calls(monkeypatch):
+    """Record (route name, stack, laws, d, values) for each stack call the
+    suites make."""
+    calls = []
+    for name in ("hermitian_norm_pow_stack", "general_norm_pow_stack"):
+        real = getattr(suites, name)
+
+        def spy(M, spec, d, real=real, name=name):
+            values = real(M, spec, d)
+            calls.append((name, M, spec, d, values))
+            return values
+
+        monkeypatch.setattr(suites, name, spy)
+    return calls
+
+
+def test_paths_partition_values_equal_the_single_matrix_route(monkeypatch):
+    calls = _spy_stack_calls(monkeypatch)
+    report = suites.paths_suite(trials=2, seed=33)
+    assert report.passed
+    rows = [
+        (M, spec, d, v) for _, stack, laws, d, values in calls for M, spec, v in zip(stack, laws, values)
+    ]
+    assert len(rows) == report.checks // 2
+    for M, spec, d, value in rows:
+        assert value == hermitian_norm_pow(Matrix(M), spec, d), (spec.family, d, len(M))
+
+
+@pytest.mark.parametrize(
+    "suite, trials, stacks", [("axioms", 1, 4), ("schur", 4, 2), ("axioms", 30, 28)]
+)
+def test_suites_merge_families_into_one_stack_per_degree(monkeypatch, suite, trials, stacks):
+    # axioms at one trial: 20 (family, degree) cells, one Hermitian and one
+    # general stack per degree; at 30 trials, runs of three cells (90
+    # trials) and one of two; no stack holds more than STACK_TRIALS trials.
+    calls = _spy_stack_calls(monkeypatch)
+    suites.SUITES[suite](trials=trials, seed=34)
+    assert len(calls) == stacks
+    per_trial = 4 if suite == "axioms" else 2
+    assert max(len(M) for _, M, _, _, _ in calls) <= per_trial * suites.STACK_TRIALS
+
+
+@pytest.mark.parametrize("block", [1, 3, 100])
+@pytest.mark.parametrize("suite", ["axioms", "schur", "khintchine", "paths"])
 def test_reports_do_not_depend_on_the_block_size(monkeypatch, suite, block):
+    # With STACK_TRIALS equal to the trial count, each (family, degree)
+    # cell is one stack; 1 and 3 split cells, and 100 merges cells.
     fn = suites.SUITES[suite]
+    monkeypatch.setattr(suites, "STACK_TRIALS", 7)
     want = fn(trials=7, seed=31).to_json()
     assert want["failures"] == [] and want["checks"] > 0
     monkeypatch.setattr(suites, "STACK_TRIALS", block)

@@ -9,14 +9,12 @@ from rvnorms.errors import PreconditionError
 from rvnorms.matrixcore import Matrix
 from rvnorms.normengine import hermitian_norm_pow
 from rvnorms.partitions import Partition, enumerate_partitions
-from rvnorms.sympoly import (
+from rvnorms.sympoly import chs, hunter_poly, hunter_poly_recursive, hunter_terms
+
+from oracles import (
     bernoulli_norm_hermitian,
-    chs,
     chs_monomial_sum,
     chs_powersum_identity_check,
-    hunter_poly,
-    hunter_poly_recursive,
-    hunter_terms,
     monomial_sym,
     power_sum_product,
 )
