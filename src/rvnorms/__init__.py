@@ -42,8 +42,10 @@ from .normengine import (
     hermitian_norm_pow_stack,
     norm,
     series_norm_pow,
+    series_norm_pow_stack,
     symbolic_formula,
     word_sum_norm_pow,
+    word_sum_norm_pow_stack,
 )
 from .oracle import (
     McEstimate,
@@ -107,9 +109,11 @@ __all__ = [
     "parse_distribution",
     "sample",
     "series_norm_pow",
+    "series_norm_pow_stack",
     "symbolic_formula",
     "trace_powers",
     "word_sum_norm_pow",
+    "word_sum_norm_pow_stack",
     "y_of",
     "z_of",
 ]

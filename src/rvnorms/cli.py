@@ -93,7 +93,9 @@ NORM_MAX_DEGREE = {"partition": 100, "series": 300, "words": 14, "auto": 14}
 # slower of two seeds: axioms 2.1 ms a trial, schur 1.3, paths 17.8,
 # hunter 0.62, khintchine 0.21.  Each cap is about 5 s of its suite at that
 # cost, half a 10 s budget for slower hosts, and is at least the suite's
-# default trial count.
+# default trial count.  Since paths evaluates its series and trace-word
+# oracles on stacks, its 250 trials take about 1 s on that host (4 ms a
+# trial); the cap stays until it is re-measured on slower hosts.
 VERIFY_MAX_TRIALS = {"axioms": 2400, "schur": 4000, "paths": 250, "hunter": 8000, "khintchine": 20000}
 
 

@@ -40,6 +40,10 @@ Two independent routes serve as oracles:
   against by the CLI's ``words`` method, the circle-average check and the
   ``paths`` suite.
 
+On float input both oracles run on stacks too, with the same law axis
+(:func:`series_norm_pow_stack`, :func:`word_sum_norm_pow_stack`); one
+float matrix is a stack of one.
+
 All routes run in exact rational arithmetic when the matrix entries and
 cumulants are rational; the d-th root at the very end is the only
 irrational step.  Every route scales its input in one step and undoes it
@@ -56,10 +60,13 @@ there is refused rather than returned as 0.0, a subnormal or inf.
 from __future__ import annotations
 
 import cmath
+import gc
 import math
 import sys
 from collections.abc import Sequence
+from contextlib import contextmanager
 from fractions import Fraction
+from functools import lru_cache
 from itertools import groupby
 from math import comb, factorial, lcm, prod
 from operator import mul
@@ -84,9 +91,9 @@ from .matrixcore import (
     trace_powers,
 )
 from .partitions import enumerate_partitions, y_of
-from .scalars import exact_div, is_exact, real_part_checked, real_parts_checked
+from .scalars import exact_div, is_exact, real_parts_checked
 from .series import TruncatedSeries
-from .words import placement_terms, word_json, word_text
+from .words import placement_terms, word_json, word_plan, word_table, word_text, word_traces
 
 
 def _require_even_degree(d: int) -> None:
@@ -245,23 +252,27 @@ def _exact_factors(kappas):
     return [kappa.numerator for kappa in kappas], [1] + [kappa.denominator for kappa in kappas]
 
 
-def _float_factors(spec: DistributionSpec | Sequence[DistributionSpec], N: int, d: int):
-    """(c, m) for a stack of N matrices under ``spec``, one
+def _law_rows(spec: DistributionSpec | Sequence[DistributionSpec], N: int):
+    """(laws, rows) for a stack of N matrices under ``spec``, one
     :class:`DistributionSpec` for all of them or a sequence of N, one per
-    matrix.  m[i] is the largest k <= d at which row i's law has a nonzero
-    factor kappa_k / k! (0 if none), above which every a_k vanishes;
-    c[i, k-1] is that factor for k = 1..max(m) (see
-    :func:`~rvnorms.cumulants.normalized_cumulants`), 0 above m[i].  The
-    factors are formed once per distinct law and indexed per row."""
+    matrix: the distinct laws (by identity) and, per row, the index of its
+    law, so that whatever a law determines is formed once per law."""
     if isinstance(spec, DistributionSpec):
-        laws, rows = [spec], np.zeros(N, dtype=np.intp)
-    else:
-        specs = list(spec)
-        if len(specs) != N:
-            raise ValueError(f"{len(specs)} laws for a stack of {N} matrices")
-        laws = list({id(s): s for s in specs}.values())  # distinct, by identity
-        index = {id(law): i for i, law in enumerate(laws)}
-        rows = np.fromiter(map(index.__getitem__, map(id, specs)), dtype=np.intp, count=N)
+        return [spec], np.zeros(N, dtype=np.intp)
+    specs = list(spec)
+    if len(specs) != N:
+        raise ValueError(f"{len(specs)} laws for a stack of {N} matrices")
+    laws = list({id(s): s for s in specs}.values())
+    index = {id(law): i for i, law in enumerate(laws)}
+    return laws, np.fromiter(map(index.__getitem__, map(id, specs)), dtype=np.intp, count=N)
+
+
+def _float_factors(laws, rows: np.ndarray, d: int):
+    """(c, m) for the rows of a stack under their laws (:func:`_law_rows`).
+    m[i] is the largest k <= d at which row i's law has a nonzero factor
+    kappa_k / k! (0 if none), above which every a_k vanishes; c[i, k-1] is
+    that factor for k = 1..max(m) (see
+    :func:`~rvnorms.cumulants.normalized_cumulants`), 0 above m[i]."""
     factors = [normalized_cumulants(law, d) for law in laws]
     ms = [max((k for k, ck in enumerate(c, 1) if ck != 0), default=0) for c in factors]
     c = np.zeros((len(laws), max(ms, default=0)))
@@ -326,7 +337,7 @@ def hermitian_norm_pow_stack(
     :func:`_bell_stack`, at the power-of-two scale of :func:`_float_stack`.
 
     ``spec`` is one law for every matrix or a sequence of N laws, one per
-    matrix (:func:`_float_factors`).  The recurrence runs to the largest m
+    matrix (:func:`_law_rows`).  The recurrence runs to the largest m
     in the stack; a row whose law has a smaller m gets zero factors above
     it, which add exact zeros at the end of each of its sums, so every
     row's value is the one it gets alone under its own law.  The trace
@@ -337,7 +348,7 @@ def hermitian_norm_pow_stack(
     """
     _require_even_degree(d)
     As, e = _float_stack(A, hermitian=True)
-    c, m = _float_factors(spec, len(As), d)
+    c, m = _float_factors(*_law_rows(spec, len(As)), d)
     tp = _trace_power_stack(As, m)
     return _rescaled_stack(_bell_stack((tp * c)[:, :, None], d)[:, 0], e, d)
 
@@ -356,40 +367,152 @@ def _trace_power_stack(A: np.ndarray, m: np.ndarray) -> np.ndarray:
     return real_parts_checked(np.where(np.arange(1, top + 1) <= m[:, None], tr, 0))
 
 
-def series_norm_pow(A: Matrix, spec: DistributionSpec, d: int):
-    """Norm power as [t^d] of exp(sum_j kappa_j tr(A^j) t^j / j!).
-
-    Agrees with :func:`hermitian_norm_pow` exactly on the rational path.
-    Rejects distributions without a moment generating function.
-    """
-    _require_even_degree(d)
+def _require_mgf(spec: DistributionSpec) -> None:
     if not spec.has_mgf:
         raise PreconditionError(
             f"{spec.family} admits no moment generating function; "
             "use the partition path"
         )
+
+
+def series_norm_pow(A: Matrix, spec: DistributionSpec, d: int):
+    """Norm power as [t^d] of exp(sum_j kappa_j tr(A^j) t^j / j!).
+
+    Agrees with :func:`hermitian_norm_pow` exactly on the rational path.
+    Rejects distributions without a moment generating function.  Exact
+    input (matrix and cumulants) runs over Fractions; anything else is
+    :func:`series_norm_pow_stack` on a stack of one.
+    """
+    _require_even_degree(d)
+    _require_mgf(spec)
     if not is_hermitian(A):
         raise NonHermitianError("series_norm_pow requires a Hermitian matrix")
-    kappas = distribution_cumulants(spec, d).kappas
+    kappas = _int_kernel_cumulants(A, spec, d)
+    if kappas is None:
+        return float(series_norm_pow_stack(A.array[None], spec, d)[0])
     As, scale = _scaled(A, kappas)
-    tp = [real_part_checked(t) for t in trace_powers(As, d)]
-    # kappa_j / j! first: an exact kappa_j = (j-1)! times a float trace
-    # would overflow long before the norm power does
+    tp = trace_powers(As, d)
     coeffs = [0] + [exact_div(kappas[j - 1], factorial(j)) * tp[j - 1] for j in range(1, d + 1)]
     return _rescaled(TruncatedSeries(coeffs).exp().coefficient(d), scale, d)
+
+
+def series_norm_pow_stack(
+    A, spec: DistributionSpec | Sequence[DistributionSpec], d: int
+) -> np.ndarray:
+    """The norm powers of a stack (N, n, n) of float Hermitian matrices, as
+    N floats, by the series route of :func:`series_norm_pow`, at the
+    power-of-two scale of :func:`_float_stack`.
+
+    ``spec`` is one law for every matrix or a sequence of N laws, one per
+    matrix (:func:`_law_rows`); every law needs a moment generating
+    function.  All d trace powers come from :func:`_trace_power_stack` and
+    are checked real.  The coefficient of t^j is kappa_j / j! (rounded once,
+    :func:`~rvnorms.cumulants.normalized_cumulants`) times tr A^j, taken
+    before any product so that no float carries a factor j!, and each row's
+    series is exponentiated by :meth:`TruncatedSeries.exp`.
+    """
+    _require_even_degree(d)
+    As, e = _float_stack(A, hermitian=True)
+    laws, rows = _law_rows(spec, len(As))
+    for law in laws:
+        _require_mgf(law)
+    c, _ = _float_factors(laws, rows, d)
+    tp = _trace_power_stack(As, np.full(len(As), d))
+    coeffs = np.zeros(tp.shape)
+    coeffs[:, : c.shape[1]] = c * tp[:, : c.shape[1]]
+    totals = [TruncatedSeries([0] + row).exp().coefficient(d) for row in coeffs.tolist()]
+    return _rescaled_stack(np.array(totals), e, d)
 
 
 def word_sum_norm_pow(Z: Matrix, spec: DistributionSpec, d: int):
     """Norm power for arbitrary square Z: sum_pi kappa_pi * T_pi(Z) / y_pi.
 
-    Evaluates :func:`symbolic_formula` at Z, multiplying out every distinct
-    trace word.  This is the independent oracle for :func:`general_norm_pow`,
-    equal to it exactly on rational input.
+    Exact input (matrix and cumulants) evaluates :func:`symbolic_formula`
+    at Z, multiplying out every distinct trace word; anything else is
+    :func:`word_sum_norm_pow_stack` on a stack of one.  This is the
+    independent oracle for :func:`general_norm_pow`, equal to it exactly on
+    rational input.
     """
     _require_even_degree(d)
-    kappas = distribution_cumulants(spec, d).kappas
+    kappas = _int_kernel_cumulants(Z, spec, d)
+    if kappas is None:
+        return float(word_sum_norm_pow_stack(Z.array[None], spec, d)[0])
     Zs, scale = _scaled(Z, kappas)
-    return _rescaled(real_part_checked(symbolic_formula(kappas, d).evaluate(Zs)), scale, d)
+    return _rescaled(symbolic_formula(kappas, d).evaluate(Zs), scale, d)
+
+
+def _word_coefficients(spec: DistributionSpec, d: int) -> np.ndarray:
+    """The term coefficients of :func:`word_table` (d) under one law
+    (:func:`_term_coefficients`)."""
+    kappas = distribution_cumulants(spec, d).kappas
+    return _term_coefficients(kappas, tuple(map(type, kappas)), d)
+
+
+@lru_cache(maxsize=64)
+def _term_coefficients(kappas: tuple, types: tuple, d: int) -> np.ndarray:
+    """Each term's coefficient mult * kappa_pi / (y_pi * C(d, d/2)), as the
+    float that :func:`symbolic_formula`'s coefficient rounds to: where the
+    cumulants of pi are exact, an int quotient of their numerators and
+    denominators, rounded once; otherwise :func:`symbolic_formula`'s float
+    arithmetic.  0 where kappa_pi = 0.  The cumulants' ``types`` are part
+    of the cache key, since an exact and a float cumulant of equal value
+    give differently rounded coefficients."""
+    table = word_table(d)
+    denom = comb(d, d // 2)
+    bases = []
+    for parts, y in table.partitions:
+        factors = [kappas[i - 1] for i in parts]
+        if all(is_exact(k) for k in factors):
+            num = prod(k.numerator for k in factors)
+            bases.append((num, prod((k.denominator for k in factors), start=y * denom)))
+        else:
+            bases.append((prod(factors, start=1) / (y * denom), 1))
+    terms = zip(table.mults, map(bases.__getitem__, table.part_of))
+    out = np.array([mult * num / den for mult, (num, den) in terms])
+    out.flags.writeable = False
+    return out
+
+
+def word_sum_norm_pow_stack(
+    Z, spec: DistributionSpec | Sequence[DistributionSpec], d: int
+) -> np.ndarray:
+    """The norm powers of a stack (N, n, n) of arbitrary square float
+    matrices, as N floats, by the trace-word sum of
+    :func:`word_sum_norm_pow`, at the power-of-two scale of
+    :func:`_float_stack`.
+
+    ``spec`` is one law for every matrix or a sequence of N laws, one per
+    matrix (:func:`_law_rows`).  The words' traces come from one law-free
+    table per degree (:func:`word_table`, :func:`word_traces`).  Each
+    term is its coefficient (:func:`_word_coefficients`) times its factor
+    traces in turn, each product in the arithmetic of Python's ``complex``
+    (no fused multiply-add); each row sums its law's nonzero terms with
+    ``math.fsum``, must be real to within
+    :func:`~rvnorms.scalars.real_parts_checked`'s residue, and is rescaled
+    by :func:`_rescaled_stack`.  A row gets the value
+    :meth:`TracePolynomial.evaluate` gives at its scaled matrix.
+    """
+    _require_even_degree(d)
+    table = word_table(d)
+    Zs, e = _float_stack(Z, hermitian=False)
+    laws, rows = _law_rows(spec, len(Zs))
+    coeffs = [_word_coefficients(law, d) for law in laws]
+    traces = word_traces(Zs, table.plan)
+    tre, tim = traces.real, traces.imag
+    re = np.array(coeffs)[rows]
+    im = np.zeros(re.shape)
+    for words in table.factors:
+        k = len(words)
+        r, i, br, bi = re[:, :k], im[:, :k], tre[:, words], tim[:, words]
+        re[:, :k], im[:, :k] = r * br - i * bi, r * bi + i * br
+    total = np.empty(len(Zs), dtype=complex)
+    for law, c in enumerate(coeffs):
+        members = np.flatnonzero(rows == law)
+        keep = c != 0
+        sums = zip(members, re[members][:, keep].tolist(), im[members][:, keep].tolist())
+        for k, row_re, row_im in sums:
+            total[k] = complex(math.fsum(row_re), math.fsum(row_im))
+    return _rescaled_stack(real_parts_checked(total), e, d)
 
 
 def _adjoint_count_traces(Z: Matrix, m: int, half: int) -> list:
@@ -522,7 +645,7 @@ def general_norm_pow_stack(
     :func:`_rescaled_stack`.
 
     ``spec`` is one law for every matrix or a sequence of N laws, one per
-    matrix (:func:`_float_factors`).  Rows are evaluated in groups of equal
+    matrix (:func:`_law_rows`).  Rows are evaluated in groups of equal
     m, because m sets the level h = ceil(m/2) at which the traces split,
     and so the rounding of every trace above it: each row gets the value
     it gets alone under its own law.
@@ -530,7 +653,7 @@ def general_norm_pow_stack(
     _require_even_degree(d)
     half = d // 2
     Zs, e = _float_stack(Z, hermitian=False)
-    c, m = _float_factors(spec, len(Zs), d)
+    c, m = _float_factors(*_law_rows(spec, len(Zs)), d)
     b = np.empty(len(Zs), dtype=complex)
     for mk in set(m.tolist()):
         rows = m == mk
@@ -582,6 +705,21 @@ def norm(Z: Matrix, spec: DistributionSpec, d: int) -> float:
 # -- symbolic output ---------------------------------------------------------
 
 
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector, restoring its state on exit.
+    Rendering a formula allocates a few objects per term and frees none of
+    them until it returns, so at high degree the collector would rescan
+    the growing output again and again for cycles that do not exist."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 class TracePolynomial:
     """A rational-coefficient combination of products of canonical trace words.
 
@@ -614,26 +752,16 @@ class TracePolynomial:
         """The polynomial at Z: the sum of coefficient times factor traces.
 
         A word's letters 'z' and 's' stand for Z and Z* (a Hermitian-mode
-        word of k letters 'z' is tr(Z^k)).  Each word's matrix is its prefix
-        one letter shorter times Z or Z*, and prefixes are cached, so every
-        distinct prefix costs one matrix product; a word's last letter
-        enters through :func:`trace_of_product`.  Exact input gives an exact
-        sum; otherwise the terms' real and imaginary parts are summed by
-        ``math.fsum`` and the complex result may carry an imaginary roundoff
-        residue for the caller to check and discard.
+        word of k letters 'z' is tr(Z^k)).  The traces come from
+        :func:`word_traces` on Z's array: every distinct prefix costs one
+        matrix product and a word's last letter enters its trace without
+        one.  Exact input gives an exact sum; otherwise the terms' real and
+        imaginary parts are summed by ``math.fsum`` and the complex result
+        may carry an imaginary roundoff residue for the caller to check and
+        discard.
         """
-        letters = {"z": Z, "s": Z.adjoint()}
-        prefixes = dict(letters)
-
-        def trace(w: str):
-            if len(w) == 1:
-                return letters[w].trace()
-            for i in range(2, len(w)):
-                if w[:i] not in prefixes:
-                    prefixes[w[:i]] = prefixes[w[: i - 1]] @ letters[w[i - 1]]
-            return trace_of_product(prefixes[w[:-1]], letters[w[-1]])
-
-        traces = {w: trace(w) for w in {w for key in self.terms for w in key}}
+        plan = word_plan(tuple(sorted({w for key in self.terms for w in key})))
+        traces = dict(zip(plan.words, word_traces(Z.array[None], plan)[0].tolist()))
         coeffs = self.terms.values()
         if not Z.is_exact():
             # complex(c) * t is the product that Fraction c * complex t
@@ -650,6 +778,7 @@ class TracePolynomial:
         form = hermitian_form if self.hermitian else general_form
         return {w: form(w) for w in {w for key in self.terms for w in key}}
 
+    @_gc_paused()
     def text(self) -> str:
         names = self._rendered(
             lambda w: "tr(A)" if len(w) == 1 else f"tr(A^{len(w)})",
@@ -665,6 +794,7 @@ class TracePolynomial:
             lines.append(f"{coeff} {' '.join(factors)}")
         return "\n".join(lines) if lines else "0"
 
+    @_gc_paused()
     def to_json(self) -> dict:
         names = self._rendered(lambda w: f"A^{len(w)}", word_json)
         terms = []

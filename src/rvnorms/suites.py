@@ -20,8 +20,8 @@ from .matrixcore import Matrix, is_majorized
 from .normengine import (
     general_norm_pow_stack,
     hermitian_norm_pow_stack,
-    series_norm_pow,
-    word_sum_norm_pow,
+    series_norm_pow_stack,
+    word_sum_norm_pow_stack,
 )
 from .oracle import check_seed, khintchine_bounds, khintchine_check
 from .sympoly import hunter_poly, hunter_poly_recursive, hunter_terms
@@ -119,10 +119,13 @@ class SuiteReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def record(self, ok: bool, message: str) -> None:
+    def record(self, ok: bool, message: str, *args) -> None:
+        """Count one check; on failure keep ``message``, filled in with
+        ``args`` by ``str.format`` only then, so that a passing check
+        formats nothing."""
         self.checks += 1
         if not ok:
-            self.failures.append(message)
+            self.failures.append(message.format(*args) if args else message)
 
     def to_json(self) -> dict:
         return {
@@ -212,26 +215,31 @@ def axioms_suite(trials: int = 1000, seed: int = 2024) -> SuiteReport:
             k = len(block)
             hn, gn = _norm_values(hp, d), _norm_values(gp, d)
             for i, t in enumerate(block):
-                ctx = f"{name} d={d} trial={t}"
                 nA, nB, nAB, nCA = hn[i], hn[k + i], hn[2 * k + i], hn[3 * k + i]
                 tol = 1e-9 * max(1.0, nA + nB)
-                report.record(nAB <= nA + nB + tol, f"hermitian triangle {ctx}: {nAB} > {nA}+{nB}")
+                report.record(
+                    nAB <= nA + nB + tol,
+                    "hermitian triangle {} d={} trial={}: {} > {}+{}", name, d, t, nAB, nA, nB,
+                )
                 ca = abs(draws[i][2])
                 report.record(
                     abs(nCA - ca * nA) <= 1e-12 * max(1.0, ca * nA),
-                    f"hermitian homogeneity {ctx}",
+                    "hermitian homogeneity {} d={} trial={}", name, d, t,
                 )
-                report.record(nA > 0.0, f"hermitian positivity {ctx}")
+                report.record(nA > 0.0, "hermitian positivity {} d={} trial={}", name, d, t)
 
                 nZ, nW, nZW, nCZ = gn[i], gn[k + i], gn[2 * k + i], gn[3 * k + i]
                 tol = 1e-9 * max(1.0, nZ + nW)
-                report.record(nZW <= nZ + nW + tol, f"general triangle {ctx}: {nZW} > {nZ}+{nW}")
+                report.record(
+                    nZW <= nZ + nW + tol,
+                    "general triangle {} d={} trial={}: {} > {}+{}", name, d, t, nZW, nZ, nW,
+                )
                 ca = abs(draws[i][5])
                 report.record(
                     abs(nCZ - ca * nZ) <= 1e-12 * max(1.0, ca * nZ),
-                    f"general homogeneity {ctx}",
+                    "general homogeneity {} d={} trial={}", name, d, t,
                 )
-                report.record(nZ > 0.0, f"general positivity {ctx}")
+                report.record(nZ > 0.0, "general positivity {} d={} trial={}", name, d, t)
     return report
 
 
@@ -257,12 +265,12 @@ def schur_suite(trials: int = 500, seed: int = 2025) -> SuiteReport:
             norms = _norm_values(cell_pows, d)
             for i, (t, (x, y)) in enumerate(zip(block, pairs)):
                 if not is_majorized(x, y):
-                    report.record(False, f"generator produced a non-majorized pair {x} {y}")
+                    report.record(False, "generator produced a non-majorized pair {} {}", x, y)
                     continue
                 nx, ny = norms[i], norms[k + i]
                 report.record(
                     nx <= ny + 1e-12 * max(1.0, ny),
-                    f"schur {name} d={d} trial={t}: {nx} > {ny}",
+                    "schur {} d={} trial={}: {} > {}", name, d, t, nx, ny,
                 )
     return report
 
@@ -271,9 +279,8 @@ def paths_suite(trials: int = 50, seed: int = 2026) -> SuiteReport:
     """Partition, series, and trace-word routes agree to 1e-10 relative on
     random Hermitian matrices of size 2 to 5, for every family with a moment
     generating function at d = 2, 4 and 6; the trace-word oracle restricts
-    to the Hermitian route.  The partition values of a run of trials
-    (:func:`_runs`) are evaluated as one stack per degree and size; the
-    series and trace-word oracles take one matrix at a time."""
+    to the Hermitian route.  Each route evaluates the matrices of a run of
+    trials (:func:`_runs`) as one stack per degree and size."""
     report = SuiteReport("paths", trials)
     rng = stream(seed)
     cells = [(name, spec, d) for name, spec in mgf_family_specs() for d in (2, 4, 6)]
@@ -282,20 +289,19 @@ def paths_suite(trials: int = 50, seed: int = 2026) -> SuiteReport:
         for (name, spec, d), block in run:
             for t in block:
                 n = int(rng.integers(2, 6))
-                drawn.append((name, spec, d, t, random_hermitian(rng, n)))
-        parts = [(spec, d, A.array[None]) for _, spec, d, _, A in drawn]
-        pows = _stack_pows(hermitian_norm_pow_stack, parts)
-        for (name, spec, d, t, A), (v1,) in zip(drawn, pows):
+                drawn.append((name, spec, d, t, _hermitian_array(rng, n)))
+        parts = [(spec, d, A[None]) for _, spec, d, _, A in drawn]
+        routes = (hermitian_norm_pow_stack, series_norm_pow_stack, word_sum_norm_pow_stack)
+        pows = [_stack_pows(route, parts) for route in routes]
+        for (name, spec, d, t, _), (v1,), (v2,), (v3,) in zip(drawn, *pows):
             ref = max(1.0, abs(v1))
-            v2 = float(series_norm_pow(A, spec, d))
             report.record(
                 abs(v1 - v2) <= 1e-10 * ref,
-                f"paths partition-vs-series {name} d={d} trial={t}: {v1} vs {v2}",
+                "paths partition-vs-series {} d={} trial={}: {} vs {}", name, d, t, v1, v2,
             )
-            v3 = float(word_sum_norm_pow(A, spec, d))
             report.record(
                 abs(v1 - v3) <= 1e-10 * ref,
-                f"paths partition-vs-words {name} d={d} trial={t}: {v1} vs {v3}",
+                "paths partition-vs-words {} d={} trial={}: {} vs {}", name, d, t, v1, v3,
             )
     return report
 
@@ -315,11 +321,11 @@ def hunter_suite(trials: int = 1000, seed: int = 2027) -> SuiteReport:
                 rec = hunter_poly_recursive(d, alpha, x)
                 report.record(
                     direct == rec,
-                    f"hunter recursion d={d} alpha={alpha} trial={t}: {direct} != {rec}",
+                    "hunter recursion d={} alpha={} trial={}: {} != {}", d, alpha, t, direct, rec,
                 )
                 report.record(
                     direct > 0,
-                    f"hunter positivity d={d} alpha={alpha} trial={t}: {direct} at {x}",
+                    "hunter positivity d={} alpha={} trial={}: {} at {}", d, alpha, t, direct, x,
                 )
     return report
 
@@ -357,18 +363,19 @@ def khintchine_suite(trials: int = 200, seed: int = 2028) -> SuiteReport:
                 for kind, rows in kinds:
                     row = rows[i]
                     if isinstance(row, ArithmeticError):
-                        report.record(False, f"khintchine {kind} p={p} trial={t}: {row}")
+                        report.record(False, "khintchine {} p={} trial={}: {}", kind, p, t, row)
                         continue
                     lower, middle, upper = row
                     tol = 1e-9 * max(1.0, upper)
                     report.record(
                         lower <= middle + tol and middle <= upper + tol,
-                        f"khintchine {kind} p={p} trial={t}: {lower} {middle} {upper}",
+                        "khintchine {} p={} trial={}: {} {} {}", kind, p, t, lower, middle, upper,
                     )
                     if p == 2:
                         report.record(
                             abs(lower - middle) <= 1e-12 * max(1.0, lower),
-                            f"khintchine p=2 tightness {kind} trial={t}: {lower} vs {middle}",
+                            "khintchine p=2 tightness {} trial={}: {} vs {}",
+                            kind, t, lower, middle,
                         )
     return report
 

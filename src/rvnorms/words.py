@@ -28,6 +28,11 @@ markings: the m_k segments of length k take the chosen necklaces in
 m_k! / prod m_c! orders, and each segment shows any of the size(c)
 rotations of its necklace.  The table depends only on the partition, so it
 is cached and every numeric or symbolic evaluation reuses it.
+
+The numeric evaluation of a set of words builds each distinct prefix once
+(:func:`word_plan`, :func:`word_traces`), and the trace-word sum at one
+degree gathers every partition's table into one law-free table of terms
+(:func:`word_table`).
 """
 
 from __future__ import annotations
@@ -36,8 +41,12 @@ from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement
 from math import comb
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import PreconditionError
+from .partitions import enumerate_partitions, y_of
 
 
 @lru_cache(maxsize=None)
@@ -130,3 +139,119 @@ def word_text(word: str) -> str:
 def word_json(word: str) -> str:
     """JSON form of a word: z -> Z, s -> s."""
     return word.replace("z", "Z")
+
+
+class WordPlan(NamedTuple):
+    """How the traces of a set of words are evaluated (:func:`word_traces`).
+
+    Matrix 0 is Z, 1 is Z*, and matrix 2 + i is ``steps[i]`` = (parent,
+    letter), the product of those two matrices: one per distinct prefix of
+    two or more letters, parents first.  A word of one letter is the trace
+    of that letter, ``singles`` listing (word position, letter).  The words
+    of two or more letters, at positions ``long``, are sum_ij H_ij L_ji for
+    H their prefix (matrix ``heads``) and L their last letter (matrix
+    ``lasts``), which enters without a product; ``by_column`` marks the
+    word whose entry products are summed column by column (see
+    :func:`word_plan`).
+    """
+
+    words: tuple[str, ...]
+    steps: tuple[tuple[int, int], ...]
+    singles: tuple[tuple[int, int], ...]
+    long: np.ndarray
+    heads: tuple[int, ...]
+    lasts: np.ndarray
+    by_column: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def word_plan(words: tuple[str, ...]) -> WordPlan:
+    """The :class:`WordPlan` of ``words`` (letters 'z' and 's')."""
+    index = {"z": 0, "s": 1}
+    steps = []
+    for w in sorted({w[:i] for w in words for i in range(2, len(w))}, key=lambda w: (len(w), w)):
+        index[w] = len(index)
+        steps.append((index[w[:-1]], index[w[-1]]))
+    long = [i for i, w in enumerate(words) if len(w) > 1]
+    # Entry products are summed in row order, except for tr(Z* Z), summed
+    # column by column: the orders of a 2-D sum of Z* (kept as the
+    # transpose of conj(Z)) times Z^T, which earlier releases evaluated, so
+    # that float traces, and the norm powers built from them, keep every bit.
+    return WordPlan(
+        words,
+        tuple(steps),
+        tuple((i, index[w]) for i, w in enumerate(words) if len(w) == 1),
+        np.array(long, dtype=np.intp),
+        tuple(index[words[i][:-1]] for i in long),
+        np.array([index[words[i][-1]] for i in long], dtype=np.intp),
+        np.array([words[i] == "sz" for i in long], dtype=bool),
+    )
+
+
+# Entries of the entrywise products that word_traces forms at once: the
+# words of two or more letters are taken in blocks of this many entries
+# (256 kB of complex values), so that a large matrix at a high degree does
+# not hold one product per word.
+TRACE_BLOCK = 1 << 14
+
+
+def word_traces(Z: np.ndarray, plan: WordPlan) -> np.ndarray:
+    """(N, len(plan.words)): the trace of each word of ``plan`` at each
+    matrix of a stack (N, n, n), complex or of exact Python numbers
+    (``dtype=object``).  Each distinct prefix costs one batched product;
+    the words of two or more letters take one entrywise product and one
+    reduction per block of :data:`TRACE_BLOCK` entries."""
+    N, n, _ = Z.shape
+    mats = [Z, np.conjugate(Z).swapaxes(1, 2)]
+    for parent, letter in plan.steps:
+        mats.append(np.matmul(mats[parent], mats[letter]))
+    out = np.empty((N, len(plan.words)), dtype=Z.dtype)
+    for i, letter in plan.singles:
+        out[:, i] = np.diagonal(mats[letter], axis1=1, axis2=2).sum(axis=1)
+    lasts = np.stack(mats[:2]).swapaxes(2, 3)  # Z^T and Z*^T
+    step = max(1, TRACE_BLOCK // (N * n * n))
+    for lo in range(0, len(plan.long), step):
+        block = slice(lo, lo + step)
+        P = np.stack([mats[h] for h in plan.heads[block]]) * lasts[plan.lasts[block]]
+        by_column = plan.by_column[block]
+        P[by_column] = P[by_column].swapaxes(2, 3)
+        out[:, plan.long[block]] = P.reshape(len(P), N, n * n).sum(axis=2).T
+    return out
+
+
+class WordTable(NamedTuple):
+    """The law-free part of the trace-word sum at one degree.
+
+    The terms are those of :func:`~rvnorms.normengine.symbolic_formula`,
+    each partition's :func:`placement_terms`, ordered by factor count, most
+    factors first.  ``partitions`` holds each partition's parts and y_pi;
+    ``part_of`` and ``mults`` hold each term's partition index and
+    multiplicity.  ``factors[f]`` holds, for the leading terms that have
+    more than f factors, the index into ``plan.words`` of factor f.
+    """
+
+    plan: WordPlan
+    partitions: tuple[tuple[tuple[int, ...], int], ...]
+    part_of: tuple[int, ...]
+    mults: tuple[int, ...]
+    factors: tuple[np.ndarray, ...]
+
+
+@lru_cache(maxsize=None)
+def word_table(d: int) -> WordTable:
+    """The :class:`WordTable` of degree d, built once."""
+    partitions, terms = [], []
+    for p in enumerate_partitions(d):
+        terms += [(factors, mult, len(partitions)) for factors, mult in placement_terms(p.parts)]
+        partitions.append((p.parts, y_of(p)))
+    terms.sort(key=lambda term: -len(term[0]))
+    plan = word_plan(tuple(sorted({w for factors, _, _ in terms for w in factors})))
+    index = {w: i for i, w in enumerate(plan.words)}
+    columns: list[list[int]] = [[] for _ in terms[0][0]]
+    for words, _, _ in terms:
+        for column, w in zip(columns, words):
+            column.append(index[w])
+    part_of = tuple(pi for _, _, pi in terms)
+    mults = tuple(mult for _, mult, _ in terms)
+    factors = tuple(np.array(column, dtype=np.intp) for column in columns)
+    return WordTable(plan, tuple(partitions), part_of, mults, factors)

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from math import comb, factorial
 
+import numpy as np
 import pytest
 
 from rvnorms.cumulants import (
@@ -691,19 +692,21 @@ def test_evaluate_on_float_input_equals_the_fraction_products():
 
 def test_evaluate_one_product_per_distinct_prefix(monkeypatch):
     calls = []
-    matmul = Matrix.__matmul__
+    matmul = np.matmul
 
-    def counting(self, other):
+    def counting(a, b):
         calls.append(1)
-        return matmul(self, other)
+        return matmul(a, b)
 
-    monkeypatch.setattr(Matrix, "__matmul__", counting)
+    monkeypatch.setattr(np, "matmul", counting)
     d = 8
     poly = symbolic_formula(distribution_cumulants(DistributionSpec.exponential(), d), d)
     words = {w for key in poly.terms for w in key}
     prefixes = {w[:i] for w in words for i in range(2, len(w))}
-    poly.evaluate(Matrix([[1, 2], [Fraction(1, 3), -1]]))
-    assert len(calls) == len(prefixes)
+    for Z in (Matrix([[1, 2], [Fraction(1, 3), -1]]), Matrix([[1.0, 2j], [0.5, -1.0]])):
+        calls.clear()
+        poly.evaluate(Z)
+        assert len(calls) == len(prefixes), Z
 
 
 def test_symbolic_ordering_deterministic():
@@ -832,7 +835,7 @@ def _spy_on_evaluated_matrix(monkeypatch, route, stack=False):
     """Record the matrix each route evaluates its degree-d form at; with
     ``stack``, the first matrix of the stack the float kernel evaluates."""
     seen = []
-    if route is word_sum_norm_pow:
+    if route is word_sum_norm_pow and not stack:
         owner, name = normengine.TracePolynomial, "evaluate"
         real = owner.evaluate
 
@@ -843,7 +846,8 @@ def _spy_on_evaluated_matrix(monkeypatch, route, stack=False):
     else:
         owner = normengine
         if stack:
-            name = "_adjoint_count_trace_stack" if route is general_norm_pow else "_trace_power_stack"
+            kernels = {general_norm_pow: "_adjoint_count_trace_stack", word_sum_norm_pow: "word_traces"}
+            name = kernels.get(route, "_trace_power_stack")
         else:
             name = "_adjoint_count_traces" if route is general_norm_pow else "trace_powers"
         real = getattr(owner, name)
@@ -887,9 +891,8 @@ def test_float_route_scales_by_the_oracle_power_of_two(monkeypatch, route):
     e = scale_exponent(A)
     assert 0.5 <= A.max_abs() * 2.0**-e < 1.0
     want = route(A, DistributionSpec.exponential(), 4)
-    # the float Hermitian and constant-term routes evaluate a stack of one
-    stack = route in (hermitian_norm_pow, general_norm_pow)
-    seen = _spy_on_evaluated_matrix(monkeypatch, route, stack)
+    # every float route evaluates a stack of one
+    seen = _spy_on_evaluated_matrix(monkeypatch, route, stack=True)
     assert route(A, DistributionSpec.exponential(), 4) == want
     assert seen[0] == A * 2.0**-e
     assert all(x * 2.0**e == y for x, y in zip(seen[0].array.flat, A.array.flat))

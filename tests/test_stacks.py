@@ -1,28 +1,41 @@
 """The float routes on matrix stacks: norm axioms at the degrees and sizes
 the suites' grids leave out, agreement with the exact kernel and with a
-stack of one, the law axis (one law per matrix), and the suites' block
-evaluation across (family, degree) cells."""
+stack of one, the law axis (one law per matrix), the series and trace-word
+oracles on stacks, and the suites' block evaluation across (family,
+degree) cells."""
 
 import inspect
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from rvnorms import cli, normengine, suites
-from rvnorms.cumulants import DistributionSpec
+from rvnorms.cumulants import DistributionSpec, distribution_cumulants
 from rvnorms.errors import NonHermitianError, PreconditionError
-from rvnorms.matrixcore import Matrix
+from rvnorms.matrixcore import Matrix, scale_exponent
 from rvnorms.normengine import (
     circle_extension_check,
     general_norm_pow,
     general_norm_pow_stack,
     hermitian_norm_pow,
     hermitian_norm_pow_stack,
+    series_norm_pow,
+    series_norm_pow_stack,
+    symbolic_formula,
+    word_sum_norm_pow,
+    word_sum_norm_pow_stack,
 )
-from rvnorms.suites import default_family_specs, stream
+from rvnorms.scalars import real_part_checked
+from rvnorms.suites import default_family_specs, mgf_family_specs, stream
 
 STACK_ROUTES = {"hermitian": hermitian_norm_pow_stack, "general": general_norm_pow_stack}
+# oracle: (stack route, single-matrix route, kind of matrix it takes)
+ORACLE_STACKS = {
+    "series": (series_norm_pow_stack, series_norm_pow, "hermitian"),
+    "words": (word_sum_norm_pow_stack, word_sum_norm_pow, "general"),
+}
 
 
 def random_stack(rng, kind, count, n):
@@ -170,11 +183,11 @@ def test_law_sequence_of_the_wrong_length_raises():
             route(H, [spec, spec], 4)
 
 
-def _spy_stack_calls(monkeypatch):
-    """Record (route name, stack, laws, d, values) for each stack call the
-    suites make."""
+def _spy_stack_calls(monkeypatch, names=("hermitian_norm_pow_stack", "general_norm_pow_stack")):
+    """Record (route name, stack, laws, d, values) for each call the suites
+    make to the stack routes ``names``."""
     calls = []
-    for name in ("hermitian_norm_pow_stack", "general_norm_pow_stack"):
+    for name in names:
         real = getattr(suites, name)
 
         def spy(M, spec, d, real=real, name=name):
@@ -196,6 +209,87 @@ def test_paths_partition_values_equal_the_single_matrix_route(monkeypatch):
     assert len(rows) == report.checks // 2
     for M, spec, d, value in rows:
         assert value == hermitian_norm_pow(Matrix(M), spec, d), (spec.family, d, len(M))
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+def test_paths_makes_one_stack_per_route_degree_and_size(monkeypatch, trials):
+    # At 1 and 3 trials all 27 (family, degree) cells form one run: each
+    # route gets one stack per (degree, size) group, the same matrices in
+    # the same order, and each row is its matrix's value alone.
+    routes = ("hermitian_norm_pow_stack", "series_norm_pow_stack", "word_sum_norm_pow_stack")
+    calls = _spy_stack_calls(monkeypatch, routes)
+    report = suites.paths_suite(trials=trials, seed=35)
+    assert report.passed and report.checks == 54 * trials
+    by_route = {name: [(d, M, laws) for r, M, laws, d, _ in calls if r == name] for name in routes}
+    groups = [(d, M.shape[-1]) for d, M, _ in by_route[routes[0]]]
+    assert len(groups) == len(set(groups)) > 1
+    assert sum(len(M) for _, M, _ in by_route[routes[0]]) == 27 * trials
+    for name in routes[1:]:
+        assert [(d, M.shape[-1]) for d, M, _ in by_route[name]] == groups
+        for (d, M, laws), (_, M0, laws0) in zip(by_route[name], by_route[routes[0]]):
+            assert np.array_equal(M, M0) and laws == laws0
+    single = dict(zip(routes[1:], (series_norm_pow, word_sum_norm_pow)))
+    for name, stack, laws, d, values in calls:
+        if name in single:
+            for M, spec, v in zip(stack, laws, values):
+                assert v == single[name](Matrix(M), spec, d), (name, spec.family, d)
+
+
+@pytest.mark.parametrize("oracle", ["series", "words"])
+def test_mixed_law_oracle_stack_rows_equal_each_matrix_alone(oracle):
+    # Every family with a moment generating function in one stack, the
+    # normal law's zero cumulants among nonzero ones: each row is bit for
+    # bit its value alone under its law, by the stack and by the
+    # single-matrix route.
+    route, single, kind = ORACLE_STACKS[oracle]
+    rng = stream(7700)
+    laws = [spec for _, spec in mgf_family_specs()]
+    assert "normal" in {spec.family for spec in laws}
+    for d in range(2, 9, 2):
+        for n in (2, 3, 5):
+            count = 2 * len(laws)
+            row_laws = [laws[i % len(laws)] for i in rng.permutation(count)]
+            scales = rng.uniform(0.1, 10.0, size=(count, 1, 1))
+            stack = random_stack(rng, kind, count, n) * scales
+            values = route(stack, row_laws, d)
+            for M, spec, value in zip(stack, row_laws, values):
+                assert value == route(M[None], spec, d)[0], (spec.family, d, n)
+                assert value == single(Matrix(M), spec, d), (spec.family, d, n)
+
+
+def test_float_word_sum_is_the_formula_evaluated_at_the_scaled_matrix():
+    # The stack's term products and sums reproduce TracePolynomial.evaluate
+    # bit for bit: the two float evaluators of the trace polynomial agree.
+    rng = stream(7800)
+    for name, spec in default_family_specs():
+        for d in (2, 4, 6, 8):
+            Z = Matrix(random_stack(rng, "general", 1, 4)[0] * 37.0)
+            e = scale_exponent(Z)
+            poly = symbolic_formula(distribution_cumulants(spec, d), d)
+            want = math.ldexp(real_part_checked(poly.evaluate(Z * 2.0**-e)), d * e)
+            assert word_sum_norm_pow(Z, spec, d) == want, (name, d)
+
+
+def test_series_stack_refusals():
+    spec = DistributionSpec.exponential()
+    H = random_stack(stream(7900), "hermitian", 3, 3)
+    pareto = DistributionSpec.pareto(Fraction(25, 2))
+    with pytest.raises(PreconditionError, match="pareto admits no moment generating function"):
+        series_norm_pow_stack(H, [spec, pareto, spec], 4)
+    bad = H.copy()
+    bad[1, 0, 1] += 1e-6
+    with pytest.raises(NonHermitianError):
+        series_norm_pow_stack(bad, spec, 4)
+
+
+@pytest.mark.parametrize("oracle", ["series", "words"])
+def test_oracle_stack_refuses_a_row_outside_float_range(oracle):
+    route, single, _ = ORACLE_STACKS[oracle]
+    spec = DistributionSpec.exponential()
+    tiny = np.array([np.eye(2), np.eye(2) * 1e-200])
+    assert route(tiny[:1], spec, 4)[0] == single(Matrix(tiny[0]), spec, 4)
+    with pytest.raises(PreconditionError, match="outside float range"):
+        route(tiny, spec, 4)
 
 
 @pytest.mark.parametrize(
