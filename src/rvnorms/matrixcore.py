@@ -195,12 +195,6 @@ def trace_powers(A: Matrix, d: int) -> list:
     return out
 
 
-def trace_of_product(A: Matrix, B: Matrix):
-    """tr(AB) = sum_ij A_ij B_ji in O(n^2), without forming AB."""
-    A._same_size(B)
-    return _scalar((A.array * B.array.T).sum())
-
-
 def hermitian_eigenvalues(A: Matrix) -> list[float]:
     """Eigenvalues of a Hermitian matrix, nonincreasing, by LAPACK's
     ``eigvalsh`` (which reads the lower triangle and scales internally, so

@@ -87,7 +87,6 @@ from .matrixcore import (
     is_hermitian,
     scale_exponent,
     scale_exponents,
-    trace_of_product,
     trace_powers,
 )
 from .partitions import enumerate_partitions, y_of
@@ -448,25 +447,30 @@ def _word_coefficients(spec: DistributionSpec, d: int) -> np.ndarray:
     return _term_coefficients(kappas, tuple(map(type, kappas)), d)
 
 
+def _kappa_quotient(kappas, parts, scale: int):
+    """(num, den) with num / den = kappa_pi / scale for the partition
+    ``parts``: where the cumulants of pi are exact, ints, the numerators'
+    product over the denominators' product times ``scale``, not reduced;
+    otherwise the float arithmetic of kappa_pi / scale over 1."""
+    factors = [kappas[i - 1] for i in parts]
+    if all(is_exact(k) for k in factors):
+        num = prod(k.numerator for k in factors)
+        return num, prod((k.denominator for k in factors), start=scale)
+    return prod(factors, start=1) / scale, 1
+
+
 @lru_cache(maxsize=64)
 def _term_coefficients(kappas: tuple, types: tuple, d: int) -> np.ndarray:
     """Each term's coefficient mult * kappa_pi / (y_pi * C(d, d/2)), as the
     float that :func:`symbolic_formula`'s coefficient rounds to: where the
-    cumulants of pi are exact, an int quotient of their numerators and
-    denominators, rounded once; otherwise :func:`symbolic_formula`'s float
-    arithmetic.  0 where kappa_pi = 0.  The cumulants' ``types`` are part
-    of the cache key, since an exact and a float cumulant of equal value
-    give differently rounded coefficients."""
+    cumulants of pi are exact, an int quotient of :func:`_kappa_quotient`,
+    rounded once; otherwise :func:`symbolic_formula`'s float arithmetic.
+    0 where kappa_pi = 0.  The cumulants' ``types`` are part of the cache
+    key, since an exact and a float cumulant of equal value give
+    differently rounded coefficients."""
     table = word_table(d)
     denom = comb(d, d // 2)
-    bases = []
-    for parts, y in table.partitions:
-        factors = [kappas[i - 1] for i in parts]
-        if all(is_exact(k) for k in factors):
-            num = prod(k.numerator for k in factors)
-            bases.append((num, prod((k.denominator for k in factors), start=y * denom)))
-        else:
-            bases.append((prod(factors, start=1) / (y * denom), 1))
+    bases = [_kappa_quotient(kappas, parts, y * denom) for parts, y in table.partitions]
     terms = zip(table.mults, map(bases.__getitem__, table.part_of))
     out = np.array([mult * num / den for mult, (num, den) in terms])
     out.flags.writeable = False
@@ -515,61 +519,26 @@ def word_sum_norm_pow_stack(
     return _rescaled_stack(real_parts_checked(total), e, d)
 
 
-def _adjoint_count_traces(Z: Matrix, m: int, half: int) -> list:
-    """tau[k][j] = tr(C_{k,j}) for k = 1..m and j = 0..half (0 for j > k),
-    for one exact matrix.
-
-    C_{k,j} is the sum of the length-k words in Z and Z* with j adjoints.
-    The matrices are built up to h = ceil(m/2) by C_{k,j} = C_{k-1,j} Z +
-    C_{k-1,j-1} Z*, the upper half of each level as C_{k,k-j} = C_{k,j}*.
-    A longer word splits after its first h letters, so tr(C_{k,j}) =
-    sum_i tr(C_{h,i} C_{k-h,j-i}) costs no further matrix product.
-    """
-    h = (m + 1) // 2
-    C = [None, [Z, Z.adjoint()]]
-    for k in range(2, h + 1):
-        prev, row = C[k - 1], [None] * (k + 1)
-        for j in range(k // 2 + 1):
-            row[j] = prev[j] @ Z
-            if j:
-                row[j] = row[j] + prev[j - 1] @ C[1][1]
-        for j in range(k // 2 + 1, k + 1):
-            row[j] = row[k - j].adjoint()
-        C.append(row)
-    tau = [None]
-    for k in range(1, m + 1):
-        if k <= h:
-            low = [C[k][j].trace() for j in range(k // 2 + 1)]
-        else:
-            b = k - h
-            low = [
-                sum(
-                    trace_of_product(C[h][i], C[b][j - i])
-                    for i in range(max(0, j - b), min(h, j) + 1)
-                )
-                for j in range(k // 2 + 1)
-            ]
-        # tr(C_{k,k-j}) = conj tr(C_{k,j})
-        full = low + [t.conjugate() for t in reversed(low[: (k + 1) // 2])]
-        tau.append((full + [0] * half)[: half + 1])
-    return tau
-
-
 def _adjoint_count_trace_stack(Z: np.ndarray, m: int, half: int) -> np.ndarray:
     """(N, m, half+1): tau[:, k-1, j] = tr(C_{k,j}) for k = 1..m and
-    j = 0..half, for a stack; the stacked form of
-    :func:`_adjoint_count_traces`.
+    j = 0..half (0 for j > k), for a stack of complex matrices or of exact
+    ints (``dtype=object``, then tau holds ints too).
 
+    C_{k,j} is the sum of the length-k words in Z and Z* with j adjoints.
     Level k of C is built from level k-1 by two batched products, for its
-    lower half; its upper half is C_{k,k-j} = C_{k,j}*.  For each k > h =
-    ceil(m/2), every pairwise trace tr(C_{h,i} C_{k-h,j}) is an entry of
-    one product of the (h+1) x n^2 matrix of level h by the n^2 x (k-h+1)
-    matrix of level k-h transposed, and tau_k(u) = tr(C_h(u) C_{k-h}(u))
-    sums them along antidiagonals.
+    lower half, C_{k,j} = C_{k-1,j} Z + C_{k-1,j-1} Z*; its upper half is
+    C_{k,k-j} = C_{k,j}*.  A longer word splits after its first h =
+    ceil(m/2) letters: tau_k(u) = tr(C_h(u) C_{k-h}(u)) for k > h sums the
+    pairwise traces tr(C_{h,i} C_{k-h,j}) along antidiagonals.  On float
+    input each is an entry of one product of the (h+1) x n^2 matrix of
+    level h by the n^2 x (k-h+1) matrix of level k-h transposed.  On exact
+    input only the pairs with i + j <= k/2, which give the lower half, are
+    formed, one product per row of level h: the rest are conjugates of
+    these, and each costs big-int products that no BLAS speeds up.
     """
     N, n, _ = Z.shape
     h = (m + 1) // 2
-    tau = np.zeros((N, m, half + 1), dtype=complex)
+    tau = np.zeros((N, m, half + 1), dtype=Z.dtype)
     if m == 0:
         return tau
     levels = [None, np.stack([Z, np.conjugate(Z).swapaxes(1, 2)], axis=1)]
@@ -586,7 +555,14 @@ def _adjoint_count_trace_stack(Z: np.ndarray, m: int, half: int) -> np.ndarray:
     left = levels[h].reshape(N, h + 1, n * n)
     for k in range(h + 1, m + 1):
         right = levels[k - h].swapaxes(2, 3).reshape(N, k - h + 1, n * n)  # rows vec(C^T)
-        low = _antidiagonal_sums(left @ right.swapaxes(1, 2))[:, : k // 2 + 1]
+        if Z.dtype == object:
+            # exact: only the pairs i + j <= k // 2 reach the lower half
+            low = np.zeros((N, k // 2 + 1), dtype=object)
+            for i in range(min(h, k // 2) + 1):
+                cols = right[:, : k // 2 - i + 1]
+                low[:, i : i + cols.shape[1]] += (left[:, i, None] @ cols.swapaxes(1, 2))[:, 0]
+        else:
+            low = _antidiagonal_sums(left @ right.swapaxes(1, 2))[:, : k // 2 + 1]
         # tr(C_{k,k-j}) = conj tr(C_{k,j})
         full = np.concatenate([low, np.conjugate(low[:, (k + 1) // 2 - 1 :: -1])], axis=1)
         top = min(k, half) + 1
@@ -612,13 +588,14 @@ def general_norm_pow(Z: Matrix, spec: DistributionSpec, d: int):
 
         [x^d u^{d/2}] exp(sum_k kappa_k tau_k(u) x^k / k!) / C(d, d/2)
 
-    with tau_k(u) = sum_j tr(C_{k,j}) u^j (see :func:`_adjoint_count_traces`),
+    with tau_k(u) = sum_j tr(C_{k,j}) u^j (see :func:`_adjoint_count_trace_stack`),
     the coefficient of x^d taken as B_d / d! by the Bell kernel.
     Equals :func:`word_sum_norm_pow` exactly on rational input, restricts
     to :func:`hermitian_norm_pow` on Hermitian input and is strictly
     positive for Z != 0.  Exact input (matrix and cumulants) runs in
-    Python ints; anything else is :func:`general_norm_pow_stack` on a
-    stack of one.
+    Python ints, its traces from the same kernel on a stack of one int
+    matrix; anything else is :func:`general_norm_pow_stack` on a stack of
+    one.
     """
     _require_even_degree(d)
     kappas = _int_kernel_cumulants(Z, spec, d)
@@ -628,8 +605,8 @@ def general_norm_pow(Z: Matrix, spec: DistributionSpec, d: int):
     Zs, scale = _scaled(Z, kappas)
     c, den = _exact_factors(kappas)
     m = max((k for k in range(1, d + 1) if c[k - 1] != 0), default=0)
-    tau = _adjoint_count_traces(Zs, m, half)
-    a = [None] + [[c[k - 1] * x for x in tau[k]] for k in range(1, m + 1)]
+    tau = _adjoint_count_trace_stack(Zs.array[None], m, half)[0].tolist()
+    a = [None] + [[c[k - 1] * x for x in tau[k - 1]] for k in range(1, m + 1)]
     b, D = _bell(a, d, half, den)
     return _rescaled(Fraction(b[half], D * factorial(d) * comb(d, half)), scale, d)
 
@@ -726,27 +703,25 @@ class TracePolynomial:
     ``terms`` maps a sorted tuple of canonical words (the factor multiset of
     one product of traces) to its coefficient.  In Hermitian mode a factor
     word of k letters stands for tr(A^k); in general mode the letters 'z'
-    and 's' stand for Z and Z*.  Zero coefficients are never stored.
+    and 's' stand for Z and Z*.
     """
 
     __slots__ = ("degree", "hermitian", "terms")
 
     def __init__(self, degree: int, hermitian: bool, terms: dict):
+        """``terms`` is stored as given, and must hold no zero coefficient
+        and come in canonical order: by the partition of a term (the
+        multiset of its factor lengths) in the reverse-lexicographic order
+        of :func:`enumerate_partitions`, then by factor tuple.
+        :func:`symbolic_formula` builds its terms in that order, and the
+        printed forms keep it."""
         self.degree = degree
         self.hermitian = hermitian
-        self.terms = {k: v for k, v in terms.items() if not (v == 0)}
+        self.terms = terms
 
-    def coefficient(self, factors):
-        return self.terms.get(tuple(sorted(factors)), 0)
-
-    def ordered_terms(self) -> list:
-        """Terms grouped by partition in reverse-lexicographic order, then by
-        factor tuple; the partition of a term is the multiset of factor lengths."""
-        rank = {p.parts: i for i, p in enumerate(enumerate_partitions(self.degree))}
-        return sorted(
-            self.terms.items(),
-            key=lambda term: (rank[tuple(sorted(map(len, term[0]), reverse=True))], term[0]),
-        )
+    def ordered_terms(self):
+        """The (factor tuple, coefficient) pairs in canonical order."""
+        return self.terms.items()
 
     def evaluate(self, Z: Matrix):
         """The polynomial at Z: the sum of coefficient times factor traces.
@@ -796,15 +771,12 @@ class TracePolynomial:
 
     @_gc_paused()
     def to_json(self) -> dict:
-        names = self._rendered(lambda w: f"A^{len(w)}", word_json)
+        factor = self._rendered(lambda w: f"A^{len(w)}", word_json).__getitem__
         terms = []
         for key, coeff in self.ordered_terms():
-            frac = Fraction(coeff) if isinstance(coeff, int) else coeff
-            if not isinstance(frac, Fraction):
+            if not is_exact(coeff):
                 raise PreconditionError("JSON form requires exact rational coefficients")
-            terms.append(
-                {"coeff": [frac.numerator, frac.denominator], "factors": [names[w] for w in key]}
-            )
+            terms.append({"coeff": [*coeff.as_integer_ratio()], "factors": [*map(factor, key)]})
         return {
             "degree": self.degree,
             "mode": "hermitian" if self.hermitian else "general",
@@ -824,6 +796,7 @@ class TracePolynomial:
         return f"TracePolynomial(degree={self.degree}, hermitian={self.hermitian}, terms={self.terms!r})"
 
 
+@_gc_paused()
 def symbolic_formula(kappas, d: int, hermitian_mode: bool = False) -> TracePolynomial:
     """The norm power as a trace polynomial with explicit coefficients.
 
@@ -833,6 +806,14 @@ def symbolic_formula(kappas, d: int, hermitian_mode: bool = False) -> TracePolyn
     product of tr(A^part).  :meth:`TracePolynomial.evaluate` gives the norm
     power at a matrix.  Cumulants may be Fractions (exact output) or any
     ring elements supporting * and /.
+
+    The terms come out in canonical order (see :class:`TracePolynomial`):
+    partitions in the order of :func:`enumerate_partitions`, and each
+    partition's table sorted by factor tuple.  Exact cumulants give each
+    distinct coefficient as one Fraction of ints (:func:`_kappa_quotient`).
+    A partition whose kappa_pi / (y_pi C(d, d/2)) is zero is skipped; any
+    other gives every term a nonzero coefficient, a multiplicity of at
+    least 1 times it.
     """
     _require_even_degree(d)
     ks = kappas.kappas if isinstance(kappas, CumulantVector) else tuple(kappas)
@@ -841,16 +822,15 @@ def symbolic_formula(kappas, d: int, hermitian_mode: bool = False) -> TracePolyn
     denom = 1 if hermitian_mode else comb(d, d // 2)
     terms: dict = {}
     for p in enumerate_partitions(d):
-        kp = prod((ks[i - 1] for i in p.parts), start=1)
-        if kp == 0:
+        num, den = _kappa_quotient(ks, p.parts, y_of(p) * denom)
+        if num == 0:
             continue
-        base = exact_div(kp, y_of(p) * denom)
         if hermitian_mode:
             table = ((tuple(sorted("z" * part for part in p.parts)), 1),)
         else:
             table = placement_terms(p.parts)
         # far fewer multiplicities than terms: each coefficient formed once
-        coeff = {mult: mult * base for mult in {mult for _, mult in table}}
+        coeff = {mult: exact_div(mult * num, den) for mult in {mult for _, mult in table}}
         # factor tuples never repeat: their word lengths give the partition
         terms.update((factors, coeff[mult]) for factors, mult in table)
     return TracePolynomial(d, hermitian_mode, terms)

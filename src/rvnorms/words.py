@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import accumulate, combinations_with_replacement
+from itertools import accumulate
 from math import comb
 from typing import NamedTuple
 
@@ -73,26 +73,39 @@ def necklaces(k: int) -> tuple[tuple[str, int, int], ...]:
     return tuple(out)
 
 
-def _orders(combo) -> int:
-    """m! / prod m_c! * prod_c size(c)^m_c over a sorted combination of m
-    necklaces holding m_c copies of each necklace c: the ways m labelled
-    segments show it, one rotation of one necklace each."""
-    out = run = 1
-    for i in range(len(combo)):
-        run = run + 1 if i and combo[i - 1] == combo[i] else 1
-        out = out * (i + 1) * combo[i][2] // run
-    return out
+@lru_cache(maxsize=None)
+def _grown(k: int, m: int) -> tuple[tuple[tuple[str, ...], int, int, int, int], ...]:
+    """The multisets of ``m >= 1`` necklaces of length ``k`` in lexicographic
+    order, each as ``(sorted words, adjoints, markings, last, copies)``:
+    ``last`` indexes its largest necklace in :func:`necklaces` and
+    ``copies`` counts that necklace.  Each grows from a multiset of m - 1
+    by one necklace no smaller than its largest; a necklace of size s that
+    becomes copy r multiplies the markings m! / prod m_c! * prod size^m_c
+    by m s / r."""
+    neck = necklaces(k)
+    if m == 1:
+        return tuple(((word,), adj, size, i, 1) for i, (word, adj, size) in enumerate(neck))
+    out = []
+    for words, adjoints, markings, last, copies in _grown(k, m - 1):
+        for i in range(last, len(neck)):
+            word, adj, size = neck[i]
+            r = copies + 1 if i == last else 1
+            out.append((words + (word,), adjoints + adj, markings * m * size // r, i, r))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _multisets(k: int, m: int) -> tuple[tuple[tuple[tuple[str, ...], int], ...], ...]:
     """The multisets of ``m`` necklaces of length ``k`` by their adjoint
     total: entry ``a`` lists ``(sorted words, markings)`` over the multisets
-    with ``a`` letters 's' in all."""
+    with ``a`` letters 's' in all, in lexicographic order."""
     by_adjoints: list[list] = [[] for _ in range(k * m + 1)]
-    for combo in combinations_with_replacement(necklaces(k), m):
-        words = tuple(word for word, _, _ in combo)
-        by_adjoints[sum(adj for _, adj, _ in combo)].append((words, _orders(combo)))
+    if m == 1:  # each necklace is its own multiset
+        for word, adjoints, size in necklaces(k):
+            by_adjoints[adjoints].append(((word,), size))
+    else:
+        for words, adjoints, markings, _, _ in _grown(k, m):
+            by_adjoints[adjoints].append((words, markings))
     return tuple(map(tuple, by_adjoints))
 
 
@@ -107,28 +120,35 @@ def placement_terms(parts: tuple[int, ...]) -> tuple[tuple[tuple[str, ...], int]
     d = sum(parts)
     if d % 2:
         raise PreconditionError(f"adjoint placements need even total degree, got {d}")
+    if not parts:
+        return (((), 1),)
     groups = sorted(Counter(parts).items())
     # room[i]: the most adjoints the groups from i on can take
     room = list(accumulate((k * m for k, m in reversed(groups)), initial=0))[::-1]
-    last = len(groups) - 1
-    terms = []
-
-    def choose(i: int, need: int, words: tuple, markings: int) -> None:
-        k, m = groups[i]
-        # group i takes a adjoints, leaving no more than the groups after it can take
-        for a in range(max(0, need - room[i + 1]), min(k * m, need) + 1):
-            for group_words, count in _multisets(k, m)[a]:
-                if i == last:
-                    terms.append((tuple(sorted(words + group_words)), markings * count))
-                else:
-                    choose(i + 1, need - a, words + group_words, markings * count)
-
-    if groups:
-        choose(0, d // 2, (), 1)
+    # (words, markings, adjoints still needed) over the choices for the
+    # groups before the last, each group taking no more adjoints than leaves
+    # the groups after it able to take the rest
+    partial = [((), 1, d // 2)]
+    for i, (k, m) in enumerate(groups[:-1]):
+        table = _multisets(k, m)
+        partial = [
+            (words + group_words, markings * count, need - a)
+            for words, markings, need in partial
+            for a in range(max(0, need - room[i + 1]), min(k * m, need) + 1)
+            for group_words, count in table[a]
+        ]
+    # the last group takes exactly the adjoints still needed
+    table = _multisets(*groups[-1])
+    if len(groups) == 1:  # one group: its multisets are already sorted
+        terms = table[d // 2]
     else:
-        terms.append(((), 1))
+        terms = sorted(
+            (tuple(sorted(words + group_words)), markings * count)
+            for words, markings, need in partial
+            for group_words, count in table[need]
+        )
     assert sum(count for _, count in terms) == comb(d, d // 2)
-    return tuple(sorted(terms))
+    return tuple(terms)
 
 
 def word_text(word: str) -> str:

@@ -4,7 +4,8 @@ The closed normal form, the Pareto multinomial expansion and the
 Bernoulli monomial-symmetric sum are oracles for the cumulant routes;
 the brute-force monomial sum, power sums, monomial symmetric polynomials
 and the CHS power-sum identity are oracles for ``sympoly``;
-``kappa_product`` and ``frobenius_norm`` are the plain definitions;
+``kappa_product``, ``frobenius_norm`` and ``trace_of_product`` are the
+plain definitions;
 ``random_unitary`` and ``zeros`` build test inputs.
 """
 
@@ -19,7 +20,7 @@ from rvnorms.errors import MomentExistenceError, NonHermitianError, Precondition
 from rvnorms.matrixcore import Matrix, is_hermitian, trace_powers
 from rvnorms.normengine import _require_even_degree
 from rvnorms.partitions import Partition, enumerate_partitions, z_of
-from rvnorms.scalars import exact_div, real_part_checked
+from rvnorms.scalars import exact_div, is_exact, real_part_checked
 from rvnorms.sympoly import chs
 
 
@@ -193,3 +194,12 @@ def kappa_product(p: Partition, k: CumulantVector):
 
 def frobenius_norm(Z: Matrix) -> float:
     return float(np.linalg.norm(Z.to_numpy()))
+
+
+def trace_of_product(A: Matrix, B: Matrix):
+    """tr(AB) = sum_ij A_ij B_ji in O(n^2), without forming AB: a Python
+    int or Fraction for exact input, a complex otherwise."""
+    if A.n != B.n:
+        raise ValueError("dimension mismatch")
+    total = (A.array * B.array.T).sum()
+    return total if is_exact(total) else complex(total)

@@ -16,12 +16,11 @@ from rvnorms.matrixcore import (
     load_matrix,
     matrix_from_json,
     matrix_to_json,
-    trace_of_product,
     trace_powers,
 )
 from rvnorms.suites import random_hermitian, stream
 
-from oracles import frobenius_norm, random_unitary, zeros
+from oracles import frobenius_norm, random_unitary, trace_of_product, zeros
 
 I = 1j
 

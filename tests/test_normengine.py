@@ -14,7 +14,7 @@ from rvnorms.cumulants import (
 )
 from rvnorms import normengine
 from rvnorms.errors import NonHermitianError, PreconditionError
-from rvnorms.matrixcore import Matrix, trace_of_product, trace_powers
+from rvnorms.matrixcore import Matrix, trace_powers
 from rvnorms.normengine import (
     bell_value,
     circle_extension_check,
@@ -42,6 +42,7 @@ from oracles import (
     normal_norm_pow_closed,
     pareto_norm_pow_multinomial,
     random_unitary,
+    trace_of_product,
     zeros,
 )
 
@@ -625,11 +626,11 @@ def test_symbolic_poisson_alpha_structure():
     # Coefficients scale as alpha^(number of parts).
     for a in (Fraction(5), Fraction(2, 3)):
         poly = symbolic_formula(distribution_cumulants(DistributionSpec.poisson(a), 4), 4, True)
-        assert poly.coefficient(("z", "z", "z", "z")) == a**4 / 24
-        assert poly.coefficient(("z", "z", "zz")) == 6 * a**3 / 24
-        assert poly.coefficient(("z", "zzz")) == 4 * a**2 / 24
-        assert poly.coefficient(("zz", "zz")) == 3 * a**2 / 24
-        assert poly.coefficient(("zzzz",)) == a / 24
+        assert poly.terms.get(("z", "z", "z", "z")) == a**4 / 24
+        assert poly.terms.get(("z", "z", "zz")) == 6 * a**3 / 24
+        assert poly.terms.get(("z", "zzz")) == 4 * a**2 / 24
+        assert poly.terms.get(("zz", "zz")) == 3 * a**2 / 24
+        assert poly.terms.get(("zzzz",)) == a / 24
 
 
 def test_symbolic_normal_drops_zero_terms():
@@ -721,6 +722,34 @@ def test_symbolic_ordering_deterministic():
         "1/216 tr(Z*Z*) tr(ZZ)",
         "1/108 tr(Z*Z)^2",
     ]
+
+
+# laws with every cumulant nonzero and laws with zero cumulants (normal,
+# rademacher, uniform), whose partitions drop out of the formula
+ORDER_LAWS = (
+    "exponential:beta=5/4",
+    "poisson:alpha=9/4",
+    "normal:mu=1/2,sigma=1/3",
+    "rademacher",
+    "uniform:a=-1,b=3/2",
+)
+
+
+@pytest.mark.parametrize("hermitian_mode", [False, True], ids=["general", "hermitian"])
+@pytest.mark.parametrize("d", range(2, 15, 2))
+def test_ordered_terms_are_the_canonical_sort(d, hermitian_mode):
+    # the terms keep the order symbolic_formula builds them in, which must be
+    # the explicit sort by (partition rank, factor tuple)
+    rank = {p.parts: i for i, p in enumerate(enumerate_partitions(d))}
+
+    def canonical(term):
+        return rank[tuple(sorted(map(len, term[0]), reverse=True))], term[0]
+
+    for law in ORDER_LAWS:
+        kappas = distribution_cumulants(parse_distribution(law), d)
+        poly = symbolic_formula(kappas, d, hermitian_mode)
+        assert list(poly.ordered_terms()) == sorted(poly.terms.items(), key=canonical), law
+        assert poly.terms and 0 not in poly.terms.values(), law
 
 
 def test_symbolic_json_form():
@@ -833,7 +862,8 @@ GEN_Q = Matrix([[1, Fraction(2, 3)], [Fraction(-1, 5), 2]])
 
 def _spy_on_evaluated_matrix(monkeypatch, route, stack=False):
     """Record the matrix each route evaluates its degree-d form at; with
-    ``stack``, the first matrix of the stack the float kernel evaluates."""
+    ``stack``, the first matrix of the stack the float kernel evaluates.
+    The constant-term route evaluates exact input on a stack of one too."""
     seen = []
     if route is word_sum_norm_pow and not stack:
         owner, name = normengine.TracePolynomial, "evaluate"
@@ -845,11 +875,12 @@ def _spy_on_evaluated_matrix(monkeypatch, route, stack=False):
 
     else:
         owner = normengine
-        if stack:
-            kernels = {general_norm_pow: "_adjoint_count_trace_stack", word_sum_norm_pow: "word_traces"}
-            name = kernels.get(route, "_trace_power_stack")
+        if route is general_norm_pow:
+            name, stack = "_adjoint_count_trace_stack", True
+        elif stack:
+            name = "word_traces" if route is word_sum_norm_pow else "_trace_power_stack"
         else:
-            name = "_adjoint_count_traces" if route is general_norm_pow else "trace_powers"
+            name = "trace_powers"
         real = getattr(owner, name)
 
         def spy(Z, *args):
