@@ -58,9 +58,8 @@ integers, rationals p/q (kept exact), or floats.  Catalog:
 # Largest degree `formula` builds in general mode.  The cost grows 3-5x per
 # +2 in degree: `formula exponential -d D --json` takes 0.37-0.39 s at 14,
 # 0.58-0.61 s at 16 and 1.3-1.4 s at 18 (147 MB peak) on a 2-vCPU host
-# (about 0.3 s of each is interpreter start-up).  By that growth d=20 would
-# take about 4-6 s and several hundred MB; it has not been run, so the
-# limit stays at 18 until it is measured.
+# (about 0.3 s of each is interpreter start-up).  d=20 has not been run,
+# so the limit stays at 18 until it is measured.
 FORMULA_MAX_DEGREE = 18
 
 # Largest degree for Hermitian-mode `formula` and for `hunter`, which walk

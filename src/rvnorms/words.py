@@ -96,16 +96,12 @@ def _grown(k: int, m: int) -> tuple[tuple[tuple[str, ...], int, int, int, int], 
 
 @lru_cache(maxsize=None)
 def _multisets(k: int, m: int) -> tuple[tuple[tuple[tuple[str, ...], int], ...], ...]:
-    """The multisets of ``m`` necklaces of length ``k`` by their adjoint
-    total: entry ``a`` lists ``(sorted words, markings)`` over the multisets
-    with ``a`` letters 's' in all, in lexicographic order."""
+    """The multisets of ``m >= 1`` necklaces of length ``k`` by their
+    adjoint total: entry ``a`` lists ``(sorted words, markings)`` over the
+    multisets with ``a`` letters 's' in all, in lexicographic order."""
     by_adjoints: list[list] = [[] for _ in range(k * m + 1)]
-    if m == 1:  # each necklace is its own multiset
-        for word, adjoints, size in necklaces(k):
-            by_adjoints[adjoints].append(((word,), size))
-    else:
-        for words, adjoints, markings, _, _ in _grown(k, m):
-            by_adjoints[adjoints].append((words, markings))
+    for words, adjoints, markings, _, _ in _grown(k, m):
+        by_adjoints[adjoints].append((words, markings))
     return tuple(map(tuple, by_adjoints))
 
 
@@ -139,14 +135,11 @@ def placement_terms(parts: tuple[int, ...]) -> tuple[tuple[tuple[str, ...], int]
         ]
     # the last group takes exactly the adjoints still needed
     table = _multisets(*groups[-1])
-    if len(groups) == 1:  # one group: its multisets are already sorted
-        terms = table[d // 2]
-    else:
-        terms = sorted(
-            (tuple(sorted(words + group_words)), markings * count)
-            for words, markings, need in partial
-            for group_words, count in table[need]
-        )
+    terms = sorted(
+        (tuple(sorted(words + group_words)), markings * count)
+        for words, markings, need in partial
+        for group_words, count in table[need]
+    )
     assert sum(count for _, count in terms) == comb(d, d // 2)
     return tuple(terms)
 

@@ -20,7 +20,7 @@ from rvnorms.matrixcore import (
 )
 from rvnorms.suites import random_hermitian, stream
 
-from oracles import frobenius_norm, random_unitary, trace_of_product, zeros
+from oracles import frobenius_norm, random_unitary, zeros
 
 I = 1j
 
@@ -252,7 +252,7 @@ def test_entries_and_traces_are_python_scalars(rows, kinds):
     entries = [Z[i, j] for i in range(2) for j in range(2)]
     assert all(type(v) in kinds for v in entries)
     assert type(Z.trace()) in kinds
-    assert type(trace_of_product(Z, Z.adjoint())) in kinds
+    assert type((Z @ Z.adjoint()).trace()) in kinds
     assert Z.is_exact() == (kinds == (int, Fraction))
 
 
