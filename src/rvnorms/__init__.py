@@ -30,7 +30,6 @@ from .matrixcore import (
     load_matrix,
     matrix_from_json,
     matrix_to_json,
-    trace_powers,
 )
 from .normengine import (
     TracePolynomial,
@@ -111,7 +110,6 @@ __all__ = [
     "series_norm_pow",
     "series_norm_pow_stack",
     "symbolic_formula",
-    "trace_powers",
     "word_sum_norm_pow",
     "word_sum_norm_pow_stack",
     "y_of",

@@ -11,7 +11,8 @@ or zero for a nonzero matrix), verify --trials below 1 or above
 VERIFY_MAX_TRIALS of a suite it runs, a seed outside
 [0, 2**64), a general-mode formula above degree FORMULA_MAX_DEGREE, a
 Hermitian-mode formula or hunter above degree PARTITION_MAX_DEGREE, a norm
-above the degree NORM_MAX_DEGREE gives its method).
+above the degree NORM_MAX_DEGREE gives its method, an oracle above degree
+ORACLE_MAX_DEGREE or above ORACLE_MAX_SAMPLES samples).
 """
 
 from __future__ import annotations
@@ -81,10 +82,11 @@ PARTITION_MAX_DEGREE = 44
 #   Hermitian input takes 0.3 s at d=100.
 # - series (Hermitian only): up to 3.9 s at d=300 and 9.1 s at d=400
 #   (finite_discrete).
-# - words: 0.8-1.5 s at d=14 (five families), 2.3-4.4 s at d=16
-#   (exponential, gamma).
-# - auto on non-Hermitian input (words plus circle quadrature): 0.8-1.6 s
-#   at d=14, 2.4-4.1 s at d=16.
+# - words: 0.22-0.34 s at d=14 and 0.35-0.64 s (46 MB) at d=16, five
+#   families, two runs each (normal is fastest: its table keeps only the
+#   partitions with parts <= 2).
+# - auto on non-Hermitian input (words plus circle quadrature): 0.28-0.41 s
+#   at d=14, 0.35-0.66 s at d=16.
 # words and auto stay at 14, the limit set when d=16 took 9-15 s, until
 # they are re-measured on slower hosts.
 NORM_MAX_DEGREE = {"partition": 100, "series": 300, "words": 14, "auto": 14}
@@ -98,6 +100,14 @@ NORM_MAX_DEGREE = {"partition": 100, "series": 300, "words": 14, "auto": 14}
 # oracles on stacks, its 250 trials take about 1 s on that host (4 ms a
 # trial); the cap stays until it is re-measured on slower hosts.
 VERIFY_MAX_TRIALS = {"axioms": 2400, "schur": 4000, "paths": 250, "hunter": 8000, "khintchine": 20000}
+
+# Largest degree and --samples `oracle` takes; above either it exits 3
+# before it reads the matrix.  The estimate divides by d!, which leaves the
+# float range from d=171.  One thread draws 2*10**7 samples of a Hermitian
+# float 8x8 at d=6 in 3.1-10.8 s on a 2-vCPU host (pareto fastest, poisson
+# slowest), and the cost grows with n: 10**7 keeps each law near 5 s there.
+ORACLE_MAX_SAMPLES = 10**7
+ORACLE_MAX_DEGREE = 170
 
 
 def _default_seed() -> int:
@@ -176,8 +186,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="Monte Carlo estimate for a Hermitian matrix")
     p_oracle.add_argument("matrix")
     p_oracle.add_argument("dist")
-    p_oracle.add_argument("-d", "--degree", type=int, required=True)
-    p_oracle.add_argument("--samples", type=int, default=10**6)
+    p_oracle.add_argument(
+        "-d", "--degree", type=int, required=True, help=f"at most {ORACLE_MAX_DEGREE}"
+    )
+    p_oracle.add_argument(
+        "--samples", type=int, default=10**6, help=f"at most {ORACLE_MAX_SAMPLES}"
+    )
     p_oracle.add_argument("--seed", type=int, default=None, help="default $RVNORMS_SEED")
     p_oracle.add_argument("--threads", type=int, default=1, help="cap on sampling workers")
     p_oracle.add_argument("--json", action="store_true")
@@ -329,6 +343,11 @@ def _cmd_hunter(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.degree > ORACLE_MAX_DEGREE or args.samples > ORACLE_MAX_SAMPLES:
+        raise PreconditionError(
+            f"oracle is limited to degree {ORACLE_MAX_DEGREE} and {ORACLE_MAX_SAMPLES} samples, "
+            f"got degree {args.degree} and {args.samples} samples"
+        )
     A = load_matrix(args.matrix)
     spec = parse_distribution(args.dist)
     seed = args.seed if args.seed is not None else _default_seed()

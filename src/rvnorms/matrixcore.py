@@ -1,14 +1,14 @@
-"""Dense square matrices with the few linear-algebra pieces the norm engine
-needs: trace powers, traces of products, Hermitian eigenvalues,
-majorization, the power-of-two scale of a float matrix, and the JSON
-matrix file format.
+"""Dense square matrices with the Hermitian test and tolerance, Hermitian
+eigenvalues, majorization, the power-of-two scale of a float matrix, and
+the JSON matrix file format.  The norm routes' trace kernels work on numpy
+stacks (:mod:`rvnorms.normengine`), not on Matrix.
 
 A Matrix is immutable and holds one numpy array, validated once in its
 constructor.  Entries that are all exact (int, Fraction) or a mix of exact
 and inexact values are stored with ``dtype=object``, so exact arithmetic
 stays in Python ints and Fractions and never overflows; all-inexact entries
-(float, complex, or a numeric ndarray) are stored as complex128.  Entries,
-traces and traces of products come out as Python int, Fraction or complex.
+(float, complex, or a numeric ndarray) are stored as complex128.  Entries
+and traces come out as Python int, Fraction or complex.
 The analytic norm paths never touch the eigensolver (LAPACK ``eigvalsh``
 through numpy); it exists for the Monte Carlo oracle and the
 Schur-convexity tests.
@@ -181,18 +181,6 @@ def is_hermitian(Z: Matrix, tol: float | None = None) -> bool:
     if tol is None and Z.is_exact():
         return Z == Z.adjoint()
     return bool(hermitian_mask(Z.array, tol))
-
-
-def trace_powers(A: Matrix, d: int) -> list:
-    """(tr A, tr A^2, ..., tr A^d) by iterated multiplication."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    out = [A.trace()]
-    P = A
-    for _ in range(d - 1):
-        P = P @ A
-        out.append(P.trace())
-    return out
 
 
 def hermitian_eigenvalues(A: Matrix) -> list[float]:

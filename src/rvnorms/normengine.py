@@ -33,16 +33,21 @@ Two independent routes serve as oracles:
   it is the CLI's ``series`` method and the check behind ``auto``;
 * the adjoint-placement trace-word sum, sum over partitions of kappa_pi *
   T_pi(Z) / y_pi with T_pi averaging the C(d, d/2) ways of distributing
-  d/2 adjoints over the letter slots: :func:`word_sum_norm_pow` evaluates
-  the trace polynomial that :func:`symbolic_formula` builds (and the
-  ``formula`` command prints), multiplying out every distinct trace word.
-  It uses no cumulant recurrence and no C_{k,j} matrices, and is compared
-  against by the CLI's ``words`` method, the circle-average check and the
-  ``paths`` suite.
+  d/2 adjoints over the letter slots: :func:`word_sum_norm_pow` sums the
+  terms of the trace polynomial that :func:`symbolic_formula` builds (and
+  the ``formula`` command prints), multiplying out every distinct trace
+  word once.  It uses no cumulant recurrence and no C_{k,j} matrices, and
+  is compared against by the CLI's ``words`` method, the circle-average
+  check and the ``paths`` suite.
 
 On float input both oracles run on stacks too, with the same law axis
 (:func:`series_norm_pow_stack`, :func:`word_sum_norm_pow_stack`); one
 float matrix is a stack of one.
+
+Each route has one trace kernel, :func:`_trace_power_stack` (Hermitian,
+series), :func:`_adjoint_count_trace_stack` (constant term) or
+:func:`~rvnorms.words.word_traces` (trace words): float input runs it on a
+complex stack, exact input on the int stack of one of :func:`_scaled`.
 
 All routes run in exact rational arithmetic when the matrix entries and
 cumulants are rational; the d-th root at the very end is the only
@@ -85,14 +90,12 @@ from .matrixcore import (
     hermitian_mask,
     hermitian_tolerance,
     is_hermitian,
-    scale_exponent,
     scale_exponents,
-    trace_powers,
 )
 from .partitions import enumerate_partitions, y_of
 from .scalars import exact_div, is_exact, real_parts_checked
 from .series import TruncatedSeries
-from .words import placement_terms, word_json, word_plan, word_table, word_text, word_traces
+from .words import placement_terms, word_json, word_table, word_text, word_traces
 
 
 def _require_even_degree(d: int) -> None:
@@ -103,23 +106,13 @@ def _require_even_degree(d: int) -> None:
         )
 
 
-def _scaled(Z: Matrix, kappas):
-    """(Zs, scale): Z brought to the scale every route evaluates at.
-
-    If Z and every cumulant are exact, Zs = L Z has int entries (L the lcm
-    of the entry denominators) and scale = Fraction(1, L).  A float Z gives
-    Zs = Z * 2**-e, exact, with e = :func:`scale_exponent` and scale = e.
-    An exact Z with float cumulants keeps its rational entries (scale
-    Fraction(1)), because L**d may exceed the float range although the norm
-    power does not.
-    """
-    if not Z.is_exact():
-        e = scale_exponent(Z)
-        return Z * 2.0**-e, e
-    if not all(is_exact(kappa) for kappa in kappas):
-        return Z, Fraction(1)
+def _scaled(Z: Matrix):
+    """(Zs, scale) for an exact Z whose cumulants are exact too: Zs = L Z
+    as an int stack of one, (1, n, n) with ``dtype=object``, for L the lcm
+    of the entry denominators, and scale = Fraction(1, L).  Every exact
+    route runs its trace kernel on Zs."""
     L = lcm(*(v.denominator for v in Z.array.flat))
-    return Matrix(Z.array * L // 1), Fraction(1, L)  # Fraction(k, 1) // 1 is the int k
+    return (Z.array * L // 1)[None], Fraction(1, L)  # Fraction(k, 1) // 1 is the int k
 
 
 def _rescaled(total, scale, d: int):
@@ -251,6 +244,13 @@ def _exact_factors(kappas):
     return [kappa.numerator for kappa in kappas], [1] + [kappa.denominator for kappa in kappas]
 
 
+def _top_cumulant(kappas) -> int:
+    """The largest k with kappa_k != 0 (0 if none).  Above it no a_k of the
+    Bell kernel, and no partition with a part above k, adds to the norm
+    power, so no longer trace is needed."""
+    return max((k for k, kappa in enumerate(kappas, 1) if kappa != 0), default=0)
+
+
 def _law_rows(spec: DistributionSpec | Sequence[DistributionSpec], N: int):
     """(laws, rows) for a stack of N matrices under ``spec``, one
     :class:`DistributionSpec` for all of them or a sequence of N, one per
@@ -273,7 +273,7 @@ def _float_factors(laws, rows: np.ndarray, d: int):
     that factor for k = 1..max(m) (see
     :func:`~rvnorms.cumulants.normalized_cumulants`), 0 above m[i]."""
     factors = [normalized_cumulants(law, d) for law in laws]
-    ms = [max((k for k, ck in enumerate(c, 1) if ck != 0), default=0) for c in factors]
+    ms = list(map(_top_cumulant, factors))
     c = np.zeros((len(laws), max(ms, default=0)))
     for i, (ci, mi) in enumerate(zip(factors, ms)):
         c[i, :mi] = ci[:mi]
@@ -312,8 +312,9 @@ def hermitian_norm_pow(A: Matrix, spec: DistributionSpec, d: int):
     """Norm power (1/d!) * B_d(kappa_1 tr A, ..., kappa_d tr A^d); Hermitian
     input only.  Strictly positive for A != 0.
 
-    Exact input (matrix and cumulants) runs in Python ints; anything else
-    is :func:`hermitian_norm_pow_stack` on a stack of one.
+    Exact input (matrix and cumulants) runs in Python ints, on the trace
+    powers up to the top nonzero cumulant; anything else is
+    :func:`hermitian_norm_pow_stack` on a stack of one.
     """
     _require_even_degree(d)
     if A.is_exact() and not is_hermitian(A):
@@ -321,9 +322,9 @@ def hermitian_norm_pow(A: Matrix, spec: DistributionSpec, d: int):
     kappas = _int_kernel_cumulants(A, spec, d)
     if kappas is None:
         return float(hermitian_norm_pow_stack(A.array[None], spec, d)[0])
-    As, scale = _scaled(A, kappas)
+    As, scale = _scaled(A)
     c, den = _exact_factors(kappas)
-    tp = trace_powers(As, d)
+    tp = _trace_power_stack(As, np.array([_top_cumulant(kappas)]))[0].tolist()
     (b,), D = _bell([None] + [[ck * t] for ck, t in zip(c, tp)], d, 0, den)
     return _rescaled(Fraction(b, D * factorial(d)), scale, d)
 
@@ -353,17 +354,18 @@ def hermitian_norm_pow_stack(
 
 
 def _trace_power_stack(A: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """(N, max(m)): the real parts of tr A^k, k = 1..max(m), for a stack of
-    Hermitian matrices; those with k <= m[i] are checked by
-    :func:`real_parts_checked`, the rest are 0."""
+    """(N, max(m)): tr A^k for k = 1..m[i] and 0 above, for a stack of
+    Hermitian matrices, one batched product per power.  A complex stack
+    gives the real parts, each checked by :func:`real_parts_checked`; a
+    stack of exact ints (``dtype=object``, real symmetric) gives ints."""
     top = int(m.max(initial=0))
-    P = np.empty((top,) + A.shape, dtype=complex)  # P[k-1] = A^k
+    P = np.empty((top,) + A.shape, dtype=A.dtype)  # P[k-1] = A^k
     if top:
         P[0] = A
     for k in range(1, top):
         np.matmul(P[k - 1], A, out=P[k])
-    tr = P.trace(axis1=2, axis2=3).T
-    return real_parts_checked(np.where(np.arange(1, top + 1) <= m[:, None], tr, 0))
+    tr = np.where(np.arange(1, top + 1) <= m[:, None], P.trace(axis1=2, axis2=3).T, 0)
+    return tr if A.dtype == object else real_parts_checked(tr)
 
 
 def _require_mgf(spec: DistributionSpec) -> None:
@@ -389,8 +391,8 @@ def series_norm_pow(A: Matrix, spec: DistributionSpec, d: int):
     kappas = _int_kernel_cumulants(A, spec, d)
     if kappas is None:
         return float(series_norm_pow_stack(A.array[None], spec, d)[0])
-    As, scale = _scaled(A, kappas)
-    tp = trace_powers(As, d)
+    As, scale = _scaled(A)
+    tp = _trace_power_stack(As, np.array([d]))[0].tolist()
     coeffs = [0] + [exact_div(kappas[j - 1], factorial(j)) * tp[j - 1] for j in range(1, d + 1)]
     return _rescaled(TruncatedSeries(coeffs).exp().coefficient(d), scale, d)
 
@@ -424,27 +426,33 @@ def series_norm_pow_stack(
 
 
 def word_sum_norm_pow(Z: Matrix, spec: DistributionSpec, d: int):
-    """Norm power for arbitrary square Z: sum_pi kappa_pi * T_pi(Z) / y_pi.
+    """Norm power for arbitrary square Z: sum_pi kappa_pi * T_pi(Z) / y_pi,
+    over the terms of :func:`symbolic_formula` (:func:`word_table`).
 
-    Exact input (matrix and cumulants) evaluates :func:`symbolic_formula`
-    at Z, multiplying out every distinct trace word; anything else is
-    :func:`word_sum_norm_pow_stack` on a stack of one.  This is the
-    independent oracle for :func:`general_norm_pow`, equal to it exactly on
-    rational input.
+    Exact input (matrix and cumulants) sums each partition's terms in ints
+    and weighs the sum by :func:`_kappa_quotient`, with one Fraction at the
+    end; anything else is :func:`word_sum_norm_pow_stack` on a stack of
+    one.  This is the independent oracle for :func:`general_norm_pow`,
+    equal to it exactly on rational input.
     """
     _require_even_degree(d)
     kappas = _int_kernel_cumulants(Z, spec, d)
     if kappas is None:
         return float(word_sum_norm_pow_stack(Z.array[None], spec, d)[0])
-    Zs, scale = _scaled(Z, kappas)
-    return _rescaled(symbolic_formula(kappas, d).evaluate(Zs), scale, d)
-
-
-def _word_coefficients(spec: DistributionSpec, d: int) -> np.ndarray:
-    """The term coefficients of :func:`word_table` (d) under one law
-    (:func:`_term_coefficients`)."""
-    kappas = distribution_cumulants(spec, d).kappas
-    return _term_coefficients(kappas, tuple(map(type, kappas)), d)
+    Zs, scale = _scaled(Z)
+    table = word_table(d, _top_cumulant(kappas))
+    traces = word_traces(Zs, table.plan)[0]
+    values = np.array(table.mults, dtype=object)
+    for words in table.factors:
+        values[: len(words)] *= traces[words]
+    sums = [0] * len(table.partitions)
+    for pi, value in zip(table.part_of, values.tolist()):
+        sums[pi] += value
+    denom = comb(d, d // 2)
+    quotients = [_kappa_quotient(kappas, parts, y * denom) for parts, y in table.partitions]
+    D = lcm(*(den for num, den in quotients if num))
+    total = sum(num * s * (D // den) for (num, den), s in zip(quotients, sums) if num)
+    return _rescaled(Fraction(total, D), scale, d)
 
 
 def _kappa_quotient(kappas, parts, scale: int):
@@ -460,15 +468,16 @@ def _kappa_quotient(kappas, parts, scale: int):
 
 
 @lru_cache(maxsize=64)
-def _term_coefficients(kappas: tuple, types: tuple, d: int) -> np.ndarray:
-    """Each term's coefficient mult * kappa_pi / (y_pi * C(d, d/2)), as the
-    float that :func:`symbolic_formula`'s coefficient rounds to: where the
-    cumulants of pi are exact, an int quotient of :func:`_kappa_quotient`,
-    rounded once; otherwise :func:`symbolic_formula`'s float arithmetic.
-    0 where kappa_pi = 0.  The cumulants' ``types`` are part of the cache
-    key, since an exact and a float cumulant of equal value give
-    differently rounded coefficients."""
-    table = word_table(d)
+def _term_coefficients(kappas: tuple, types: tuple, d: int, m: int) -> np.ndarray:
+    """Each term's coefficient mult * kappa_pi / (y_pi * C(d, d/2)) in
+    :func:`word_table` (d, m), as the float that :func:`symbolic_formula`'s
+    coefficient rounds to: where the cumulants of pi are exact, an int
+    quotient of :func:`_kappa_quotient`, rounded once; otherwise
+    :func:`symbolic_formula`'s float arithmetic.  0 where kappa_pi = 0.
+    The cumulants' ``types`` are part of the cache key, since an exact and
+    a float cumulant of equal value give differently rounded
+    coefficients."""
+    table = word_table(d, m)
     denom = comb(d, d // 2)
     bases = [_kappa_quotient(kappas, parts, y * denom) for parts, y in table.partitions]
     terms = zip(table.mults, map(bases.__getitem__, table.part_of))
@@ -487,20 +496,26 @@ def word_sum_norm_pow_stack(
 
     ``spec`` is one law for every matrix or a sequence of N laws, one per
     matrix (:func:`_law_rows`).  The words' traces come from one law-free
-    table per degree (:func:`word_table`, :func:`word_traces`).  Each
-    term is its coefficient (:func:`_word_coefficients`) times its factor
-    traces in turn, each product in the arithmetic of Python's ``complex``
-    (no fused multiply-add); each row sums its law's nonzero terms with
+    table (:func:`word_table`, :func:`word_traces`) over the partitions
+    whose parts are at most the largest top cumulant of the stack's laws
+    (:func:`_top_cumulant`).  Each term is its coefficient under its row's
+    law (:func:`_term_coefficients`) times its factor traces in turn, each
+    product in the arithmetic of Python's ``complex`` (no fused
+    multiply-add); each row sums its law's nonzero terms with
     ``math.fsum``, must be real to within
     :func:`~rvnorms.scalars.real_parts_checked`'s residue, and is rescaled
-    by :func:`_rescaled_stack`.  A row gets the value
-    :meth:`TracePolynomial.evaluate` gives at its scaled matrix.
+    by :func:`_rescaled_stack`.  A row gets the value that the trace
+    polynomial of :func:`symbolic_formula`, evaluated term by term with
+    these products and sums, gives at its scaled matrix (the tests'
+    reference evaluator).
     """
     _require_even_degree(d)
-    table = word_table(d)
     Zs, e = _float_stack(Z, hermitian=False)
     laws, rows = _law_rows(spec, len(Zs))
-    coeffs = [_word_coefficients(law, d) for law in laws]
+    kappas = [distribution_cumulants(law, d).kappas for law in laws]
+    m = max(map(_top_cumulant, kappas))
+    table = word_table(d, m)
+    coeffs = [_term_coefficients(k, tuple(map(type, k)), d, m) for k in kappas]
     traces = word_traces(Zs, table.plan)
     tre, tim = traces.real, traces.imag
     re = np.array(coeffs)[rows]
@@ -593,19 +608,18 @@ def general_norm_pow(Z: Matrix, spec: DistributionSpec, d: int):
     Equals :func:`word_sum_norm_pow` exactly on rational input, restricts
     to :func:`hermitian_norm_pow` on Hermitian input and is strictly
     positive for Z != 0.  Exact input (matrix and cumulants) runs in
-    Python ints, its traces from the same kernel on a stack of one int
-    matrix; anything else is :func:`general_norm_pow_stack` on a stack of
-    one.
+    Python ints; anything else is :func:`general_norm_pow_stack` on a stack
+    of one.
     """
     _require_even_degree(d)
     kappas = _int_kernel_cumulants(Z, spec, d)
     if kappas is None:
         return float(general_norm_pow_stack(Z.array[None], spec, d)[0])
     half = d // 2
-    Zs, scale = _scaled(Z, kappas)
+    Zs, scale = _scaled(Z)
     c, den = _exact_factors(kappas)
-    m = max((k for k in range(1, d + 1) if c[k - 1] != 0), default=0)
-    tau = _adjoint_count_trace_stack(Zs.array[None], m, half)[0].tolist()
+    m = _top_cumulant(kappas)
+    tau = _adjoint_count_trace_stack(Zs, m, half)[0].tolist()
     a = [None] + [[c[k - 1] * x for x in tau[k - 1]] for k in range(1, m + 1)]
     b, D = _bell(a, d, half, den)
     return _rescaled(Fraction(b[half], D * factorial(d) * comb(d, half)), scale, d)
@@ -723,31 +737,6 @@ class TracePolynomial:
         """The (factor tuple, coefficient) pairs in canonical order."""
         return self.terms.items()
 
-    def evaluate(self, Z: Matrix):
-        """The polynomial at Z: the sum of coefficient times factor traces.
-
-        A word's letters 'z' and 's' stand for Z and Z* (a Hermitian-mode
-        word of k letters 'z' is tr(Z^k)).  The traces come from
-        :func:`word_traces` on Z's array: every distinct prefix costs one
-        matrix product and a word's last letter enters its trace without
-        one.  Exact input gives an exact sum; otherwise the terms' real and
-        imaginary parts are summed by ``math.fsum`` and the complex result
-        may carry an imaginary roundoff residue for the caller to check and
-        discard.
-        """
-        plan = word_plan(tuple(sorted({w for key in self.terms for w in key})))
-        traces = dict(zip(plan.words, word_traces(Z.array[None], plan)[0].tolist()))
-        coeffs = self.terms.values()
-        if not Z.is_exact():
-            # complex(c) * t is the product that Fraction c * complex t
-            # computes, without the Fraction operator's type dispatch
-            coeffs = map(complex, coeffs)
-        values = [prod((traces[w] for w in key), start=c) for key, c in zip(self.terms, coeffs)]
-        if all(is_exact(v) for v in values):
-            return sum(values)
-        # thousands of rounded terms: a running sum would lose digits
-        return complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
-
     def _rendered(self, hermitian_form, general_form) -> dict:
         """Each distinct factor word in its printed form, rendered once."""
         form = hermitian_form if self.hermitian else general_form
@@ -803,9 +792,9 @@ def symbolic_formula(kappas, d: int, hermitian_mode: bool = False) -> TracePolyn
     In general mode each partition contributes its aggregated adjoint
     placements with coefficient kappa_pi * multiplicity / (y_pi * C(d, d/2));
     in Hermitian mode the term for a partition is kappa_pi / y_pi times the
-    product of tr(A^part).  :meth:`TracePolynomial.evaluate` gives the norm
-    power at a matrix.  Cumulants may be Fractions (exact output) or any
-    ring elements supporting * and /.
+    product of tr(A^part).  Evaluated at a matrix, it gives the norm power
+    (:func:`word_sum_norm_pow` sums the same terms).  Cumulants may be
+    Fractions (exact output) or any ring elements supporting * and /.
 
     The terms come out in canonical order (see :class:`TracePolynomial`):
     partitions in the order of :func:`enumerate_partitions`, and each

@@ -12,6 +12,7 @@ for a fixed (seed, samples) pair regardless of the worker count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import factorial
@@ -120,7 +121,8 @@ def mc_norm_pow(
     """Estimate E|sum_i lambda_i X_i|^d / d! with a sample standard error.
 
     Accepts any integer d >= 2 (odd included).  Deterministic for a fixed
-    (seed, samples); the worker count never changes the result.
+    (seed, samples); the worker count, min(threads, blocks, CPUs), never
+    changes the result.
     """
     if not isinstance(d, int) or d < 2:
         raise PreconditionError(f"d must be an integer >= 2, got {d!r}")
@@ -141,8 +143,9 @@ def mc_norm_pow(
         return float(np.sum(y)), float(np.sum(y * y))
 
     ranges = _block_ranges(samples)
-    if threads > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(ranges), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_block, ranges))
     else:
         results = [run_block(r) for r in ranges]

@@ -29,10 +29,10 @@ m_k! / prod m_c! orders, and each segment shows any of the size(c)
 rotations of its necklace.  The table depends only on the partition, so it
 is cached and every numeric or symbolic evaluation reuses it.
 
-The numeric evaluation of a set of words builds each distinct prefix once
-(:func:`word_plan`, :func:`word_traces`), and the trace-word sum at one
-degree gathers every partition's table into one law-free table of terms
-(:func:`word_table`).
+The trace-word sum gathers the partitions' tables into one law-free table
+of terms (:func:`word_table`) with the plan of its words (:func:`word_plan`),
+and :func:`word_traces`, the route's one trace kernel, evaluates the plan on
+a stack of complex or exact-int matrices, each distinct prefix once.
 """
 
 from __future__ import annotations
@@ -177,9 +177,8 @@ class WordPlan(NamedTuple):
     by_column: np.ndarray
 
 
-@lru_cache(maxsize=64)
 def word_plan(words: tuple[str, ...]) -> WordPlan:
-    """The :class:`WordPlan` of ``words`` (letters 'z' and 's')."""
+    """The :class:`WordPlan` of ``words`` (letters 'z' and 's'), cached by :func:`word_table`."""
     index = {"z": 0, "s": 1}
     steps = []
     for w in sorted({w[:i] for w in words for i in range(2, len(w))}, key=lambda w: (len(w), w)):
@@ -233,7 +232,7 @@ def word_traces(Z: np.ndarray, plan: WordPlan) -> np.ndarray:
 
 
 class WordTable(NamedTuple):
-    """The law-free part of the trace-word sum at one degree.
+    """The law-free part of the trace-word sum at one degree (:func:`word_table`).
 
     The terms are those of :func:`~rvnorms.normengine.symbolic_formula`,
     each partition's :func:`placement_terms`, ordered by factor count, most
@@ -251,20 +250,22 @@ class WordTable(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def word_table(d: int) -> WordTable:
-    """The :class:`WordTable` of degree d, built once."""
-    partitions, terms = [], []
-    for p in enumerate_partitions(d):
-        terms += [(factors, mult, len(partitions)) for factors, mult in placement_terms(p.parts)]
-        partitions.append((p.parts, y_of(p)))
-    terms.sort(key=lambda term: -len(term[0]))
-    plan = word_plan(tuple(sorted({w for factors, _, _ in terms for w in factors})))
-    index = {w: i for i, w in enumerate(plan.words)}
-    columns: list[list[int]] = [[] for _ in terms[0][0]]
-    for words, _, _ in terms:
-        for column, w in zip(columns, words):
-            column.append(index[w])
-    part_of = tuple(pi for _, _, pi in terms)
-    mults = tuple(mult for _, mult, _ in terms)
+def word_table(d: int, m: int) -> WordTable:
+    """The :class:`WordTable` of degree d over the partitions with parts at
+    most m, built once: laws whose cumulants vanish above m (normal: m = 2)
+    have kappa_pi = 0 on the others.  A partition's terms have one factor
+    per part, so ordering the partitions by part count orders the terms."""
+    partitions = [(p.parts, y_of(p)) for p in enumerate_partitions(d) if p.parts[0] <= m]
+    order = sorted(range(len(partitions)), key=lambda i: -len(partitions[i][0]))
+    tables = [placement_terms(partitions[i][0]) for i in order]
+    plan = word_plan(tuple(sorted({w for table in tables for key, _ in table for w in key})))
+    index = {w: i for i, w in enumerate(plan.words)}.__getitem__
+    columns: list[list[int]] = [[] for _ in range(d)]
+    for table in tables:
+        # the table's factor tuples, transposed: one column per factor
+        for column, words in zip(columns, zip(*(factors for factors, _ in table))):
+            column.extend(map(index, words))
+    part_of = tuple(i for i, table in zip(order, tables) for _ in table)
+    mults = tuple(mult for table in tables for _, mult in table)
     factors = tuple(np.array(column, dtype=np.intp) for column in columns)
     return WordTable(plan, tuple(partitions), part_of, mults, factors)

@@ -4,12 +4,15 @@ The closed normal form, the Pareto multinomial expansion and the
 Bernoulli monomial-symmetric sum are oracles for the cumulant routes;
 the brute-force monomial sum, power sums, monomial symmetric polynomials
 and the CHS power-sum identity are oracles for ``sympoly``;
-``kappa_product``, ``frobenius_norm`` and ``trace_of_product`` are the
-plain definitions;
+``kappa_product``, ``frobenius_norm``, ``trace_powers`` and
+``trace_of_product`` are the plain definitions;
+``evaluate`` evaluates a printed trace polynomial at a matrix term by term,
+the reference for the trace-word route;
 ``random_unitary`` and ``zeros`` build test inputs.
 """
 
 import itertools
+import math
 from fractions import Fraction
 from math import factorial, prod
 
@@ -17,11 +20,12 @@ import numpy as np
 
 from rvnorms.cumulants import CumulantVector
 from rvnorms.errors import MomentExistenceError, NonHermitianError, PreconditionError
-from rvnorms.matrixcore import Matrix, is_hermitian, trace_powers
-from rvnorms.normengine import _require_even_degree
+from rvnorms.matrixcore import Matrix, is_hermitian
+from rvnorms.normengine import TracePolynomial, _require_even_degree
 from rvnorms.partitions import Partition, enumerate_partitions, z_of
 from rvnorms.scalars import exact_div, is_exact, real_part_checked
 from rvnorms.sympoly import chs
+from rvnorms.words import word_plan, word_traces
 
 
 def zeros(n: int) -> Matrix:
@@ -203,3 +207,39 @@ def trace_of_product(A: Matrix, B: Matrix):
         raise ValueError("dimension mismatch")
     total = (A.array * B.array.T).sum()
     return total if is_exact(total) else complex(total)
+
+
+def trace_powers(A: Matrix, d: int) -> list:
+    """(tr A, tr A^2, ..., tr A^d) by iterated multiplication."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    out = [A.trace()]
+    P = A
+    for _ in range(d - 1):
+        P = P @ A
+        out.append(P.trace())
+    return out
+
+
+def evaluate(poly: TracePolynomial, Z: Matrix):
+    """The trace polynomial at Z: the sum of coefficient times factor traces.
+
+    A word's letters 'z' and 's' stand for Z and Z* (a Hermitian-mode word
+    of k letters 'z' is tr(Z^k)).  The traces come from ``word_traces`` on
+    Z's array.  Exact input gives an exact sum; otherwise each term is
+    complex(coefficient) times its factor traces in turn, the real and
+    imaginary parts are summed by ``math.fsum``, and the complex result may
+    carry an imaginary roundoff residue for the caller to check.
+    """
+    plan = word_plan(tuple(sorted({w for key in poly.terms for w in key})))
+    traces = dict(zip(plan.words, word_traces(Z.array[None], plan)[0].tolist()))
+    coeffs = poly.terms.values()
+    if not Z.is_exact():
+        # complex(c) * t is the product that Fraction c * complex t
+        # computes, without the Fraction operator's type dispatch
+        coeffs = map(complex, coeffs)
+    values = [prod((traces[w] for w in key), start=c) for key, c in zip(poly.terms, coeffs)]
+    if all(is_exact(v) for v in values):
+        return sum(values)
+    # thousands of rounded terms: a running sum would lose digits
+    return complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))

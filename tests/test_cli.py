@@ -250,6 +250,47 @@ def test_oracle_non_hermitian_exit_3(tmp_path, capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        ("--samples", cli.ORACLE_MAX_SAMPLES + 1),
+        ("--samples", 10**13),
+        ("-d", cli.ORACLE_MAX_DEGREE + 1),
+        ("-d", 10**6),
+    ],
+)
+def test_oracle_over_its_caps_exit_3_before_work(monkeypatch, capsys, option, value):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("load_matrix", "parse_distribution", "mc_norm"):
+        monkeypatch.setattr(cli, name, refuse)
+    argv = ["oracle", "M", "normal:mu=0,sigma=1", "-d", "4", "--samples", "10000"]
+    argv[argv.index(option) + 1] = str(value)
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    caps = f"limited to degree {cli.ORACLE_MAX_DEGREE} and {cli.ORACLE_MAX_SAMPLES} samples"
+    assert caps in captured.err and str(value) in captured.err
+
+
+def test_oracle_at_its_caps_runs(monkeypatch, identity2, capsys):
+    from rvnorms.oracle import McEstimate
+
+    seen = []
+
+    def fake(A, spec, d, samples, seed, threads):
+        seen.append((d, samples, threads))
+        return McEstimate(1.0, 0.0, samples, seed)
+
+    monkeypatch.setattr(cli, "mc_norm", fake)
+    d, samples = cli.ORACLE_MAX_DEGREE, cli.ORACLE_MAX_SAMPLES
+    argv = ["oracle", identity2, "exponential", "-d", str(d), "--samples", str(samples)]
+    assert cli.main(argv + ["--threads", "8"]) == 0
+    assert seen == [(d, samples, 8)]
+
+
 def test_verify_small_pass(capsys):
     rc = cli.main(["verify", "--suite", "hunter", "--trials", "5", "--seed", "1", "--json"])
     out = json.loads(capsys.readouterr().out)

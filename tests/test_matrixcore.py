@@ -16,11 +16,10 @@ from rvnorms.matrixcore import (
     load_matrix,
     matrix_from_json,
     matrix_to_json,
-    trace_powers,
 )
 from rvnorms.suites import random_hermitian, stream
 
-from oracles import frobenius_norm, random_unitary, zeros
+from oracles import frobenius_norm, random_unitary, trace_powers, zeros
 
 I = 1j
 

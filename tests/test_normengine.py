@@ -14,7 +14,7 @@ from rvnorms.cumulants import (
 )
 from rvnorms import normengine
 from rvnorms.errors import NonHermitianError, PreconditionError
-from rvnorms.matrixcore import Matrix, trace_powers
+from rvnorms.matrixcore import Matrix
 from rvnorms.normengine import (
     bell_value,
     circle_extension_check,
@@ -38,11 +38,13 @@ from rvnorms.suites import (
 )
 
 from oracles import (
+    evaluate,
     kappa_product,
     normal_norm_pow_closed,
     pareto_norm_pow_multinomial,
     random_unitary,
     trace_of_product,
+    trace_powers,
     zeros,
 )
 
@@ -500,11 +502,13 @@ def rational_general(rnd, n):
             return Z
 
 
-@pytest.mark.parametrize("d", [2, 4, 6, 8, 10])
+@pytest.mark.parametrize("d", [2, 4, 6, 8, 10, 12, 14])
 def test_constant_term_route_equals_word_sum_exact(d):
     rnd = random.Random(100 + d)
     for name, spec in default_family_specs():
         Z = rational_general(rnd, 3)
+        if name == "pareto" and d >= spec.params["alpha"]:
+            continue  # no moment of degree d
         a = general_norm_pow(Z, spec, d)
         b = word_sum_norm_pow(Z, spec, d)
         assert a == b and type(a) is type(b) is Fraction, (name, a, b)
@@ -556,6 +560,23 @@ def test_constant_term_route_matrix_products(monkeypatch):
     general_norm_pow(Z, DistributionSpec.gamma(2, Fraction(1, 2)), 8)
     # C_{k,j} for k = 2, 3, 4: 3 + 3 + 5 products; the word sum takes 233.
     assert len(calls) <= 16
+
+
+def test_hermitian_route_forms_powers_only_up_to_the_top_cumulant(monkeypatch):
+    # normal has kappa_k = 0 above k = 2: tr A and tr A^2 take one product,
+    # not the 99 of all powers up to d = 100
+    A = Matrix(
+        [
+            [2, Fraction(1, 2), -1],
+            [Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3)],
+            [-1, Fraction(5, 3), 1],
+        ]
+    )
+    want = normal_norm_pow_closed(A, Fraction(1, 2), 1, 100)
+    calls = _count_products(monkeypatch)
+    value = hermitian_norm_pow(A, parse_distribution("normal:mu=1/2,sigma=1"), 100)
+    assert len(calls) <= 1
+    assert value == want and type(value) is Fraction
 
 
 # -- symbolic formulas -------------------------------------------------------
@@ -688,25 +709,39 @@ def test_evaluate_on_float_input_equals_the_fraction_products():
             traces = {w: trace(w) for key in poly.terms for w in key}
             values = [math.prod((traces[w] for w in key), start=c) for key, c in poly.terms.items()]
             want = complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
-            assert poly.evaluate(Z) == want, (spec.family, d)
+            assert evaluate(poly, Z) == want, (spec.family, d)
 
 
-def test_evaluate_one_product_per_distinct_prefix(monkeypatch):
+def _count_products(monkeypatch):
+    """Record one entry per ``numpy.matmul`` call and per ``Matrix`` product."""
     calls = []
-    matmul = np.matmul
+    matmul, matrix_matmul = np.matmul, Matrix.__matmul__
 
-    def counting(a, b):
+    def counting(*args, **kwargs):
         calls.append(1)
-        return matmul(a, b)
+        return matmul(*args, **kwargs)
+
+    def counting_matrix(self, other):
+        calls.append(1)
+        return matrix_matmul(self, other)
 
     monkeypatch.setattr(np, "matmul", counting)
+    monkeypatch.setattr(Matrix, "__matmul__", counting_matrix)
+    return calls
+
+
+def test_word_sum_one_product_per_distinct_prefix(monkeypatch):
+    # exact and float input both take one batched product per distinct
+    # prefix of the formula's words, and no Matrix product
     d = 8
-    poly = symbolic_formula(distribution_cumulants(DistributionSpec.exponential(), d), d)
+    spec = DistributionSpec.exponential()
+    poly = symbolic_formula(distribution_cumulants(spec, d), d)
     words = {w for key in poly.terms for w in key}
     prefixes = {w[:i] for w in words for i in range(2, len(w))}
+    calls = _count_products(monkeypatch)
     for Z in (Matrix([[1, 2], [Fraction(1, 3), -1]]), Matrix([[1.0, 2j], [0.5, -1.0]])):
         calls.clear()
-        poly.evaluate(Z)
+        word_sum_norm_pow(Z, spec, d)
         assert len(calls) == len(prefixes), Z
 
 
@@ -860,34 +895,26 @@ HERM_Q = Matrix([[1, Fraction(2, 3)], [Fraction(2, 3), Fraction(-1, 5)]])
 GEN_Q = Matrix([[1, Fraction(2, 3)], [Fraction(-1, 5), 2]])
 
 
-def _spy_on_evaluated_matrix(monkeypatch, route, stack=False):
-    """Record the matrix each route evaluates its degree-d form at; with
-    ``stack``, the first matrix of the stack the float kernel evaluates.
-    The constant-term route evaluates exact input on a stack of one too."""
+TRACE_KERNELS = {
+    hermitian_norm_pow: "_trace_power_stack",
+    series_norm_pow: "_trace_power_stack",
+    general_norm_pow: "_adjoint_count_trace_stack",
+    word_sum_norm_pow: "word_traces",
+}
+
+
+def _spy_on_evaluated_matrix(monkeypatch, route):
+    """Record each stack that the route's trace kernel evaluates: one
+    kernel per route, for exact and float input alike."""
     seen = []
-    if route is word_sum_norm_pow and not stack:
-        owner, name = normengine.TracePolynomial, "evaluate"
-        real = owner.evaluate
+    name = TRACE_KERNELS[route]
+    real = getattr(normengine, name)
 
-        def spy(self, Z):
-            seen.append(Z)
-            return real(self, Z)
+    def spy(Z, *args):
+        seen.append(Z)
+        return real(Z, *args)
 
-    else:
-        owner = normengine
-        if route is general_norm_pow:
-            name, stack = "_adjoint_count_trace_stack", True
-        elif stack:
-            name = "word_traces" if route is word_sum_norm_pow else "_trace_power_stack"
-        else:
-            name = "trace_powers"
-        real = getattr(owner, name)
-
-        def spy(Z, *args):
-            seen.append(Matrix(Z[0]) if stack else Z)
-            return real(Z, *args)
-
-    monkeypatch.setattr(owner, name, spy)
+    monkeypatch.setattr(normengine, name, spy)
     return seen
 
 
@@ -907,8 +934,10 @@ def test_constant_term_route_scales_exact_input_to_plain_ints(monkeypatch, route
     seen = _spy_on_evaluated_matrix(monkeypatch, route)
     value = route(Z, spec, 4)
     assert value == want and type(value) is Fraction
-    assert [type(v) for v in seen[0].array.flat] == [int] * 4
-    assert list(seen[0].array.flat) == ints
+    # the int stack of one
+    assert len(seen) == 1 and seen[0].shape == (1, 2, 2) and seen[0].dtype == object
+    assert [type(v) for v in seen[0].flat] == [int] * 4
+    assert list(seen[0].flat) == ints
 
 
 @pytest.mark.parametrize(
@@ -923,10 +952,11 @@ def test_float_route_scales_by_the_oracle_power_of_two(monkeypatch, route):
     assert 0.5 <= A.max_abs() * 2.0**-e < 1.0
     want = route(A, DistributionSpec.exponential(), 4)
     # every float route evaluates a stack of one
-    seen = _spy_on_evaluated_matrix(monkeypatch, route, stack=True)
+    seen = _spy_on_evaluated_matrix(monkeypatch, route)
     assert route(A, DistributionSpec.exponential(), 4) == want
-    assert seen[0] == A * 2.0**-e
-    assert all(x * 2.0**e == y for x, y in zip(seen[0].array.flat, A.array.flat))
+    assert len(seen) == 1 and seen[0].shape == (1, 3, 3) and seen[0].dtype == complex
+    assert Matrix(seen[0][0]) == A * 2.0**-e
+    assert all(x * 2.0**e == y for x, y in zip(seen[0].flat, A.array.flat))
 
     eig_inputs = []
     real_eig = oracle.hermitian_eigenvalues

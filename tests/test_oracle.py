@@ -1,4 +1,5 @@
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,9 @@ from rvnorms.cumulants import DistributionSpec
 from rvnorms.errors import NonHermitianError, PreconditionError
 from rvnorms.matrixcore import Matrix
 from rvnorms.normengine import hermitian_norm_pow
+from rvnorms import oracle
 from rvnorms.oracle import (
+    BLOCK_SAMPLES,
     block_stream,
     khintchine_check,
     khintchine_constant,
@@ -79,6 +82,44 @@ def test_thread_count_invariance():
     a = mc_norm_pow([1.0, 2.0], spec, 2, 300_000, seed=7, threads=1)
     b = mc_norm_pow([1.0, 2.0], spec, 2, 300_000, seed=7, threads=4)
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "threads, blocks, cpus, workers",
+    [
+        (10**9, 3, 4, 3),  # one worker per block
+        (10**9, 10, 4, 4),  # one worker per CPU
+        (2, 10, 4, 2),  # no more than asked for
+        (10**9, 10, None, None),  # an unknown CPU count counts as one
+        (4, 1, 4, None),  # one block: no pool
+    ],
+)
+def test_workers_clamped_to_threads_blocks_and_cpus(monkeypatch, threads, blocks, cpus, workers):
+    made = []
+
+    class RecordingPool:
+        """Records its worker count and runs the blocks in order on the
+        calling thread, so no thread starts."""
+
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    spec = DistributionSpec.rademacher()
+    want = mc_norm_pow([1.0, 2.0], spec, 2, blocks * BLOCK_SAMPLES, seed=7)
+    monkeypatch.setattr(oracle, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    got = mc_norm_pow([1.0, 2.0], spec, 2, blocks * BLOCK_SAMPLES, seed=7, threads=threads)
+    assert made == ([] if workers is None else [workers])
+    assert got == want
 
 
 def test_mc_zero_vector():

@@ -30,6 +30,8 @@ from rvnorms.normengine import (
 from rvnorms.scalars import real_part_checked
 from rvnorms.suites import default_family_specs, mgf_family_specs, stream
 
+from oracles import evaluate
+
 STACK_ROUTES = {"hermitian": hermitian_norm_pow_stack, "general": general_norm_pow_stack}
 # oracle: (stack route, single-matrix route, kind of matrix it takes)
 ORACLE_STACKS = {
@@ -258,15 +260,15 @@ def test_mixed_law_oracle_stack_rows_equal_each_matrix_alone(oracle):
 
 
 def test_float_word_sum_is_the_formula_evaluated_at_the_scaled_matrix():
-    # The stack's term products and sums reproduce TracePolynomial.evaluate
-    # bit for bit: the two float evaluators of the trace polynomial agree.
+    # The stack's term products and sums reproduce the term-by-term
+    # evaluation of the printed formula bit for bit.
     rng = stream(7800)
     for name, spec in default_family_specs():
         for d in (2, 4, 6, 8):
             Z = Matrix(random_stack(rng, "general", 1, 4)[0] * 37.0)
             e = scale_exponent(Z)
             poly = symbolic_formula(distribution_cumulants(spec, d), d)
-            want = math.ldexp(real_part_checked(poly.evaluate(Z * 2.0**-e)), d * e)
+            want = math.ldexp(real_part_checked(evaluate(poly, Z * 2.0**-e)), d * e)
             assert word_sum_norm_pow(Z, spec, d) == want, (name, d)
 
 
