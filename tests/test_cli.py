@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -619,3 +620,36 @@ def test_closed_stdout_ends_without_traceback():
     assert proc.wait(timeout=60) == 1
     assert first.startswith(b"1/924 tr(")
     assert err == b""
+
+
+# CI's two exact 3x3 fixtures: Hermitian and non-Hermitian.
+EXACT_FIXTURES = {
+    "herm3.json": '{"n": 3, "re": [[2, "1/2", -1], ["1/2", "-3/4", "5/3"], [-1, "5/3", 1]]}',
+    "gen3.json": '{"n": 3, "re": [[2, "1/2", -1], ["1/3", "-3/4", "5/3"], [-1, "2/5", 1]]}',
+}
+
+# sha256 of every run's argv, exit code and stdout below, recorded before
+# the four norm routes were merged into one body each.
+EXACT_NORM_DIGEST = "6227da0c387486c069b4c2db16c76a388676e7e0e1e9466922ea39898733b2d0"
+
+
+def test_exact_norm_output_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+    # every default family x method x d = 2..14 x text/--json on both
+    # fixtures: 1,120 runs, exit codes included (pareto has no moment of
+    # degree 14, series refuses the non-Hermitian matrix)
+    from rvnorms.suites import default_family_specs
+
+    monkeypatch.chdir(tmp_path)
+    for name, text in EXACT_FIXTURES.items():
+        (tmp_path / name).write_text(text)
+    digest = hashlib.sha256()
+    for name in EXACT_FIXTURES:
+        for _, spec in default_family_specs():
+            for method in ("partition", "series", "words", "auto"):
+                for d in range(2, 15, 2):
+                    for fmt in ([], ["--json"]):
+                        argv = ["norm", name, spec.label(), "-d", str(d), "--method", method, *fmt]
+                        rc = cli.main(argv)
+                        out = capsys.readouterr().out
+                        digest.update(f"{' '.join(argv)}\0{rc}\0{out}\0".encode())
+    assert digest.hexdigest() == EXACT_NORM_DIGEST
