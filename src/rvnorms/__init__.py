@@ -29,11 +29,9 @@ from .matrixcore import (
     is_majorized,
     load_matrix,
     matrix_from_json,
-    matrix_to_json,
 )
 from .normengine import (
     TracePolynomial,
-    bell_value,
     circle_extension_check,
     general_norm_pow,
     general_norm_pow_stack,
@@ -55,7 +53,7 @@ from .oracle import (
     mc_norm_pow,
     sample,
 )
-from .partitions import Partition, enumerate_partitions, hunter_coefficient, y_of, z_of
+from .partitions import Partition, enumerate_partitions, hunter_coefficient, y_of
 from .series import TruncatedSeries
 from .sympoly import (
     chs,
@@ -77,7 +75,6 @@ __all__ = [
     "PreconditionError",
     "TracePolynomial",
     "TruncatedSeries",
-    "bell_value",
     "bernoulli_number",
     "chs",
     "circle_extension_check",
@@ -100,7 +97,6 @@ __all__ = [
     "khintchine_constant",
     "load_matrix",
     "matrix_from_json",
-    "matrix_to_json",
     "mc_norm",
     "mc_norm_pow",
     "moments_to_cumulants",
@@ -113,5 +109,4 @@ __all__ = [
     "word_sum_norm_pow",
     "word_sum_norm_pow_stack",
     "y_of",
-    "z_of",
 ]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, factorial, isfinite, prod
 
 from .errors import MomentExistenceError, ParseError, PreconditionError
@@ -276,6 +276,14 @@ class CumulantVector:
             raise PreconditionError(f"kappa_{r} not available, degree is {self.degree}")
         return self.kappas[r - 1]
 
+    @cached_property
+    def normalized(self) -> tuple:
+        """The floats kappa_k / k! for k = 1..d, each formed exactly and
+        rounded once: the cumulant factors of the float Bell recurrence.
+        Formed once per vector, and so once per law and degree for the
+        vectors of :func:`distribution_cumulants`."""
+        return tuple(float(Fraction(kappa) / factorial(k)) for k, kappa in enumerate(self.kappas, 1))
+
 
 def moments_to_cumulants(mu) -> CumulantVector:
     """Invert the binomial recursion: moments mu_1..mu_d to kappa_1..kappa_d."""
@@ -356,19 +364,6 @@ def distribution_cumulants(spec: DistributionSpec, d: int) -> CumulantVector:
     """Cumulants kappa_1..kappa_d for the named distribution, computed once
     per law and degree."""
     return _cumulants(*_law_key(spec, d))
-
-
-def normalized_cumulants(spec: DistributionSpec, d: int) -> tuple:
-    """The floats kappa_k / k! for k = 1..d, each formed exactly and rounded
-    once, computed once per law and degree: the cumulant factors of the
-    float Bell recurrence."""
-    return _normalized_cumulants(*_law_key(spec, d))
-
-
-@lru_cache(maxsize=256)
-def _normalized_cumulants(fam: str, params: tuple, d: int) -> tuple:
-    kappas = _cumulants(fam, params, d).kappas
-    return tuple(float(Fraction(kappa) / factorial(k)) for k, kappa in enumerate(kappas, 1))
 
 
 @lru_cache(maxsize=256)

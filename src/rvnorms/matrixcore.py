@@ -248,14 +248,6 @@ def _entry_from_json(v):
     raise ParseError(f"bad matrix entry {v!r}")
 
 
-def _entry_to_json(v):
-    if isinstance(v, int):
-        return v
-    if isinstance(v, Fraction):
-        return v.numerator if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    return float(v)
-
-
 def matrix_from_json(obj) -> Matrix:
     if not isinstance(obj, dict):
         raise ParseError("matrix document must be a JSON object")
@@ -283,13 +275,6 @@ def matrix_from_json(obj) -> Matrix:
             row.append(complex(float(a), float(b)) if b != 0 else a)
         rows.append(row)
     return Matrix(rows)
-
-
-def matrix_to_json(Z: Matrix) -> dict:
-    rows = Z.array.tolist()
-    re = [[_entry_to_json(v.real if isinstance(v, complex) else v) for v in r] for r in rows]
-    im = [[float(v.imag) if isinstance(v, complex) else 0 for v in r] for r in rows]
-    return {"n": Z.n, "re": re, "im": im}
 
 
 def load_matrix(path) -> Matrix:

@@ -12,19 +12,6 @@ u^{d/2}, computes the d-th power of the norm on two routes:
   a_k(u) = kappa_k tau_k(u), where tau_k(u) sums the traces of the
   length-k words in Z, Z* with u counting adjoints.
 
-On exact input (matrix and cumulants) the kernel runs in Python ints
-(:func:`_bell`): the matrix is scaled to integers (see below), each
-cumulant enters as numerator over denominator, and one Fraction is formed
-at the end.  On float input it runs normalized, on B_n / n!, over a stack
-of N matrices at once (:func:`_bell_stack`):
-:func:`hermitian_norm_pow_stack` and :func:`general_norm_pow_stack` take an
-(N, n, n) array and return N norm powers, and one float matrix is a stack
-of one.  A stack has a law axis: its ``spec`` is one law for every matrix
-or a sequence of N laws, one per matrix, and each matrix gets the value it
-gets alone under its own law, bit for bit (:func:`_float_factors`).  The
-partition walk sum_pi kappa_pi p_pi / y_pi is the tests' oracle for the
-kernel.
-
 Two independent routes serve as oracles:
 
 * truncated-series extraction (Hermitian inputs, distributions with a
@@ -40,26 +27,34 @@ Two independent routes serve as oracles:
   is compared against by the CLI's ``words`` method, the circle-average
   check and the ``paths`` suite.
 
-On float input both oracles run on stacks too, with the same law axis
-(:func:`series_norm_pow_stack`, :func:`word_sum_norm_pow_stack`); one
-float matrix is a stack of one.
+Each of the four has one body, a function of a stack of matrices and its
+laws (``*_norm_pow_stack``); the single-matrix function of the same name
+is its stack of one and returns a Fraction or a float.  A body runs one
+trace kernel, :func:`_trace_power_stack` (Hermitian, series),
+:func:`_adjoint_count_trace_stack` (constant term) or
+:func:`~rvnorms.words.word_traces` (trace words), between shared pieces
+that alone, with the series route's division by j! and the word sum's
+sums after its traces, tell exact from float input:
 
-Each route has one trace kernel, :func:`_trace_power_stack` (Hermitian,
-series), :func:`_adjoint_count_trace_stack` (constant term) or
-:func:`~rvnorms.words.word_traces` (trace words): float input runs it on a
-complex stack, exact input on the int stack of one of :func:`_scaled`.
+* :func:`_prepared` checks and scales the input.  An exact Matrix whose
+  cumulants are exact too becomes the int stack of one L Z, L the lcm of
+  its entry denominators; anything else a complex stack with a law axis
+  (one law for every matrix or one per matrix, :func:`_law_rows`), each
+  matrix times the power of two 2^-e that puts its largest entry in
+  [1/2, 1), which is exact;
+* :func:`_factors` gives the cumulant factors, and
+  :func:`_bell_coefficient` runs the recurrence on them: in Python ints
+  with one Fraction at the end (:func:`_bell`), or normalized, on
+  B_n / n!, over the float stack (:func:`_bell_stack`);
+* :func:`_rescaled` undoes the scale by absolute homogeneity,
+  |||cZ||| = |c| |||Z|||: the exact power times L^-d, each float power
+  times 2^(d e) in one ``ldexp``.  A float power that leaves the normal
+  range there is refused rather than returned as 0.0, a subnormal or inf.
 
-All routes run in exact rational arithmetic when the matrix entries and
-cumulants are rational; the d-th root at the very end is the only
-irrational step.  Every route scales its input in one step and undoes it
-by absolute homogeneity, |||cZ||| = |c| |||Z|||: an exact matrix is
-multiplied by the lcm L of its entry denominators and the power divided by
-L^d (:func:`_scaled`, :func:`_rescaled`); a float matrix is multiplied by
-the power of two 2^-e that puts its largest entry in [1/2, 1), which is
-exact, and the power multiplied back by 2^(d e) in one ``ldexp``; in a
-stack, each matrix has its own e (:func:`_float_stack`,
-:func:`_rescaled_stack`).  A float power that leaves the normal range
-there is refused rather than returned as 0.0, a subnormal or inf.
+On a float stack each matrix gets the value it gets alone under its own
+law, bit for bit.  The d-th root at the very end is the only irrational
+step of an exact evaluation.  The partition walk sum_pi kappa_pi p_pi /
+y_pi is the tests' oracle for the kernel.
 """
 
 from __future__ import annotations
@@ -78,12 +73,7 @@ from operator import mul
 
 import numpy as np
 
-from .cumulants import (
-    CumulantVector,
-    DistributionSpec,
-    distribution_cumulants,
-    normalized_cumulants,
-)
+from .cumulants import CumulantVector, DistributionSpec, distribution_cumulants
 from .errors import NonHermitianError, PreconditionError
 from .matrixcore import (
     Matrix,
@@ -106,50 +96,73 @@ def _require_even_degree(d: int) -> None:
         )
 
 
-def _scaled(Z: Matrix):
-    """(Zs, scale) for an exact Z whose cumulants are exact too: Zs = L Z
-    as an int stack of one, (1, n, n) with ``dtype=object``, for L the lcm
-    of the entry denominators, and scale = Fraction(1, L).  Every exact
-    route runs its trace kernel on Zs."""
-    L = lcm(*(v.denominator for v in Z.array.flat))
-    return (Z.array * L // 1)[None], Fraction(1, L)  # Fraction(k, 1) // 1 is the int k
+def _prepared(Z, spec, d: int, hermitian: bool):
+    """(Zs, scale, laws, rows) for a :class:`Matrix` or a stack (N, n, n):
+    checked for an even degree d (and, with ``hermitian``, for Hermitian
+    input) and scaled for a route's trace kernel.  ``laws`` holds the
+    :class:`CumulantVector` of each distinct law, looked up once.
+
+    An exact Matrix whose cumulants are exact too gives the int stack of
+    one L Z, (1, n, n) with ``dtype=object``, L the lcm of its entry
+    denominators, scale Fraction(1, L) and rows None (no law axis).
+    Anything else, a Matrix as a stack of one, gives each Z[i] * 2**-e[i]
+    (:func:`scale_exponents`), scale e and, per row, the index of its law
+    (:func:`_law_rows`).  A stack that is not (N, n, n) or has a non-finite
+    entry raises ValueError.
+    """
+    _require_even_degree(d)
+    if isinstance(Z, Matrix):
+        if Z.is_exact():
+            if hermitian and not is_hermitian(Z):
+                raise NonHermitianError("the Hermitian route requires a Hermitian matrix")
+            law = distribution_cumulants(spec, d)
+            if all(map(is_exact, law.kappas)):
+                L = lcm(*(v.denominator for v in Z.array.flat))
+                # Fraction(k, 1) // 1 is the int k
+                return (Z.array * L // 1)[None], Fraction(1, L), [law], None
+        Z = Z.array[None]
+    Z = np.asarray(Z, dtype=complex)
+    if Z.ndim != 3 or Z.shape[1] != Z.shape[2] or Z.shape[1] == 0:
+        raise ValueError(f"a stack of square matrices (N, n, n) is required, got shape {Z.shape}")
+    max_abs = np.abs(Z).max(axis=(1, 2))
+    if not np.isfinite(max_abs).all():
+        raise ValueError("non-finite entry")
+    if hermitian and not hermitian_mask(Z, hermitian_tolerance(max_abs)).all():
+        raise NonHermitianError("the Hermitian route requires Hermitian matrices")
+    laws, rows = _law_rows(spec, len(Z))
+    e = scale_exponents(max_abs)
+    laws = [distribution_cumulants(law, d) for law in laws]
+    return Z * np.ldexp(1.0, -e)[:, None, None], e, laws, rows
 
 
-def _rescaled(total, scale, d: int):
-    """The norm power of Z from ``total``, the degree-d form at Zs (see
-    :func:`_scaled`), by homogeneity.
+def _rescaled(total, scale, d: int) -> np.ndarray:
+    """The norm powers of a prepared stack (:func:`_prepared`) from
+    ``total``, the degree-d form at each scaled matrix, by homogeneity.
 
-    Exact input gives total * scale**d; float input gives one
-    ldexp(total, d*e), exact unless the result is subnormal.  A float result
-    outside the normal range is refused: 0.0 for a nonzero matrix would
-    break strict positivity, a subnormal keeps too few digits for its d-th
-    root, and inf is no value.
+    On the exact stack of one, total[0] * scale**d, in an object array of
+    one.  On a float stack, ldexp(total[i], d*e[i]) for each row, exact
+    unless the result is subnormal, after a complex total is checked real
+    by :func:`~rvnorms.scalars.real_parts_checked`.  A float result
+    outside the normal range is refused, the first in row order: 0.0 for a
+    nonzero matrix would break strict positivity, a subnormal keeps too few
+    digits for its d-th root, and inf is no value.
     """
     if isinstance(scale, Fraction):
-        return total * scale**d
-    try:
-        out = math.ldexp(total, d * scale)
-    except OverflowError:
-        out = math.inf
-    if total != 0 and not sys.float_info.min <= abs(out) < math.inf:
+        return np.array([total[0] * scale**d], dtype=object)
+    if np.iscomplexobj(total):
+        total = real_parts_checked(total)
+    total = np.asarray(total, dtype=float)
+    with np.errstate(over="ignore", under="ignore"):
+        out = np.ldexp(total, d * scale)
+    size = np.abs(out)
+    bad = (total != 0) & ~((sys.float_info.min <= size) & (size < math.inf))
+    if bad.any():
+        i = int(bad.argmax())
         raise PreconditionError(
-            f"norm power outside float range: normalized value {total!r} "
-            f"times scale 2**{d * scale}"
+            f"norm power outside float range: normalized value {total[i].item()!r} "
+            f"times scale 2**{d * int(scale[i])}"
         )
     return out
-
-
-def _rescaled_stack(total: np.ndarray, e: np.ndarray, d: int) -> np.ndarray:
-    """:func:`_rescaled` on each normalized value of a stack, with its
-    matrix's binary exponent.  When every result is 0 or normal, one
-    ``ldexp`` over the stack gives them; otherwise :func:`_rescaled` runs
-    value by value and refuses the first that is neither."""
-    with np.errstate(over="ignore", under="ignore"):
-        out = np.ldexp(total, d * e)
-    size = np.abs(out)
-    if ((total == 0) | ((sys.float_info.min <= size) & (size < math.inf))).all():
-        return out
-    return np.array([_rescaled(t, s, d) for t, s in zip(total.tolist(), e.tolist())])
 
 
 def _bell(a, d: int, half: int, den):
@@ -228,20 +241,18 @@ def _bell_stack(a: np.ndarray, d: int) -> np.ndarray:
     return R[:, 0] + 0.0
 
 
-def _int_kernel_cumulants(Z: Matrix, spec: DistributionSpec, d: int):
-    """The cumulants kappa_1..kappa_d when Z and all of them are exact, so
-    that the int kernel applies; None otherwise, without computing them
-    for an inexact Z."""
-    if not Z.is_exact():
-        return None
-    kappas = distribution_cumulants(spec, d).kappas
-    return kappas if all(is_exact(kappa) for kappa in kappas) else None
-
-
-def _exact_factors(kappas):
-    """(c, den): the cumulant factors for :func:`_bell`, kappa_k = c_k /
-    den[k] in lowest terms."""
-    return [kappa.numerator for kappa in kappas], [1] + [kappa.denominator for kappa in kappas]
+def _bell_coefficient(a, d: int, den, divisor: int = 1):
+    """[u^half] B_d(a_1(u), ..., a_d(u)) / (d! divisor) for each matrix of
+    a prepared stack, half = a.shape[2] - 1.  ``a[:, k-1, :]`` holds the
+    coefficients of u^0..u^half of the :func:`_factors` factor of a_k times
+    its traces: with ``den`` (exact), the numerator of a_k over den[k], and
+    :func:`_bell` gives one Fraction, in a list; otherwise a_k(u) / k!, and
+    :func:`_bell_stack` an array."""
+    half = a.shape[2] - 1
+    if den is not None:
+        b, D = _bell([None] + a[0].tolist(), d, half, den)
+        return [Fraction(b[half], D * factorial(d) * divisor)]
+    return _bell_stack(a, d)[:, half] / divisor
 
 
 def _top_cumulant(kappas) -> int:
@@ -266,91 +277,56 @@ def _law_rows(spec: DistributionSpec | Sequence[DistributionSpec], N: int):
     return laws, np.fromiter(map(index.__getitem__, map(id, specs)), dtype=np.intp, count=N)
 
 
-def _float_factors(laws, rows: np.ndarray, d: int):
-    """(c, m) for the rows of a stack under their laws (:func:`_law_rows`).
-    m[i] is the largest k <= d at which row i's law has a nonzero factor
-    kappa_k / k! (0 if none), above which every a_k vanishes; c[i, k-1] is
-    that factor for k = 1..max(m) (see
-    :func:`~rvnorms.cumulants.normalized_cumulants`), 0 above m[i]."""
-    factors = [normalized_cumulants(law, d) for law in laws]
+def _factors(laws, rows):
+    """(c, m, den): the cumulant factors of a prepared stack's rows
+    (:func:`_prepared`).  m[i] is the largest k at which row i's factor is
+    nonzero (0 if none), above which every a_k vanishes, and c[i, k-1] is
+    that factor for k = 1..max(m), 0 above m[i].
+
+    On the exact stack of one (rows is None) the factor is the numerator
+    of kappa_k, an int, and den[k] its denominator.  On a float stack it is
+    the float kappa_k / k! of the row's law
+    (:attr:`CumulantVector.normalized`), and den is None.
+    """
+    if rows is None:
+        kappas = laws[0].kappas
+        m = _top_cumulant(kappas)
+        c = np.array([[kappa.numerator for kappa in kappas[:m]]], dtype=object)
+        return c, np.array([m]), [1] + [kappa.denominator for kappa in kappas]
+    factors = [law.normalized for law in laws]
     ms = list(map(_top_cumulant, factors))
     c = np.zeros((len(laws), max(ms, default=0)))
     for i, (ci, mi) in enumerate(zip(factors, ms)):
         c[i, :mi] = ci[:mi]
-    return c[rows], np.array(ms)[rows]
-
-
-def _float_stack(Z, hermitian: bool):
-    """(Zs, e) for a stack (N, n, n) of float matrices: each Z[i] times
-    2**-e[i], exact, with e from :func:`scale_exponents`, so that its
-    largest entry lies in [1/2, 1).  Non-finite entries raise ValueError;
-    with ``hermitian``, a matrix outside the Hermitian tolerance of
-    :func:`hermitian_mask` raises NonHermitianError."""
-    Z = np.asarray(Z, dtype=complex)
-    if Z.ndim != 3 or Z.shape[1] != Z.shape[2] or Z.shape[1] == 0:
-        raise ValueError(f"a stack of square matrices (N, n, n) is required, got shape {Z.shape}")
-    max_abs = np.abs(Z).max(axis=(1, 2))
-    if not np.isfinite(max_abs).all():
-        raise ValueError("non-finite entry")
-    if hermitian and not hermitian_mask(Z, hermitian_tolerance(max_abs)).all():
-        raise NonHermitianError("the Hermitian route requires Hermitian matrices")
-    e = scale_exponents(max_abs)
-    return Z * np.ldexp(1.0, -e)[:, None, None], e
-
-
-def bell_value(ell: int, x):
-    """Complete Bell polynomial B_ell(x_1..x_ell) = ell! * sum_pi x_pi / y_pi."""
-    if ell < 0:
-        raise ValueError("ell must be nonnegative")
-    x = list(x)
-    if len(x) < ell:
-        raise PreconditionError(f"B_{ell} needs {ell} arguments, got {len(x)}")
-    return _bell([None] + [[v] for v in x[:ell]], ell, 0, [1] * (ell + 1))[0][0]
+    return c[rows], np.array(ms)[rows], None
 
 
 def hermitian_norm_pow(A: Matrix, spec: DistributionSpec, d: int):
     """Norm power (1/d!) * B_d(kappa_1 tr A, ..., kappa_d tr A^d); Hermitian
-    input only.  Strictly positive for A != 0.
-
-    Exact input (matrix and cumulants) runs in Python ints, on the trace
-    powers up to the top nonzero cumulant; anything else is
-    :func:`hermitian_norm_pow_stack` on a stack of one.
-    """
-    _require_even_degree(d)
-    if A.is_exact() and not is_hermitian(A):
-        raise NonHermitianError("hermitian_norm_pow requires a Hermitian matrix")
-    kappas = _int_kernel_cumulants(A, spec, d)
-    if kappas is None:
-        return float(hermitian_norm_pow_stack(A.array[None], spec, d)[0])
-    As, scale = _scaled(A)
-    c, den = _exact_factors(kappas)
-    tp = _trace_power_stack(As, np.array([_top_cumulant(kappas)]))[0].tolist()
-    (b,), D = _bell([None] + [[ck * t] for ck, t in zip(c, tp)], d, 0, den)
-    return _rescaled(Fraction(b, D * factorial(d)), scale, d)
+    input only.  Strictly positive for A != 0.  The stack of one of
+    :func:`hermitian_norm_pow_stack`: a Fraction on exact input (matrix and
+    cumulants), a float otherwise."""
+    return hermitian_norm_pow_stack(A, spec, d).item()
 
 
 def hermitian_norm_pow_stack(
     A, spec: DistributionSpec | Sequence[DistributionSpec], d: int
 ) -> np.ndarray:
-    """The norm powers of a stack (N, n, n) of float Hermitian matrices, as
-    N floats: for each, B_d(kappa_1 tr A, ..., kappa_d tr A^d) / d! by
-    :func:`_bell_stack`, at the power-of-two scale of :func:`_float_stack`.
+    """The norm powers of a stack (N, n, n) of Hermitian matrices, or of one
+    Matrix, as an array: B_d(kappa_1 tr A, ..., kappa_d tr A^d) / d! for
+    each, from the trace powers up to its law's top cumulant m.
 
     ``spec`` is one law for every matrix or a sequence of N laws, one per
-    matrix (:func:`_law_rows`).  The recurrence runs to the largest m
-    in the stack; a row whose law has a smaller m gets zero factors above
-    it, which add exact zeros at the end of each of its sums, so every
-    row's value is the one it gets alone under its own law.  The trace
-    powers come from one batched product per power; each up to its row's
-    m must be real to within :func:`~rvnorms.scalars.real_parts_checked`'s
-    residue.  A value outside the float range is refused
-    (:func:`_rescaled_stack`).
+    matrix (:func:`_law_rows`).  A row whose law has a smaller m than the
+    stack's largest gets zero factors above it, which add exact zeros at
+    the end of each of its sums, so every row's value is the one it gets
+    alone under its own law.  Float trace powers must be real to within
+    :func:`~rvnorms.scalars.real_parts_checked`'s residue.
     """
-    _require_even_degree(d)
-    As, e = _float_stack(A, hermitian=True)
-    c, m = _float_factors(*_law_rows(spec, len(As)), d)
+    As, scale, laws, rows = _prepared(A, spec, d, hermitian=True)
+    c, m, den = _factors(laws, rows)
     tp = _trace_power_stack(As, m)
-    return _rescaled_stack(_bell_stack((tp * c)[:, :, None], d)[:, 0], e, d)
+    return _rescaled(_bell_coefficient((tp * c)[:, :, None], d, den), scale, d)
 
 
 def _trace_power_stack(A: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -368,91 +344,61 @@ def _trace_power_stack(A: np.ndarray, m: np.ndarray) -> np.ndarray:
     return tr if A.dtype == object else real_parts_checked(tr)
 
 
-def _require_mgf(spec: DistributionSpec) -> None:
-    if not spec.has_mgf:
-        raise PreconditionError(
-            f"{spec.family} admits no moment generating function; "
-            "use the partition path"
-        )
+def _require_mgf(spec: DistributionSpec | Sequence[DistributionSpec]) -> None:
+    for law in [spec] if isinstance(spec, DistributionSpec) else spec:
+        if not law.has_mgf:
+            raise PreconditionError(
+                f"{law.family} admits no moment generating function; "
+                "use the partition path"
+            )
 
 
 def series_norm_pow(A: Matrix, spec: DistributionSpec, d: int):
     """Norm power as [t^d] of exp(sum_j kappa_j tr(A^j) t^j / j!).
 
     Agrees with :func:`hermitian_norm_pow` exactly on the rational path.
-    Rejects distributions without a moment generating function.  Exact
-    input (matrix and cumulants) runs over Fractions; anything else is
-    :func:`series_norm_pow_stack` on a stack of one.
+    Rejects distributions without a moment generating function.  The stack
+    of one of :func:`series_norm_pow_stack`: a Fraction on exact input
+    (matrix and cumulants), a float otherwise.
     """
-    _require_even_degree(d)
-    _require_mgf(spec)
-    if not is_hermitian(A):
-        raise NonHermitianError("series_norm_pow requires a Hermitian matrix")
-    kappas = _int_kernel_cumulants(A, spec, d)
-    if kappas is None:
-        return float(series_norm_pow_stack(A.array[None], spec, d)[0])
-    As, scale = _scaled(A)
-    tp = _trace_power_stack(As, np.array([d]))[0].tolist()
-    coeffs = [0] + [exact_div(kappas[j - 1], factorial(j)) * tp[j - 1] for j in range(1, d + 1)]
-    return _rescaled(TruncatedSeries(coeffs).exp().coefficient(d), scale, d)
+    return series_norm_pow_stack(A, spec, d).item()
 
 
 def series_norm_pow_stack(
     A, spec: DistributionSpec | Sequence[DistributionSpec], d: int
 ) -> np.ndarray:
-    """The norm powers of a stack (N, n, n) of float Hermitian matrices, as
-    N floats, by the series route of :func:`series_norm_pow`, at the
-    power-of-two scale of :func:`_float_stack`.
+    """The norm powers of a stack (N, n, n) of Hermitian matrices, or of one
+    Matrix, as an array, by the series route of :func:`series_norm_pow`, at
+    the scale of :func:`_prepared`.
 
     ``spec`` is one law for every matrix or a sequence of N laws, one per
     matrix (:func:`_law_rows`); every law needs a moment generating
-    function.  All d trace powers come from :func:`_trace_power_stack` and
-    are checked real.  The coefficient of t^j is kappa_j / j! (rounded once,
-    :func:`~rvnorms.cumulants.normalized_cumulants`) times tr A^j, taken
-    before any product so that no float carries a factor j!, and each row's
-    series is exponentiated by :meth:`TruncatedSeries.exp`.
+    function.  The trace powers up to each row's top cumulant come from
+    :func:`_trace_power_stack`.  The coefficient of t^j is kappa_j / j!
+    times tr A^j: on the exact stack one Fraction; on a float stack
+    kappa_j / j! is rounded once (:attr:`CumulantVector.normalized`) and
+    taken before any product, so that no float carries a factor j!.  Each
+    row's series is exponentiated by :meth:`TruncatedSeries.exp`.
     """
-    _require_even_degree(d)
-    As, e = _float_stack(A, hermitian=True)
-    laws, rows = _law_rows(spec, len(As))
-    for law in laws:
-        _require_mgf(law)
-    c, _ = _float_factors(laws, rows, d)
-    tp = _trace_power_stack(As, np.full(len(As), d))
-    coeffs = np.zeros(tp.shape)
-    coeffs[:, : c.shape[1]] = c * tp[:, : c.shape[1]]
-    totals = [TruncatedSeries([0] + row).exp().coefficient(d) for row in coeffs.tolist()]
-    return _rescaled_stack(np.array(totals), e, d)
+    _require_mgf(spec)
+    As, scale, laws, rows = _prepared(A, spec, d, hermitian=True)
+    c, m, den = _factors(laws, rows)
+    a = (_trace_power_stack(As, m) * c).tolist()
+    if den is not None:  # exact: kappa_j / j! = c_j / (den[j] j!)
+        a = [[Fraction(x, den[j] * factorial(j)) for j, x in enumerate(row, 1)] for row in a]
+    totals = [TruncatedSeries([0, *row] + [0] * (d - len(row))).exp().coefficient(d) for row in a]
+    return _rescaled(totals, scale, d)
 
 
 def word_sum_norm_pow(Z: Matrix, spec: DistributionSpec, d: int):
     """Norm power for arbitrary square Z: sum_pi kappa_pi * T_pi(Z) / y_pi,
-    over the terms of :func:`symbolic_formula` (:func:`word_table`).
-
-    Exact input (matrix and cumulants) sums each partition's terms in ints
-    and weighs the sum by :func:`_kappa_quotient`, with one Fraction at the
-    end; anything else is :func:`word_sum_norm_pow_stack` on a stack of
-    one.  This is the independent oracle for :func:`general_norm_pow`,
-    equal to it exactly on rational input.
+    over the terms of :func:`symbolic_formula` (:func:`word_table`).  The
+    stack of one of :func:`word_sum_norm_pow_stack`: a Fraction on exact
+    input (matrix and cumulants), a float otherwise.  This is the
+    independent oracle for :func:`general_norm_pow`, equal to it exactly
+    on rational input.
     """
-    _require_even_degree(d)
-    kappas = _int_kernel_cumulants(Z, spec, d)
-    if kappas is None:
-        return float(word_sum_norm_pow_stack(Z.array[None], spec, d)[0])
-    Zs, scale = _scaled(Z)
-    table = word_table(d, _top_cumulant(kappas))
-    traces = word_traces(Zs, table.plan)[0]
-    values = np.array(table.mults, dtype=object)
-    for words in table.factors:
-        values[: len(words)] *= traces[words]
-    sums = [0] * len(table.partitions)
-    for pi, value in zip(table.part_of, values.tolist()):
-        sums[pi] += value
-    denom = comb(d, d // 2)
-    quotients = [_kappa_quotient(kappas, parts, y * denom) for parts, y in table.partitions]
-    D = lcm(*(den for num, den in quotients if num))
-    total = sum(num * s * (D // den) for (num, den), s in zip(quotients, sums) if num)
-    return _rescaled(Fraction(total, D), scale, d)
+    return word_sum_norm_pow_stack(Z, spec, d).item()
 
 
 def _kappa_quotient(kappas, parts, scale: int):
@@ -489,34 +435,46 @@ def _term_coefficients(kappas: tuple, types: tuple, d: int, m: int) -> np.ndarra
 def word_sum_norm_pow_stack(
     Z, spec: DistributionSpec | Sequence[DistributionSpec], d: int
 ) -> np.ndarray:
-    """The norm powers of a stack (N, n, n) of arbitrary square float
-    matrices, as N floats, by the trace-word sum of
-    :func:`word_sum_norm_pow`, at the power-of-two scale of
-    :func:`_float_stack`.
+    """The norm powers of a stack (N, n, n) of arbitrary square matrices, or
+    of one Matrix, as an array, by the trace-word sum of
+    :func:`word_sum_norm_pow`, at the scale of :func:`_prepared`.
 
     ``spec`` is one law for every matrix or a sequence of N laws, one per
     matrix (:func:`_law_rows`).  The words' traces come from one law-free
     table (:func:`word_table`, :func:`word_traces`) over the partitions
     whose parts are at most the largest top cumulant of the stack's laws
-    (:func:`_top_cumulant`).  Each term is its coefficient under its row's
-    law (:func:`_term_coefficients`) times its factor traces in turn, each
-    product in the arithmetic of Python's ``complex`` (no fused
+    (:func:`_top_cumulant`).
+
+    On the exact stack of one, each partition's terms are summed in ints
+    and the sum is weighed by :func:`_kappa_quotient`, with one Fraction at
+    the end.  On a float stack, each term is its coefficient under its
+    row's law (:func:`_term_coefficients`) times its factor traces in turn,
+    each product in the arithmetic of Python's ``complex`` (no fused
     multiply-add); each row sums its law's nonzero terms with
     ``math.fsum``, must be real to within
     :func:`~rvnorms.scalars.real_parts_checked`'s residue, and is rescaled
-    by :func:`_rescaled_stack`.  A row gets the value that the trace
-    polynomial of :func:`symbolic_formula`, evaluated term by term with
-    these products and sums, gives at its scaled matrix (the tests'
-    reference evaluator).
+    by :func:`_rescaled`.  A row gets the value that the trace polynomial
+    of :func:`symbolic_formula`, evaluated term by term with these products
+    and sums, gives at its scaled matrix (the tests' reference evaluator).
     """
-    _require_even_degree(d)
-    Zs, e = _float_stack(Z, hermitian=False)
-    laws, rows = _law_rows(spec, len(Zs))
-    kappas = [distribution_cumulants(law, d).kappas for law in laws]
+    Zs, scale, laws, rows = _prepared(Z, spec, d, hermitian=False)
+    kappas = [law.kappas for law in laws]
     m = max(map(_top_cumulant, kappas))
     table = word_table(d, m)
-    coeffs = [_term_coefficients(k, tuple(map(type, k)), d, m) for k in kappas]
     traces = word_traces(Zs, table.plan)
+    if rows is None:
+        values, traces = np.array(table.mults, dtype=object), traces[0]
+        for words in table.factors:
+            values[: len(words)] *= traces[words]
+        sums = [0] * len(table.partitions)
+        for pi, value in zip(table.part_of, values.tolist()):
+            sums[pi] += value
+        denom = comb(d, d // 2)
+        quotients = [_kappa_quotient(kappas[0], parts, y * denom) for parts, y in table.partitions]
+        D = lcm(*(den for num, den in quotients if num))
+        total = sum(num * s * (D // den) for (num, den), s in zip(quotients, sums) if num)
+        return _rescaled([Fraction(total, D)], scale, d)
+    coeffs = [_term_coefficients(k, tuple(map(type, k)), d, m) for k in kappas]
     tre, tim = traces.real, traces.imag
     re = np.array(coeffs)[rows]
     im = np.zeros(re.shape)
@@ -531,7 +489,7 @@ def word_sum_norm_pow_stack(
         sums = zip(members, re[members][:, keep].tolist(), im[members][:, keep].tolist())
         for k, row_re, row_im in sums:
             total[k] = complex(math.fsum(row_re), math.fsum(row_im))
-    return _rescaled_stack(real_parts_checked(total), e, d)
+    return _rescaled(total, scale, d)
 
 
 def _adjoint_count_trace_stack(Z: np.ndarray, m: int, half: int) -> np.ndarray:
@@ -607,33 +565,22 @@ def general_norm_pow(Z: Matrix, spec: DistributionSpec, d: int):
     the coefficient of x^d taken as B_d / d! by the Bell kernel.
     Equals :func:`word_sum_norm_pow` exactly on rational input, restricts
     to :func:`hermitian_norm_pow` on Hermitian input and is strictly
-    positive for Z != 0.  Exact input (matrix and cumulants) runs in
-    Python ints; anything else is :func:`general_norm_pow_stack` on a stack
-    of one.
+    positive for Z != 0.  The stack of one of
+    :func:`general_norm_pow_stack`: a Fraction on exact input (matrix and
+    cumulants), a float otherwise.
     """
-    _require_even_degree(d)
-    kappas = _int_kernel_cumulants(Z, spec, d)
-    if kappas is None:
-        return float(general_norm_pow_stack(Z.array[None], spec, d)[0])
-    half = d // 2
-    Zs, scale = _scaled(Z)
-    c, den = _exact_factors(kappas)
-    m = _top_cumulant(kappas)
-    tau = _adjoint_count_trace_stack(Zs, m, half)[0].tolist()
-    a = [None] + [[c[k - 1] * x for x in tau[k - 1]] for k in range(1, m + 1)]
-    b, D = _bell(a, d, half, den)
-    return _rescaled(Fraction(b[half], D * factorial(d) * comb(d, half)), scale, d)
+    return general_norm_pow_stack(Z, spec, d).item()
 
 
 def general_norm_pow_stack(
     Z, spec: DistributionSpec | Sequence[DistributionSpec], d: int
 ) -> np.ndarray:
-    """The norm powers of a stack (N, n, n) of arbitrary square float
-    matrices, as N floats, by the constant-term route of
+    """The norm powers of a stack (N, n, n) of arbitrary square matrices, or
+    of one Matrix, as an array, by the constant-term route of
     :func:`general_norm_pow`: tau from :func:`_adjoint_count_trace_stack`,
-    [u^{d/2}] B_d / d! from :func:`_bell_stack`, each value real to within
-    :func:`~rvnorms.scalars.real_parts_checked`'s residue and rescaled by
-    :func:`_rescaled_stack`.
+    [u^{d/2}] B_d / d! from :func:`_bell_coefficient`, each float value
+    real to within :func:`~rvnorms.scalars.real_parts_checked`'s residue,
+    and all rescaled by :func:`_rescaled`.
 
     ``spec`` is one law for every matrix or a sequence of N laws, one per
     matrix (:func:`_law_rows`).  Rows are evaluated in groups of equal
@@ -641,16 +588,15 @@ def general_norm_pow_stack(
     and so the rounding of every trace above it: each row gets the value
     it gets alone under its own law.
     """
-    _require_even_degree(d)
+    Zs, scale, laws, rows = _prepared(Z, spec, d, hermitian=False)
+    c, m, den = _factors(laws, rows)
     half = d // 2
-    Zs, e = _float_stack(Z, hermitian=False)
-    c, m = _float_factors(*_law_rows(spec, len(Zs)), d)
-    b = np.empty(len(Zs), dtype=complex)
+    b = np.empty(len(Zs), dtype=Zs.dtype)  # Fractions on the exact stack
     for mk in set(m.tolist()):
-        rows = m == mk
-        tau = _adjoint_count_trace_stack(Zs[rows], mk, half)
-        b[rows] = _bell_stack(tau * c[rows, :mk, None], d)[:, half]
-    return _rescaled_stack(real_parts_checked(b / comb(d, half)), e, d)
+        group = m == mk
+        tau = _adjoint_count_trace_stack(Zs[group], mk, half)
+        b[group] = _bell_coefficient(tau * c[group, :mk, None], d, den, comb(d, half))
+    return _rescaled(b, scale, d)
 
 
 def norm_root(value, d: int) -> float:

@@ -122,11 +122,6 @@ def y_of(p: Partition) -> int:
     return prod(factorial(i) ** m * factorial(m) for i, m in p.multiplicities.items())
 
 
-def z_of(p: Partition) -> int:
-    """Weight prod_i i^{m_i} * m_i!, the cycle-type centralizer order."""
-    return prod(i**m * factorial(m) for i, m in p.multiplicities.items())
-
-
 def hunter_coefficient(p: Partition, alpha: int) -> int:
     """alpha! / ((alpha - r)! * prod_i m_i!) for r = number of parts, 0 when r > alpha.
 

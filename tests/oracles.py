@@ -8,6 +8,9 @@ and the CHS power-sum identity are oracles for ``sympoly``;
 ``trace_of_product`` are the plain definitions;
 ``evaluate`` evaluates a printed trace polynomial at a matrix term by term,
 the reference for the trace-word route;
+``bell_value`` (the complete Bell polynomial) and ``z_of`` (the
+centralizer order) are the kernel's and the partition walk's plain forms;
+``matrix_to_json`` writes the matrix file format;
 ``random_unitary`` and ``zeros`` build test inputs.
 """
 
@@ -21,11 +24,42 @@ import numpy as np
 from rvnorms.cumulants import CumulantVector
 from rvnorms.errors import MomentExistenceError, NonHermitianError, PreconditionError
 from rvnorms.matrixcore import Matrix, is_hermitian
-from rvnorms.normengine import TracePolynomial, _require_even_degree
-from rvnorms.partitions import Partition, enumerate_partitions, z_of
+from rvnorms.normengine import TracePolynomial, _bell, _require_even_degree
+from rvnorms.partitions import Partition, enumerate_partitions
 from rvnorms.scalars import exact_div, is_exact, real_part_checked
 from rvnorms.sympoly import chs
 from rvnorms.words import word_plan, word_traces
+
+
+def bell_value(ell: int, x):
+    """Complete Bell polynomial B_ell(x_1..x_ell) = ell! * sum_pi x_pi / y_pi."""
+    if ell < 0:
+        raise ValueError("ell must be nonnegative")
+    x = list(x)
+    if len(x) < ell:
+        raise PreconditionError(f"B_{ell} needs {ell} arguments, got {len(x)}")
+    return _bell([None] + [[v] for v in x[:ell]], ell, 0, [1] * (ell + 1))[0][0]
+
+
+def z_of(p: Partition) -> int:
+    """Weight prod_i i^{m_i} * m_i!, the cycle-type centralizer order."""
+    return prod(i**m * factorial(m) for i, m in p.multiplicities.items())
+
+
+def _entry_to_json(v):
+    if isinstance(v, int):
+        return v
+    if isinstance(v, Fraction):
+        return v.numerator if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+    return float(v)
+
+
+def matrix_to_json(Z: Matrix) -> dict:
+    """The matrix file document of Z, which ``load_matrix`` reads back."""
+    rows = Z.array.tolist()
+    re = [[_entry_to_json(v.real if isinstance(v, complex) else v) for v in r] for r in rows]
+    im = [[float(v.imag) if isinstance(v, complex) else 0 for v in r] for r in rows]
+    return {"n": Z.n, "re": re, "im": im}
 
 
 def zeros(n: int) -> Matrix:

@@ -15,11 +15,10 @@ from rvnorms.matrixcore import (
     is_majorized,
     load_matrix,
     matrix_from_json,
-    matrix_to_json,
 )
 from rvnorms.suites import random_hermitian, stream
 
-from oracles import frobenius_norm, random_unitary, trace_powers, zeros
+from oracles import frobenius_norm, matrix_to_json, random_unitary, trace_powers, zeros
 
 I = 1j
 

@@ -16,7 +16,6 @@ from rvnorms import normengine
 from rvnorms.errors import NonHermitianError, PreconditionError
 from rvnorms.matrixcore import Matrix
 from rvnorms.normengine import (
-    bell_value,
     circle_extension_check,
     general_norm_pow,
     hermitian_norm_pow,
@@ -38,6 +37,7 @@ from rvnorms.suites import (
 )
 
 from oracles import (
+    bell_value,
     evaluate,
     kappa_product,
     normal_norm_pow_closed,
@@ -464,16 +464,21 @@ def test_scale_guard_refuses_out_of_range(route, entry):
 def test_rescale_refuses_subnormal_and_keeps_in_range_products():
     from rvnorms.normengine import _rescaled
 
+    def rescaled(total, e, d):
+        return _rescaled(np.array([total]), np.array([e]), d).tolist()
+
     # 2**-1060 is subnormal: refused, not rooted from 15 bits.
     with pytest.raises(PreconditionError, match="scale"):
-        _rescaled(1.0, -265, 4)
+        rescaled(1.0, -265, 4)
     # 2**(4e) leaves the float range but total * 2**(4e) does not.
-    assert _rescaled(0.75 * 2.0**-40, 260, 4) == 0.75 * 2.0**1000
-    assert _rescaled(0.75 * 2.0**40, -260, 4) == 0.75 * 2.0**-1000
+    assert rescaled(0.75 * 2.0**-40, 260, 4) == [0.75 * 2.0**1000]
+    assert rescaled(0.75 * 2.0**40, -260, 4) == [0.75 * 2.0**-1000]
     with pytest.raises(PreconditionError, match="scale"):
-        _rescaled(0.75, 257, 4)
-    assert _rescaled(0.0, 300, 4) == 0.0
-    assert _rescaled(Fraction(3), Fraction(1, 2), 4) == Fraction(3, 16)
+        rescaled(0.75, 257, 4)
+    assert rescaled(0.0, 300, 4) == [0.0]
+    assert _rescaled(np.array([Fraction(3)], dtype=object), Fraction(1, 2), 4).tolist() == [
+        Fraction(3, 16)
+    ]
 
 
 def test_norm_root_exact_values_outside_float_range():

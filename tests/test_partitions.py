@@ -8,8 +8,9 @@ from rvnorms.partitions import (
     enumerate_partitions,
     hunter_coefficient,
     y_of,
-    z_of,
 )
+
+from oracles import z_of
 
 
 def brute_force_partitions(d, max_part=None):
