@@ -35,7 +35,7 @@ from .normengine import (
     symbolic_formula,
     word_sum_norm_pow,
 )
-from .oracle import mc_norm
+from .oracle import ORACLE_MAX_DEGREE, mc_norm
 from .scalars import is_exact
 from .sympoly import hunter_poly, hunter_poly_recursive, hunter_terms
 from .suites import SUITES, run_suite
@@ -101,13 +101,12 @@ NORM_MAX_DEGREE = {"partition": 100, "series": 300, "words": 14, "auto": 14}
 # trial); the cap stays until it is re-measured on slower hosts.
 VERIFY_MAX_TRIALS = {"axioms": 2400, "schur": 4000, "paths": 250, "hunter": 8000, "khintchine": 20000}
 
-# Largest degree and --samples `oracle` takes; above either it exits 3
-# before it reads the matrix.  The estimate divides by d!, which leaves the
-# float range from d=171.  One thread draws 2*10**7 samples of a Hermitian
-# float 8x8 at d=6 in 3.1-10.8 s on a 2-vCPU host (pareto fastest, poisson
-# slowest), and the cost grows with n: 10**7 keeps each law near 5 s there.
+# Largest --samples `oracle` takes; above it, or above ORACLE_MAX_DEGREE,
+# `oracle` exits 3 before it reads the matrix.  One thread draws 2*10**7
+# samples of a Hermitian float 8x8 at d=6 in 3.1-10.8 s on a 2-vCPU host
+# (pareto fastest, poisson slowest), and the cost grows with n: 10**7 keeps
+# each law near 5 s there.
 ORACLE_MAX_SAMPLES = 10**7
-ORACLE_MAX_DEGREE = 170
 
 
 def _default_seed() -> int:
@@ -417,6 +416,11 @@ _PARSER = build_parser()
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
+    # An exact value prints in full, however many digits it has.  0 means no
+    # limit, as on interpreters before 3.10.7, which have no such setting.
+    int_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if int_digits:
+        sys.set_int_max_str_digits(0)
     try:
         return _DISPATCH[args.command](args)
     except ParseError as exc:
@@ -428,6 +432,9 @@ def main(argv=None) -> int:
     except OverflowError as exc:  # e.g. an exact entry too large for a float tolerance
         print(f"error: value outside float range: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if int_digits:
+            sys.set_int_max_str_digits(int_digits)
 
 
 def main_entry() -> None:

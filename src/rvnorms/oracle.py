@@ -32,6 +32,10 @@ from .normengine import general_norm_pow_stack, hermitian_norm_pow_stack
 
 BLOCK_SAMPLES = 1 << 16
 
+# Largest degree the estimate takes: it divides by d!, which leaves the
+# float range from d=171.
+ORACLE_MAX_DEGREE = 170
+
 
 @dataclass(frozen=True)
 class McEstimate:
@@ -120,12 +124,13 @@ def mc_norm_pow(
 ) -> McEstimate:
     """Estimate E|sum_i lambda_i X_i|^d / d! with a sample standard error.
 
-    Accepts any integer d >= 2 (odd included).  Deterministic for a fixed
-    (seed, samples); the worker count, min(threads, blocks, CPUs), never
-    changes the result.
+    Accepts any integer d from 2 to ORACLE_MAX_DEGREE (odd included),
+    checked before any sample is drawn.  Deterministic for a fixed (seed,
+    samples); the worker count, min(threads, blocks, CPUs), never changes
+    the result.
     """
-    if not isinstance(d, int) or d < 2:
-        raise PreconditionError(f"d must be an integer >= 2, got {d!r}")
+    if not isinstance(d, int) or not 2 <= d <= ORACLE_MAX_DEGREE:
+        raise PreconditionError(f"d must be an integer from 2 to {ORACLE_MAX_DEGREE}, got {d!r}")
     spec.require_moments(d)
     if samples < 10**4:
         raise PreconditionError(f"at least 10^4 samples required, got {samples}")

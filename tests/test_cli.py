@@ -4,14 +4,17 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from rvnorms import cli
-from rvnorms.matrixcore import Matrix, matrix_to_json
+from rvnorms.cumulants import DistributionSpec
+from rvnorms.matrixcore import Matrix
+from rvnorms.normengine import hermitian_norm_pow
 from rvnorms.suites import SuiteReport
 
-from oracles import zeros
+from oracles import matrix_to_json, zeros
 
 
 def write_matrix(tmp_path, name, M):
@@ -620,6 +623,39 @@ def test_closed_stdout_ends_without_traceback():
     assert proc.wait(timeout=60) == 1
     assert first.startswith(b"1/924 tr(")
     assert err == b""
+
+
+def test_norm_prints_exact_powers_of_any_length(tmp_path, capsys):
+    # (10**120 - 1)**40 has 4,800 digits, more than the interpreter turns
+    # into a string by default
+    path = tmp_path / "nines.json"
+    path.write_text(json.dumps({"n": 1, "re": [["1/" + "9" * 120]]}))
+    want = hermitian_norm_pow(
+        Matrix([[Fraction(1, 10**120 - 1)]]), DistributionSpec.exponential(), 40
+    )
+    limit = sys.get_int_max_str_digits()
+    printed = []
+    for fmt in ([], ["--json"]):
+        rc = cli.main(["norm", str(path), "exponential", "-d", "40", *fmt])
+        captured = capsys.readouterr()
+        assert rc == 0 and "Traceback" not in captured.err
+        assert sys.get_int_max_str_digits() == limit
+        printed.append(captured.out)
+    sys.set_int_max_str_digits(0)
+    try:
+        text = next(line for line in printed[0].splitlines() if line.startswith("norm^40 = "))
+        assert Fraction(text.removeprefix("norm^40 = ")) == want
+        assert Fraction(*json.loads(printed[1])["norm_pow"]) == want
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("method", ["series", "auto"])
+def test_norm_float_zero_matrix_by_series(tmp_path, capsys, method):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"n": 2, "re": [[0.0, 0.0], [0.0, 0.0]]}))
+    assert cli.main(["norm", str(path), "exponential", "-d", "4", "--method", method]) == 0
+    assert "norm^4 = 0.0\nnorm = 0.0\n" in capsys.readouterr().out
 
 
 # CI's two exact 3x3 fixtures: Hermitian and non-Hermitian.

@@ -198,6 +198,30 @@ def test_mc_preconditions():
         mc_norm(Matrix([[0, 1], [0, 0]]), DistributionSpec.exponential(), 2, 10**4, seed=1)
 
 
+def test_mc_refuses_degree_above_the_float_range_before_sampling(monkeypatch):
+    # the estimate divides by d!, a float only up to d = 170
+    from rvnorms import cli
+
+    assert cli.ORACLE_MAX_DEGREE is oracle.ORACLE_MAX_DEGREE == 170
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return sample_block(*args)
+
+    monkeypatch.setattr(oracle, "sample_block", spy)
+    spec = DistributionSpec.exponential()
+    for d in (171, 300):
+        with pytest.raises(PreconditionError, match="from 2 to 170"):
+            mc_norm_pow([1.0, 0.5], spec, d, 10**4, seed=1)
+        with pytest.raises(PreconditionError, match="from 2 to 170"):
+            mc_norm(Matrix([[1, 0], [0, 2]]), spec, d, 10**4, seed=1)
+    assert calls == []
+    # small weights keep the square of |<X, lambda>|^170 below the float limit
+    mc_norm_pow([0.01, 0.005], spec, 170, 10**4, seed=1)
+    assert len(calls) == 1
+
+
 def test_pareto_alpha_trend_by_sampling():
     # d! * mc estimate of the norm power approaches (sum lambda)^d as alpha
     # grows; the alpha=1e4 deviation must not exceed the alpha=1e3 one beyond
