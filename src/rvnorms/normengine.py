@@ -155,9 +155,9 @@ def _rescaled(total, scale, d: int) -> np.ndarray:
     with np.errstate(over="ignore", under="ignore"):
         out = np.ldexp(total, d * scale)
     size = np.abs(out)
-    bad = (total != 0) & ~((sys.float_info.min <= size) & (size < math.inf))
-    if bad.any():
-        i = int(bad.argmax())
+    ok = (total == 0) | ((sys.float_info.min <= size) & (size < math.inf))
+    if not ok.all():
+        i = int(ok.argmin())
         raise PreconditionError(
             f"norm power outside float range: normalized value {total[i].item()!r} "
             f"times scale 2**{d * int(scale[i])}"
@@ -592,8 +592,9 @@ def general_norm_pow_stack(
     c, m, den = _factors(laws, rows)
     half = d // 2
     b = np.empty(len(Zs), dtype=Zs.dtype)  # Fractions on the exact stack
-    for mk in set(m.tolist()):
-        group = m == mk
+    tops = set(m.tolist())
+    for mk in tops:
+        group = m == mk if len(tops) > 1 else slice(None)
         tau = _adjoint_count_trace_stack(Zs[group], mk, half)
         b[group] = _bell_coefficient(tau * c[group, :mk, None], d, den, comb(d, half))
     return _rescaled(b, scale, d)
