@@ -32,8 +32,8 @@ from .normengine import (
     hermitian_norm_pow,
     norm_root,
     series_norm_pow,
-    symbolic_formula,
     word_sum_norm_pow,
+    write_formula,
 )
 from .oracle import ORACLE_MAX_DEGREE, mc_norm
 from .scalars import is_exact
@@ -57,10 +57,11 @@ integers, rationals p/q (kept exact), or floats.  Catalog:
 
 
 # Largest degree `formula` builds in general mode.  The cost grows 3-5x per
-# +2 in degree: `formula exponential -d D --json` takes 0.37-0.39 s at 14,
-# 0.58-0.61 s at 16 and 1.3-1.4 s at 18 (147 MB peak) on a 2-vCPU host
-# (about 0.3 s of each is interpreter start-up).  d=20 has not been run,
-# so the limit stays at 18 until it is measured.
+# +2 in degree: `formula exponential -d D --json` takes 0.17-0.24 s at 14,
+# 0.23-0.25 s at 16 and 0.46-0.52 s at 18 (64 MB peak) on a 2-vCPU host
+# (about 0.15 s of each is interpreter start-up); in process, with the
+# limit bypassed, d=20 takes 1.2 s (164 MB).  The limit stays at 18 until
+# a cost model sets it.
 FORMULA_MAX_DEGREE = 18
 
 # Largest degree for Hermitian-mode `formula` and for `hunter`, which walk
@@ -292,13 +293,10 @@ def _cmd_formula(args) -> int:
         _require_partition_degree("formula in hermitian mode", d)
     spec = parse_distribution(args.dist)
     kappas = distribution_cumulants(spec, d)
-    poly = symbolic_formula(kappas, d, hermitian_mode=(args.mode == "hermitian"))
-    if args.json:
-        out = poly.to_json()
-        out["distribution"] = spec.label()
-        print(json.dumps(out))
-    else:
-        print(poly.text())
+    write_formula(
+        sys.stdout.write, kappas, d, args.mode == "hermitian", args.json,
+        {"distribution": spec.label()},
+    )
     return 0
 
 

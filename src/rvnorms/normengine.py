@@ -21,9 +21,10 @@ Two independent routes serve as oracles:
 * the adjoint-placement trace-word sum, sum over partitions of kappa_pi *
   T_pi(Z) / y_pi with T_pi averaging the C(d, d/2) ways of distributing
   d/2 adjoints over the letter slots: :func:`word_sum_norm_pow` sums the
-  terms of the trace polynomial that :func:`symbolic_formula` builds (and
-  the ``formula`` command prints), multiplying out every distinct trace
-  word once.  It uses no cumulant recurrence and no C_{k,j} matrices, and
+  terms of the trace polynomial that :func:`formula_terms` makes (which
+  :func:`symbolic_formula` collects and :func:`write_formula`, for the
+  ``formula`` command, writes as it goes), multiplying out every distinct
+  trace word once.  It uses no cumulant recurrence and no C_{k,j} matrices, and
   is compared against by the CLI's ``words`` method, the circle-average
   check and the ``paths`` suite.
 
@@ -52,22 +53,23 @@ sums after its traces, tell exact from float input:
   range there is refused rather than returned as 0.0, a subnormal or inf.
 
 On a float stack each matrix gets the value it gets alone under its own
-law, bit for bit.  The d-th root at the very end is the only irrational
-step of an exact evaluation.  The partition walk sum_pi kappa_pi p_pi /
-y_pi is the tests' oracle for the kernel.
+law, bit for bit; an empty stack (N = 0) gives an empty float array.  The
+d-th root at the very end is the only irrational step of an exact
+evaluation.  The partition walk sum_pi kappa_pi p_pi / y_pi is the tests'
+oracle for the kernel.
 """
 
 from __future__ import annotations
 
 import cmath
 import gc
+import json
 import math
 import sys
 from collections.abc import Sequence
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby
 from math import comb, factorial, lcm, prod
 from operator import mul
 
@@ -83,7 +85,7 @@ from .matrixcore import (
     scale_exponents,
 )
 from .partitions import enumerate_partitions, y_of
-from .scalars import exact_div, is_exact, real_parts_checked
+from .scalars import is_exact, real_parts_checked
 from .series import TruncatedSeries
 from .words import placement_terms, word_json, word_table, word_text, word_traces
 
@@ -324,6 +326,8 @@ def hermitian_norm_pow_stack(
     :func:`~rvnorms.scalars.real_parts_checked`'s residue.
     """
     As, scale, laws, rows = _prepared(A, spec, d, hermitian=True)
+    if not len(As):
+        return np.empty(0)
     c, m, den = _factors(laws, rows)
     tp = _trace_power_stack(As, m)
     return _rescaled(_bell_coefficient((tp * c)[:, :, None], d, den), scale, d)
@@ -382,6 +386,8 @@ def series_norm_pow_stack(
     """
     _require_mgf(spec)
     As, scale, laws, rows = _prepared(A, spec, d, hermitian=True)
+    if not len(As):
+        return np.empty(0)
     c, m, den = _factors(laws, rows)
     a = (_trace_power_stack(As, m) * c).tolist()
     if den is not None:  # exact: kappa_j / j! = c_j / (den[j] j!)
@@ -458,6 +464,8 @@ def word_sum_norm_pow_stack(
     and sums, gives at its scaled matrix (the tests' reference evaluator).
     """
     Zs, scale, laws, rows = _prepared(Z, spec, d, hermitian=False)
+    if not len(Zs):
+        return np.empty(0)
     kappas = [law.kappas for law in laws]
     m = max(map(_top_cumulant, kappas))
     table = word_table(d, m)
@@ -658,6 +666,161 @@ def _gc_paused():
             gc.enable()
 
 
+def formula_terms(kappas, d: int, hermitian_mode: bool = False):
+    """The terms of the norm power's trace polynomial, one partition at a
+    time, as ``(exact, partitions)``.
+
+    In general mode a partition pi of d contributes its aggregated adjoint
+    placements (:func:`placement_terms`), each with coefficient
+    multiplicity * kappa_pi / (y_pi * C(d, d/2)); in Hermitian mode its one
+    term, the product of tr(A^part) (words of 'z'), has kappa_pi / y_pi.
+    The quotients kappa_pi / (y_pi C(d, d/2)) of all partitions are formed
+    first (:func:`_kappa_quotient`), and a partition whose quotient is 0
+    is skipped.  ``exact`` tells whether every other quotient is an exact
+    rational, before any table is built.
+
+    ``partitions`` yields, in the order of :func:`enumerate_partitions`,
+    ``(table, coeffs)`` for each partition kept: ``table`` its
+    ((factor words, multiplicity), ...) sorted by factor tuple, built when
+    the iterator reaches it, and ``coeffs`` the coefficient of each
+    distinct multiplicity as ``(num, den)``, coprime ints with den > 0 for
+    an exact quotient, else (value, 1) in the cumulants' own arithmetic.
+    Cumulants may be Fractions or any ring elements supporting * and /.
+    """
+    _require_even_degree(d)
+    ks = kappas.kappas if isinstance(kappas, CumulantVector) else tuple(kappas)
+    if len(ks) < d:
+        raise PreconditionError(f"need cumulants up to degree {d}, got {len(ks)}")
+    denom = 1 if hermitian_mode else comb(d, d // 2)
+    quotients = []
+    for p in enumerate_partitions(d):
+        num, den = _kappa_quotient(ks, p.parts, y_of(p) * denom)
+        if num != 0:
+            quotients.append((p.parts, num, den))
+    exact = all(isinstance(num, int) for _, num, _ in quotients)
+    return exact, _partition_terms(quotients, hermitian_mode)
+
+
+def _partition_terms(quotients, hermitian_mode: bool):
+    """The ``partitions`` iterator of :func:`formula_terms`."""
+    for parts, num, den in quotients:
+        if hermitian_mode:
+            table = ((tuple(sorted("z" * part for part in parts)), 1),)
+        else:
+            table = placement_terms(parts)
+        mults = {mult for _, mult in table}
+        if isinstance(num, int):
+            g = math.gcd(num, den)
+            num, den = num // g, den // g
+            coeffs = {}
+            for m in mults:
+                # num and den are coprime: m * num / den reduces by gcd(m, den)
+                g = math.gcd(m, den)
+                coeffs[m] = (m // g * num, den // g)
+        else:
+            coeffs = {m: (m * num / den, 1) for m in mults}
+        yield table, coeffs
+
+
+class _Rendered(dict):
+    """Word -> printed form, each word rendered on its first lookup."""
+
+    __slots__ = ("form",)
+
+    def __init__(self, form):
+        super().__init__()
+        self.form = form
+
+    def __missing__(self, word):
+        name = self[word] = self.form(word)
+        return name
+
+
+class FormulaRenderer:
+    """The printed terms of a trace polynomial, the one renderer of
+    ``formula`` and of :class:`TracePolynomial`.
+
+    A term is a text line, its coefficient and then its factors, a
+    repeated factor as w^count (``tr(Z*Z) tr(Z)^2``; ``tr(A^2)`` in
+    Hermitian mode), or a JSON object ``{"coeff": [num, den], "factors":
+    ["sZ", "Z", "Z"]}`` (``"A^2"`` in Hermitian mode), exactly as
+    ``json.dumps`` writes it.  :attr:`names` renders each distinct factor
+    word once, and the JSON form quotes each once.
+    """
+
+    def __init__(self, hermitian: bool, as_json: bool):
+        if as_json:
+            form = (lambda w: f"A^{len(w)}") if hermitian else word_json
+        elif hermitian:
+            form = lambda w: "tr(A)" if len(w) == 1 else f"tr(A^{len(w)})"  # noqa: E731
+        else:
+            form = lambda w: f"tr({word_text(w)})"  # noqa: E731
+        self.as_json = as_json
+        self.separator = ", " if as_json else "\n"
+        self.names = _Rendered(form)
+        self._quoted = _Rendered(lambda w: json.dumps(form(w)))
+
+    def chunk(self, table, coeffs) -> str:
+        """The terms ((factor words, key), ...) of ``table``, each with the
+        coefficient ``coeffs[key]`` = (num, den), joined by
+        :attr:`separator`; each coefficient is rendered once."""
+        if self.as_json:
+            heads = {k: f'{{"coeff": [{n}, {q}], "factors": [' for k, (n, q) in coeffs.items()}
+            quoted = self._quoted.__getitem__
+            return ", ".join([heads[k] + ", ".join(map(quoted, key)) + "]}" for key, k in table])
+        heads = {k: f"{n} " if q == 1 else f"{n}/{q} " for k, (n, q) in coeffs.items()}
+        names = self.names
+        lines = []
+        for key, k in table:
+            distinct = dict.fromkeys(key)
+            if len(distinct) == len(key):
+                factors = " ".join(map(names.__getitem__, key))
+            else:  # a sorted key: each repeated factor once, as w^count
+                factors = " ".join(
+                    [names[w] if (c := key.count(w)) == 1 else f"{names[w]}^{c}" for w in distinct]
+                )
+            lines.append(heads[k] + factors)
+        return "\n".join(lines)
+
+
+def _require_exact_json(exact: bool) -> None:
+    if not exact:
+        raise PreconditionError("JSON form requires exact rational coefficients")
+
+
+def write_formula(
+    write, kappas, d: int, hermitian_mode: bool = False, as_json: bool = False, fields=None
+) -> None:
+    """Write the trace polynomial of :func:`symbolic_formula` through
+    ``write``, one partition's terms at a time as :func:`formula_terms`
+    makes them, without holding the polynomial: the bytes of
+    ``TracePolynomial.text()`` or of ``json.dumps`` of its
+    ``to_json()`` with the keys of ``fields`` added after ``"terms"``,
+    and a newline.  The JSON form of a polynomial with an inexact
+    coefficient raises PreconditionError before anything is written."""
+    exact, partitions = formula_terms(kappas, d, hermitian_mode)
+    render = FormulaRenderer(hermitian_mode, as_json)
+    if as_json:
+        _require_exact_json(exact)
+        mode = "hermitian" if hermitian_mode else "general"
+        write(f'{{"degree": {d}, "mode": "{mode}", "terms": [')
+    separator = ""
+    for table, coeffs in partitions:
+        write(separator)
+        write(render.chunk(table, coeffs))
+        separator = render.separator
+    if as_json:
+        extra = "".join(f", {json.dumps(k)}: {json.dumps(v)}" for k, v in (fields or {}).items())
+        write(f"]{extra}}}\n")
+    else:
+        write("\n" if separator else "0\n")
+
+
+def _ratio(coeff):
+    """(num, den) of an exact coefficient, (coeff, 1) of any other."""
+    return (coeff.numerator, coeff.denominator) if is_exact(coeff) else (coeff, 1)
+
+
 class TracePolynomial:
     """A rational-coefficient combination of products of canonical trace words.
 
@@ -684,35 +847,23 @@ class TracePolynomial:
         """The (factor tuple, coefficient) pairs in canonical order."""
         return self.terms.items()
 
-    def _rendered(self, hermitian_form, general_form) -> dict:
-        """Each distinct factor word in its printed form, rendered once."""
-        form = hermitian_form if self.hermitian else general_form
-        return {w: form(w) for w in {w for key in self.terms for w in key}}
-
     @_gc_paused()
     def text(self) -> str:
-        names = self._rendered(
-            lambda w: "tr(A)" if len(w) == 1 else f"tr(A^{len(w)})",
-            lambda w: f"tr({word_text(w)})",
-        )
-        lines = []
-        for key, coeff in self.ordered_terms():
-            factors = []
-            # a sorted key holds repeated factors side by side: print w^count
-            for w, run in groupby(key):
-                count = len(list(run))
-                factors.append(names[w] + (f"^{count}" if count > 1 else ""))
-            lines.append(f"{coeff} {' '.join(factors)}")
-        return "\n".join(lines) if lines else "0"
+        """One line per term (:class:`FormulaRenderer`), or ``0``."""
+        render = FormulaRenderer(self.hermitian, as_json=False)
+        table = [(key, key) for key in self.terms]
+        return render.chunk(table, {key: _ratio(c) for key, c in self.terms.items()}) or "0"
 
     @_gc_paused()
     def to_json(self) -> dict:
-        factor = self._rendered(lambda w: f"A^{len(w)}", word_json).__getitem__
-        terms = []
-        for key, coeff in self.ordered_terms():
-            if not is_exact(coeff):
-                raise PreconditionError("JSON form requires exact rational coefficients")
-            terms.append({"coeff": [*coeff.as_integer_ratio()], "factors": [*map(factor, key)]})
+        """The JSON document, each factor word named by
+        :class:`FormulaRenderer`; exact coefficients only."""
+        _require_exact_json(all(map(is_exact, self.terms.values())))
+        names = FormulaRenderer(self.hermitian, as_json=True).names
+        terms = [
+            {"coeff": [*_ratio(coeff)], "factors": [names[w] for w in key]}
+            for key, coeff in self.terms.items()
+        ]
         return {
             "degree": self.degree,
             "mode": "hermitian" if self.hermitian else "general",
@@ -734,39 +885,20 @@ class TracePolynomial:
 
 @_gc_paused()
 def symbolic_formula(kappas, d: int, hermitian_mode: bool = False) -> TracePolynomial:
-    """The norm power as a trace polynomial with explicit coefficients.
+    """The norm power as a trace polynomial with explicit coefficients,
+    the terms of :func:`formula_terms` in one dict.
 
-    In general mode each partition contributes its aggregated adjoint
-    placements with coefficient kappa_pi * multiplicity / (y_pi * C(d, d/2));
-    in Hermitian mode the term for a partition is kappa_pi / y_pi times the
-    product of tr(A^part).  Evaluated at a matrix, it gives the norm power
-    (:func:`word_sum_norm_pow` sums the same terms).  Cumulants may be
-    Fractions (exact output) or any ring elements supporting * and /.
-
-    The terms come out in canonical order (see :class:`TracePolynomial`):
-    partitions in the order of :func:`enumerate_partitions`, and each
-    partition's table sorted by factor tuple.  Exact cumulants give each
-    distinct coefficient as one Fraction of ints (:func:`_kappa_quotient`).
-    A partition whose kappa_pi / (y_pi C(d, d/2)) is zero is skipped; any
-    other gives every term a nonzero coefficient, a multiplicity of at
-    least 1 times it.
+    Evaluated at a matrix, it gives the norm power (:func:`word_sum_norm_pow`
+    sums the same terms).  The terms come out in canonical order (see
+    :class:`TracePolynomial`): partitions in the order of
+    :func:`enumerate_partitions`, and each partition's table sorted by
+    factor tuple.  An exact coefficient is a Fraction, one per distinct
+    coefficient of a partition; every coefficient is nonzero.
     """
-    _require_even_degree(d)
-    ks = kappas.kappas if isinstance(kappas, CumulantVector) else tuple(kappas)
-    if len(ks) < d:
-        raise PreconditionError(f"need cumulants up to degree {d}, got {len(ks)}")
-    denom = 1 if hermitian_mode else comb(d, d // 2)
+    _, partitions = formula_terms(kappas, d, hermitian_mode)
     terms: dict = {}
-    for p in enumerate_partitions(d):
-        num, den = _kappa_quotient(ks, p.parts, y_of(p) * denom)
-        if num == 0:
-            continue
-        if hermitian_mode:
-            table = ((tuple(sorted("z" * part for part in p.parts)), 1),)
-        else:
-            table = placement_terms(p.parts)
-        # far fewer multiplicities than terms: each coefficient formed once
-        coeff = {mult: exact_div(mult * num, den) for mult in {mult for _, mult in table}}
+    for table, coeffs in partitions:
+        coeff = {m: Fraction(n, q) if isinstance(n, int) else n for m, (n, q) in coeffs.items()}
         # factor tuples never repeat: their word lengths give the partition
         terms.update((factors, coeff[mult]) for factors, mult in table)
     return TracePolynomial(d, hermitian_mode, terms)

@@ -14,13 +14,13 @@ marking half of the d letter slots as adjoints: the slots are split into
 consecutive segments of the part lengths, each segment is read as the
 necklace of its rotation class, and identical factor multisets are merged
 with a multiplicity.  The table is built one factor multiset at a time,
-each exactly once.  The necklaces of each length come from the FKM
-algorithm (Ruskey, Savage & Wang, "Generating necklaces", J. Algorithms 13,
-1992) with their adjoint counts and class sizes (periods).  For each
-distinct part length k with m_k parts a multiset of m_k necklaces of that
-length is chosen, pruned on the adjoints still needed so that the total
-ends at exactly d/2.  A multiset holding m_c copies of each necklace c is
-reached by
+each exactly once.  The necklaces of every length up to d come from one
+pass of the FKM algorithm (Ruskey, Savage & Wang, "Generating necklaces",
+J. Algorithms 13, 1992) with their adjoint counts and class sizes
+(periods).  For each distinct part length k with m_k parts a multiset of
+m_k necklaces of that length is chosen, pruned on the adjoints still
+needed so that the total ends at exactly d/2.  A multiset holding m_c
+copies of each necklace c is reached by
 
     prod_k m_k! * prod_c size(c)^m_c / prod_c m_c!
 
@@ -50,43 +50,51 @@ from .partitions import enumerate_partitions, y_of
 
 
 @lru_cache(maxsize=None)
+def _necklaces_upto(n: int) -> tuple[tuple[tuple[str, int, int], ...], ...]:
+    """The binary necklaces of every length 1..n, entry k - 1 holding those
+    of length k in lexicographic order, from one FKM pass: the
+    Lyndon words of length at most n come out in lexicographic order, and
+    each of period p gives the necklace of every length k = p, 2p, ... <= n
+    (the Lyndon word repeated k / p times)."""
+    out: list[list] = [[] for _ in range(n)]
+    lyndon = "s"
+    while lyndon:
+        period, adjoints = len(lyndon), lyndon.count("s")
+        for copies, k in enumerate(range(period, n + 1, period), 1):
+            out[k - 1].append((lyndon * copies, adjoints * copies, period))
+        # the next Lyndon word: extend periodically to length n, drop the
+        # trailing 'z's and turn the last 's' into 'z'
+        lyndon = (lyndon * (n // period + 1))[:n].rstrip("z")
+        if lyndon:
+            lyndon = lyndon[:-1] + "z"
+    return tuple(map(tuple, out))
+
+
 def necklaces(k: int) -> tuple[tuple[str, int, int], ...]:
     """The binary necklaces of length ``k >= 1`` in lexicographic order.
 
     Each is ``(word, adjoints, size)``: the minimal rotation of its class,
     its number of letters 's', and its class size, the number of distinct
-    rotations (the word's period).  FKM algorithm: the Lyndon words whose
-    length divides k come out in order, each repeated up to length k.
+    rotations (the word's period), as :func:`_necklaces_upto` lists them.
     """
-    out = []
-    lyndon = "s"
-    while lyndon:
-        period = len(lyndon)
-        if k % period == 0:
-            word = lyndon * (k // period)
-            out.append((word, word.count("s"), period))
-        # the next Lyndon word: extend periodically to length k, drop the
-        # trailing 'z's and turn the last 's' into 'z'
-        lyndon = (lyndon * (k // period + 1))[:k].rstrip("z")
-        if lyndon:
-            lyndon = lyndon[:-1] + "z"
-    return tuple(out)
+    return _necklaces_upto(k)[k - 1]
 
 
 @lru_cache(maxsize=None)
-def _grown(k: int, m: int) -> tuple[tuple[tuple[str, ...], int, int, int, int], ...]:
+def _grown(k: int, m: int, n: int) -> tuple[tuple[tuple[str, ...], int, int, int, int], ...]:
     """The multisets of ``m >= 1`` necklaces of length ``k`` in lexicographic
     order, each as ``(sorted words, adjoints, markings, last, copies)``:
-    ``last`` indexes its largest necklace in :func:`necklaces` and
-    ``copies`` counts that necklace.  Each grows from a multiset of m - 1
-    by one necklace no smaller than its largest; a necklace of size s that
-    becomes copy r multiplies the markings m! / prod m_c! * prod size^m_c
-    by m s / r."""
-    neck = necklaces(k)
+    ``last`` indexes its largest necklace among those of length k from
+    the pass to length ``n`` (:func:`_necklaces_upto`, which a placement
+    run at degree n shares) and ``copies`` counts that necklace.  Each grows
+    from a multiset of m - 1 by one necklace no smaller than its largest;
+    a necklace of size s that becomes copy r multiplies the markings
+    m! / prod m_c! * prod size^m_c by m s / r."""
+    neck = _necklaces_upto(n)[k - 1]
     if m == 1:
         return tuple(((word,), adj, size, i, 1) for i, (word, adj, size) in enumerate(neck))
     out = []
-    for words, adjoints, markings, last, copies in _grown(k, m - 1):
+    for words, adjoints, markings, last, copies in _grown(k, m - 1, n):
         for i in range(last, len(neck)):
             word, adj, size = neck[i]
             r = copies + 1 if i == last else 1
@@ -95,12 +103,13 @@ def _grown(k: int, m: int) -> tuple[tuple[tuple[str, ...], int, int, int, int], 
 
 
 @lru_cache(maxsize=None)
-def _multisets(k: int, m: int) -> tuple[tuple[tuple[tuple[str, ...], int], ...], ...]:
+def _multisets(k: int, m: int, n: int) -> tuple[tuple[tuple[tuple[str, ...], int], ...], ...]:
     """The multisets of ``m >= 1`` necklaces of length ``k`` by their
     adjoint total: entry ``a`` lists ``(sorted words, markings)`` over the
-    multisets with ``a`` letters 's' in all, in lexicographic order."""
+    multisets with ``a`` letters 's' in all, in lexicographic order
+    (:func:`_grown`, with the necklaces of the pass to length ``n``)."""
     by_adjoints: list[list] = [[] for _ in range(k * m + 1)]
-    for words, adjoints, markings, _, _ in _grown(k, m):
+    for words, adjoints, markings, _, _ in _grown(k, m, n):
         by_adjoints[adjoints].append((words, markings))
     return tuple(map(tuple, by_adjoints))
 
@@ -124,9 +133,10 @@ def placement_terms(parts: tuple[int, ...]) -> tuple[tuple[tuple[str, ...], int]
     # (words, markings, adjoints still needed) over the choices for the
     # groups before the last, each group taking no more adjoints than leaves
     # the groups after it able to take the rest
+    # every group's necklaces come from one FKM pass to length d
     partial = [((), 1, d // 2)]
     for i, (k, m) in enumerate(groups[:-1]):
-        table = _multisets(k, m)
+        table = _multisets(k, m, d)
         partial = [
             (words + group_words, markings * count, need - a)
             for words, markings, need in partial
@@ -134,7 +144,7 @@ def placement_terms(parts: tuple[int, ...]) -> tuple[tuple[tuple[str, ...], int]
             for group_words, count in table[a]
         ]
     # the last group takes exactly the adjoints still needed
-    table = _multisets(*groups[-1])
+    table = _multisets(*groups[-1], d)
     terms = sorted(
         (tuple(sorted(words + group_words)), markings * count)
         for words, markings, need in partial

@@ -508,7 +508,7 @@ def test_formula_over_degree_limit_exit_3_before_work(monkeypatch, capsys):
         raise AssertionError("work started")
 
     monkeypatch.setattr(cli, "distribution_cumulants", refuse)
-    monkeypatch.setattr(cli, "symbolic_formula", refuse)
+    monkeypatch.setattr(cli, "write_formula", refuse)
     rc = cli.main(["formula", "exponential", "-d", str(cli.FORMULA_MAX_DEGREE + 2)])
     captured = capsys.readouterr()
     assert rc == 3
@@ -552,7 +552,7 @@ def test_non_finite_numbers_exit_2(identity2, argv):
 @pytest.mark.parametrize(
     "argv, blocked",
     [
-        (["formula", "exponential", "--mode", "hermitian"], ("distribution_cumulants", "symbolic_formula")),
+        (["formula", "exponential", "--mode", "hermitian"], ("distribution_cumulants", "write_formula")),
         (["hunter", "--alpha", "2", "--at", "1,2"], ("hunter_terms", "hunter_poly", "parse_scalar")),
     ],
 )
@@ -609,20 +609,34 @@ def test_hunter_at_walks_the_partitions_once(monkeypatch, capsys):
 
 
 def test_closed_stdout_ends_without_traceback():
-    # About 97 kB of output, more than a pipe holds, so the writer is still
-    # writing when the reader closes its end after the first line.
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "rvnorms.cli", "formula", "exponential", "-d", "12"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-    )
-    first = proc.stdout.readline()
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 1
-    assert first.startswith(b"1/924 tr(")
-    assert err == b""
+    # About 97 kB of text (153 kB of JSON), more than a pipe holds, so the
+    # writer is still writing, in the middle of the JSON document, when the
+    # reader closes its end.
+    for fmt, head in (([], b"1/924 tr("), (["--json"], b'{"degree": 12, ')):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rvnorms.cli", "formula", "exponential", "-d", "12", *fmt],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        first = proc.stdout.read(len(head))
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1, fmt
+        assert first == head
+        assert err == b"", fmt
+
+
+def test_formula_json_with_float_coefficients_exit_3_before_writing(capsys):
+    # a float parameter gives float cumulants: text prints them, JSON
+    # refuses before its first byte
+    argv = ["formula", "exponential:beta=0.5", "-d", "4"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.startswith("0.010416666666666666 tr(Z*Z*ZZ)\n")
+    assert cli.main(argv + ["--json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exact rational coefficients" in captured.err
 
 
 def test_norm_prints_exact_powers_of_any_length(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -12,7 +13,7 @@ from rvnorms.cumulants import (
     distribution_cumulants,
     parse_distribution,
 )
-from rvnorms import normengine
+from rvnorms import cli, normengine
 from rvnorms.errors import NonHermitianError, PreconditionError
 from rvnorms.matrixcore import Matrix
 from rvnorms.normengine import (
@@ -24,6 +25,7 @@ from rvnorms.normengine import (
     series_norm_pow,
     symbolic_formula,
     word_sum_norm_pow,
+    write_formula,
 )
 from rvnorms.partitions import enumerate_partitions, y_of
 from rvnorms.scalars import exact_div, real_part_checked
@@ -802,7 +804,7 @@ def test_symbolic_json_form():
 
 
 @pytest.mark.parametrize("render", ["word_text", "word_json"])
-def test_symbolic_rendering_renders_each_word_once(render, monkeypatch):
+def test_symbolic_rendering_renders_each_word_once(render, monkeypatch, capsys):
     calls = []
     original = getattr(normengine, render)
 
@@ -813,9 +815,72 @@ def test_symbolic_rendering_renders_each_word_once(render, monkeypatch):
     monkeypatch.setattr(normengine, render, counting)
     d = 8
     poly = symbolic_formula(distribution_cumulants(DistributionSpec.exponential(), d), d)
-    poly.text() if render == "word_text" else poly.to_json()
     occurrences = [w for key in poly.terms for w in key]
+    poly.text() if render == "word_text" else poly.to_json()
     assert sorted(calls) == sorted(set(occurrences)) and len(calls) < len(occurrences)
+    # the CLI's writer too, which never holds the polynomial
+    calls.clear()
+    as_json = ["--json"] if render == "word_json" else []
+    assert cli.main(["formula", "exponential", "-d", str(d), *as_json]) == 0
+    assert capsys.readouterr().out
+    assert sorted(calls) == sorted(set(occurrences))
+
+
+@pytest.mark.parametrize("hermitian_mode", [False, True], ids=["general", "hermitian"])
+@pytest.mark.parametrize("d", range(2, 15, 2))
+def test_written_formula_is_the_rendered_polynomial(d, hermitian_mode):
+    # the stream writes the bytes of the whole polynomial's text, and of
+    # json.dumps of its JSON document, on laws with and without zero cumulants
+    for law in ORDER_LAWS:
+        kappas = distribution_cumulants(parse_distribution(law), d)
+        poly = symbolic_formula(kappas, d, hermitian_mode)
+        chunks = []
+        write_formula(chunks.append, kappas, d, hermitian_mode)
+        assert "".join(chunks) == poly.text() + "\n", law
+        chunks.clear()
+        write_formula(chunks.append, kappas, d, hermitian_mode, True, {"distribution": law})
+        doc = json.dumps({**poly.to_json(), "distribution": law})
+        assert "".join(chunks) == doc + "\n", law
+
+
+@pytest.mark.parametrize("hermitian_mode", [False, True], ids=["general", "hermitian"])
+def test_written_zero_polynomial(hermitian_mode):
+    kappas = CumulantVector((0,) * 4)
+    chunks = []
+    write_formula(chunks.append, kappas, 4, hermitian_mode)
+    assert "".join(chunks) == "0\n" == symbolic_formula(kappas, 4, hermitian_mode).text() + "\n"
+    chunks.clear()
+    write_formula(chunks.append, kappas, 4, hermitian_mode, True)
+    mode = "hermitian" if hermitian_mode else "general"
+    assert "".join(chunks) == f'{{"degree": 4, "mode": "{mode}", "terms": []}}\n'
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_write_formula_writes_each_partition_before_building_the_next(monkeypatch, as_json):
+    built = []
+    real = normengine.placement_terms
+
+    def spy(parts):
+        built.append(parts)
+        return real(parts)
+
+    monkeypatch.setattr(normengine, "placement_terms", spy)
+    writes = []
+    d = 8
+    kappas = distribution_cumulants(DistributionSpec.exponential(), d)
+    write_formula(lambda text: writes.append((len(built), text)), kappas, d, as_json=as_json)
+    # every cumulant of exponential is nonzero: one table per partition,
+    # each written as one chunk of terms before the next is built
+    chunks = [n for n, text in writes if text.startswith('{"coeff"') or " tr(" in text]
+    assert chunks == list(range(1, len(enumerate_partitions(d)) + 1))
+
+
+def test_written_formula_refuses_inexact_json_before_writing():
+    kappas = distribution_cumulants(parse_distribution("exponential:beta=0.5"), 4)
+    writes = []
+    with pytest.raises(PreconditionError, match="exact rational"):
+        write_formula(writes.append, kappas, 4, as_json=True)
+    assert writes == []
 
 
 # -- circle-average extension ------------------------------------------------

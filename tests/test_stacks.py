@@ -185,6 +185,18 @@ def test_law_sequence_of_the_wrong_length_raises():
             route(H, [spec, spec], 4)
 
 
+@pytest.mark.parametrize(
+    "route",
+    [hermitian_norm_pow_stack, series_norm_pow_stack, word_sum_norm_pow_stack, general_norm_pow_stack],
+    ids=lambda route: route.__name__,
+)
+def test_empty_stack_gives_an_empty_float_array(route):
+    spec = DistributionSpec.gamma(2, Fraction(1, 2))
+    for laws in (spec, []):
+        values = route(np.zeros((0, 2, 2)), laws, 4)
+        assert values.shape == (0,) and values.dtype == float
+
+
 def _spy_stack_calls(monkeypatch, names=("hermitian_norm_pow_stack", "general_norm_pow_stack")):
     """Record (route name, stack, laws, d, values) for each call the suites
     make to the stack routes ``names``."""
