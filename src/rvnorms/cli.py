@@ -30,13 +30,12 @@ from .normengine import (
     circle_extension_check,
     general_norm_pow,
     hermitian_norm_pow,
-    norm_root,
+    norm_from_power,
     series_norm_pow,
     word_sum_norm_pow,
     write_formula,
 )
 from .oracle import ORACLE_MAX_DEGREE, mc_norm
-from .scalars import is_exact
 from .sympoly import hunter_poly, hunter_poly_recursive, hunter_terms
 from .suites import SUITES, run_suite
 
@@ -83,9 +82,9 @@ PARTITION_MAX_DEGREE = 44
 #   Hermitian input takes 0.3 s at d=100.
 # - series (Hermitian only): up to 3.9 s at d=300 and 9.1 s at d=400
 #   (finite_discrete).
-# - words: 0.22-0.34 s at d=14 and 0.35-0.64 s (46 MB) at d=16, five
-#   families, two runs each (normal is fastest: its table keeps only the
-#   partitions with parts <= 2).
+# - words: 0.23-0.35 s at d=14 and 0.16-0.38 s at d=16, five families, two
+#   runs each; its table keeps only the partitions whose parts all index
+#   nonzero cumulants (at d=16, 35,492 terms for exponential, 5 for normal).
 # - auto on non-Hermitian input (words plus circle quadrature): 0.28-0.41 s
 #   at d=14, 0.35-0.66 s at d=16.
 # words and auto stay at 14, the limit set when d=16 took 9-15 s, until
@@ -243,11 +242,7 @@ def _cmd_norm(args) -> int:
             quad, value = circle_extension_check(Z, spec, d)
             discrepancy = abs(quad - float(value))
             used = "auto(words,circle)"
-    if value == 0 and not is_exact(value) and Z.array.any():
-        raise PreconditionError(
-            f"norm power {value!r} for a nonzero matrix: the float evaluation lost its precision"
-        )
-    norm_value = norm_root(value, d)
+    norm_value = norm_from_power(Z, value, d)
     if args.json:
         out = {
             "matrix": args.matrix,

@@ -62,12 +62,11 @@ oracle for the kernel.
 from __future__ import annotations
 
 import cmath
-import gc
 import json
 import math
 import sys
 from collections.abc import Sequence
-from contextlib import contextmanager
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm, prod
@@ -420,16 +419,16 @@ def _kappa_quotient(kappas, parts, scale: int):
 
 
 @lru_cache(maxsize=64)
-def _term_coefficients(kappas: tuple, types: tuple, d: int, m: int) -> np.ndarray:
+def _term_coefficients(kappas: tuple, types: tuple, d: int, support: frozenset) -> np.ndarray:
     """Each term's coefficient mult * kappa_pi / (y_pi * C(d, d/2)) in
-    :func:`word_table` (d, m), as the float that :func:`symbolic_formula`'s
-    coefficient rounds to: where the cumulants of pi are exact, an int
-    quotient of :func:`_kappa_quotient`, rounded once; otherwise
-    :func:`symbolic_formula`'s float arithmetic.  0 where kappa_pi = 0.
-    The cumulants' ``types`` are part of the cache key, since an exact and
-    a float cumulant of equal value give differently rounded
+    :func:`word_table` (d, support), as the float that
+    :func:`symbolic_formula`'s coefficient rounds to: where the cumulants of
+    pi are exact, an int quotient of :func:`_kappa_quotient`, rounded once;
+    otherwise :func:`symbolic_formula`'s float arithmetic.  0 where
+    kappa_pi = 0.  The cumulants' ``types`` are part of the cache key, since
+    an exact and a float cumulant of equal value give differently rounded
     coefficients."""
-    table = word_table(d, m)
+    table = word_table(d, support)
     denom = comb(d, d // 2)
     bases = [_kappa_quotient(kappas, parts, y * denom) for parts, y in table.partitions]
     terms = zip(table.mults, map(bases.__getitem__, table.part_of))
@@ -448,8 +447,8 @@ def word_sum_norm_pow_stack(
     ``spec`` is one law for every matrix or a sequence of N laws, one per
     matrix (:func:`_law_rows`).  The words' traces come from one law-free
     table (:func:`word_table`, :func:`word_traces`) over the partitions
-    whose parts are at most the largest top cumulant of the stack's laws
-    (:func:`_top_cumulant`).
+    whose parts are all indices k with kappa_k != 0 under some law of the
+    stack.
 
     On the exact stack of one, each partition's terms are summed in ints
     and the sum is weighed by :func:`_kappa_quotient`, with one Fraction at
@@ -467,8 +466,8 @@ def word_sum_norm_pow_stack(
     if not len(Zs):
         return np.empty(0)
     kappas = [law.kappas for law in laws]
-    m = max(map(_top_cumulant, kappas))
-    table = word_table(d, m)
+    support = frozenset(k for ks in kappas for k, kappa in enumerate(ks, 1) if kappa != 0)
+    table = word_table(d, support)
     traces = word_traces(Zs, table.plan)
     if rows is None:
         values, traces = np.array(table.mults, dtype=object), traces[0]
@@ -482,7 +481,7 @@ def word_sum_norm_pow_stack(
         D = lcm(*(den for num, den in quotients if num))
         total = sum(num * s * (D // den) for (num, den), s in zip(quotients, sums) if num)
         return _rescaled([Fraction(total, D)], scale, d)
-    coeffs = [_term_coefficients(k, tuple(map(type, k)), d, m) for k in kappas]
+    coeffs = [_term_coefficients(k, tuple(map(type, k)), d, support) for k in kappas]
     tre, tim = traces.real, traces.imag
     re = np.array(coeffs)[rows]
     im = np.zeros(re.shape)
@@ -640,30 +639,24 @@ def norm_root(value, d: int) -> float:
     return root
 
 
-def norm(Z: Matrix, spec: DistributionSpec, d: int) -> float:
-    """The norm itself: general_norm_pow(Z, spec, d) ** (1/d)."""
-    value = general_norm_pow(Z, spec, d)
-    if value < 0:
-        raise ArithmeticError(f"norm power came out negative ({value!r})")
+def norm_from_power(Z: Matrix, value, d: int) -> float:
+    """The norm of Z from its norm power ``value`` by :func:`norm_root`,
+    which refuses a negative value.  A float 0.0 for a nonzero Z is refused
+    too: only a float evaluation that lost its precision gives either."""
+    if value == 0 and not is_exact(value) and Z.array.any():
+        raise PreconditionError(
+            f"norm power {value!r} for a nonzero matrix: the float evaluation lost its precision"
+        )
     return norm_root(value, d)
 
 
+def norm(Z: Matrix, spec: DistributionSpec, d: int) -> float:
+    """The norm itself: general_norm_pow(Z, spec, d) ** (1/d), checked by
+    :func:`norm_from_power`."""
+    return norm_from_power(Z, general_norm_pow(Z, spec, d), d)
+
+
 # -- symbolic output ---------------------------------------------------------
-
-
-@contextmanager
-def _gc_paused():
-    """Pause the cyclic garbage collector, restoring its state on exit.
-    Rendering a formula allocates a few objects per term and frees none of
-    them until it returns, so at high degree the collector would rescan
-    the growing output again and again for cycles that do not exist."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def formula_terms(kappas, d: int, hermitian_mode: bool = False):
@@ -738,7 +731,7 @@ class _Rendered(dict):
 
 class FormulaRenderer:
     """The printed terms of a trace polynomial, the one renderer of
-    ``formula`` and of :class:`TracePolynomial`.
+    :func:`write_formula`.
 
     A term is a text line, its coefficient and then its factors, a
     repeated factor as w^count (``tr(Z*Z) tr(Z)^2``; ``tr(A^2)`` in
@@ -783,25 +776,21 @@ class FormulaRenderer:
         return "\n".join(lines)
 
 
-def _require_exact_json(exact: bool) -> None:
-    if not exact:
-        raise PreconditionError("JSON form requires exact rational coefficients")
-
-
 def write_formula(
     write, kappas, d: int, hermitian_mode: bool = False, as_json: bool = False, fields=None
 ) -> None:
     """Write the trace polynomial of :func:`symbolic_formula` through
     ``write``, one partition's terms at a time as :func:`formula_terms`
-    makes them, without holding the polynomial: the bytes of
-    ``TracePolynomial.text()`` or of ``json.dumps`` of its
-    ``to_json()`` with the keys of ``fields`` added after ``"terms"``,
+    makes them, without holding the polynomial: one line per term
+    (:class:`FormulaRenderer`), or ``0``, and a newline; or ``json.dumps``
+    of ``{"degree", "mode", "terms"}`` with the keys of ``fields`` added,
     and a newline.  The JSON form of a polynomial with an inexact
     coefficient raises PreconditionError before anything is written."""
     exact, partitions = formula_terms(kappas, d, hermitian_mode)
     render = FormulaRenderer(hermitian_mode, as_json)
     if as_json:
-        _require_exact_json(exact)
+        if not exact:
+            raise PreconditionError("JSON form requires exact rational coefficients")
         mode = "hermitian" if hermitian_mode else "general"
         write(f'{{"degree": {d}, "mode": "{mode}", "terms": [')
     separator = ""
@@ -816,74 +805,25 @@ def write_formula(
         write("\n" if separator else "0\n")
 
 
-def _ratio(coeff):
-    """(num, den) of an exact coefficient, (coeff, 1) of any other."""
-    return (coeff.numerator, coeff.denominator) if is_exact(coeff) else (coeff, 1)
-
-
+@dataclass(eq=True, slots=True)
 class TracePolynomial:
     """A rational-coefficient combination of products of canonical trace words.
 
     ``terms`` maps a sorted tuple of canonical words (the factor multiset of
     one product of traces) to its coefficient.  In Hermitian mode a factor
     word of k letters stands for tr(A^k); in general mode the letters 'z'
-    and 's' stand for Z and Z*.
+    and 's' stand for Z and Z*.  ``terms`` holds no zero coefficient and
+    comes in canonical order: by the partition of a term (the multiset of
+    its factor lengths) in the reverse-lexicographic order of
+    :func:`enumerate_partitions`, then by factor tuple, the order in which
+    :func:`symbolic_formula` builds it and :func:`write_formula` prints it.
     """
 
-    __slots__ = ("degree", "hermitian", "terms")
-
-    def __init__(self, degree: int, hermitian: bool, terms: dict):
-        """``terms`` is stored as given, and must hold no zero coefficient
-        and come in canonical order: by the partition of a term (the
-        multiset of its factor lengths) in the reverse-lexicographic order
-        of :func:`enumerate_partitions`, then by factor tuple.
-        :func:`symbolic_formula` builds its terms in that order, and the
-        printed forms keep it."""
-        self.degree = degree
-        self.hermitian = hermitian
-        self.terms = terms
-
-    def ordered_terms(self):
-        """The (factor tuple, coefficient) pairs in canonical order."""
-        return self.terms.items()
-
-    @_gc_paused()
-    def text(self) -> str:
-        """One line per term (:class:`FormulaRenderer`), or ``0``."""
-        render = FormulaRenderer(self.hermitian, as_json=False)
-        table = [(key, key) for key in self.terms]
-        return render.chunk(table, {key: _ratio(c) for key, c in self.terms.items()}) or "0"
-
-    @_gc_paused()
-    def to_json(self) -> dict:
-        """The JSON document, each factor word named by
-        :class:`FormulaRenderer`; exact coefficients only."""
-        _require_exact_json(all(map(is_exact, self.terms.values())))
-        names = FormulaRenderer(self.hermitian, as_json=True).names
-        terms = [
-            {"coeff": [*_ratio(coeff)], "factors": [names[w] for w in key]}
-            for key, coeff in self.terms.items()
-        ]
-        return {
-            "degree": self.degree,
-            "mode": "hermitian" if self.hermitian else "general",
-            "terms": terms,
-        }
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TracePolynomial):
-            return NotImplemented
-        return (
-            self.degree == other.degree
-            and self.hermitian == other.hermitian
-            and self.terms == other.terms
-        )
-
-    def __repr__(self) -> str:
-        return f"TracePolynomial(degree={self.degree}, hermitian={self.hermitian}, terms={self.terms!r})"
+    degree: int
+    hermitian: bool
+    terms: dict
 
 
-@_gc_paused()
 def symbolic_formula(kappas, d: int, hermitian_mode: bool = False) -> TracePolynomial:
     """The norm power as a trace polynomial with explicit coefficients,
     the terms of :func:`formula_terms` in one dict.

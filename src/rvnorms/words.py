@@ -260,12 +260,15 @@ class WordTable(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def word_table(d: int, m: int) -> WordTable:
-    """The :class:`WordTable` of degree d over the partitions with parts at
-    most m, built once: laws whose cumulants vanish above m (normal: m = 2)
-    have kappa_pi = 0 on the others.  A partition's terms have one factor
-    per part, so ordering the partitions by part count orders the terms."""
-    partitions = [(p.parts, y_of(p)) for p in enumerate_partitions(d) if p.parts[0] <= m]
+def word_table(d: int, support: frozenset[int]) -> WordTable:
+    """The :class:`WordTable` of degree d over the partitions whose parts
+    all lie in ``support``, built once: a law whose nonzero cumulants are
+    kappa_k for k in ``support`` (normal with mean 0: {2}; a symmetric law:
+    no odd k above 1) has kappa_pi = 0 on the others.  A partition's terms
+    have one factor per part, so ordering the partitions by part count
+    orders the terms."""
+    kept = (p for p in enumerate_partitions(d) if support.issuperset(p.parts))
+    partitions = [(p.parts, y_of(p)) for p in kept]
     order = sorted(range(len(partitions)), key=lambda i: -len(partitions[i][0]))
     tables = [placement_terms(partitions[i][0]) for i in order]
     plan = word_plan(tuple(sorted({w for table in tables for key, _ in table for w in key})))

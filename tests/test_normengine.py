@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
 
@@ -30,6 +31,7 @@ from rvnorms.normengine import (
 from rvnorms.partitions import enumerate_partitions, y_of
 from rvnorms.scalars import exact_div, real_part_checked
 from rvnorms.sympoly import chs
+from rvnorms.words import word_json, word_text
 from rvnorms.suites import (
     default_family_specs,
     mgf_family_specs,
@@ -499,6 +501,17 @@ def test_norm_root_exact_values_outside_float_range():
     assert norm(Matrix([[10**100]]), DistributionSpec.exponential(), 4) == pytest.approx(1e100)
 
 
+@pytest.mark.parametrize("d", [40, 70])
+def test_norm_refuses_a_float_power_that_lost_its_precision(d):
+    # diag(1.0, -0.5) under uniform(-1, 3/2): the float constant-term route
+    # gives a negative power at d=40 and 0.0 at d=70, which the CLI refuses
+    Z, spec = Matrix.diagonal([1.0, -0.5]), DistributionSpec.uniform(-1, Fraction(3, 2))
+    value = general_norm_pow(Z, spec, d)
+    assert value < 0 if d == 40 else value == 0.0
+    with pytest.raises(PreconditionError, match="lost its precision"):
+        norm(Z, spec, d)
+
+
 # -- constant-term route against the word-sum oracle -------------------------
 
 
@@ -752,13 +765,19 @@ def test_word_sum_one_product_per_distinct_prefix(monkeypatch):
         assert len(calls) == len(prefixes), Z
 
 
+def _written(kappas, d, hermitian_mode=False, as_json=False, fields=None) -> str:
+    chunks = []
+    write_formula(chunks.append, kappas, d, hermitian_mode, as_json, fields)
+    return "".join(chunks)
+
+
 def test_symbolic_ordering_deterministic():
-    spec = DistributionSpec.uniform(-1, 1)
-    poly = symbolic_formula(distribution_cumulants(spec, 4), 4)
-    keys = [k for k, _ in poly.ordered_terms()]
+    kappas = distribution_cumulants(DistributionSpec.uniform(-1, 1), 4)
+    poly = symbolic_formula(kappas, 4)
+    keys = list(poly.terms)
     # reverse-lex partitions: (4) first, then (2,2)
     assert keys == [("sszz",), ("szsz",), ("ss", "zz"), ("sz", "sz")]
-    assert poly.text().splitlines() == [
+    assert _written(kappas, 4).splitlines() == [
         "-1/270 tr(Z*Z*ZZ)",
         "-1/540 tr(Z*ZZ*Z)",
         "1/216 tr(Z*Z*) tr(ZZ)",
@@ -790,14 +809,13 @@ def test_ordered_terms_are_the_canonical_sort(d, hermitian_mode):
     for law in ORDER_LAWS:
         kappas = distribution_cumulants(parse_distribution(law), d)
         poly = symbolic_formula(kappas, d, hermitian_mode)
-        assert list(poly.ordered_terms()) == sorted(poly.terms.items(), key=canonical), law
+        assert list(poly.terms.items()) == sorted(poly.terms.items(), key=canonical), law
         assert poly.terms and 0 not in poly.terms.values(), law
 
 
 def test_symbolic_json_form():
-    spec = DistributionSpec.uniform(-1, 1)
-    poly = symbolic_formula(distribution_cumulants(spec, 4), 4)
-    doc = poly.to_json()
+    kappas = distribution_cumulants(DistributionSpec.uniform(-1, 1), 4)
+    doc = json.loads(_written(kappas, 4, as_json=True))
     assert doc["degree"] == 4 and doc["mode"] == "general"
     assert {"coeff": [-1, 270], "factors": ["ssZZ"]} in doc["terms"]
     assert {"coeff": [1, 108], "factors": ["sZ", "sZ"]} in doc["terms"]
@@ -814,11 +832,12 @@ def test_symbolic_rendering_renders_each_word_once(render, monkeypatch, capsys):
 
     monkeypatch.setattr(normengine, render, counting)
     d = 8
-    poly = symbolic_formula(distribution_cumulants(DistributionSpec.exponential(), d), d)
+    kappas = distribution_cumulants(DistributionSpec.exponential(), d)
+    poly = symbolic_formula(kappas, d)
     occurrences = [w for key in poly.terms for w in key]
-    poly.text() if render == "word_text" else poly.to_json()
+    _written(kappas, d, as_json=render == "word_json")
     assert sorted(calls) == sorted(set(occurrences)) and len(calls) < len(occurrences)
-    # the CLI's writer too, which never holds the polynomial
+    # and through the CLI
     calls.clear()
     as_json = ["--json"] if render == "word_json" else []
     assert cli.main(["formula", "exponential", "-d", str(d), *as_json]) == 0
@@ -829,30 +848,43 @@ def test_symbolic_rendering_renders_each_word_once(render, monkeypatch, capsys):
 @pytest.mark.parametrize("hermitian_mode", [False, True], ids=["general", "hermitian"])
 @pytest.mark.parametrize("d", range(2, 15, 2))
 def test_written_formula_is_the_rendered_polynomial(d, hermitian_mode):
-    # the stream writes the bytes of the whole polynomial's text, and of
-    # json.dumps of its JSON document, on laws with and without zero cumulants
+    # the stream writes symbolic_formula's terms in order, on laws with and
+    # without zero cumulants: one text line per term, its coefficient and
+    # then its factors, each repeated factor once as w^count; and the same
+    # coefficients and factor names in the JSON document
+    if hermitian_mode:
+        text_name = lambda w: "tr(A)" if len(w) == 1 else f"tr(A^{len(w)})"  # noqa: E731
+        json_name = lambda w: f"A^{len(w)}"  # noqa: E731
+    else:
+        text_name = lambda w: f"tr({word_text(w)})"  # noqa: E731
+        json_name = word_json
+
+    def line(key, c):
+        counts = Counter(key).items()
+        return " ".join([str(c)] + [text_name(w) + (f"^{n}" if n > 1 else "") for w, n in counts])
+
+    mode = "hermitian" if hermitian_mode else "general"
     for law in ORDER_LAWS:
         kappas = distribution_cumulants(parse_distribution(law), d)
-        poly = symbolic_formula(kappas, d, hermitian_mode)
-        chunks = []
-        write_formula(chunks.append, kappas, d, hermitian_mode)
-        assert "".join(chunks) == poly.text() + "\n", law
-        chunks.clear()
-        write_formula(chunks.append, kappas, d, hermitian_mode, True, {"distribution": law})
-        doc = json.dumps({**poly.to_json(), "distribution": law})
-        assert "".join(chunks) == doc + "\n", law
+        terms = symbolic_formula(kappas, d, hermitian_mode).terms.items()
+        text = _written(kappas, d, hermitian_mode)
+        assert text.splitlines() == [line(key, c) for key, c in terms] and text.endswith("\n"), law
+        written = _written(kappas, d, hermitian_mode, True, {"distribution": law})
+        doc = json.loads(written)
+        assert written == json.dumps(doc) + "\n", law  # json.dumps's bytes
+        assert (doc["degree"], doc["mode"], doc["distribution"]) == (d, mode, law)
+        want = [[[c.numerator, c.denominator], list(map(json_name, key))] for key, c in terms]
+        assert [[t["coeff"], t["factors"]] for t in doc["terms"]] == want, law
 
 
 @pytest.mark.parametrize("hermitian_mode", [False, True], ids=["general", "hermitian"])
 def test_written_zero_polynomial(hermitian_mode):
     kappas = CumulantVector((0,) * 4)
-    chunks = []
-    write_formula(chunks.append, kappas, 4, hermitian_mode)
-    assert "".join(chunks) == "0\n" == symbolic_formula(kappas, 4, hermitian_mode).text() + "\n"
-    chunks.clear()
-    write_formula(chunks.append, kappas, 4, hermitian_mode, True)
+    assert _written(kappas, 4, hermitian_mode) == "0\n"
+    assert symbolic_formula(kappas, 4, hermitian_mode).terms == {}
     mode = "hermitian" if hermitian_mode else "general"
-    assert "".join(chunks) == f'{{"degree": 4, "mode": "{mode}", "terms": []}}\n'
+    empty = f'{{"degree": 4, "mode": "{mode}", "terms": []}}\n'
+    assert _written(kappas, 4, hermitian_mode, True) == empty
 
 
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])

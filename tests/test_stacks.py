@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from rvnorms import cli, normengine, suites
-from rvnorms.cumulants import DistributionSpec, distribution_cumulants
+from rvnorms.cumulants import DistributionSpec, distribution_cumulants, parse_distribution
 from rvnorms.errors import NonHermitianError, PreconditionError
 from rvnorms.matrixcore import Matrix, scale_exponent
 from rvnorms.normengine import (
@@ -29,6 +29,7 @@ from rvnorms.normengine import (
 )
 from rvnorms.scalars import real_part_checked
 from rvnorms.suites import default_family_specs, mgf_family_specs, stream
+from rvnorms.words import word_table
 
 from oracles import evaluate
 
@@ -282,6 +283,71 @@ def test_float_word_sum_is_the_formula_evaluated_at_the_scaled_matrix():
             poly = symbolic_formula(distribution_cumulants(spec, d), d)
             want = math.ldexp(real_part_checked(evaluate(poly, Z * 2.0**-e)), d * e)
             assert word_sum_norm_pow(Z, spec, d) == want, (name, d)
+
+
+def _support(spec, d):
+    kappas = distribution_cumulants(spec, d).kappas
+    return frozenset(k for k, kappa in enumerate(kappas, 1) if kappa != 0)
+
+
+@pytest.mark.parametrize(
+    "law, terms, terms_up_to_top",
+    [
+        ("uniform:a=-1,b=3/2", 10148, 35492),
+        ("rademacher", 4446, 35492),
+        ("laplace:mu=0,beta=1", 4446, 35492),
+        ("normal:mu=0,sigma=1", 5, 85),
+        ("exponential", 35492, 35492),
+    ],
+)
+def test_word_table_keeps_the_partitions_of_the_law_support(law, terms, terms_up_to_top):
+    # At d=16 the table holds only the partitions whose parts are all
+    # indices of nonzero cumulants, not every partition with parts up to
+    # the top one.
+    support = _support(parse_distribution(law), 16)
+    assert len(word_table(16, support).mults) == terms
+    assert len(word_table(16, frozenset(range(1, max(support) + 1))).mults) == terms_up_to_top
+
+
+def test_word_sum_over_the_support_equals_the_sum_up_to_the_top_cumulant(monkeypatch):
+    # The partitions the support leaves out have kappa_pi = 0 under every
+    # law of the stack: over every partition with parts up to the top
+    # cumulant, single and mixed-law stacks get the same values, == on
+    # exact input and bit for bit on float input.
+    laws = [
+        parse_distribution(law)
+        for law in (
+            "uniform:a=-1,b=3/2", "rademacher", "laplace:mu=0,beta=1", "normal:mu=0,sigma=1",
+            "normal:mu=1/2,sigma=1/3", "exponential", "bernoulli:q=1/3", "normal:mu=0,sigma=0.7",
+            "uniform:a=-0.5,b=0.5",
+        )
+    ]
+    rng = stream(8000)
+    cases = []
+    for d in range(2, 13, 2):
+        for i, spec in enumerate(laws):
+            stack = random_stack(rng, "general", 3, 3)
+            mixed = [spec, laws[(i + 1) % len(laws)], laws[(i + 3) % len(laws)]]
+            cases += [(stack, spec, d), (stack, mixed, d)]
+            if d <= 10:
+                entries = rng.integers(-5, 6, size=(2, 2)).tolist()
+                exact = Matrix([[Fraction(v, 3) for v in row] for row in entries])
+                cases.append((exact, spec, d))
+
+    def values():
+        normengine._term_coefficients.cache_clear()  # cached per table
+        return [word_sum_norm_pow_stack(Z, spec, d) for Z, spec, d in cases]
+
+    want = values()
+    table = normengine.word_table
+    up_to_top = lambda d, support: table(d, frozenset(range(1, max(support) + 1)))  # noqa: E731
+    monkeypatch.setattr(normengine, "word_table", up_to_top)
+    try:
+        got = values()
+    finally:
+        normengine._term_coefficients.cache_clear()
+    for (Z, spec, d), a, b in zip(cases, want, got):
+        assert a.dtype == b.dtype and np.array_equal(a, b), d
 
 
 def test_series_stack_refusals():
