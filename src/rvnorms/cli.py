@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -96,9 +97,9 @@ NORM_MAX_DEGREE = {"partition": 100, "series": 300, "words": 14, "auto": 14}
 # slower of two seeds: axioms 2.1 ms a trial, schur 1.3, paths 17.8,
 # hunter 0.62, khintchine 0.21.  Each cap is about 5 s of its suite at that
 # cost, half a 10 s budget for slower hosts, and is at least the suite's
-# default trial count.  Since paths evaluates its series and trace-word
-# oracles on stacks, its 250 trials take about 1 s on that host (4 ms a
-# trial); the cap stays until it is re-measured on slower hosts.
+# default trial count.  Since paths evaluates each route in one call per
+# degree, its 250 trials take 0.29 s on a 2-vCPU Xeon host (1.2 ms a trial,
+# 4.2 ms at one trial); the cap stays until it is re-measured on slower hosts.
 VERIFY_MAX_TRIALS = {"axioms": 2400, "schur": 4000, "paths": 250, "hunter": 8000, "khintchine": 20000}
 
 # Largest --samples `oracle` takes; above it, or above ORACLE_MAX_DEGREE,
@@ -300,14 +301,20 @@ def _cmd_hunter(args) -> int:
     if d < 0 or alpha < 1:
         raise PreconditionError("hunter needs degree >= 0 and alpha >= 1")
     _require_partition_degree("hunter", d)
-    value = rec = None
-    point = None
+    value = rec = point = None
     if args.at is not None:
         point = [parse_scalar(item) for item in args.at.split(",")]
     terms = hunter_terms(d, alpha)
     if point is not None:
         value = hunter_poly(d, alpha, point, terms)
         rec = hunter_poly_recursive(d, alpha, point)
+        for v in (x for x in (value, rec) if isinstance(x, float)):
+            # refused as `norm` refuses a float norm power: inf, nan, a
+            # subnormal, or any value where every monomial of degree d underflows
+            top = max(abs(float(x)) for x in point)
+            lost = top and d * math.log2(top) < math.log2(sys.float_info.min)
+            if lost or not (v == 0 or sys.float_info.min <= abs(v) < math.inf):
+                raise PreconditionError(f"H_{{{d},{alpha}}} is outside float range: {v!r}")
     if args.json:
         out = {
             "degree": d,

@@ -28,14 +28,15 @@ Two independent routes serve as oracles:
   is compared against by the CLI's ``words`` method, the circle-average
   check and the ``paths`` suite.
 
-Each of the four has one body, a function of a stack of matrices and its
-laws (``*_norm_pow_stack``); the single-matrix function of the same name
-is its stack of one and returns a Fraction or a float.  A body runs one
-trace kernel, :func:`_trace_power_stack` (Hermitian, series),
+Each of the four has one body, a function of a stack of matrices (or of a
+sequence of stacks of different sizes) and its laws (``*_norm_pow_stack``);
+the single-matrix function of the same name is its stack of one and
+returns a Fraction or a float.  A body runs one trace kernel on each stack,
+:func:`_trace_power_stack` (Hermitian, series),
 :func:`_adjoint_count_trace_stack` (constant term) or
-:func:`~rvnorms.words.word_traces` (trace words), between shared pieces
-that alone, with the series route's division by j! and the word sum's
-sums after its traces, tell exact from float input:
+:func:`~rvnorms.words.word_traces` (trace words), between shared pieces,
+run once a call, that alone, with the series route's division by j! and
+the word sum's sums after its traces, tell exact from float input:
 
 * :func:`_prepared` checks and scales the input.  An exact Matrix whose
   cumulants are exact too becomes the int stack of one L Z, L the lcm of
@@ -97,19 +98,32 @@ def _require_even_degree(d: int) -> None:
         )
 
 
+def _stack_rows(stacks):
+    """(stack, the slice of the call's rows that it holds) for each stack."""
+    start = 0
+    for S in stacks:
+        yield S, slice(start, start + len(S))
+        start += len(S)
+
+
 def _prepared(Z, spec, d: int, hermitian: bool):
-    """(Zs, scale, laws, rows) for a :class:`Matrix` or a stack (N, n, n):
-    checked for an even degree d (and, with ``hermitian``, for Hermitian
-    input) and scaled for a route's trace kernel.  ``laws`` holds the
-    :class:`CumulantVector` of each distinct law, looked up once.
+    """(stacks, scale, laws, rows) for a :class:`Matrix`, a stack (N, n, n)
+    or a sequence of stacks (N_i, n_i, n_i): checked for an even degree d
+    (and, with ``hermitian``, for Hermitian input) and scaled for a route's
+    trace kernels.  ``stacks`` lists the nonempty stacks, whose rows in
+    order are the call's N rows.  ``laws`` holds the :class:`CumulantVector`
+    of each distinct law, looked up once.
 
     An exact Matrix whose cumulants are exact too gives the int stack of
     one L Z, (1, n, n) with ``dtype=object``, L the lcm of its entry
     denominators, scale Fraction(1, L) and rows None (no law axis).
     Anything else, a Matrix as a stack of one, gives each Z[i] * 2**-e[i]
     (:func:`scale_exponents`), scale e and, per row, the index of its law
-    (:func:`_law_rows`).  A stack that is not (N, n, n) or has a non-finite
-    entry raises ValueError.
+    (:func:`_law_rows`).  Two or more nonempty stacks are copied into one
+    zero-padded stack (N, max n_i, max n_i) for one pass over the largest
+    entries, finiteness, the Hermitian test and the scales (zero padding
+    changes none of them), and come back scaled at their own sizes.  A stack
+    that is not (N, n, n) or has a non-finite entry raises ValueError.
     """
     _require_even_degree(d)
     if isinstance(Z, Matrix):
@@ -120,11 +134,22 @@ def _prepared(Z, spec, d: int, hermitian: bool):
             if all(map(is_exact, law.kappas)):
                 L = lcm(*(v.denominator for v in Z.array.flat))
                 # Fraction(k, 1) // 1 is the int k
-                return (Z.array * L // 1)[None], Fraction(1, L), [law], None
+                return [(Z.array * L // 1)[None]], Fraction(1, L), [law], None
         Z = Z.array[None]
-    Z = np.asarray(Z, dtype=complex)
-    if Z.ndim != 3 or Z.shape[1] != Z.shape[2] or Z.shape[1] == 0:
-        raise ValueError(f"a stack of square matrices (N, n, n) is required, got shape {Z.shape}")
+    sequence = isinstance(Z, (list, tuple)) and all(np.ndim(S) == 3 for S in Z)
+    members = []
+    for S in Z if sequence else [Z]:
+        S = np.asarray(S, dtype=complex)
+        if S.ndim != 3 or S.shape[1] != S.shape[2] or S.shape[1] == 0:
+            raise ValueError(f"a stack of square matrices (N, n, n) is required, got shape {S.shape}")
+        members += [S] if len(S) else []
+    if len(members) == 1:
+        Z = members[0]
+    else:
+        top = max((S.shape[1] for S in members), default=1)
+        Z = np.zeros((sum(map(len, members)), top, top), dtype=complex)
+        for S, rows in _stack_rows(members):
+            Z[rows, : S.shape[1], : S.shape[1]] = S
     max_abs = np.abs(Z).max(axis=(1, 2))
     if not np.isfinite(max_abs).all():
         raise ValueError("non-finite entry")
@@ -133,7 +158,9 @@ def _prepared(Z, spec, d: int, hermitian: bool):
     laws, rows = _law_rows(spec, len(Z))
     e = scale_exponents(max_abs)
     laws = [distribution_cumulants(law, d) for law in laws]
-    return Z * np.ldexp(1.0, -e)[:, None, None], e, laws, rows
+    factor = np.ldexp(1.0, -e)[:, None, None]
+    scaled = (Z[r, : len(S[0]), : len(S[0])] * factor[r] for S, r in _stack_rows(members))
+    return list(scaled), e, laws, rows
 
 
 def _rescaled(total, scale, d: int) -> np.ndarray:
@@ -313,23 +340,33 @@ def hermitian_norm_pow(A: Matrix, spec: DistributionSpec, d: int):
 def hermitian_norm_pow_stack(
     A, spec: DistributionSpec | Sequence[DistributionSpec], d: int
 ) -> np.ndarray:
-    """The norm powers of a stack (N, n, n) of Hermitian matrices, or of one
-    Matrix, as an array: B_d(kappa_1 tr A, ..., kappa_d tr A^d) / d! for
-    each, from the trace powers up to its law's top cumulant m.
+    """The norm powers of a stack (N, n, n) of Hermitian matrices, a sequence
+    of such stacks or one Matrix, as an array: each B_d(kappa_1 tr A, ...,
+    kappa_d tr A^d) / d! from the trace powers up to its law's top cumulant m.
 
     ``spec`` is one law for every matrix or a sequence of N laws, one per
     matrix (:func:`_law_rows`).  A row whose law has a smaller m than the
-    stack's largest gets zero factors above it, which add exact zeros at
+    call's largest gets zero factors above it, which add exact zeros at
     the end of each of its sums, so every row's value is the one it gets
     alone under its own law.  Float trace powers must be real to within
     :func:`~rvnorms.scalars.real_parts_checked`'s residue.
     """
-    As, scale, laws, rows = _prepared(A, spec, d, hermitian=True)
-    if not len(As):
+    stacks, scale, laws, rows = _prepared(A, spec, d, hermitian=True)
+    if not stacks:
         return np.empty(0)
     c, m, den = _factors(laws, rows)
-    tp = _trace_power_stack(As, m)
+    tp = _trace_powers(stacks, m)
     return _rescaled(_bell_coefficient((tp * c)[:, :, None], d, den), scale, d)
+
+
+def _trace_powers(stacks, m: np.ndarray) -> np.ndarray:
+    """(N, max(m)): each stack's :func:`_trace_power_stack`, zero-padded."""
+    if len(stacks) == 1:
+        return _trace_power_stack(stacks[0], m)
+    tp = np.zeros((len(m), int(m.max())))
+    for S, rows in _stack_rows(stacks):
+        tp[rows, : m[rows].max()] = _trace_power_stack(S, m[rows])
+    return tp
 
 
 def _trace_power_stack(A: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -370,9 +407,9 @@ def series_norm_pow(A: Matrix, spec: DistributionSpec, d: int):
 def series_norm_pow_stack(
     A, spec: DistributionSpec | Sequence[DistributionSpec], d: int
 ) -> np.ndarray:
-    """The norm powers of a stack (N, n, n) of Hermitian matrices, or of one
-    Matrix, as an array, by the series route of :func:`series_norm_pow`, at
-    the scale of :func:`_prepared`.
+    """The norm powers of a stack (N, n, n) of Hermitian matrices, a sequence
+    of such stacks or one Matrix, as an array, by the series route of
+    :func:`series_norm_pow`, at the scale of :func:`_prepared`.
 
     ``spec`` is one law for every matrix or a sequence of N laws, one per
     matrix (:func:`_law_rows`); every law needs a moment generating
@@ -384,11 +421,11 @@ def series_norm_pow_stack(
     row's series is exponentiated by :meth:`TruncatedSeries.exp`.
     """
     _require_mgf(spec)
-    As, scale, laws, rows = _prepared(A, spec, d, hermitian=True)
-    if not len(As):
+    stacks, scale, laws, rows = _prepared(A, spec, d, hermitian=True)
+    if not stacks:
         return np.empty(0)
     c, m, den = _factors(laws, rows)
-    a = (_trace_power_stack(As, m) * c).tolist()
+    a = (_trace_powers(stacks, m) * c).tolist()
     if den is not None:  # exact: kappa_j / j! = c_j / (den[j] j!)
         a = [[Fraction(x, den[j] * factorial(j)) for j, x in enumerate(row, 1)] for row in a]
     totals = [TruncatedSeries([0, *row] + [0] * (d - len(row))).exp().coefficient(d) for row in a]
@@ -440,15 +477,15 @@ def _term_coefficients(kappas: tuple, types: tuple, d: int, support: frozenset) 
 def word_sum_norm_pow_stack(
     Z, spec: DistributionSpec | Sequence[DistributionSpec], d: int
 ) -> np.ndarray:
-    """The norm powers of a stack (N, n, n) of arbitrary square matrices, or
-    of one Matrix, as an array, by the trace-word sum of
-    :func:`word_sum_norm_pow`, at the scale of :func:`_prepared`.
+    """The norm powers of a stack (N, n, n) of arbitrary square matrices, a
+    sequence of such stacks or one Matrix, as an array, by the trace-word
+    sum of :func:`word_sum_norm_pow`, at the scale of :func:`_prepared`.
 
     ``spec`` is one law for every matrix or a sequence of N laws, one per
     matrix (:func:`_law_rows`).  The words' traces come from one law-free
     table (:func:`word_table`, :func:`word_traces`) over the partitions
     whose parts are all indices k with kappa_k != 0 under some law of the
-    stack.
+    call.
 
     On the exact stack of one, each partition's terms are summed in ints
     and the sum is weighed by :func:`_kappa_quotient`, with one Fraction at
@@ -462,13 +499,13 @@ def word_sum_norm_pow_stack(
     of :func:`symbolic_formula`, evaluated term by term with these products
     and sums, gives at its scaled matrix (the tests' reference evaluator).
     """
-    Zs, scale, laws, rows = _prepared(Z, spec, d, hermitian=False)
-    if not len(Zs):
+    stacks, scale, laws, rows = _prepared(Z, spec, d, hermitian=False)
+    if not stacks:
         return np.empty(0)
     kappas = [law.kappas for law in laws]
     support = frozenset(k for ks in kappas for k, kappa in enumerate(ks, 1) if kappa != 0)
     table = word_table(d, support)
-    traces = word_traces(Zs, table.plan)
+    traces = np.concatenate([word_traces(S, table.plan) for S in stacks])
     if rows is None:
         values, traces = np.array(table.mults, dtype=object), traces[0]
         for words in table.factors:
@@ -489,7 +526,7 @@ def word_sum_norm_pow_stack(
         k = len(words)
         r, i, br, bi = re[:, :k], im[:, :k], tre[:, words], tim[:, words]
         re[:, :k], im[:, :k] = r * br - i * bi, r * bi + i * br
-    total = np.empty(len(Zs), dtype=complex)
+    total = np.empty(len(rows), dtype=complex)
     for law, c in enumerate(coeffs):
         members = np.flatnonzero(rows == law)
         keep = c != 0
@@ -582,29 +619,34 @@ def general_norm_pow(Z: Matrix, spec: DistributionSpec, d: int):
 def general_norm_pow_stack(
     Z, spec: DistributionSpec | Sequence[DistributionSpec], d: int
 ) -> np.ndarray:
-    """The norm powers of a stack (N, n, n) of arbitrary square matrices, or
-    of one Matrix, as an array, by the constant-term route of
-    :func:`general_norm_pow`: tau from :func:`_adjoint_count_trace_stack`,
-    [u^{d/2}] B_d / d! from :func:`_bell_coefficient`, each float value
-    real to within :func:`~rvnorms.scalars.real_parts_checked`'s residue,
-    and all rescaled by :func:`_rescaled`.
+    """The norm powers of a stack (N, n, n) of arbitrary square matrices, a
+    sequence of such stacks or one Matrix, as an array, by the constant-term
+    route of :func:`general_norm_pow`: tau from
+    :func:`_adjoint_count_trace_stack`, [u^{d/2}] B_d / d! from
+    :func:`_bell_coefficient`, each float value real to within
+    :func:`~rvnorms.scalars.real_parts_checked`'s residue, and all rescaled
+    by :func:`_rescaled`.
 
     ``spec`` is one law for every matrix or a sequence of N laws, one per
-    matrix (:func:`_law_rows`).  Rows are evaluated in groups of equal
-    m, because m sets the level h = ceil(m/2) at which the traces split,
-    and so the rounding of every trace above it: each row gets the value
-    it gets alone under its own law.
+    matrix (:func:`_law_rows`).  The rows of a stack are traced in groups of
+    equal m, because m sets the level h = ceil(m/2) at which the traces
+    split, and so the rounding of every trace above it; tau is zero above
+    each row's m, so each row gets the value it gets alone under its law.
     """
-    Zs, scale, laws, rows = _prepared(Z, spec, d, hermitian=False)
+    stacks, scale, laws, rows = _prepared(Z, spec, d, hermitian=False)
+    if not stacks:
+        return np.empty(0)
     c, m, den = _factors(laws, rows)
     half = d // 2
-    b = np.empty(len(Zs), dtype=Zs.dtype)  # Fractions on the exact stack
-    tops = set(m.tolist())
-    for mk in tops:
-        group = m == mk if len(tops) > 1 else slice(None)
-        tau = _adjoint_count_trace_stack(Zs[group], mk, half)
-        b[group] = _bell_coefficient(tau * c[group, :mk, None], d, den, comb(d, half))
-    return _rescaled(b, scale, d)
+    groups = [(S, part, mk) for S, part in _stack_rows(stacks) for mk in set(m[part].tolist())]
+    if len(groups) == 1:
+        tau = _adjoint_count_trace_stack(stacks[0], groups[0][2], half)
+    else:  # a row keeps zeros above its m
+        tau = np.zeros(c.shape + (half + 1,), dtype=complex)
+        for S, part, mk in groups:
+            group = m[part] == mk
+            tau[part][group, :mk] = _adjoint_count_trace_stack(S[group], mk, half)
+    return _rescaled(_bell_coefficient(tau * c[:, :, None], d, den, comb(d, half)), scale, d)
 
 
 def norm_root(value, d: int) -> float:

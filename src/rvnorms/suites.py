@@ -76,14 +76,6 @@ def _general_array(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
 
 
-def random_hermitian(rng: np.random.Generator, n: int) -> Matrix:
-    return Matrix(_hermitian_array(rng, n))
-
-
-def random_general(rng: np.random.Generator, n: int) -> Matrix:
-    return Matrix(_general_array(rng, n))
-
-
 def random_rational_vector(rnd: random.Random, n: int) -> list[Fraction]:
     """n rationals p/q with |p| <= 9 and 1 <= q <= 9, not all zero."""
     while True:
@@ -161,21 +153,20 @@ def _runs(cells, trials: int):
 
 def _stack_pows(route, parts) -> list[list[float]]:
     """The norm powers of each part (spec, d, stack) by ``route``, one list
-    per part.  The parts of one degree and matrix size are evaluated as
-    one stack, with each part's law on its rows."""
+    per part.  The parts of one degree are evaluated in one call, as one
+    stack per matrix size (a single stack if they share one size), with
+    each part's law on its rows."""
     groups: dict = {}
     for i, (_, d, M) in enumerate(parts):
-        groups.setdefault((d, M.shape[-1]), []).append(i)
+        groups.setdefault(d, {}).setdefault(M.shape[-1], []).append(i)
     out: list = [None] * len(parts)
-    for (d, _), members in groups.items():
-        laws: list = []
+    for d, sizes in groups.items():
+        members = [i for size in sizes.values() for i in size]
+        laws = [parts[i][0] for i in members for _ in range(len(parts[i][2]))]
+        stacks = [np.concatenate([parts[i][2] for i in size]) for size in sizes.values()]
+        pows = iter(route(stacks[0] if len(stacks) == 1 else stacks, laws, d).tolist())
         for i in members:
-            laws += [parts[i][0]] * len(parts[i][2])
-        pows = route(np.concatenate([parts[i][2] for i in members]), laws, d).tolist()
-        start = 0
-        for i in members:
-            stop = start + len(parts[i][2])
-            out[i], start = pows[start:stop], stop
+            out[i] = [next(pows) for _ in range(len(parts[i][2]))]
     return out
 
 
@@ -280,7 +271,7 @@ def paths_suite(trials: int = 50, seed: int = 2026) -> SuiteReport:
     random Hermitian matrices of size 2 to 5, for every family with a moment
     generating function at d = 2, 4 and 6; the trace-word oracle restricts
     to the Hermitian route.  Each route evaluates the matrices of a run of
-    trials (:func:`_runs`) as one stack per degree and size."""
+    trials (:func:`_runs`) in one call per degree, as one stack per size."""
     report = SuiteReport("paths", trials)
     rng = stream(seed)
     cells = [(name, spec, d) for name, spec in mgf_family_specs() for d in (2, 4, 6)]

@@ -11,7 +11,8 @@ the reference for the trace-word route;
 ``bell_value`` (the complete Bell polynomial) and ``z_of`` (the
 centralizer order) are the kernel's and the partition walk's plain forms;
 ``matrix_to_json`` writes the matrix file format;
-``random_unitary`` and ``zeros`` build test inputs.
+``random_unitary``, ``random_hermitian``, ``random_general`` and ``zeros``
+build test inputs.
 """
 
 import itertools
@@ -27,6 +28,7 @@ from rvnorms.matrixcore import Matrix, is_hermitian
 from rvnorms.normengine import TracePolynomial, _bell, _require_even_degree
 from rvnorms.partitions import Partition, enumerate_partitions
 from rvnorms.scalars import exact_div, is_exact, real_part_checked
+from rvnorms.suites import _general_array, _hermitian_array
 from rvnorms.sympoly import chs
 from rvnorms.words import word_plan, word_traces
 
@@ -64,6 +66,16 @@ def matrix_to_json(Z: Matrix) -> dict:
 
 def zeros(n: int) -> Matrix:
     return Matrix([[0] * n for _ in range(n)])
+
+
+def random_hermitian(rng: np.random.Generator, n: int) -> Matrix:
+    """A Hermitian matrix drawn as the verify suites draw theirs."""
+    return Matrix(_hermitian_array(rng, n))
+
+
+def random_general(rng: np.random.Generator, n: int) -> Matrix:
+    """A general complex matrix drawn as the verify suites draw theirs."""
+    return Matrix(_general_array(rng, n))
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> Matrix:

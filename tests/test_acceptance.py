@@ -24,13 +24,12 @@ from rvnorms.suites import (
     hunter_suite,
     khintchine_suite,
     paths_suite,
-    random_general,
     schur_suite,
     stream,
 )
 from rvnorms.sympoly import chs
 
-from oracles import pareto_norm_pow_multinomial
+from oracles import pareto_norm_pow_multinomial, random_general
 
 
 def _finish(k, desc, failures, elapsed, limit=None):

@@ -14,7 +14,7 @@ from rvnorms.matrixcore import Matrix
 from rvnorms.normengine import hermitian_norm_pow
 from rvnorms.suites import SuiteReport
 
-from oracles import matrix_to_json, zeros
+from oracles import matrix_to_json, random_hermitian, zeros
 
 
 def write_matrix(tmp_path, name, M):
@@ -102,7 +102,7 @@ def test_norm_auto_evaluates_word_sum_once(tmp_path, monkeypatch, capsys):
 
 
 def test_norm_series_float_hermitian_high_degree(tmp_path, capsys):
-    from rvnorms.suites import random_hermitian, stream
+    from rvnorms.suites import stream
 
     path = write_matrix(tmp_path, "h.json", random_hermitian(stream(97), 8))
     rc = cli.main(["norm", path, "exponential", "-d", "200", "--method", "series", "--json"])
@@ -235,6 +235,40 @@ def test_hunter_evaluation(capsys):
     assert rc == 0
     assert out["value"] == [5, 1]  # h_4(1,1)
     assert out["value_recursive"] == [5, 1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # H_{4,2}(1e100, 1) overflows: inf, and nan by the recursion
+        ["-d", "4", "--alpha", "2", "--at", "1e100,1"],
+        ["-d", "4", "--alpha", "2", "--at", "1e100,1", "--json"],
+        # every monomial of degree 6 underflows to 0.0, though H_{6,3} > 0 there
+        ["-d", "6", "--alpha", "3", "--at", "1e-320,1e-320"],
+    ],
+)
+def test_hunter_float_value_outside_float_range_exit_3(capsys, argv):
+    rc = cli.main(["hunter"] + argv)
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert "outside float range" in captured.err
+
+
+def test_hunter_in_range_float_point_prints_its_values(capsys):
+    # the bytes printed before out-of-range values were refused
+    argv = ["hunter", "-d", "6", "--alpha", "3", "--at", "0.1,-0.3,2.5"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "value at 0.1,-0.3,2.5: 5777.342067000001",
+        "recursive form:  5777.3420670000005",
+    ]
+    assert cli.main(argv + ["--json"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "be51f6f951265b07c2d058ef82c9d6d2f0a8b20bed7f694a63fa9e51dbbd75ab"
+    # an exact point beyond the float range is no float value
+    assert cli.main(["hunter", "-d", "2", "--alpha", "1", "--at", "1" + "0" * 400]) == 0
+    assert capsys.readouterr().out.endswith("recursive form:  1" + "0" * 800 + "\n")
 
 
 def test_oracle_subcommand(identity2, capsys):

@@ -16,9 +16,16 @@ from rvnorms.matrixcore import (
     load_matrix,
     matrix_from_json,
 )
-from rvnorms.suites import random_hermitian, stream
+from rvnorms.suites import stream
 
-from oracles import frobenius_norm, matrix_to_json, random_unitary, trace_powers, zeros
+from oracles import (
+    frobenius_norm,
+    matrix_to_json,
+    random_hermitian,
+    random_unitary,
+    trace_powers,
+    zeros,
+)
 
 I = 1j
 

@@ -32,13 +32,7 @@ from rvnorms.partitions import enumerate_partitions, y_of
 from rvnorms.scalars import exact_div, real_part_checked
 from rvnorms.sympoly import chs
 from rvnorms.words import word_json, word_text
-from rvnorms.suites import (
-    default_family_specs,
-    mgf_family_specs,
-    random_general,
-    random_hermitian,
-    stream,
-)
+from rvnorms.suites import default_family_specs, mgf_family_specs, stream
 
 from oracles import (
     bell_value,
@@ -46,6 +40,8 @@ from oracles import (
     kappa_product,
     normal_norm_pow_closed,
     pareto_norm_pow_multinomial,
+    random_general,
+    random_hermitian,
     random_unitary,
     trace_of_product,
     trace_powers,

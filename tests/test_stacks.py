@@ -198,16 +198,101 @@ def test_empty_stack_gives_an_empty_float_array(route):
         assert values.shape == (0,) and values.dtype == float
 
 
+ALL_STACK_ROUTES = {
+    "hermitian": (hermitian_norm_pow_stack, ("hermitian",), default_family_specs),
+    "series": (series_norm_pow_stack, ("hermitian",), mgf_family_specs),
+    "words": (word_sum_norm_pow_stack, ("hermitian", "general"), default_family_specs),
+    "general": (general_norm_pow_stack, ("hermitian", "general"), default_family_specs),
+}
+# (size, count): sizes 1 to 6 with 3 and 1 repeated in stacks that are not
+# adjacent, and an empty stack that holds no row
+MIXED_SIZES = ((3, 2), (1, 1), (6, 2), (2, 0), (3, 3), (2, 1), (5, 2), (1, 2), (4, 1))
+
+
+@pytest.mark.parametrize("name", list(ALL_STACK_ROUTES))
+def test_mixed_size_stack_rows_equal_each_matrix_alone(name):
+    # One call on a sequence of stacks of different sizes: row i of the
+    # result is bit for bit the i-th matrix's value alone, under one law
+    # for all rows and under a law per row.
+    route, kinds, families = ALL_STACK_ROUTES[name]
+    rng = stream(7250)
+    laws = [spec for _, spec in families()]
+    for kind in kinds:
+        stacks = [
+            random_stack(rng, kind, count, n) * rng.uniform(0.1, 10.0, size=(count, 1, 1))
+            for n, count in MIXED_SIZES
+        ]
+        rows = [M for S in stacks for M in S]
+        for d in (2, 4, 6):
+            row_laws = [laws[i] for i in rng.integers(0, len(laws), size=len(rows))]
+            for spec in (laws[int(rng.integers(0, len(laws)))], row_laws):
+                values = route(stacks, spec, d)
+                assert values.dtype == float and values.shape == (len(rows),)
+                specs = row_laws if spec is row_laws else [spec] * len(rows)
+                for M, law, value in zip(rows, specs, values):
+                    assert value == route(M[None], law, d)[0], (kind, law.family, d, len(M))
+
+
+@pytest.mark.parametrize("name", list(ALL_STACK_ROUTES))
+def test_empty_stack_sequences_give_an_empty_float_array(name):
+    route = ALL_STACK_ROUTES[name][0]
+    spec = DistributionSpec.exponential()
+    for stacks in ([], [np.zeros((0, 3, 3))], [np.zeros((0, 2, 2)), np.zeros((0, 4, 4))]):
+        for laws in (spec, []):
+            values = route(stacks, laws, 4)
+            assert values.shape == (0,) and values.dtype == float
+
+
+@pytest.mark.parametrize("name", list(ALL_STACK_ROUTES))
+def test_stack_sequence_refusals(name):
+    route = ALL_STACK_ROUTES[name][0]
+    spec = DistributionSpec.exponential()
+    rng = stream(7350)
+    good = [random_stack(rng, "hermitian", 2, 3), random_stack(rng, "hermitian", 1, 2)]
+    with pytest.raises(ValueError, match="square"):
+        route(good + [np.zeros((1, 2, 3))], spec, 4)
+    bad = random_stack(rng, "hermitian", 2, 4)
+    bad[1, 2, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        route(good + [bad], spec, 4)
+    with pytest.raises(ValueError, match="2 laws for a stack of 3"):
+        route(good, [spec, spec], 4)
+    general = [good[0], random_stack(rng, "general", 2, 4)]
+    if name in ("hermitian", "series"):
+        with pytest.raises(NonHermitianError):
+            route(general, spec, 4)
+    else:
+        assert len(route(general, spec, 4)) == 4
+
+
+def test_paths_calls_each_route_at_most_once_per_degree(monkeypatch):
+    counts: dict = {}
+    for name in ("hermitian_norm_pow_stack", "series_norm_pow_stack", "word_sum_norm_pow_stack"):
+        real = getattr(suites, name)
+
+        def count(M, spec, d, real=real, name=name):
+            counts[name, d] = counts.get((name, d), 0) + 1
+            return real(M, spec, d)
+
+        monkeypatch.setattr(suites, name, count)
+    for seed in range(6):
+        counts.clear()
+        assert suites.paths_suite(1, seed).passed
+        assert len(counts) == 9 and set(counts.values()) == {1}, (seed, counts)
+
+
 def _spy_stack_calls(monkeypatch, names=("hermitian_norm_pow_stack", "general_norm_pow_stack")):
-    """Record (route name, stack, laws, d, values) for each call the suites
-    make to the stack routes ``names``."""
+    """Record (route name, matrices, laws, d, values) for each call the
+    suites make to the stack routes ``names``: the matrices are the stack,
+    or the list of the rows of a sequence of stacks."""
     calls = []
     for name in names:
         real = getattr(suites, name)
 
         def spy(M, spec, d, real=real, name=name):
             values = real(M, spec, d)
-            calls.append((name, M, spec, d, values))
+            rows = [R for S in M for R in S] if isinstance(M, list) else M
+            calls.append((name, rows, spec, d, values))
             return values
 
         monkeypatch.setattr(suites, name, spy)
@@ -227,22 +312,24 @@ def test_paths_partition_values_equal_the_single_matrix_route(monkeypatch):
 
 
 @pytest.mark.parametrize("trials", [1, 3])
-def test_paths_makes_one_stack_per_route_degree_and_size(monkeypatch, trials):
+def test_paths_makes_one_call_per_route_and_degree(monkeypatch, trials):
     # At 1 and 3 trials all 27 (family, degree) cells form one run: each
-    # route gets one stack per (degree, size) group, the same matrices in
-    # the same order, and each row is its matrix's value alone.
+    # route gets one call per degree, holding the matrices of every size,
+    # the same matrices in the same order, and each row is its matrix's
+    # value alone.
     routes = ("hermitian_norm_pow_stack", "series_norm_pow_stack", "word_sum_norm_pow_stack")
     calls = _spy_stack_calls(monkeypatch, routes)
     report = suites.paths_suite(trials=trials, seed=35)
     assert report.passed and report.checks == 54 * trials
     by_route = {name: [(d, M, laws) for r, M, laws, d, _ in calls if r == name] for name in routes}
-    groups = [(d, M.shape[-1]) for d, M, _ in by_route[routes[0]]]
-    assert len(groups) == len(set(groups)) > 1
+    assert [d for d, _, _ in by_route[routes[0]]] == [2, 4, 6]
+    assert len({len(R) for _, M, _ in by_route[routes[0]] for R in M}) > 1
     assert sum(len(M) for _, M, _ in by_route[routes[0]]) == 27 * trials
     for name in routes[1:]:
-        assert [(d, M.shape[-1]) for d, M, _ in by_route[name]] == groups
+        assert [d for d, _, _ in by_route[name]] == [2, 4, 6]
         for (d, M, laws), (_, M0, laws0) in zip(by_route[name], by_route[routes[0]]):
-            assert np.array_equal(M, M0) and laws == laws0
+            assert len(M) == len(M0) and laws == laws0
+            assert all(np.array_equal(R, R0) for R, R0 in zip(M, M0))
     single = dict(zip(routes[1:], (series_norm_pow, word_sum_norm_pow)))
     for name, stack, laws, d, values in calls:
         if name in single:
