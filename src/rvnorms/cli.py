@@ -208,6 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=None, help="default $RVNORMS_SEED")
     p_verify.add_argument("--json", action="store_true")
 
+    parser.subcommands = sub.choices  # name -> parser, for main's dispatch
     return parser
 
 
@@ -415,7 +416,18 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    """Run one command line (default ``sys.argv[1:]``) and return its exit
+    code.  The named subcommand's parser parses what follows its name, as
+    ``_PARSER`` would hand it on; leftover arguments, or no subcommand, go
+    to ``_PARSER`` itself, so the Namespace, help and usage errors (exit 2)
+    are those of ``_PARSER.parse_args(argv)``."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = _PARSER.subcommands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extra = sub.parse_known_args(argv[1:])
+        args.command = argv[0]
+    if sub is None or extra:
+        args = _PARSER.parse_args(argv)
     # An exact value prints in full, however many digits it has.  0 means no
     # limit, as on interpreters before 3.10.7, which have no such setting.
     int_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()

@@ -13,6 +13,7 @@ every formula; float parameters degrade to ordinary floating point.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -118,10 +119,13 @@ class DistributionSpec:
 
     @classmethod
     def finite_discrete(cls, atoms, probs):
-        atoms = tuple(atoms)
-        probs = tuple(probs)
+        sizes = "finite_discrete needs >= 2 atoms with matching probabilities"
+        try:
+            atoms, probs = tuple(atoms), tuple(probs)
+        except TypeError:  # a single number
+            raise TypeError(sizes) from None
         if len(atoms) != len(probs) or len(atoms) < 2:
-            raise PreconditionError("finite_discrete needs >= 2 atoms with matching probabilities")
+            raise PreconditionError(sizes)
         if len(set(atoms)) != len(atoms):
             raise PreconditionError("finite_discrete atoms must be distinct (nondegeneracy)")
         for a in atoms:
@@ -230,7 +234,9 @@ def parse_distribution(text: str) -> DistributionSpec:
 
     Values may be integers, ``p/q`` rationals (kept exact), or floats.
     List-valued keys (finite_discrete atoms/probs) separate entries with
-    ``|``, e.g. ``finite_discrete:atoms=-1|1,probs=1/2|1/2``.
+    ``|``, e.g. ``finite_discrete:atoms=-1|1,probs=1/2|1/2``.  An unknown
+    or missing parameter, or a value the family's constructor refuses with
+    a TypeError (one atom), is a ParseError.
     """
     text = text.strip()
     family, _, rest = text.partition(":")
@@ -253,8 +259,11 @@ def parse_distribution(text: str) -> DistributionSpec:
                 kwargs[key] = parse_scalar(value)
     try:
         return ctor(**kwargs)
-    except TypeError:
-        raise ParseError(f"{family} requires parameters {keys}, got {sorted(kwargs)}") from None
+    except TypeError as exc:
+        params = inspect.signature(ctor).parameters.values()
+        if any(p.default is p.empty and p.name not in kwargs for p in params):
+            raise ParseError(f"{family} requires parameters {keys}, got {sorted(kwargs)}") from None
+        raise ParseError(str(exc)) from None
 
 
 @dataclass(frozen=True)

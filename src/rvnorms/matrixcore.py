@@ -20,6 +20,7 @@ import cmath
 import json
 import math
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -179,7 +180,7 @@ def is_hermitian(Z: Matrix, tol: float | None = None) -> bool:
     other gets :func:`hermitian_tolerance` (see :func:`hermitian_mask`).
     """
     if tol is None and Z.is_exact():
-        return Z == Z.adjoint()
+        return Z.array.tolist() == Z.array.T.tolist()  # exact entries are real
     return bool(hermitian_mask(Z.array, tol))
 
 
@@ -227,8 +228,9 @@ def is_majorized(x, y) -> bool:
 #
 # {"n": 2, "re": [[0, 1], [1, 0]], "im": [[0, 0], [0, 0]]}
 #
-# "im" may be omitted for real matrices.  Integer entries stay exact;
-# strings "p/q" are parsed as exact rationals.
+# "im" may be omitted for real matrices.  Integer entries stay exact and
+# strings "p/q" are parsed as exact rationals; an entry whose "im" is not 0
+# becomes the complex of the two as floats.
 
 
 def _entry_from_json(v):
@@ -248,7 +250,22 @@ def _entry_from_json(v):
     raise ParseError(f"bad matrix entry {v!r}")
 
 
+def _complex_array(re, im) -> np.ndarray | None:
+    """re + i im in one pass when every entry of both is a finite float (im
+    may be None), else None.  An imaginary -0.0 becomes +0.0, as per entry."""
+    parts = (re,) if im is None else (re, im)
+    if set(map(type, chain.from_iterable(chain.from_iterable(parts)))) != {float}:
+        return None
+    z = np.array(re, dtype=complex)
+    if im is not None:
+        z.imag = np.array(im, dtype=float) + 0.0  # -0.0 + 0.0 is +0.0
+    return z if np.isfinite(z).all() else None
+
+
 def matrix_from_json(obj) -> Matrix:
+    """The Matrix of a matrix document.  An all-float document is read in
+    one pass (:func:`_complex_array`); any other entry by entry, where the
+    first bad entry in row order, ``re`` before ``im``, raises ParseError."""
     if not isinstance(obj, dict):
         raise ParseError("matrix document must be a JSON object")
     try:
@@ -266,6 +283,9 @@ def matrix_from_json(obj) -> Matrix:
             raise ParseError("im array is not n-by-n")
     except TypeError:
         raise ParseError("re/im must be n-by-n arrays") from None
+    z = _complex_array(re, im)
+    if z is not None:
+        return Matrix(z)
     rows = []
     for i in range(n):
         row = []

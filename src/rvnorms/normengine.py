@@ -194,42 +194,42 @@ def _rescaled(total, scale, d: int) -> np.ndarray:
 
 
 def _bell(a, d: int, half: int, den):
-    """Coefficients of u^0..u^half in the complete Bell polynomial
-    B_d(a_1(u), ..., a_d(u)), as (numerators, common denominator), for
-    exact input.
+    """[u^half] of the complete Bell polynomial B_d(a_1(u), ..., a_d(u)) for
+    exact input, as (numerators b, common denominator D): b[half] / D.
 
     ``a[k]`` (``a[0]`` is unused) lists the coefficients of u^0..u^half of
-    the numerator of a_k(u), which may have no term above u^k; a_k past the
-    end of ``a`` are zero.  With half = 0 the a_k are scalars in
-    one-element lists.  The recurrence is
-
-        B_n = sum_{k=1}^{n} C(n-1, k-1) a_k B_{n-k},   B_0 = 1,
-
-    each product truncated above u^half.  a_k is ``a[k]`` over the integer
-    ``den[k]`` and B_n is kept as numerators over
-    D_n = lcm_k(den[k] D_{n-k}), so integer input stays in integers and no
-    gcd is taken.  Coefficients of B_n below u^(n - d + half) are never
-    formed: the remaining degree d - n raises the u-degree by at most
-    d - n, so they cannot reach u^half of B_d.
+    the numerator of a_k(u), which has no term above u^k; a_k past the end
+    of ``a`` are zero (with half = 0, scalars in one-element lists).  The
+    recurrence B_n = sum_{k=1}^{n} C(n-1, k-1) a_k B_{n-k}, B_0 = 1, runs
+    truncated above u^half, with a_k = ``a[k]`` / ``den[k]`` and B_n kept as
+    numerators over D_n = lcm_k(den[k] D_{n-k}): integer input stays in
+    integers and no gcd is taken.  Below u^(n - d + half) B_n cannot reach
+    u^half of B_d (the remaining d - n factors add at most d - n to the
+    u-degree), so those coefficients are never formed and stay 0.  Each
+    coefficient t_j of a_k B_{n-k} is summed in numerators over the terms
+    that can be nonzero only, then multiplied by the weight
+    C(n-1, k-1) D_n / (den[k] D_{n-k}).
     """
     ks = [k for k in range(1, min(d + 1, len(a))) if any(a[k])]
-    B = [[1] + [0] * half]
+    rev = {k: [a[k][i::-1] for i in range(half + 1)] for k in ks}
+    B = [[1]]
     D = [1] * (d + 1)
     for n in range(1, d + 1):
         lo, hi = max(0, n - d + half), min(n, half)
-        row = [0] * (half + 1)
+        row = [0] * (hi + 1)
         D[n] = lcm(*(den[k] * D[n - k] for k in ks if k <= n))
         for k in ks:
             if k > n:
                 break
             w = comb(n - 1, k - 1) * (D[n] // (den[k] * D[n - k]))
-            ak, prev = a[k], B[n - k]
             plo, phi = max(0, n - k - d + half), min(n - k, half)
-            for j in range(lo, hi + 1):
-                i0, i1 = max(0, j - phi), min(k, j - plo)
-                if i0 <= i1:
-                    terms = map(mul, ak[i0 : i1 + 1], reversed(prev[j - i1 : j - i0 + 1]))
-                    row[j] += w * sum(terms)
+            ak, prev = rev[k], B[n - k][plo:]
+            top = min(hi, phi + k)
+            mid = min(top, plo + k)
+            for j in range(max(lo, plo), mid + 1):  # a_k[j - plo], ..., a_k[0]
+                row[j] += w * sum(map(mul, ak[j - plo], prev))
+            for j in range(mid + 1, top + 1):  # a_k[k], ..., a_k[0]
+                row[j] += w * sum(map(mul, ak[k], prev[j - k - plo :]))
         B.append(row)
     return B[d], D[d]
 

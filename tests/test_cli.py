@@ -141,10 +141,89 @@ def test_exit_2_bad_distribution(identity2, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "dist, message",
+    [
+        ("finite_discrete:atoms=0,probs=1", "finite_discrete needs >= 2 atoms with matching probabilities"),
+        ("finite_discrete:atoms=0|1,probs=1", "finite_discrete needs >= 2 atoms with matching probabilities"),
+        ("finite_discrete:probs=1/2|1/2", "finite_discrete requires parameters ('atoms', 'probs'), got ['probs']"),
+        ("gamma:alpha=1", "gamma requires parameters ('alpha', 'beta'), got ['alpha']"),
+        ("gamma:alpha=1,gamma=2", "gamma does not take parameter 'gamma' (takes ('alpha', 'beta'))"),
+    ],
+)
+def test_exit_2_bad_distribution_parameters_say_what_is_wrong(identity2, capsys, dist, message):
+    # a missing or unknown parameter is named as such; a value of the wrong
+    # kind (one atom where finite_discrete takes a list) gets the
+    # constructor's own message
+    assert cli.main(["norm", identity2, dist, "-d", "4"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_exit_2_argparse_errors():
     with pytest.raises(SystemExit) as exc:
         cli.main(["norm", "--degree"])
     assert exc.value.code == 2
+
+
+USAGE_ERRORS = [
+    ["norm", "M", "exponential", "-d", "4", "--bogus"],
+    ["norm", "M", "exponential", "-d", "4", "extra"],
+    ["norm", "M", "exponential", "-d", "4", "--bogus=1", "extra"],
+    ["norm", "M", "--bogus"],
+    ["norm", "M"],
+    ["norm"],
+    ["norm", "M", "exponential", "-d", "four"],
+    ["norm", "M", "exponential", "-d", "4", "--method", "nope"],
+    ["norm", "--", "M", "exponential", "-d", "4"],
+    ["formula", "exponential", "-d", "4", "--mode", "both"],
+    ["hunter", "-d", "2"],
+    ["oracle", "M", "normal:mu=0,sigma=1", "-d", "4", "--samples", "1e4"],
+    ["verify", "--suite", "nope"],
+    ["verify", "--trials", "2", "--json", "more"],
+    ["bogus", "M"],
+    ["--json", "norm"],
+    ["--", "formula", "exponential", "-d", "2"],
+    [],
+    ["-h"],
+    ["--help"],
+    ["norm", "-h"],
+    ["verify", "--help"],
+    ["hunter", "-d", "2", "--alpha", "1", "-h"],
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
+def test_usage_errors_and_help_match_the_top_level_parser(identity2, capsys, argv):
+    # main parses with the named subcommand's parser; what it prints and
+    # its exit code must be those of the whole parser.
+    argv = [identity2 if a == "M" else a for a in argv]
+    seen = []
+    for parse in (cli.main, cli._PARSER.parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(list(argv))
+        seen.append((exc.value.code, *capsys.readouterr()))
+    assert seen[0] == seen[1]
+    assert seen[0][0] in (0, 2) and (seen[0][1] == "") == (seen[0][0] == 2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["norm", "M", "gamma:alpha=2,beta=1/2", "-d", "6", "--method", "words", "--json"],
+        ["formula", "exponential", "--degree", "4", "--mode", "hermitian"],
+        ["hunter", "-d", "4", "--alpha", "2", "--at", "1,1/2"],
+        ["oracle", "M", "rademacher", "-d", "2", "--samples", "100", "--seed", "3", "--threads", "2"],
+        ["verify", "--suite", "schur", "--trials", "1", "--json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_each_subcommand_gets_the_namespace_of_the_top_level_parser(identity2, monkeypatch, argv):
+    argv = [identity2 if a == "M" else a for a in argv]
+    got = []
+    monkeypatch.setitem(cli._DISPATCH, argv[0], lambda args: got.append(args) or 0)
+    assert cli.main(argv) == 0
+    assert got == [cli._PARSER.parse_args(argv)]
+    assert got[0].command == argv[0]
 
 
 def test_parser_is_reused_across_calls(identity2, monkeypatch, capsys):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from rvnorms import cli, matrixcore
 from rvnorms.errors import NonHermitianError, ParseError
 from rvnorms.matrixcore import (
     Matrix,
@@ -217,6 +218,98 @@ def test_load_matrix_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ParseError):
         load_matrix(bad)
+
+
+def _per_entry(monkeypatch, doc):
+    """matrix_from_json(doc) with the all-float one-pass read switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(matrixcore, "_complex_array", lambda re, im: None)
+        return matrix_from_json(doc)
+
+
+def _float_doc(rng, n, with_im):
+    special = [0.0, -0.0, 1.0, -3.0, 5e-324, -1e-310, 2.0**-1022, 1e308, -1e308]
+
+    def entry():
+        if rng.random() < 0.4:
+            return special[rng.integers(len(special))]
+        return float(rng.normal() * 10.0 ** rng.integers(-300, 300))
+
+    doc = {"n": n, "re": [[entry() for _ in range(n)] for _ in range(n)]}
+    if with_im:
+        doc["im"] = [[entry() for _ in range(n)] for _ in range(n)]
+    return doc
+
+
+def test_all_float_documents_read_in_one_pass_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(20)
+    for trial in range(64):
+        doc = _float_doc(rng, trial % 8 + 1, with_im=trial % 4 != 0)
+        fast, slow = matrix_from_json(doc).array, _per_entry(monkeypatch, doc).array
+        assert fast.dtype == slow.dtype == complex
+        for part in (np.real, np.imag):
+            assert np.array_equal(part(fast), part(slow))
+            assert np.array_equal(np.signbit(part(fast)), np.signbit(part(slow)))
+    M = matrix_from_json({"n": 2, "re": [[-0.0, 1.0], [2.0, 3.0]], "im": [[-0.0, 0.0], [-1.5, -0.0]]})
+    assert np.signbit(M.array.real).tolist() == [[True, False], [False, False]]
+    assert np.signbit(M.array.imag).tolist() == [[False, False], [True, False]]
+
+
+@pytest.mark.parametrize(
+    "re, im, bad",
+    [
+        ([[1.0, float("nan")], [0.0, 1.0]], None, "nan"),
+        ([[1.0, 0.0], [0.0, float("inf")]], [[0.0, float("-inf")], [0.0, 1.0]], "-inf"),
+        ([[1.0, float("-inf")], [0.0, 1.0]], [[0.0, float("nan")], [0.0, 1.0]], "-inf"),
+        ([[1.0, 2.0], [float("nan"), 1.0]], [[0.0, float("inf")], [0.0, 1.0]], "inf"),
+    ],
+    ids=["re-nan", "im-before-later-re", "re-before-im", "row-order"],
+)
+def test_non_finite_float_entries_name_the_first_in_row_order(tmp_path, capsys, re, im, bad):
+    doc = {"n": 2, "re": re} | ({"im": im} if im is not None else {})
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))  # writes NaN, Infinity, -Infinity
+    with pytest.raises(ParseError, match=f"^non-finite matrix entry {bad}$"):
+        load_matrix(path)
+    assert cli.main(["norm", str(path), "exponential", "-d", "2"]) == 2
+    assert capsys.readouterr() == ("", f"error: non-finite matrix entry {bad}\n")
+
+
+@pytest.mark.parametrize(
+    "doc, kinds",
+    [
+        ({"n": 2, "re": [[1, 0], [0, -2]]}, {int}),
+        ({"n": 2, "re": [["1/2", 3], [0, "-2/3"]], "im": [[0, 0], [0, 0]]}, {int, Fraction}),
+        ({"n": 2, "re": [[1.5, 2], [0.5, 1.0]]}, {int, complex}),
+        ({"n": 2, "re": [[1.5, "1/3"], [0.5, 1.0]]}, {Fraction, complex}),
+        ({"n": 2, "re": [[1.5, 2.0], [0.5, 1.0]], "im": [[0, 1], [-1, 0]]}, {complex}),
+        ({"n": 2, "re": [[1, 2], [3, 4]], "im": [[0.0, 0.5], [-0.5, 0.0]]}, {int, complex}),
+    ],
+    ids=["ints", "rationals", "float-and-int", "float-and-rational", "int-im", "float-im"],
+)
+def test_other_documents_keep_the_per_entry_read(monkeypatch, doc, kinds):
+    M = matrix_from_json(doc)
+    assert {type(M[i, j]) for i in range(2) for j in range(2)} == kinds
+    assert M.is_exact() == (kinds <= {int, Fraction})
+    assert M.array.dtype == _per_entry(monkeypatch, doc).array.dtype
+    assert M == _per_entry(monkeypatch, doc)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"n": 2, "re": [[1.0, True], [0.0, 1.0]]}, "bad matrix entry True"),
+        ({"n": 1, "re": [[1.0]], "im": [[False]]}, "bad matrix entry False"),
+        ({"n": 2, "re": [[1.0, "1/0"], [0.0, 1.0]]}, "bad rational matrix entry '1/0'"),
+        ({"n": 2, "re": [[1.0, None], [0.0, 1.0]]}, "bad matrix entry None"),
+        ({"n": 2, "re": [[1.0, 2.0], [0.0, 1.0]], "im": [[0.0, [1.0]], [0.0, 0.0]]}, "bad matrix entry [1.0]"),
+        ({"n": 2, "re": ["ab", "cd"]}, "bad rational matrix entry 'a'"),
+    ],
+)
+def test_other_documents_keep_their_errors(doc, message):
+    with pytest.raises(ParseError) as exc:
+        matrix_from_json(doc)
+    assert str(exc.value) == message
 
 
 def test_int_entries_stay_exact_through_json():

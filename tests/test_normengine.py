@@ -112,6 +112,50 @@ def test_bell_needs_enough_arguments():
         bell_value(3, [1, 2])
 
 
+def _poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def plain_bell_polynomial(a, d, den):
+    """B_d(a_1(u), ..., a_d(u)) in Fractions, every coefficient kept: the
+    recurrence B_n = sum_k C(n-1, k-1) a_k B_{n-k} with no truncation
+    (a_k has no term above u^k, so B_n none above u^n)."""
+    A = [[Fraction(c, den[k]) for c in a[k][: k + 1]] if 0 < k < len(a) else [0] for k in range(d + 1)]
+    B = [[Fraction(1)]]
+    for n in range(1, d + 1):
+        row = [Fraction(0)] * (n + 1)
+        for k in range(1, n + 1):
+            for i, c in enumerate(_poly_mul(A[k], B[n - k])):
+                row[i] += comb(n - 1, k - 1) * c
+        B.append(row)
+    return B[d]
+
+
+def test_exact_bell_kernel_on_its_truncation_edges():
+    # [u^half] B_d from _bell, which forms only the coefficients that can
+    # reach u^half, against the untruncated recurrence; a_k has no term
+    # above u^k, some a_k are zero and some lie past the end of a.
+    rng = random.Random(61)
+    for d in range(1, 17):
+        for half in range(d // 2 + 1):
+            for _ in range(2):
+                top = rng.randint(1, d + 1)  # a[k] for k >= top is absent
+                a = [None] + [
+                    [rng.randint(-40, 40) if i <= k else 0 for i in range(half + 1)]
+                    if rng.random() > 0.25 else [0] * (half + 1)
+                    for k in range(1, top)
+                ]
+                den = [1] + [rng.choice([1, 1, 2, 3, 7, 10**12]) for _ in range(d)]
+                b, D = normengine._bell(a, d, half, den)
+                want = plain_bell_polynomial(a, d, den)
+                assert len(b) == half + 1
+                assert Fraction(b[half], D) == want[half], (d, half, a, den)
+
+
 def test_hermitian_norm_is_bell_transform():
     rnd = random.Random(3)
     for name, spec in mgf_family_specs():
