@@ -77,10 +77,11 @@ PARTITION_MAX_DEGREE = 44
 # before it reads the matrix.  Wall time of one `norm` run on a 2-vCPU
 # host, exact 3x3 input with small denominators, against the same 10 s
 # budget:
-# - partition: non-Hermitian input takes the costlier constant-term route:
-#   at d=100 0.3-2.2 s for nine families and 7.5 s for pareto:alpha=1001/2,
-#   at d=120 up to 4.5 s (bernoulli) and 17.8 s for that pareto law.
-#   Hermitian input takes 0.3 s at d=100.
+# - partition: non-Hermitian input takes the costlier constant-term route,
+#   d/2 + 1 Hermitian-kernel evaluations: at d=100 0.5 s for exponential,
+#   uniform and bernoulli and 1.5 s for pareto:alpha=1001/2.  Entries with
+#   9-digit denominators cost more: 1.8 s at d=60 for a 3x3.  Hermitian
+#   input takes 0.3 s at d=100.
 # - series (Hermitian only): up to 3.9 s at d=300 and 9.1 s at d=400
 #   (finite_discrete).
 # - words: 0.23-0.35 s at d=14 and 0.16-0.38 s at d=16, five families, two
@@ -225,7 +226,7 @@ def _cmd_norm(args) -> int:
     discrepancy = None
     method = args.method
     if method == "partition":
-        value = hermitian_norm_pow(Z, spec, d) if hermitian else general_norm_pow(Z, spec, d)
+        value = general_norm_pow(Z, spec, d)  # the Hermitian value on Hermitian input
         used = "partition" if hermitian else "partition(words)"
     elif method == "series":
         value = series_norm_pow(Z, spec, d)

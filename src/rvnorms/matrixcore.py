@@ -283,6 +283,9 @@ def matrix_from_json(obj) -> Matrix:
             raise ParseError("im array is not n-by-n")
     except TypeError:
         raise ParseError("re/im must be n-by-n arrays") from None
+    # a JSON object passes the size checks by its keys, but has no rows by position
+    if any(isinstance(v, dict) for a in ((re,) if im is None else (re, im)) for v in (a, *a)):
+        raise ParseError("re/im must be n-by-n arrays")
     z = _complex_array(re, im)
     if z is not None:
         return Matrix(z)

@@ -1,16 +1,21 @@
 """Evaluation routes for the random-vector matrix norms.
 
-One kernel, the complete-Bell recurrence
-B_n = sum_k C(n-1, k-1) a_k B_{n-k} over u-polynomials truncated above
-u^{d/2}, computes the d-th power of the norm on two routes:
+One kernel computes the d-th power of the norm on two routes: the trace
+powers tr M^k of a stack of point matrices M, and the complete-Bell
+recurrence B_n = sum_k C(n-1, k-1) a_k B_{n-k} on a_k = kappa_k tr M^k,
+which gives the Hermitian form H(M) = B_d(a_1, ..., a_d) / d!.
 
-* Hermitian inputs: (1/d!) B_d(kappa_1 tr A, ..., kappa_d tr A^d), scalar
-  a_k taken from trace powers (the u-degree is 0);
-* the constant-term route (arbitrary square inputs): the Hermitian form at
-  M(s) = s Z + s^{-1} Z* has constant term C(d, d/2) times the norm power;
-  that constant term is [u^{d/2}] B_d(a_1(u), ..., a_d(u)) / d! with
-  a_k(u) = kappa_k tau_k(u), where tau_k(u) sums the traces of the
-  length-k words in Z, Z* with u counting adjoints.
+* Hermitian inputs: the norm power of A is H(A), one point M = A;
+* the constant-term route (arbitrary square inputs): the constant term in
+  s of H(M(s)), M(s) = s Z + s^{-1} Z*, is C(d, d/2) times the norm power,
+  and H(M(s)) is a polynomial of degree d/2 in s^2 and s^-2, so its mean
+  over the q = d/2 + 1 points s_j = exp(i pi j / q) is that constant
+  term.  On exact (real rational) input, P(u) = d! H(Z + u Z^T)
+  is palindromic of degree d, and [u^{d/2}] P, the same constant term, is
+  a fixed rational combination of P(1), ..., P(q)
+  (:func:`_palindromic_weights`).  A Hermitian row of either route is its
+  own one point: the circle points of a Hermitian Z are real multiples of
+  Z, so its norm power is H(Z).
 
 Two independent routes serve as oracles:
 
@@ -24,30 +29,28 @@ Two independent routes serve as oracles:
   terms of the trace polynomial that :func:`formula_terms` makes (which
   :func:`symbolic_formula` collects and :func:`write_formula`, for the
   ``formula`` command, writes as it goes), multiplying out every distinct
-  trace word once.  It uses no cumulant recurrence and no C_{k,j} matrices, and
-  is compared against by the CLI's ``words`` method, the circle-average
+  trace word once.  It uses no cumulant recurrence and no point matrices,
+  and is compared against by the CLI's ``words`` method, the circle-average
   check and the ``paths`` suite.
 
-Each of the four has one body, a function of a stack of matrices (or of a
+Each route has one body, a function of a stack of matrices (or of a
 sequence of stacks of different sizes) and its laws (``*_norm_pow_stack``);
 the single-matrix function of the same name is its stack of one and
 returns a Fraction or a float.  A body runs one trace kernel on each stack,
-:func:`_trace_power_stack` (Hermitian, series),
-:func:`_adjoint_count_trace_stack` (constant term) or
+:func:`_trace_power_stack` (Hermitian, constant term, series) or
 :func:`~rvnorms.words.word_traces` (trace words), between shared pieces,
 run once a call, that alone, with the series route's division by j! and
 the word sum's sums after its traces, tell exact from float input:
 
-* :func:`_prepared` checks and scales the input.  An exact Matrix whose
-  cumulants are exact too becomes the int stack of one L Z, L the lcm of
-  its entry denominators; anything else a complex stack with a law axis
-  (one law for every matrix or one per matrix, :func:`_law_rows`), each
-  matrix times the power of two 2^-e that puts its largest entry in
-  [1/2, 1), which is exact;
-* :func:`_factors` gives the cumulant factors, and
-  :func:`_bell_coefficient` runs the recurrence on them: in Python ints
-  with one Fraction at the end (:func:`_bell`), or normalized, on
-  B_n / n!, over the float stack (:func:`_bell_stack`);
+* :func:`_prepared` checks and scales the input and tells its Hermitian
+  rows.  An exact Matrix whose cumulants are exact too becomes the int
+  stack of one L Z, L the lcm of its entry denominators; anything else a
+  complex stack with a law axis (one law for every matrix or one per
+  matrix, :func:`_law_rows`), each matrix times the power of two 2^-e that
+  puts its largest entry in [1/2, 1), which is exact;
+* :func:`_factors` gives the cumulant factors, and the recurrence runs on
+  them: in Python ints with one Fraction at the end (:func:`_bell`), or
+  normalized, on B_n / n!, over the float stack (:func:`_bell_stack`);
 * :func:`_rescaled` undoes the scale by absolute homogeneity,
   |||cZ||| = |c| |||Z|||: the exact power times L^-d, each float power
   times 2^(d e) in one ``ldexp``.  A float power that leaves the normal
@@ -107,12 +110,15 @@ def _stack_rows(stacks):
 
 
 def _prepared(Z, spec, d: int, hermitian: bool):
-    """(stacks, scale, laws, rows) for a :class:`Matrix`, a stack (N, n, n)
-    or a sequence of stacks (N_i, n_i, n_i): checked for an even degree d
-    (and, with ``hermitian``, for Hermitian input) and scaled for a route's
-    trace kernels.  ``stacks`` lists the nonempty stacks, whose rows in
-    order are the call's N rows.  ``laws`` holds the :class:`CumulantVector`
-    of each distinct law, looked up once.
+    """(stacks, scale, laws, rows, herm) for a :class:`Matrix`, a stack
+    (N, n, n) or a sequence of stacks (N_i, n_i, n_i): checked for an even
+    degree d (and, with ``hermitian``, for Hermitian input) and scaled for a
+    route's trace kernels.  ``stacks`` lists the nonempty stacks, whose rows
+    in order are the call's N rows, and the bool array ``herm`` tells which
+    rows are Hermitian: an exact matrix exactly (:func:`is_hermitian`), a
+    float one within :func:`hermitian_tolerance` of its unscaled largest
+    entry.  ``laws`` holds the :class:`CumulantVector` of each distinct law,
+    looked up once.
 
     An exact Matrix whose cumulants are exact too gives the int stack of
     one L Z, (1, n, n) with ``dtype=object``, L the lcm of its entry
@@ -128,13 +134,14 @@ def _prepared(Z, spec, d: int, hermitian: bool):
     _require_even_degree(d)
     if isinstance(Z, Matrix):
         if Z.is_exact():
-            if hermitian and not is_hermitian(Z):
+            symmetric = is_hermitian(Z)
+            if hermitian and not symmetric:
                 raise NonHermitianError("the Hermitian route requires a Hermitian matrix")
             law = distribution_cumulants(spec, d)
             if all(map(is_exact, law.kappas)):
                 L = lcm(*(v.denominator for v in Z.array.flat))
                 # Fraction(k, 1) // 1 is the int k
-                return [(Z.array * L // 1)[None]], Fraction(1, L), [law], None
+                return [(Z.array * L // 1)[None]], Fraction(1, L), [law], None, np.array([symmetric])
         Z = Z.array[None]
     sequence = isinstance(Z, (list, tuple)) and all(np.ndim(S) == 3 for S in Z)
     members = []
@@ -153,14 +160,15 @@ def _prepared(Z, spec, d: int, hermitian: bool):
     max_abs = np.abs(Z).max(axis=(1, 2))
     if not np.isfinite(max_abs).all():
         raise ValueError("non-finite entry")
-    if hermitian and not hermitian_mask(Z, hermitian_tolerance(max_abs)).all():
+    herm = hermitian_mask(Z, hermitian_tolerance(max_abs))
+    if hermitian and not herm.all():
         raise NonHermitianError("the Hermitian route requires Hermitian matrices")
     laws, rows = _law_rows(spec, len(Z))
     e = scale_exponents(max_abs)
     laws = [distribution_cumulants(law, d) for law in laws]
     factor = np.ldexp(1.0, -e)[:, None, None]
     scaled = (Z[r, : len(S[0]), : len(S[0])] * factor[r] for S, r in _stack_rows(members))
-    return list(scaled), e, laws, rows
+    return list(scaled), e, laws, rows, herm
 
 
 def _rescaled(total, scale, d: int) -> np.ndarray:
@@ -193,94 +201,87 @@ def _rescaled(total, scale, d: int) -> np.ndarray:
     return out
 
 
-def _bell(a, d: int, half: int, den):
-    """[u^half] of the complete Bell polynomial B_d(a_1(u), ..., a_d(u)) for
-    exact input, as (numerators b, common denominator D): b[half] / D.
+def _bell(rows, d: int, den):
+    """B_d(a_1, ..., a_d) for each row of exact input, as (numerators b,
+    common denominator D): row i's value is b[i] / D.
 
-    ``a[k]`` (``a[0]`` is unused) lists the coefficients of u^0..u^half of
-    the numerator of a_k(u), which has no term above u^k; a_k past the end
-    of ``a`` are zero (with half = 0, scalars in one-element lists).  The
-    recurrence B_n = sum_{k=1}^{n} C(n-1, k-1) a_k B_{n-k}, B_0 = 1, runs
-    truncated above u^half, with a_k = ``a[k]`` / ``den[k]`` and B_n kept as
-    numerators over D_n = lcm_k(den[k] D_{n-k}): integer input stays in
-    integers and no gcd is taken.  Below u^(n - d + half) B_n cannot reach
-    u^half of B_d (the remaining d - n factors add at most d - n to the
-    u-degree), so those coefficients are never formed and stay 0.  Each
-    coefficient t_j of a_k B_{n-k} is summed in numerators over the terms
-    that can be nonzero only, then multiplied by the weight
-    C(n-1, k-1) D_n / (den[k] D_{n-k}).
+    ``rows[i][k-1]`` is the numerator of row i's a_k over den[k] for
+    k = 1..m, and a_k = 0 above m.  The recurrence B_n = sum_{k=1}^{n}
+    C(n-1, k-1) a_k B_{n-k}, B_0 = 1, keeps B_n as numerators over
+    D_n = lcm_k(den[k] D_{n-k}), so that integer input stays in integers
+    and no gcd is taken.  D_n and the weights C(n-1, k-1) D_n /
+    (den[k] D_{n-k}) are formed once for all rows, and only the k at which
+    some row's a_k is nonzero are summed.
     """
-    ks = [k for k in range(1, min(d + 1, len(a))) if any(a[k])]
-    rev = {k: [a[k][i::-1] for i in range(half + 1)] for k in ks}
-    B = [[1]]
+    ks = [k for k in range(1, min(d, len(rows[0])) + 1) if any(a[k - 1] for a in rows)]
     D = [1] * (d + 1)
+    B = [[1] for _ in rows]
     for n in range(1, d + 1):
-        lo, hi = max(0, n - d + half), min(n, half)
-        row = [0] * (hi + 1)
-        D[n] = lcm(*(den[k] * D[n - k] for k in ks if k <= n))
-        for k in ks:
-            if k > n:
-                break
-            w = comb(n - 1, k - 1) * (D[n] // (den[k] * D[n - k]))
-            plo, phi = max(0, n - k - d + half), min(n - k, half)
-            ak, prev = rev[k], B[n - k][plo:]
-            top = min(hi, phi + k)
-            mid = min(top, plo + k)
-            for j in range(max(lo, plo), mid + 1):  # a_k[j - plo], ..., a_k[0]
-                row[j] += w * sum(map(mul, ak[j - plo], prev))
-            for j in range(mid + 1, top + 1):  # a_k[k], ..., a_k[0]
-                row[j] += w * sum(map(mul, ak[k], prev[j - k - plo :]))
-        B.append(row)
-    return B[d], D[d]
+        terms = [k for k in ks if k <= n]
+        D[n] = lcm(*(den[k] * D[n - k] for k in terms))
+        w = [comb(n - 1, k - 1) * (D[n] // (den[k] * D[n - k])) for k in terms]
+        for a, b in zip(rows, B):
+            b.append(sum([wk * a[k - 1] * b[n - k] for wk, k in zip(w, terms)]))
+    return [b[d] for b in B], D[d]
 
 
 def _bell_stack(a: np.ndarray, d: int) -> np.ndarray:
-    """B_d / d! for a stack, as the coefficients of u^0..u^half.
+    """B_d / d! for each row of a float stack.
 
-    ``a[:, k-1, :]`` holds the coefficients of u^0..u^half of a_k(u) / k!
-    for k = 1..m (a_k = 0 above m).  The recurrence runs normalized, on
-    b_n = B_n / n!, so that no float intermediate carries a factor n!:
+    ``a[:, k-1]`` holds a_k / k! for k = 1..m (a_k = 0 above m).  The
+    recurrence runs normalized, on b_n = B_n / n!, so that no float
+    intermediate carries a factor n!:
 
         b_n = sum_{k=1}^{min(n, m)} (k/n) (a_k / k!) b_{n-k},   b_0 = 1,
 
-    each product truncated above u^half.  The truncated product with
-    a_k(u) / k! is the lower-triangular Toeplitz matrix T_k[j, i] =
-    a_k[j - i] / k!, so each b_n takes one batched elementwise product of
-    [T_1 ... T_K] with (b_{n-1}, ..., b_{n-K}).  Its sums run in a fixed
-    order, over i and then over k, one term after another, so every matrix
-    gets the same value whatever stack it is evaluated in.
+    one batched elementwise product per n.  Its sums run in a fixed order,
+    over k, one term after another, so every matrix gets the same value
+    whatever stack it is evaluated in.
     """
-    N, m, h1 = a.shape
-    T = np.zeros((N, m, h1, h1), dtype=a.dtype)  # T[:, k-1, j, i] = a_k[j - i] / k!
-    for i in range(h1):
-        T[:, :, i:, i] = a[:, :, : h1 - i]
-    R = np.zeros((N, d + 1, h1), dtype=a.dtype)  # R[:, d - n] = b_n
-    R[:, d, 0] = 1.0
-    weight = np.arange(1, m + 1)[None, :, None] / np.arange(1, d + 1)[:, None, None]  # k/n
+    N, m = a.shape
+    R = np.zeros((N, d + 1), dtype=a.dtype)  # R[:, d - n] = b_n
+    R[:, d] = 1.0
+    weight = np.arange(1, m + 1)[None, :] / np.arange(1, d + 1)[:, None]  # k/n
     for n in range(1, d + 1):
         K = min(n, m)
-        prev = R[:, d - n + 1 : d - n + 1 + K]  # b_{n-1}, ..., b_{n-K}
-        if h1 == 1:  # one coefficient: nothing to sum over i
-            S = T[:, :K, :, 0] * prev
-        else:
-            S = (T[:, :K] * prev[:, :, None, :])[..., ::-1].cumsum(axis=3)[..., -1]
+        S = a[:, :K] * R[:, d - n + 1 : d - n + 1 + K]  # a_k b_{n-k}, k = 1..K
         R[:, d - n] = (weight[n - 1, :K] * S).cumsum(axis=1)[:, -1]
     # + 0.0: a sum of zeros is +0.0, as a sum started from 0 gives it
     return R[:, 0] + 0.0
 
 
-def _bell_coefficient(a, d: int, den, divisor: int = 1):
-    """[u^half] B_d(a_1(u), ..., a_d(u)) / (d! divisor) for each matrix of
-    a prepared stack, half = a.shape[2] - 1.  ``a[:, k-1, :]`` holds the
-    coefficients of u^0..u^half of the :func:`_factors` factor of a_k times
-    its traces: with ``den`` (exact), the numerator of a_k over den[k], and
-    :func:`_bell` gives one Fraction, in a list; otherwise a_k(u) / k!, and
-    :func:`_bell_stack` an array."""
-    half = a.shape[2] - 1
-    if den is not None:
-        b, D = _bell([None] + a[0].tolist(), d, half, den)
-        return [Fraction(b[half], D * factorial(d) * divisor)]
-    return _bell_stack(a, d)[:, half] / divisor
+@lru_cache(maxsize=64)
+def _palindromic_weights(h: int) -> tuple[tuple[int, ...], int]:
+    """(w, W), ints with [u^h] P = sum_{u=1}^{h+1} w[u-1] P(u) / W for every
+    polynomial P of degree at most 2h with P(u) = u^{2h} P(1/u).
+
+    Such a P is u^h Q(u + 1/u) with deg Q <= h, and [u^h] P is the constant
+    term of Q(u + 1/u), sum_k q_{2k} C(2k, k).  That linear form of Q,
+    applied to the Lagrange interpolant of Q at the nodes x_u = u + 1/u,
+    u = 1..h+1 (distinct), gives w_u = F(l_u) / u^h with l_u the Lagrange
+    basis polynomial of x_u.  Each l_u is the master polynomial
+    prod_v (x - x_v) divided by (x - x_u), by synthetic division, over its
+    value at x_u, so all the weights take O(h^2) Fraction operations
+    (J.-P. Berrut and L. N. Trefethen, "Barycentric Lagrange
+    interpolation", SIAM Review 46, 2004).
+    """
+    nodes = [Fraction(u * u + 1, u) for u in range(1, h + 2)]
+    master = [Fraction(1)]  # coefficients from the top: prod_v (x - x_v)
+    for x in nodes:
+        master = [c - x * p for c, p in zip(master + [0], [0] + master)]
+    weights = []
+    for u, x in enumerate(nodes, 1):
+        r = [master[0]]  # master / (x - x_u), from the top
+        for c in master[1:-1]:
+            r.append(c + x * r[-1])
+        # F(r) = sum_k C(2k, k) [x^{2k}] r, and r(x_u) by Horner's rule
+        functional = sum(comb(j, j // 2) * c for j, c in enumerate(reversed(r)) if j % 2 == 0)
+        value = 0
+        for c in r:
+            value = value * x + c
+        weights.append(functional / (value * u**h))
+    W = lcm(*(w.denominator for w in weights))
+    return tuple(w.numerator * (W // w.denominator) for w in weights), W
 
 
 def _top_cumulant(kappas) -> int:
@@ -342,21 +343,98 @@ def hermitian_norm_pow_stack(
 ) -> np.ndarray:
     """The norm powers of a stack (N, n, n) of Hermitian matrices, a sequence
     of such stacks or one Matrix, as an array: each B_d(kappa_1 tr A, ...,
-    kappa_d tr A^d) / d! from the trace powers up to its law's top cumulant m.
+    kappa_d tr A^d) / d! from the trace powers up to its law's top cumulant
+    m, by :func:`_point_norm_pow_stack` after every row is checked
+    Hermitian.  ``spec`` is one law for every matrix or a sequence of N
+    laws, one per matrix (:func:`_law_rows`)."""
+    return _point_norm_pow_stack(A, spec, d, hermitian=True)
 
+
+def general_norm_pow(Z: Matrix, spec: DistributionSpec, d: int):
+    """Norm power for arbitrary square Z by the constant-term route:
+
+        [s^0] H(s Z + s^{-1} Z*) / C(d, d/2),
+
+    H the Hermitian form B_d(kappa_1 tr M, ..., kappa_d tr M^d) / d!, the
+    constant term taken from d/2 + 1 values of H (see
+    :func:`_point_norm_pow_stack`).  Equals :func:`word_sum_norm_pow`
+    exactly on rational input, is :func:`hermitian_norm_pow` on Hermitian
+    input and is strictly positive for Z != 0.  The stack of one of
+    :func:`general_norm_pow_stack`: a Fraction on exact input (matrix and
+    cumulants), a float otherwise.
+    """
+    return general_norm_pow_stack(Z, spec, d).item()
+
+
+def general_norm_pow_stack(
+    Z, spec: DistributionSpec | Sequence[DistributionSpec], d: int
+) -> np.ndarray:
+    """The norm powers of a stack (N, n, n) of arbitrary square matrices, a
+    sequence of such stacks or one Matrix, as an array, by the constant-term
+    route of :func:`general_norm_pow` (:func:`_point_norm_pow_stack`).
     ``spec`` is one law for every matrix or a sequence of N laws, one per
-    matrix (:func:`_law_rows`).  A row whose law has a smaller m than the
+    matrix (:func:`_law_rows`)."""
+    return _point_norm_pow_stack(Z, spec, d, hermitian=False)
+
+
+def _point_norm_pow_stack(Z, spec, d: int, hermitian: bool) -> np.ndarray:
+    """The body of the Hermitian and constant-term routes: each row of the
+    prepared stack (:func:`_prepared`) becomes its point matrices
+    (:func:`_points`), one Hermitian row one point and any other row
+    q = d/2 + 1 points, all traced by :func:`_trace_powers` up to the
+    row's top cumulant m and put through one Bell recurrence.
+
+    A float row's norm power is H(M) at its one point, or the sum of H at
+    its q points divided by q C(d, d/2); the exact row's, H(M) at its one
+    point, or sum_u w_u H(M_u) / (W C(d, d/2)) with the weights of
+    :func:`_palindromic_weights`.  A row whose law has a smaller m than the
     call's largest gets zero factors above it, which add exact zeros at
     the end of each of its sums, so every row's value is the one it gets
     alone under its own law.  Float trace powers must be real to within
     :func:`~rvnorms.scalars.real_parts_checked`'s residue.
     """
-    stacks, scale, laws, rows = _prepared(A, spec, d, hermitian=True)
+    stacks, scale, laws, rows, herm = _prepared(Z, spec, d, hermitian)
     if not stacks:
         return np.empty(0)
     c, m, den = _factors(laws, rows)
-    tp = _trace_powers(stacks, m)
-    return _rescaled(_bell_coefficient((tp * c)[:, :, None], d, den), scale, d)
+    q = d // 2 + 1
+    # the Hermitian rows' points first, then q points for each other row
+    points = [S[herm[r]] for S, r in _stack_rows(stacks) if herm[r].any()]
+    points += [_points(S[~herm[r]], q) for S, r in _stack_rows(stacks) if not herm[r].all()]
+    owner = np.concatenate([np.flatnonzero(herm), np.repeat(np.flatnonzero(~herm), q)])
+    a = _trace_powers(points, m[owner]) * c[owner]
+    if den is not None:  # the exact row
+        b, D = _bell(a.tolist(), d, den)
+        if herm[0]:
+            return _rescaled([Fraction(b[0], D * factorial(d))], scale, d)
+        w, W = _palindromic_weights(d // 2)
+        total = Fraction(sum(map(mul, w, b)), W * D * factorial(d) * comb(d, d // 2))
+        return _rescaled([total], scale, d)
+    values = _bell_stack(a, d)
+    k = int(herm.sum())
+    total = np.empty(len(herm))
+    total[herm] = values[:k]
+    total[~herm] = values[k:].reshape(-1, q).sum(axis=1) / (q * float(comb(d, d // 2)))
+    return _rescaled(total, scale, d)
+
+
+def _points(S: np.ndarray, q: int) -> np.ndarray:
+    """(N q, n, n): the q point matrices of each matrix of a prepared stack
+    S (N, n, n), a row's points in a run.  On a float stack the Hermitian
+    s_j Z + conj(s_j) Z* at s_j = exp(i pi j / q), j = 0..q-1, whose
+    Hermitian forms are the values at the q-th roots of unity s_j^2 of a
+    polynomial of degree d/2 in s^2 and s^-2, so that their mean is its
+    constant term; on the exact int stack L Z + u (L Z)^T, u = 1..q, at
+    which d! H is the palindromic polynomial P(u) of
+    :func:`_palindromic_weights`."""
+    N, n, _ = S.shape
+    if S.dtype == object:
+        u = np.arange(1, q + 1, dtype=object)[:, None, None]
+        return (S[:, None] + u * S.swapaxes(1, 2)[:, None]).reshape(N * q, n, n)
+    Y = S[:, None] * np.exp(1j * np.pi * np.arange(q) / q)[:, None, None]  # s_j Z
+    # conj(s_j) Z* is (s_j Z)*, exactly: the float product of conjugates is
+    # the conjugate of the product
+    return (Y + np.conjugate(Y).swapaxes(2, 3)).reshape(N * q, n, n)
 
 
 def _trace_powers(stacks, m: np.ndarray) -> np.ndarray:
@@ -370,10 +448,10 @@ def _trace_powers(stacks, m: np.ndarray) -> np.ndarray:
 
 
 def _trace_power_stack(A: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """(N, max(m)): tr A^k for k = 1..m[i] and 0 above, for a stack of
-    Hermitian matrices, one batched product per power.  A complex stack
-    gives the real parts, each checked by :func:`real_parts_checked`; a
-    stack of exact ints (``dtype=object``, real symmetric) gives ints."""
+    """(N, max(m)): tr A^k for k = 1..m[i] and 0 above, one batched
+    product per power.  A complex stack, of Hermitian matrices, gives the
+    real parts, each checked by :func:`real_parts_checked`; a stack of
+    exact ints (``dtype=object``) gives ints."""
     top = int(m.max(initial=0))
     P = np.empty((top,) + A.shape, dtype=A.dtype)  # P[k-1] = A^k
     if top:
@@ -421,7 +499,7 @@ def series_norm_pow_stack(
     row's series is exponentiated by :meth:`TruncatedSeries.exp`.
     """
     _require_mgf(spec)
-    stacks, scale, laws, rows = _prepared(A, spec, d, hermitian=True)
+    stacks, scale, laws, rows, _ = _prepared(A, spec, d, hermitian=True)
     if not stacks:
         return np.empty(0)
     c, m, den = _factors(laws, rows)
@@ -499,7 +577,7 @@ def word_sum_norm_pow_stack(
     of :func:`symbolic_formula`, evaluated term by term with these products
     and sums, gives at its scaled matrix (the tests' reference evaluator).
     """
-    stacks, scale, laws, rows = _prepared(Z, spec, d, hermitian=False)
+    stacks, scale, laws, rows, _ = _prepared(Z, spec, d, hermitian=False)
     if not stacks:
         return np.empty(0)
     kappas = [law.kappas for law in laws]
@@ -534,119 +612,6 @@ def word_sum_norm_pow_stack(
         for k, row_re, row_im in sums:
             total[k] = complex(math.fsum(row_re), math.fsum(row_im))
     return _rescaled(total, scale, d)
-
-
-def _adjoint_count_trace_stack(Z: np.ndarray, m: int, half: int) -> np.ndarray:
-    """(N, m, half+1): tau[:, k-1, j] = tr(C_{k,j}) for k = 1..m and
-    j = 0..half (0 for j > k), for a stack of complex matrices or of exact
-    ints (``dtype=object``, then tau holds ints too).
-
-    C_{k,j} is the sum of the length-k words in Z and Z* with j adjoints.
-    Level k of C is built from level k-1 by two batched products, for its
-    lower half, C_{k,j} = C_{k-1,j} Z + C_{k-1,j-1} Z*; its upper half is
-    C_{k,k-j} = C_{k,j}*.  A longer word splits after its first h =
-    ceil(m/2) letters: tau_k(u) = tr(C_h(u) C_{k-h}(u)) for k > h sums the
-    pairwise traces tr(C_{h,i} C_{k-h,j}) along antidiagonals.  On float
-    input each is an entry of one product of the (h+1) x n^2 matrix of
-    level h by the n^2 x (k-h+1) matrix of level k-h transposed.  On exact
-    input only the pairs with i + j <= k/2, which give the lower half, are
-    formed, one product per row of level h: the rest are conjugates of
-    these, and each costs big-int products that no BLAS speeds up.
-    """
-    N, n, _ = Z.shape
-    h = (m + 1) // 2
-    tau = np.zeros((N, m, half + 1), dtype=Z.dtype)
-    if m == 0:
-        return tau
-    levels = [None, np.stack([Z, np.conjugate(Z).swapaxes(1, 2)], axis=1)]
-    Zr, Zh = Z[:, None], levels[1][:, 1:]
-    for k in range(2, h + 1):
-        prev = levels[k - 1]
-        low = prev[:, : k // 2 + 1] @ Zr
-        low[:, 1:] += prev[:, : k // 2] @ Zh
-        high = np.conjugate(low[:, (k + 1) // 2 - 1 :: -1]).swapaxes(2, 3)
-        levels.append(np.concatenate([low, high], axis=1))
-    for k in range(1, h + 1):
-        top = min(k, half) + 1
-        tau[:, k - 1, :top] = np.trace(levels[k][:, :top], axis1=2, axis2=3)
-    left = levels[h].reshape(N, h + 1, n * n)
-    for k in range(h + 1, m + 1):
-        right = levels[k - h].swapaxes(2, 3).reshape(N, k - h + 1, n * n)  # rows vec(C^T)
-        if Z.dtype == object:
-            # exact: only the pairs i + j <= k // 2 reach the lower half
-            low = np.zeros((N, k // 2 + 1), dtype=object)
-            for i in range(min(h, k // 2) + 1):
-                cols = right[:, : k // 2 - i + 1]
-                low[:, i : i + cols.shape[1]] += (left[:, i, None] @ cols.swapaxes(1, 2))[:, 0]
-        else:
-            low = _antidiagonal_sums(left @ right.swapaxes(1, 2))[:, : k // 2 + 1]
-        # tr(C_{k,k-j}) = conj tr(C_{k,j})
-        full = np.concatenate([low, np.conjugate(low[:, (k + 1) // 2 - 1 :: -1])], axis=1)
-        top = min(k, half) + 1
-        tau[:, k - 1, :top] = full[:, :top]
-    return tau
-
-
-def _antidiagonal_sums(P: np.ndarray) -> np.ndarray:
-    """(N, r + c - 1) from (N, r, c): out[:, s] = sum_{i+j=s} P[:, i, j],
-    the coefficients of a product of two polynomials from the table of
-    coefficient products.  Each row i is shifted right by
-    i by padding the rows to length r + c and reading them back at length
-    r + c - 1."""
-    N, r, c = P.shape
-    padded = np.zeros((N, r, c + r), dtype=P.dtype)
-    padded[:, :, :c] = P
-    sheared = padded.reshape(N, r * (c + r))[:, : r * (c + r - 1)].reshape(N, r, c + r - 1)
-    return sheared.sum(axis=1)
-
-
-def general_norm_pow(Z: Matrix, spec: DistributionSpec, d: int):
-    """Norm power for arbitrary square Z by the constant-term route:
-
-        [x^d u^{d/2}] exp(sum_k kappa_k tau_k(u) x^k / k!) / C(d, d/2)
-
-    with tau_k(u) = sum_j tr(C_{k,j}) u^j (see :func:`_adjoint_count_trace_stack`),
-    the coefficient of x^d taken as B_d / d! by the Bell kernel.
-    Equals :func:`word_sum_norm_pow` exactly on rational input, restricts
-    to :func:`hermitian_norm_pow` on Hermitian input and is strictly
-    positive for Z != 0.  The stack of one of
-    :func:`general_norm_pow_stack`: a Fraction on exact input (matrix and
-    cumulants), a float otherwise.
-    """
-    return general_norm_pow_stack(Z, spec, d).item()
-
-
-def general_norm_pow_stack(
-    Z, spec: DistributionSpec | Sequence[DistributionSpec], d: int
-) -> np.ndarray:
-    """The norm powers of a stack (N, n, n) of arbitrary square matrices, a
-    sequence of such stacks or one Matrix, as an array, by the constant-term
-    route of :func:`general_norm_pow`: tau from
-    :func:`_adjoint_count_trace_stack`, [u^{d/2}] B_d / d! from
-    :func:`_bell_coefficient`, each float value real to within
-    :func:`~rvnorms.scalars.real_parts_checked`'s residue, and all rescaled
-    by :func:`_rescaled`.
-
-    ``spec`` is one law for every matrix or a sequence of N laws, one per
-    matrix (:func:`_law_rows`).  The rows of a stack are traced in groups of
-    equal m, because m sets the level h = ceil(m/2) at which the traces
-    split, and so the rounding of every trace above it; tau is zero above
-    each row's m, so each row gets the value it gets alone under its law.
-    """
-    stacks, scale, laws, rows = _prepared(Z, spec, d, hermitian=False)
-    if not stacks:
-        return np.empty(0)
-    c, m, den = _factors(laws, rows)
-    half = d // 2
-    groups = [(S, part, mk) for S, part in _stack_rows(stacks) for mk in set(m[part].tolist())]
-    if len(groups) == 1:
-        tau = _adjoint_count_trace_stack(stacks[0], groups[0][2], half)
-    else:  # a row keeps zeros above its m
-        tau = np.zeros(c.shape + (half + 1,), dtype=complex)
-        for S, part, mk in groups:
-            group = m[part] == mk
-            tau[part][group, :mk] = _adjoint_count_trace_stack(S[group], mk, half)
-    return _rescaled(_bell_coefficient(tau * c[:, :, None], d, den, comb(d, half)), scale, d)
 
 
 def norm_root(value, d: int) -> float:

@@ -24,11 +24,10 @@ from .errors import NonHermitianError, PreconditionError
 from .matrixcore import (
     Matrix,
     hermitian_eigenvalues,
-    hermitian_mask,
     is_hermitian,
     scale_exponent,
 )
-from .normengine import general_norm_pow_stack, hermitian_norm_pow_stack
+from .normengine import general_norm_pow_stack
 
 BLOCK_SAMPLES = 1 << 16
 
@@ -220,24 +219,18 @@ def khintchine_bounds(Z, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     matrices; the chain lower <= middle <= upper is enforced on every one,
     and the first that breaks it raises ArithmeticError.
 
-    The Hermitian matrices of the stack (within the tolerance of
-    :func:`~rvnorms.matrixcore.hermitian_mask`) take the Hermitian route as
-    one stack, the others the constant-term route as another.  Even p only:
-    the analytic paths do not cover odd p (the norm itself is still
-    defined there, via the sampling oracle).
+    The stack takes the constant-term route in one call, which gives its
+    Hermitian matrices (within the tolerance of
+    :func:`~rvnorms.matrixcore.hermitian_mask`) their Hermitian value.
+    Even p only: the analytic paths do not cover odd p (the norm itself is
+    still defined there, via the sampling oracle).
     """
     if not isinstance(p, int) or p < 2 or p % 2:
         raise PreconditionError(f"khintchine check needs even integer p >= 2, got {p!r}")
     spec = DistributionSpec.rademacher()
     Z = np.asarray(Z, dtype=complex)
     lower = np.linalg.norm(Z, axis=(1, 2))
-    hermitian = hermitian_mask(Z)
-    pw = np.empty(len(Z))
-    if hermitian.any():
-        pw[hermitian] = hermitian_norm_pow_stack(Z[hermitian], spec, p)
-    if not hermitian.all():
-        pw[~hermitian] = general_norm_pow_stack(Z[~hermitian], spec, p)
-    middle = (factorial(p) * pw) ** (1.0 / p)
+    middle = (factorial(p) * general_norm_pow_stack(Z, spec, p)) ** (1.0 / p)
     upper = khintchine_constant(p) * lower
     tol = 1e-9 * np.maximum(1.0, upper)
     broken = ~((lower <= middle + tol) & (middle <= upper + tol))

@@ -136,6 +136,26 @@ def test_exit_2_bad_matrix_file(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": 1, "re": {"a": [1]}},
+        {"n": 1, "re": [{"a": 1}]},
+        {"n": 1, "re": [[1]], "im": {"a": [1]}},
+        {"n": 1, "re": [[1]], "im": [{"a": 1}]},
+        {"n": 1, "re": 5},
+    ],
+    ids=["re-object", "re-row-object", "im-object", "im-row-object", "re-number"],
+)
+def test_exit_2_matrix_arrays_that_are_not_arrays(tmp_path, capsys, doc):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    rc = cli.main(["norm", str(path), "exponential", "-d", "2"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "re/im must be n-by-n arrays" in captured.err
+
+
 def test_exit_2_bad_distribution(identity2, capsys):
     rc = cli.main(["norm", identity2, "cauchy:x=1", "-d", "2"])
     assert rc == 2

@@ -112,48 +112,43 @@ def test_bell_needs_enough_arguments():
         bell_value(3, [1, 2])
 
 
-def _poly_mul(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, x in enumerate(p):
-        for j, y in enumerate(q):
-            out[i + j] += x * y
-    return out
-
-
-def plain_bell_polynomial(a, d, den):
-    """B_d(a_1(u), ..., a_d(u)) in Fractions, every coefficient kept: the
-    recurrence B_n = sum_k C(n-1, k-1) a_k B_{n-k} with no truncation
-    (a_k has no term above u^k, so B_n none above u^n)."""
-    A = [[Fraction(c, den[k]) for c in a[k][: k + 1]] if 0 < k < len(a) else [0] for k in range(d + 1)]
-    B = [[Fraction(1)]]
-    for n in range(1, d + 1):
-        row = [Fraction(0)] * (n + 1)
-        for k in range(1, n + 1):
-            for i, c in enumerate(_poly_mul(A[k], B[n - k])):
-                row[i] += comb(n - 1, k - 1) * c
-        B.append(row)
-    return B[d]
-
-
-def test_exact_bell_kernel_on_its_truncation_edges():
-    # [u^half] B_d from _bell, which forms only the coefficients that can
-    # reach u^half, against the untruncated recurrence; a_k has no term
-    # above u^k, some a_k are zero and some lie past the end of a.
+def test_exact_bell_kernel_on_several_rows():
+    # B_d of each row from one _bell call, against the partition walk of
+    # that row alone: rows of several lengths m (a_k = 0 above m), some
+    # a_k zero in every row or in some rows only, and denominators shared
+    # by all rows.
     rng = random.Random(61)
-    for d in range(1, 17):
-        for half in range(d // 2 + 1):
-            for _ in range(2):
-                top = rng.randint(1, d + 1)  # a[k] for k >= top is absent
-                a = [None] + [
-                    [rng.randint(-40, 40) if i <= k else 0 for i in range(half + 1)]
-                    if rng.random() > 0.25 else [0] * (half + 1)
-                    for k in range(1, top)
-                ]
-                den = [1] + [rng.choice([1, 1, 2, 3, 7, 10**12]) for _ in range(d)]
-                b, D = normengine._bell(a, d, half, den)
-                want = plain_bell_polynomial(a, d, den)
-                assert len(b) == half + 1
-                assert Fraction(b[half], D) == want[half], (d, half, a, den)
+    for d in range(1, 21):
+        for _ in range(3):
+            m = rng.randint(1, d)
+            rows = [
+                [rng.randint(-40, 40) if rng.random() > 0.25 else 0 for _ in range(m)]
+                for _ in range(rng.randint(1, 4))
+            ]
+            rows[0][rng.randrange(m)] = 0  # a_k = 0 in one row
+            k = rng.randrange(m)
+            for row in rows:  # a_k = 0 in every row
+                row[k] = 0
+            den = [1] + [rng.choice([1, 1, 2, 3, 7, 10**12]) for _ in range(d)]
+            b, D = normengine._bell(rows, d, den)
+            assert len(b) == len(rows)
+            for row, value in zip(rows, b):
+                x = [Fraction(v, den[j]) for j, v in enumerate(row, 1)] + [0] * (d - m)
+                assert Fraction(value, D) == partition_walk_bell(d, x), (d, row, den)
+
+
+def test_palindromic_weights_give_the_middle_coefficient():
+    # [u^h] P = sum_u w_u P(u) / W for P palindromic of degree 2h, from
+    # its values at u = 1..h+1 only.
+    rng = random.Random(62)
+    for h in range(1, 51):
+        w, W = normengine._palindromic_weights(h)
+        assert len(w) == h + 1 and all(type(v) is int for v in w) and type(W) is int
+        for _ in range(3):
+            half = [rng.randint(-10**6, 10**6) for _ in range(h + 1)]
+            coeffs = half + half[-2::-1]  # c_j = c_{2h-j}
+            values = [sum(c * u**j for j, c in enumerate(coeffs)) for u in range(1, h + 2)]
+            assert Fraction(sum(a * b for a, b in zip(w, values)), W) == coeffs[h], h
 
 
 def test_hermitian_norm_is_bell_transform():
@@ -1040,7 +1035,7 @@ GEN_Q = Matrix([[1, Fraction(2, 3)], [Fraction(-1, 5), 2]])
 TRACE_KERNELS = {
     hermitian_norm_pow: "_trace_power_stack",
     series_norm_pow: "_trace_power_stack",
-    general_norm_pow: "_adjoint_count_trace_stack",
+    general_norm_pow: "_trace_power_stack",
     word_sum_norm_pow: "word_traces",
 }
 
@@ -1060,13 +1055,17 @@ def _spy_on_evaluated_matrix(monkeypatch, route):
     return seen
 
 
+# L Z + u (L Z)^T for u = 1..d/2+1 at d = 4, with L Z = [[15, 10], [-3, 30]]
+GEN_Q_POINTS = [[[15 + 15 * u, 10 - 3 * u], [-3 + 10 * u, 30 + 30 * u]] for u in (1, 2, 3)]
+
+
 @pytest.mark.parametrize(
     "route, Z, ints, reference",
     [
-        (hermitian_norm_pow, HERM_Q, [15, 10, 10, -3], series_norm_pow),
-        (series_norm_pow, HERM_Q, [15, 10, 10, -3], hermitian_norm_pow),
-        (general_norm_pow, GEN_Q, [15, 10, -3, 30], word_sum_norm_pow),
-        (word_sum_norm_pow, GEN_Q, [15, 10, -3, 30], general_norm_pow),
+        (hermitian_norm_pow, HERM_Q, [[[15, 10], [10, -3]]], series_norm_pow),
+        (series_norm_pow, HERM_Q, [[[15, 10], [10, -3]]], hermitian_norm_pow),
+        (general_norm_pow, GEN_Q, GEN_Q_POINTS, word_sum_norm_pow),
+        (word_sum_norm_pow, GEN_Q, [[[15, 10], [-3, 30]]], general_norm_pow),
     ],
     ids=["hermitian", "series", "constant-term", "words"],
 )
@@ -1076,10 +1075,10 @@ def test_constant_term_route_scales_exact_input_to_plain_ints(monkeypatch, route
     seen = _spy_on_evaluated_matrix(monkeypatch, route)
     value = route(Z, spec, 4)
     assert value == want and type(value) is Fraction
-    # the int stack of one
-    assert len(seen) == 1 and seen[0].shape == (1, 2, 2) and seen[0].dtype == object
-    assert [type(v) for v in seen[0].flat] == [int] * 4
-    assert list(seen[0].flat) == ints
+    # one int stack: L Z, or the constant-term route's points L Z + u (L Z)^T
+    assert len(seen) == 1 and seen[0].dtype == object
+    assert all(type(v) is int for v in seen[0].flat)
+    assert seen[0].tolist() == ints
 
 
 @pytest.mark.parametrize(

@@ -124,6 +124,24 @@ def test_single_matrix_routes_are_a_stack_of_one():
     assert general_norm_pow(Matrix(Z[0]), spec, 6) == general_norm_pow_stack(Z, spec, 6)[0]
 
 
+def test_general_route_gives_hermitian_rows_their_hermitian_value():
+    # Hermitian rows interleaved with general ones, under one law and under
+    # a law per row: the constant-term route takes a Hermitian row as its
+    # one point, so its value is the Hermitian route's, bit for bit.
+    rng = stream(7350)
+    laws = [spec for _, spec in default_family_specs()]
+    H, G = random_stack(rng, "hermitian", 4, 5), random_stack(rng, "general", 4, 5)
+    stack = np.stack([H[0], G[0], G[1], H[1], H[2], G[2], H[3], G[3]])
+    hermitian = [0, 3, 4, 6]
+    for d in (2, 4, 8, 12):
+        row_laws = [laws[i] for i in rng.integers(0, len(laws), size=len(stack))]
+        for spec in (DistributionSpec.exponential(), row_laws):
+            herm_laws = [row_laws[i] for i in hermitian] if spec is row_laws else spec
+            values = general_norm_pow_stack(stack, spec, d)
+            want = hermitian_norm_pow_stack(stack[hermitian], herm_laws, d)
+            assert values[hermitian].tolist() == want.tolist(), d
+
+
 def test_stack_refusals():
     spec = DistributionSpec.exponential()
     H = random_stack(stream(7400), "hermitian", 3, 3)
