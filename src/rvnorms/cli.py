@@ -226,7 +226,7 @@ def _cmd_norm(args) -> int:
     discrepancy = None
     method = args.method
     if method == "partition":
-        value = general_norm_pow(Z, spec, d)  # the Hermitian value on Hermitian input
+        value = general_norm_pow(Z, spec, d)  # the Hermitian value where Z == Z*
         used = "partition" if hermitian else "partition(words)"
     elif method == "series":
         value = series_norm_pow(Z, spec, d)

@@ -13,9 +13,9 @@ which gives the Hermitian form H(M) = B_d(a_1, ..., a_d) / d!.
   term.  On exact (real rational) input, P(u) = d! H(Z + u Z^T)
   is palindromic of degree d, and [u^{d/2}] P, the same constant term, is
   a fixed rational combination of P(1), ..., P(q)
-  (:func:`_palindromic_weights`).  A Hermitian row of either route is its
-  own one point: the circle points of a Hermitian Z are real multiples of
-  Z, so its norm power is H(Z).
+  (:func:`_palindromic_weights`).  A row equal to its adjoint, exactly, is
+  its own one point: the circle points of a Hermitian Z are real multiples
+  of Z, so its norm power is H(Z).
 
 Two independent routes serve as oracles:
 
@@ -42,12 +42,12 @@ returns a Fraction or a float.  A body runs one trace kernel on each stack,
 run once a call, that alone, with the series route's division by j! and
 the word sum's sums after its traces, tell exact from float input:
 
-* :func:`_prepared` checks and scales the input and tells its Hermitian
-  rows.  An exact Matrix whose cumulants are exact too becomes the int
-  stack of one L Z, L the lcm of its entry denominators; anything else a
-  complex stack with a law axis (one law for every matrix or one per
-  matrix, :func:`_law_rows`), each matrix times the power of two 2^-e that
-  puts its largest entry in [1/2, 1), which is exact;
+* :func:`_prepared` checks and scales the input.  An exact Matrix whose
+  cumulants are exact too becomes the int stack of one L Z, L the lcm of
+  its entry denominators; anything else a complex stack with a law axis
+  (one law for every matrix or one per matrix, :func:`_law_rows`), each
+  matrix times the power of two 2^-e that puts its largest entry in
+  [1/2, 1), which is exact;
 * :func:`_factors` gives the cumulant factors, and the recurrence runs on
   them: in Python ints with one Fraction at the end (:func:`_bell`), or
   normalized, on B_n / n!, over the float stack (:func:`_bell_stack`);
@@ -110,15 +110,12 @@ def _stack_rows(stacks):
 
 
 def _prepared(Z, spec, d: int, hermitian: bool):
-    """(stacks, scale, laws, rows, herm) for a :class:`Matrix`, a stack
+    """(stacks, scale, laws, rows) for a :class:`Matrix`, a stack
     (N, n, n) or a sequence of stacks (N_i, n_i, n_i): checked for an even
     degree d (and, with ``hermitian``, for Hermitian input) and scaled for a
     route's trace kernels.  ``stacks`` lists the nonempty stacks, whose rows
-    in order are the call's N rows, and the bool array ``herm`` tells which
-    rows are Hermitian: an exact matrix exactly (:func:`is_hermitian`), a
-    float one within :func:`hermitian_tolerance` of its unscaled largest
-    entry.  ``laws`` holds the :class:`CumulantVector` of each distinct law,
-    looked up once.
+    in order are the call's N rows.  ``laws`` holds the
+    :class:`CumulantVector` of each distinct law, looked up once.
 
     An exact Matrix whose cumulants are exact too gives the int stack of
     one L Z, (1, n, n) with ``dtype=object``, L the lcm of its entry
@@ -134,14 +131,13 @@ def _prepared(Z, spec, d: int, hermitian: bool):
     _require_even_degree(d)
     if isinstance(Z, Matrix):
         if Z.is_exact():
-            symmetric = is_hermitian(Z)
-            if hermitian and not symmetric:
+            if hermitian and not is_hermitian(Z):
                 raise NonHermitianError("the Hermitian route requires a Hermitian matrix")
             law = distribution_cumulants(spec, d)
             if all(map(is_exact, law.kappas)):
                 L = lcm(*(v.denominator for v in Z.array.flat))
                 # Fraction(k, 1) // 1 is the int k
-                return [(Z.array * L // 1)[None]], Fraction(1, L), [law], None, np.array([symmetric])
+                return [(Z.array * L // 1)[None]], Fraction(1, L), [law], None
         Z = Z.array[None]
     sequence = isinstance(Z, (list, tuple)) and all(np.ndim(S) == 3 for S in Z)
     members = []
@@ -160,15 +156,14 @@ def _prepared(Z, spec, d: int, hermitian: bool):
     max_abs = np.abs(Z).max(axis=(1, 2))
     if not np.isfinite(max_abs).all():
         raise ValueError("non-finite entry")
-    herm = hermitian_mask(Z, hermitian_tolerance(max_abs))
-    if hermitian and not herm.all():
+    if hermitian and not hermitian_mask(Z, hermitian_tolerance(max_abs)).all():
         raise NonHermitianError("the Hermitian route requires Hermitian matrices")
     laws, rows = _law_rows(spec, len(Z))
     e = scale_exponents(max_abs)
     laws = [distribution_cumulants(law, d) for law in laws]
     factor = np.ldexp(1.0, -e)[:, None, None]
     scaled = (Z[r, : len(S[0]), : len(S[0])] * factor[r] for S, r in _stack_rows(members))
-    return list(scaled), e, laws, rows, herm
+    return list(scaled), e, laws, rows
 
 
 def _rescaled(total, scale, d: int) -> np.ndarray:
@@ -264,6 +259,10 @@ def _palindromic_weights(h: int) -> tuple[tuple[int, ...], int]:
     value at x_u, so all the weights take O(h^2) Fraction operations
     (J.-P. Berrut and L. N. Trefethen, "Barycentric Lagrange
     interpolation", SIAM Review 46, 2004).
+
+    Cached per h: building them costs 0.26 ms at d = 8, about as much as
+    the exact evaluation they serve, and 64 entries hold every h = 1..50
+    that ``norm --method partition`` reaches (240 kB in all).
     """
     nodes = [Fraction(u * u + 1, u) for u in range(1, h + 2)]
     master = [Fraction(1)]  # coefficients from the top: prod_v (x - x_v)
@@ -358,8 +357,8 @@ def general_norm_pow(Z: Matrix, spec: DistributionSpec, d: int):
     H the Hermitian form B_d(kappa_1 tr M, ..., kappa_d tr M^d) / d!, the
     constant term taken from d/2 + 1 values of H (see
     :func:`_point_norm_pow_stack`).  Equals :func:`word_sum_norm_pow`
-    exactly on rational input, is :func:`hermitian_norm_pow` on Hermitian
-    input and is strictly positive for Z != 0.  The stack of one of
+    exactly on rational input, is :func:`hermitian_norm_pow` on input equal
+    to its adjoint and is strictly positive for Z != 0.  The stack of one of
     :func:`general_norm_pow_stack`: a Fraction on exact input (matrix and
     cumulants), a float otherwise.
     """
@@ -382,7 +381,12 @@ def _point_norm_pow_stack(Z, spec, d: int, hermitian: bool) -> np.ndarray:
     prepared stack (:func:`_prepared`) becomes its point matrices
     (:func:`_points`), one Hermitian row one point and any other row
     q = d/2 + 1 points, all traced by :func:`_trace_powers` up to the
-    row's top cumulant m and put through one Bell recurrence.
+    row's top cumulant m and put through one Bell recurrence.  On the
+    Hermitian route every row is Hermitian; on the constant-term route a
+    row is Hermitian if its scaled matrix equals its adjoint exactly, which
+    is the input's own equality (the scales are exact) and so does not
+    depend on its size, and any other row, however near Hermitian, takes
+    its q points.
 
     A float row's norm power is H(M) at its one point, or the sum of H at
     its q points divided by q C(d, d/2); the exact row's, H(M) at its one
@@ -393,9 +397,13 @@ def _point_norm_pow_stack(Z, spec, d: int, hermitian: bool) -> np.ndarray:
     alone under its own law.  Float trace powers must be real to within
     :func:`~rvnorms.scalars.real_parts_checked`'s residue.
     """
-    stacks, scale, laws, rows, herm = _prepared(Z, spec, d, hermitian)
+    stacks, scale, laws, rows = _prepared(Z, spec, d, hermitian)
     if not stacks:
         return np.empty(0)
+    if hermitian:
+        herm = np.ones(sum(map(len, stacks)), dtype=bool)
+    else:
+        herm = np.concatenate([(S == np.conjugate(S).swapaxes(1, 2)).all((1, 2)) for S in stacks])
     c, m, den = _factors(laws, rows)
     q = d // 2 + 1
     # the Hermitian rows' points first, then q points for each other row
@@ -499,7 +507,7 @@ def series_norm_pow_stack(
     row's series is exponentiated by :meth:`TruncatedSeries.exp`.
     """
     _require_mgf(spec)
-    stacks, scale, laws, rows, _ = _prepared(A, spec, d, hermitian=True)
+    stacks, scale, laws, rows = _prepared(A, spec, d, hermitian=True)
     if not stacks:
         return np.empty(0)
     c, m, den = _factors(laws, rows)
@@ -577,7 +585,7 @@ def word_sum_norm_pow_stack(
     of :func:`symbolic_formula`, evaluated term by term with these products
     and sums, gives at its scaled matrix (the tests' reference evaluator).
     """
-    stacks, scale, laws, rows, _ = _prepared(Z, spec, d, hermitian=False)
+    stacks, scale, laws, rows = _prepared(Z, spec, d, hermitian=False)
     if not stacks:
         return np.empty(0)
     kappas = [law.kappas for law in laws]
@@ -859,8 +867,10 @@ def circle_extension_check(Z: Matrix, spec: DistributionSpec, d: int):
 
     The average of the Hermitian norm power of e^{it} Z + e^{-it} Z* over
     the circle, divided by C(d, d/2), must equal the trace-word norm power
-    (:func:`word_sum_norm_pow`, not the constant-term route, which is the
-    algebraic form of this same average).
+    (:func:`word_sum_norm_pow`).  The float constant-term route takes this
+    same circle mean through the same kernel, only at d/2 + 1 nodes, so
+    the check is independent of that route through its node count alone;
+    its independent comparison is the one against the trace words.
     The integrand is a trigonometric polynomial of degree at most d, so the
     trapezoid rule on its 2d + 2 equally spaced points is exact up to
     roundoff.  Returns (quadrature value as a float, trace-word value as

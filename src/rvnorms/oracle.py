@@ -219,9 +219,8 @@ def khintchine_bounds(Z, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     matrices; the chain lower <= middle <= upper is enforced on every one,
     and the first that breaks it raises ArithmeticError.
 
-    The stack takes the constant-term route in one call, which gives its
-    Hermitian matrices (within the tolerance of
-    :func:`~rvnorms.matrixcore.hermitian_mask`) their Hermitian value.
+    The stack takes the constant-term route in one call, which gives each
+    matrix that equals its adjoint its Hermitian value.
     Even p only: the analytic paths do not cover odd p (the norm itself is
     still defined there, via the sampling oracle).
     """

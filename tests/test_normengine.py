@@ -538,7 +538,8 @@ def test_norm_root_exact_values_outside_float_range():
 
 @pytest.mark.parametrize("d", [40, 70])
 def test_norm_refuses_a_float_power_that_lost_its_precision(d):
-    # diag(1.0, -0.5) under uniform(-1, 3/2): the float constant-term route
+    # diag(1.0, -0.5) under uniform(-1, 3/2): the constant-term route takes
+    # this Hermitian matrix as its one point, and its float Hermitian form
     # gives a negative power at d=40 and 0.0 at d=70, which the CLI refuses
     Z, spec = Matrix.diagonal([1.0, -0.5]), DistributionSpec.uniform(-1, Fraction(3, 2))
     value = general_norm_pow(Z, spec, d)
@@ -578,6 +579,29 @@ def test_constant_term_route_matches_word_sum_float():
             b = word_sum_norm_pow(Z, spec, d)
             assert isinstance(a, float)
             assert abs(a - b) <= 1e-12 * abs(b), (name, d, a, b)
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-13, 2.0**-60, 1e13])
+def test_constant_term_route_on_near_hermitian_float_input_at_any_scale(c):
+    # A matrix that differs from its adjoint, however little and at any
+    # scale, takes the route's circle points, not the Hermitian shortcut:
+    # a nilpotent stays strictly positive and the values keep homogeneity.
+    rng = stream(103)
+    H = np.asarray(random_hermitian(rng, 4).array, dtype=complex)
+    near = H.copy()
+    near[0, 1] += 1e-14
+    cases = [np.array([[0.0, 1.0], [0.0, 0.0]]), np.diag([1j, 0.0]), near]
+    for d in (2, 4, 6):
+        for Z in cases:
+            for spec in (DistributionSpec.exponential(), DistributionSpec.rademacher()):
+                a = general_norm_pow(Matrix(c * Z), spec, d)
+                b = word_sum_norm_pow(Matrix(c * Z), spec, d)
+                assert a > 0 and abs(a - b) <= 1e-12 * b, (c, d, Z, a, b)
+                assert abs(a - c**d * general_norm_pow(Matrix(Z), spec, d)) <= 1e-12 * a
+    exact = [[0, Fraction(1, 10**13)], [0, 0]]
+    for d in (2, 4):
+        spec = DistributionSpec.exponential()
+        assert general_norm_pow(Matrix(exact), spec, d) == word_sum_norm_pow(Matrix(exact), spec, d) > 0
 
 
 @pytest.mark.parametrize(
