@@ -94,13 +94,14 @@ PARTITION_MAX_DEGREE = 44
 NORM_MAX_DEGREE = {"partition": 100, "series": 300, "words": 14, "auto": 14}
 
 # Largest --trials `verify` runs, per suite; above it `verify` exits 3
-# before any suite starts.  Measured in process on a 2-vCPU host, the
-# slower of two seeds: axioms 2.1 ms a trial, schur 1.3, paths 17.8,
-# hunter 0.62, khintchine 0.21.  Each cap is about 5 s of its suite at that
-# cost, half a 10 s budget for slower hosts, and is at least the suite's
-# default trial count.  Since paths evaluates each route in one call per
-# degree, its 250 trials take 0.29 s on a 2-vCPU Xeon host (1.2 ms a trial,
-# 4.2 ms at one trial); the cap stays until it is re-measured on slower hosts.
+# before any suite starts.  Measured in process on a 2-vCPU host at each
+# cap (the slower of two seeds), with each run of trials drawn and checked
+# as arrays: axioms 1.15 ms a trial, schur 0.24, paths 1.05, hunter
+# 0.36, khintchine 0.058.  The caps were set at about 5 s of each suite at
+# the costs measured before (axioms 2.1 ms, schur 1.3, paths 17.8, hunter
+# 0.62, khintchine 0.21), half a 10 s budget for slower hosts, and each is
+# at least the suite's default trial count; they stay until they are
+# re-measured on slower hosts.
 VERIFY_MAX_TRIALS = {"axioms": 2400, "schur": 4000, "paths": 250, "hunter": 8000, "khintchine": 20000}
 
 # Largest --samples `oracle` takes; above it, or above ORACLE_MAX_DEGREE,

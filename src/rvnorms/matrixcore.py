@@ -157,9 +157,10 @@ def scale_exponent(Z: Matrix) -> int:
 
 def hermitian_tolerance(max_abs):
     """The default Hermitian tolerance of a matrix whose largest entry
-    magnitude is ``max_abs`` (elementwise on an array): 1e-12 * (1 +
-    max_abs)."""
-    return 1e-12 * (1.0 + max_abs)
+    magnitude is ``max_abs`` (elementwise on an array): 1e-12 * max_abs,
+    relative to the matrix's own scale, so that a matrix and its multiples
+    by any power of two are classified alike."""
+    return 1e-12 * max_abs
 
 
 def hermitian_mask(Z: np.ndarray, tol=None) -> np.ndarray:
@@ -193,35 +194,40 @@ def hermitian_eigenvalues(A: Matrix) -> list[float]:
     return np.linalg.eigvalsh(A.to_numpy())[::-1].tolist()
 
 
+def majorized_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row by row, whether y majorizes x, for float arrays (N, n): equal
+    totals and the partial sums of each nonincreasing rearrangement of x
+    never above those of y, within 1e-12 * max(1, sum |y|).  The partial
+    sums and the sum |y| are taken in order, largest entry first."""
+    xs = np.cumsum(np.sort(x, axis=-1)[:, ::-1], axis=-1)
+    ys = np.sort(y, axis=-1)[:, ::-1]
+    tol = 1e-12 * np.maximum(1.0, np.cumsum(np.abs(ys), axis=-1)[:, -1])
+    ys = np.cumsum(ys, axis=-1)
+    return (xs <= ys + tol[:, None]).all(axis=-1) & (np.abs(xs[:, -1] - ys[:, -1]) <= tol)
+
+
 def is_majorized(x, y) -> bool:
     """True iff y majorizes x: equal totals and the partial sums of the
     nonincreasing rearrangement of x never exceed those of y.
 
-    Exact comparison on all-rational input; scaled 1e-12 tolerance otherwise.
+    Exact comparison on all-rational input; otherwise the floats of x and
+    y go to :func:`majorized_rows` as one row.
     """
     x = list(x)
     y = list(y)
     if len(x) != len(y):
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
-    exact = all(isinstance(v, (int, Fraction)) for v in x + y)
+    if not all(isinstance(v, (int, Fraction)) for v in x + y):
+        return bool(majorized_rows(np.array([x], dtype=float), np.array([y], dtype=float))[0])
     xs = sorted(x, reverse=True)
     ys = sorted(y, reverse=True)
-    if exact:
-        run_x = run_y = Fraction(0)
-        for k in range(len(xs)):
-            run_x += xs[k]
-            run_y += ys[k]
-            if run_x > run_y:
-                return False
-        return run_x == run_y
-    tol = 1e-12 * max(1.0, sum(abs(float(v)) for v in ys))
-    run_x = run_y = 0.0
+    run_x = run_y = Fraction(0)
     for k in range(len(xs)):
-        run_x += float(xs[k])
-        run_y += float(ys[k])
-        if run_x > run_y + tol:
+        run_x += xs[k]
+        run_y += ys[k]
+        if run_x > run_y:
             return False
-    return abs(run_x - run_y) <= tol
+    return run_x == run_y
 
 
 # -- JSON matrix file format ------------------------------------------------

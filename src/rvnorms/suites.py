@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cumulants import DistributionSpec
-from .matrixcore import Matrix, is_majorized
+from .matrixcore import Matrix, majorized_rows
 from .normengine import (
     general_norm_pow_stack,
     hermitian_norm_pow_stack,
@@ -26,15 +26,18 @@ from .normengine import (
 from .oracle import check_seed, khintchine_bounds, khintchine_check
 from .sympoly import hunter_poly, hunter_poly_recursive, hunter_terms
 
-# Trials whose matrices the suites evaluate together, so that peak memory
-# is set by this constant and not by --trials.  The axioms, schur and paths
-# suites gather successive (family, degree) cells' draws until this many
-# trials are pending and evaluate them as one stack per degree, with each
-# cell's law on its rows; at this many trials or more a cell is its own
-# stack.  khintchine evaluates blocks of this many trials.  Measured on a
-# 2-vCPU host: 1000 axioms trials take 2.1 s in blocks of 100 and 1.9-2.3 s
-# in blocks of 250 to 1000, while the peak traced allocation of 300 trials
-# grows from 1.9 MB to 5.6 MB.
+# Trials whose matrices the suites draw and evaluate together, so that
+# peak memory is set by this constant and not by --trials.  The axioms,
+# schur and paths suites gather successive (family, degree) cells' trials
+# until this many are pending (a run), draw the run's inputs with one
+# generator call per kind of input, and evaluate them as one stack per
+# degree, with each cell's law on its rows; at this many trials or more a
+# cell is its own run.  khintchine draws and evaluates blocks of this many
+# trials.  The draws therefore depend on this constant; they are fixed by
+# the seed and the trial count.  Measured in process on a 2-vCPU host:
+# 1000 axioms trials take 0.69 s in runs of 100, 0.67 s in runs of 250 and
+# 0.63 s in runs of 1000, while the peak traced allocation of 300 trials
+# grows from 2.5 MB to 6.1 MB and 16.6 MB.
 STACK_TRIALS = 100
 
 
@@ -67,13 +70,12 @@ def stream(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=check_seed(seed)))
 
 
-def _hermitian_array(rng: np.random.Generator, n: int) -> np.ndarray:
-    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return (g + g.conj().T) * 0.5
-
-
-def _general_array(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+def _hermitian(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """(G + G*) / 2 for G = re + i im, on a stack (..., n, n): exactly
+    Hermitian, since its (j, i) entry is the conjugate of its (i, j) entry
+    computed with the same float additions."""
+    g = re + 1j * im
+    return (g + g.conj().swapaxes(-2, -1)) * 0.5
 
 
 def random_rational_vector(rnd: random.Random, n: int) -> list[Fraction]:
@@ -84,19 +86,26 @@ def random_rational_vector(rnd: random.Random, n: int) -> list[Fraction]:
             return out
 
 
-def robin_hood_pair(rng: np.random.Generator, n: int):
-    """A majorization pair: x obtained from y by three averaging transfers."""
-    y = [float(v) for v in rng.uniform(-1.0, 1.0, size=n)]
-    x = list(y)
+def robin_hood_pairs(rng: np.random.Generator, trials: int, n: int):
+    """``trials`` majorization pairs as the rows of two arrays (X, Y) of
+    shape (trials, n): each y uniform on [-1, 1)^n, and its x obtained from
+    it by three averaging transfers.  A transfer picks two positions i, j
+    and a fraction u of half their gap, and moves that much from the larger
+    entry to the smaller; between equal entries (i == j included) it leaves
+    the row as it is.  One call per round draws every row's i, j and u."""
+    y = rng.uniform(-1.0, 1.0, size=(trials, n))
+    x = y.copy()
+    rows = np.arange(trials)
     for _ in range(3):
-        i, j = rng.integers(0, n, size=2)
-        if x[i] == x[j]:
-            continue
-        if x[i] < x[j]:
-            i, j = j, i
-        t = float(rng.uniform(0.0, 1.0)) * (x[i] - x[j]) / 2.0
-        x[i] -= t
-        x[j] += t
+        i, j = rng.integers(0, n, size=(trials, 2)).T
+        u = rng.uniform(0.0, 1.0, size=trials)
+        xi, xj = x[rows, i], x[rows, j]
+        moved = xi != xj
+        hi = np.where(xi > xj, i, j)[moved]
+        lo = np.where(xi > xj, j, i)[moved]
+        t = (u * np.abs(xi - xj) / 2.0)[moved]
+        x[rows[moved], hi] -= t
+        x[rows[moved], lo] += t
     return x, y
 
 
@@ -119,6 +128,14 @@ class SuiteReport:
         if not ok:
             self.failures.append(message.format(*args) if args else message)
 
+    def record_rows(self, ok: np.ndarray, messages) -> None:
+        """Count the checks of ``ok``, a boolean array of one row per trial
+        and one column per check; for each failing entry (i, j), in trial
+        order, keep ``messages[j](i)``, built only then."""
+        self.checks += ok.size
+        for i, j in zip(*np.nonzero(~ok)):
+            self.failures.append(messages[j](int(i)))
+
     def to_json(self) -> dict:
         return {
             "suite": self.suite,
@@ -135,24 +152,44 @@ def _blocks(trials: int):
 
 
 def _runs(cells, trials: int):
-    """Each cell's blocks of trials (:func:`_blocks`) as (cell, block)
+    """Each cell's blocks of trials (:func:`_blocks`) as (cell, block, rows)
     items, in order, gathered into runs of at most STACK_TRIALS trials in
     total: successive cells share a run while their blocks fit, and a
-    block of STACK_TRIALS trials is a run of its own."""
+    block of STACK_TRIALS trials is a run of its own.  ``rows`` is the
+    slice of the run's trials that the block takes, so a run of T trials
+    draws its inputs as arrays of T rows and each item reads its slice."""
     run, pending = [], 0
     for cell in cells:
         for block in _blocks(trials):
             if run and pending + len(block) > STACK_TRIALS:
                 yield run
                 run, pending = [], 0
-            run.append((cell, block))
+            run.append((cell, block, slice(pending, pending + len(block))))
             pending += len(block)
     if run:
         yield run
 
 
-def _stack_pows(route, parts) -> list[list[float]]:
-    """The norm powers of each part (spec, d, stack) by ``route``, one list
+def _trial(run, i: int) -> str:
+    """Family, degree and trial number of row i of a run, for a message."""
+    for (name, _, d), block, rows in run:
+        if i < rows.stop:
+            return f"{name} d={d} trial={block[i - rows.start]}"
+
+
+def _run_norms(route, run, stacks: np.ndarray) -> np.ndarray:
+    """The norms by ``route`` of a run's matrices ``stacks``, an array
+    (m, T, n, n) of m matrices per trial, as an array (m, T).  Each item's
+    rows of the m go to the route as one part (:func:`_stack_pows`), under
+    the item's law and degree."""
+    m, n = len(stacks), stacks.shape[-1]
+    parts = [(spec, d, stacks[:, rows].reshape(-1, n, n)) for (_, spec, d), _, rows in run]
+    pows = np.concatenate([p.reshape(m, -1) for p in _stack_pows(route, parts)], axis=1)
+    return pows ** np.repeat([1.0 / d for (_, _, d), _, _ in run], [len(b) for _, b, _ in run])
+
+
+def _stack_pows(route, parts) -> list[np.ndarray]:
+    """The norm powers of each part (spec, d, stack) by ``route``, one array
     per part.  The parts of one degree are evaluated in one call, as one
     stack per matrix size (a single stack if they share one size), with
     each part's law on its rows."""
@@ -164,105 +201,89 @@ def _stack_pows(route, parts) -> list[list[float]]:
         members = [i for size in sizes.values() for i in size]
         laws = [parts[i][0] for i in members for _ in range(len(parts[i][2]))]
         stacks = [np.concatenate([parts[i][2] for i in size]) for size in sizes.values()]
-        pows = iter(route(stacks[0] if len(stacks) == 1 else stacks, laws, d).tolist())
+        pows = route(stacks[0] if len(stacks) == 1 else stacks, laws, d)
+        at = 0
         for i in members:
-            out[i] = [next(pows) for _ in range(len(parts[i][2]))]
+            out[i] = pows[at : at + len(parts[i][2])]
+            at += len(parts[i][2])
     return out
-
-
-def _norm_values(pows: list[float], d: int) -> list[float]:
-    return [v ** (1.0 / d) for v in pows]
 
 
 def axioms_suite(trials: int = 1000, seed: int = 2024) -> SuiteReport:
     """Triangle inequality, absolute homogeneity, and strict positivity on
     random 4x4 Hermitian pairs (Hermitian route) and general pairs
     (constant-term route), for every catalog family at d = 2 and 4: six
-    checks a trial.  Each run of trials (:func:`_runs`) is drawn first, in
-    the order of one family, degree and trial at a time, and its matrices
+    checks a trial.  Each run of T trials (:func:`_runs`) draws its inputs
+    in three calls: A, B (Hermitian, from their real and imaginary parts)
+    and Z, W (general) from one normal array (T, 8, 4, 4), the real scalars
+    c from one uniform array and the complex scalars cc from one normal
+    array (T, 2); a zero scalar is replaced by 1.  The run's matrices are
     evaluated as one Hermitian and one general stack per degree."""
     report = SuiteReport("axioms", trials)
     rng = stream(seed)
     cells = [(name, spec, d) for name, spec in default_family_specs() for d in (2, 4)]
     for run in _runs(cells, trials):
-        herm, gen, drawn = [], [], []
-        for (_, spec, d), block in run:
-            draws = []
-            for _ in block:
-                A = _hermitian_array(rng, 4)
-                B = _hermitian_array(rng, 4)
-                c = float(rng.uniform(-2.0, 2.0)) or 1.0
-                Z = _general_array(rng, 4)
-                W = _general_array(rng, 4)
-                cc = complex(rng.normal(), rng.normal()) or 1.0
-                draws.append((A, B, c, Z, W, cc))
-            A, B, c, Z, W, cc = (np.array(x) for x in zip(*draws))
-            herm.append((spec, d, np.concatenate([A, B, A + B, A * c[:, None, None]])))
-            gen.append((spec, d, np.concatenate([Z, W, Z + W, Z * cc[:, None, None]])))
-            drawn.append(draws)
-        H = _stack_pows(hermitian_norm_pow_stack, herm)
-        G = _stack_pows(general_norm_pow_stack, gen)
-        for ((name, _, d), block), draws, hp, gp in zip(run, drawn, H, G):
-            k = len(block)
-            hn, gn = _norm_values(hp, d), _norm_values(gp, d)
-            for i, t in enumerate(block):
-                nA, nB, nAB, nCA = hn[i], hn[k + i], hn[2 * k + i], hn[3 * k + i]
-                tol = 1e-9 * max(1.0, nA + nB)
-                report.record(
-                    nAB <= nA + nB + tol,
-                    "hermitian triangle {} d={} trial={}: {} > {}+{}", name, d, t, nAB, nA, nB,
-                )
-                ca = abs(draws[i][2])
-                report.record(
-                    abs(nCA - ca * nA) <= 1e-12 * max(1.0, ca * nA),
-                    "hermitian homogeneity {} d={} trial={}", name, d, t,
-                )
-                report.record(nA > 0.0, "hermitian positivity {} d={} trial={}", name, d, t)
-
-                nZ, nW, nZW, nCZ = gn[i], gn[k + i], gn[2 * k + i], gn[3 * k + i]
-                tol = 1e-9 * max(1.0, nZ + nW)
-                report.record(
-                    nZW <= nZ + nW + tol,
-                    "general triangle {} d={} trial={}: {} > {}+{}", name, d, t, nZW, nZ, nW,
-                )
-                ca = abs(draws[i][5])
-                report.record(
-                    abs(nCZ - ca * nZ) <= 1e-12 * max(1.0, ca * nZ),
-                    "general homogeneity {} d={} trial={}", name, d, t,
-                )
-                report.record(nZ > 0.0, "general positivity {} d={} trial={}", name, d, t)
+        T = run[-1][2].stop
+        g = rng.normal(size=(T, 8, 4, 4))
+        c = rng.uniform(-2.0, 2.0, size=T)
+        c[c == 0.0] = 1.0
+        z = rng.normal(size=(T, 2))
+        cc = z[:, 0] + 1j * z[:, 1]
+        cc[cc == 0.0] = 1.0
+        A, B = _hermitian(g[:, 0], g[:, 1]), _hermitian(g[:, 2], g[:, 3])
+        Z, W = g[:, 4] + 1j * g[:, 5], g[:, 6] + 1j * g[:, 7]
+        herm = np.stack([A, B, A + B, A * c[:, None, None]])
+        gen = np.stack([Z, W, Z + W, Z * cc[:, None, None]])
+        nA, nB, nAB, nCA = _run_norms(hermitian_norm_pow_stack, run, herm)
+        nZ, nW, nZW, nCZ = _run_norms(general_norm_pow_stack, run, gen)
+        ca, cz = np.abs(c), np.abs(cc)
+        ok = np.stack(
+            [
+                nAB <= nA + nB + 1e-9 * np.maximum(1.0, nA + nB),
+                np.abs(nCA - ca * nA) <= 1e-12 * np.maximum(1.0, ca * nA),
+                nA > 0.0,
+                nZW <= nZ + nW + 1e-9 * np.maximum(1.0, nZ + nW),
+                np.abs(nCZ - cz * nZ) <= 1e-12 * np.maximum(1.0, cz * nZ),
+                nZ > 0.0,
+            ],
+            axis=1,
+        )
+        report.record_rows(ok, (
+            lambda i: f"hermitian triangle {_trial(run, i)}: {nAB[i]} > {nA[i]}+{nB[i]}",
+            lambda i: f"hermitian homogeneity {_trial(run, i)}",
+            lambda i: f"hermitian positivity {_trial(run, i)}",
+            lambda i: f"general triangle {_trial(run, i)}: {nZW[i]} > {nZ[i]}+{nW[i]}",
+            lambda i: f"general homogeneity {_trial(run, i)}",
+            lambda i: f"general positivity {_trial(run, i)}",
+        ))
     return report
 
 
 def schur_suite(trials: int = 500, seed: int = 2025) -> SuiteReport:
-    """Majorization monotonicity: x from y in R^5 by averaging transfers,
-    then norm(diag(x)) <= norm(diag(y)) within 1e-12 of scale, for every
-    catalog family at d = 2 and 4.  The diagonals of a run of trials
-    (:func:`_runs`) are evaluated as one stack per degree."""
+    """Majorization monotonicity: x from y in R^5 by averaging transfers
+    (:func:`robin_hood_pairs`), then norm(diag(x)) <= norm(diag(y)) within
+    1e-12 of scale, for every catalog family at d = 2 and 4.  Each run of
+    trials (:func:`_runs`) draws its pairs in one generator call, checks
+    them in one :func:`majorized_rows` call (a pair that fails is recorded
+    as a generator fault in place of its Schur check), and evaluates its
+    diagonals as one stack per degree."""
     report = SuiteReport("schur", trials)
     rng = stream(seed)
     cells = [(name, spec, d) for name, spec in default_family_specs() for d in (2, 4)]
     for run in _runs(cells, trials):
-        drawn, parts = [], []
-        for (_, spec, d), block in run:
-            pairs = [robin_hood_pair(rng, 5) for _ in block]
-            diag = np.zeros((2, len(pairs), 5, 5), dtype=complex)
-            diag[:, :, range(5), range(5)] = np.array(pairs).swapaxes(0, 1)
-            drawn.append(pairs)
-            parts.append((spec, d, diag.reshape(-1, 5, 5)))
-        pows = _stack_pows(hermitian_norm_pow_stack, parts)
-        for ((name, _, d), block), pairs, cell_pows in zip(run, drawn, pows):
-            k = len(pairs)
-            norms = _norm_values(cell_pows, d)
-            for i, (t, (x, y)) in enumerate(zip(block, pairs)):
-                if not is_majorized(x, y):
-                    report.record(False, "generator produced a non-majorized pair {} {}", x, y)
-                    continue
-                nx, ny = norms[i], norms[k + i]
-                report.record(
-                    nx <= ny + 1e-12 * max(1.0, ny),
-                    "schur {} d={} trial={}: {} > {}", name, d, t, nx, ny,
-                )
+        X, Y = robin_hood_pairs(rng, run[-1][2].stop, 5)
+        majorized = majorized_rows(X, Y)
+        diag = np.zeros((2, len(X), 5, 5), dtype=complex)
+        diag[:, :, range(5), range(5)] = (X, Y)
+        nx, ny = _run_norms(hermitian_norm_pow_stack, run, diag)
+        ok = majorized & (nx <= ny + 1e-12 * np.maximum(1.0, ny))
+
+        def message(i):
+            if not majorized[i]:
+                return f"generator produced a non-majorized pair {X[i].tolist()} {Y[i].tolist()}"
+            return f"schur {_trial(run, i)}: {nx[i]} > {ny[i]}"
+
+        report.record_rows(ok[:, None], (message,))
     return report
 
 
@@ -270,30 +291,31 @@ def paths_suite(trials: int = 50, seed: int = 2026) -> SuiteReport:
     """Partition, series, and trace-word routes agree to 1e-10 relative on
     random Hermitian matrices of size 2 to 5, for every family with a moment
     generating function at d = 2, 4 and 6; the trace-word oracle restricts
-    to the Hermitian route.  Each route evaluates the matrices of a run of
-    trials (:func:`_runs`) in one call per degree, as one stack per size."""
+    to the Hermitian route.  Each run of T trials (:func:`_runs`) draws its
+    sizes n in one integers call and its matrices in one normal call
+    (T, 2, 5, 5); a trial takes the leading n x n block of its Hermitian
+    5x5.  Each route evaluates the run's matrices in one call per degree,
+    as one stack per size."""
     report = SuiteReport("paths", trials)
     rng = stream(seed)
     cells = [(name, spec, d) for name, spec in mgf_family_specs() for d in (2, 4, 6)]
     for run in _runs(cells, trials):
-        drawn = []
-        for (name, spec, d), block in run:
-            for t in block:
-                n = int(rng.integers(2, 6))
-                drawn.append((name, spec, d, t, _hermitian_array(rng, n)))
-        parts = [(spec, d, A[None]) for _, spec, d, _, A in drawn]
+        T = run[-1][2].stop
+        sizes = rng.integers(2, 6, size=T).tolist()
+        g = rng.normal(size=(T, 2, 5, 5))
+        H = _hermitian(g[:, 0], g[:, 1])
+        parts = [
+            (spec, d, H[t, : sizes[t], : sizes[t]][None])
+            for (_, spec, d), _, rows in run
+            for t in range(rows.start, rows.stop)
+        ]
         routes = (hermitian_norm_pow_stack, series_norm_pow_stack, word_sum_norm_pow_stack)
-        pows = [_stack_pows(route, parts) for route in routes]
-        for (name, spec, d, t, _), (v1,), (v2,), (v3,) in zip(drawn, *pows):
-            ref = max(1.0, abs(v1))
-            report.record(
-                abs(v1 - v2) <= 1e-10 * ref,
-                "paths partition-vs-series {} d={} trial={}: {} vs {}", name, d, t, v1, v2,
-            )
-            report.record(
-                abs(v1 - v3) <= 1e-10 * ref,
-                "paths partition-vs-words {} d={} trial={}: {} vs {}", name, d, t, v1, v3,
-            )
+        a, b, c = (np.concatenate(_stack_pows(route, parts)) for route in routes)
+        ref = 1e-10 * np.maximum(1.0, np.abs(a))
+        report.record_rows(np.stack([np.abs(a - b) <= ref, np.abs(a - c) <= ref], axis=1), (
+            lambda i: f"paths partition-vs-series {_trial(run, i)}: {a[i]} vs {b[i]}",
+            lambda i: f"paths partition-vs-words {_trial(run, i)}: {a[i]} vs {c[i]}",
+        ))
     return report
 
 
@@ -340,15 +362,18 @@ def _khintchine_rows(Z: np.ndarray, p: int) -> list:
 def khintchine_suite(trials: int = 200, seed: int = 2028) -> SuiteReport:
     """Frobenius sandwich for Rademacher entries on random 4x4 Hermitian and
     general matrices at p = 2, 4 and 6; the p=2 lower bound is tight.  Each
-    block of trials is checked as one stack per kind."""
+    block of T trials draws its matrices in one normal call (T, 4, 4, 4):
+    per trial the real and imaginary parts of the Hermitian matrix's G,
+    then those of the general matrix, the order in which one trial at a
+    time would draw them.  The block is checked as one stack per kind."""
     report = SuiteReport("khintchine", trials)
     rng = stream(seed)
     for p in (2, 4, 6):
         for block in _blocks(trials):
-            draws = [(_hermitian_array(rng, 4), _general_array(rng, 4)) for _ in block]
+            g = rng.normal(size=(len(block), 4, 4, 4))
             kinds = (
-                ("hermitian", _khintchine_rows(np.array([H for H, _ in draws]), p)),
-                ("general", _khintchine_rows(np.array([G for _, G in draws]), p)),
+                ("hermitian", _khintchine_rows(_hermitian(g[:, 0], g[:, 1]), p)),
+                ("general", _khintchine_rows(g[:, 2] + 1j * g[:, 3], p)),
             )
             for i, t in enumerate(block):
                 for kind, rows in kinds:

@@ -28,7 +28,6 @@ from rvnorms.matrixcore import Matrix, is_hermitian
 from rvnorms.normengine import TracePolynomial, _bell, _require_even_degree
 from rvnorms.partitions import Partition, enumerate_partitions
 from rvnorms.scalars import exact_div, is_exact, real_part_checked
-from rvnorms.suites import _general_array, _hermitian_array
 from rvnorms.sympoly import chs
 from rvnorms.words import word_plan, word_traces
 
@@ -68,14 +67,20 @@ def zeros(n: int) -> Matrix:
     return Matrix([[0] * n for _ in range(n)])
 
 
+def _complex_normal(rng: np.random.Generator, n: int) -> np.ndarray:
+    return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+
 def random_hermitian(rng: np.random.Generator, n: int) -> Matrix:
-    """A Hermitian matrix drawn as the verify suites draw theirs."""
-    return Matrix(_hermitian_array(rng, n))
+    """(G + G*) / 2 for G drawn as :func:`random_general` draws it."""
+    g = _complex_normal(rng, n)
+    return Matrix((g + g.conj().T) * 0.5)
 
 
 def random_general(rng: np.random.Generator, n: int) -> Matrix:
-    """A general complex matrix drawn as the verify suites draw theirs."""
-    return Matrix(_general_array(rng, n))
+    """X + iY with X, then Y, an n x n array of standard normals from
+    ``rng``."""
+    return Matrix(_complex_normal(rng, n))
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> Matrix:

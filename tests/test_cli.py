@@ -83,6 +83,26 @@ def test_norm_general_matrix_auto_uses_words(tmp_path, capsys):
     assert out["discrepancy"] <= 1e-9
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-13, 2.0**-60, 1e13])
+@pytest.mark.parametrize(
+    "method, used", [("auto", "auto(words,circle)"), ("partition", "partition(words)")]
+)
+def test_norm_non_hermitian_float_matrix_is_general_at_every_scale(
+    tmp_path, capsys, scale, method, used
+):
+    # The Hermitian test is relative to the matrix's scale, so s * [[0, 1],
+    # [0, 0]] is general at every s, with norm^2 = s^2 / 2 under
+    # exponential at d=2.
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 2, "re": [[0.0, scale], [0.0, 0.0]]}))
+    assert cli.main(["norm", str(path), "exponential", "-d", "2", "--method", method, "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["hermitian"] is False and out["method"] == used
+    assert out["norm_pow"] == pytest.approx(scale**2 / 2, rel=1e-12)
+    assert cli.main(["norm", str(path), "exponential", "-d", "2", "--method", method]) == 0
+    assert "(n=2, general)\n" in capsys.readouterr().out
+
+
 def test_norm_auto_evaluates_word_sum_once(tmp_path, monkeypatch, capsys):
     from rvnorms import normengine
 

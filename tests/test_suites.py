@@ -1,24 +1,141 @@
+import numpy as np
 import pytest
 
-from rvnorms.matrixcore import is_majorized
+from rvnorms import suites
+from rvnorms.matrixcore import is_majorized, majorized_rows
 from rvnorms.suites import (
     SUITES,
     axioms_suite,
     khintchine_suite,
     hunter_suite,
     paths_suite,
-    robin_hood_pair,
+    robin_hood_pairs,
     run_suite,
     schur_suite,
     stream,
 )
 
+from oracles import random_general, random_hermitian
+
 
 def test_robin_hood_pairs_majorize():
-    rng = stream(101)
-    for _ in range(100):
-        x, y = robin_hood_pair(rng, 5)
+    X, Y = robin_hood_pairs(stream(101), 100, 5)
+    assert X.shape == Y.shape == (100, 5)
+    assert not np.array_equal(X, Y)  # the transfers moved entries
+    assert np.allclose(X.sum(axis=1), Y.sum(axis=1), rtol=0, atol=1e-15)
+    for x, y in zip(X.tolist(), Y.tolist()):
         assert is_majorized(x, y)
+    assert majorized_rows(X, Y).all()
+
+
+def test_majorized_rows_agree_with_is_majorized():
+    # Generated pairs, both ways round: y majorizes x, and x majorizes y
+    # only where the transfers left the row as it was.
+    X, Y = robin_hood_pairs(stream(102), 500, 5)
+    for A, B in ((X, Y), (Y, X)):
+        want = [is_majorized(a, b) for a, b in zip(A.tolist(), B.tolist())]
+        assert majorized_rows(A, B).tolist() == want
+    assert not majorized_rows(Y, X).all()
+
+
+def test_majorized_rows_reject_a_crafted_pair():
+    x = np.array([[0.5, 0.5, 0.0], [0.9, 0.1, 0.0], [1.0, 0.0, 0.0]])
+    y = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.5, 0.4, 0.0]])
+    # majorized; x spreads less than y fails; totals differ by 0.1.
+    assert majorized_rows(x, y).tolist() == [True, False, False]
+    assert majorized_rows(x[:1], x[:1] + 1e-13).tolist() == [True]  # within the tolerance
+
+
+def test_schur_suite_reports_a_non_majorized_pair(monkeypatch):
+    real = suites.robin_hood_pairs
+
+    def swapped_first_row(rng, trials, n):
+        X, Y = real(rng, trials, n)
+        X[0], Y[0] = Y[0].copy(), X[0].copy()
+        return X, Y
+
+    want = schur_suite(trials=3, seed=2)
+    monkeypatch.setattr(suites, "robin_hood_pairs", swapped_first_row)
+    report = schur_suite(trials=3, seed=2)
+    assert want.passed and report.checks == want.checks == 3 * 10 * 2
+    assert report.failures
+    assert all(m.startswith("generator produced a non-majorized pair [") for m in report.failures)
+
+
+def test_axioms_failures_name_their_cell_and_trial_in_order(monkeypatch):
+    # Zero general norms break only general positivity, once per trial.
+    monkeypatch.setattr(suites, "general_norm_pow_stack", lambda Z, laws, d: np.zeros(len(Z)))
+    report = axioms_suite(trials=2, seed=1)
+    assert report.checks == 2 * 10 * 2 * 6
+    assert report.failures == [
+        f"general positivity {name} d={d} trial={t}"
+        for name, _ in suites.default_family_specs()
+        for d in (2, 4)
+        for t in range(2)
+    ]
+
+
+def _spy(monkeypatch, name):
+    """Record the stack (or list of stacks) each call to suites.``name`` gets."""
+    calls = []
+    real = getattr(suites, name)
+
+    def spy(Z, *args):
+        calls.append(Z)
+        return real(Z, *args)
+
+    monkeypatch.setattr(suites, name, spy)
+    return calls
+
+
+def test_khintchine_draws_equal_the_per_trial_sequence(monkeypatch):
+    stacks = _spy(monkeypatch, "_khintchine_rows")
+    assert khintchine_suite(trials=7, seed=5).passed
+    rng = stream(5)
+    for p in range(3):
+        H, G = stacks[2 * p], stacks[2 * p + 1]
+        assert len(H) == len(G) == 7
+        for t in range(7):
+            assert np.array_equal(H[t], random_hermitian(rng, 4).to_numpy())
+            assert np.array_equal(G[t], random_general(rng, 4).to_numpy())
+
+
+def test_paths_matrices_are_exactly_hermitian_of_every_size(monkeypatch):
+    calls = _spy(monkeypatch, "series_norm_pow_stack")
+    assert paths_suite(trials=4, seed=3).passed
+    matrices = [M for Z in calls for S in (Z if isinstance(Z, list) else [Z]) for M in S]
+    assert len(matrices) == 4 * 9 * 3
+    assert all(np.array_equal(M, M.conj().T) for M in matrices)
+    assert {len(M) for M in matrices} == {2, 3, 4, 5}
+
+
+class _ZeroScalars:
+    """A generator whose uniform draws and (T, 2) normal draws are all 0."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def normal(self, size):
+        return np.zeros(size) if size[1:] == (2,) else self.rng.normal(size=size)
+
+    def uniform(self, low, high, size):
+        return np.zeros(size)
+
+
+@pytest.mark.parametrize("zero", [False, True])
+def test_axioms_scalars_are_nonzero(monkeypatch, zero):
+    if zero:
+        monkeypatch.setattr(suites, "stream", lambda seed: _ZeroScalars(stream(seed)))
+    herm = _spy(monkeypatch, "hermitian_norm_pow_stack")
+    gen = _spy(monkeypatch, "general_norm_pow_stack")
+    report = axioms_suite(trials=3, seed=1)
+    assert report.passed and report.checks == 3 * 10 * 2 * 6
+    for Z in herm + gen:
+        A, _, _, cA = Z.reshape(-1, 4, 3, 4, 4).swapaxes(0, 1).reshape(4, -1, 4, 4)
+        scale = np.abs(cA).sum(axis=(1, 2)) / np.abs(A).sum(axis=(1, 2))
+        assert (scale > 0).all()
+        if zero:
+            assert np.array_equal(cA, A)
 
 
 def test_axioms_suite_smoke():
