@@ -96,11 +96,13 @@ NORM_MAX_DEGREE = {"partition": 100, "series": 300, "words": 14, "auto": 14}
 # Largest --trials `verify` runs, per suite; above it `verify` exits 3
 # before any suite starts.  Measured in process on a 2-vCPU host at each
 # cap (the slower of two seeds), with each run of trials drawn and checked
-# as arrays: axioms 1.15 ms a trial, schur 0.24, paths 1.05, hunter
-# 0.36, khintchine 0.058.  The caps were set at about 5 s of each suite at
-# the costs measured before (axioms 2.1 ms, schur 1.3, paths 17.8, hunter
-# 0.62, khintchine 0.21), half a 10 s budget for slower hosts, and each is
-# at least the suite's default trial count; they stay until they are
+# as arrays: axioms 1.15 ms a trial, schur 0.24, paths 1.05, khintchine
+# 0.058; hunter, checked in ints on its scaled points, 0.23-0.27 (three
+# runs per seed; 0.38-0.48 alongside, with a Fraction point per trial).
+# The caps were set at about 5 s of each suite at the costs
+# measured before (axioms 2.1 ms, schur 1.3, paths 17.8, hunter 0.62,
+# khintchine 0.21), half a 10 s budget for slower hosts, and each is at
+# least the suite's default trial count; they stay until they are
 # re-measured on slower hosts.
 VERIFY_MAX_TRIALS = {"axioms": 2400, "schur": 4000, "paths": 250, "hunter": 8000, "khintchine": 20000}
 
@@ -336,7 +338,7 @@ def _cmd_hunter(args) -> int:
                 f"h{i}" + (f"^{m}" if m > 1 else "")
                 for i, m in sorted(p.multiplicities.items())
             )
-            pieces.append(f"{c} {factors}")
+            pieces.append(f"{c} {factors}" if factors else str(c))
         print(f"H_{{{d},{alpha}}} = {' + '.join(pieces) or '0'}")
         if point is not None:
             print(f"value at {args.at}: {_fmt_value(value)}")

@@ -21,7 +21,9 @@ Two independent routes serve as oracles:
 
 * truncated-series extraction (Hermitian inputs, distributions with a
   moment generating function): exponentiate sum_j kappa_j tr(A^j) t^j / j!
-  with :meth:`TruncatedSeries.exp` and read off the coefficient of t^d;
+  with :meth:`TruncatedSeries.exp` (on a float stack, its recurrence
+  batched over the rows, :func:`_exp_stack`) and read off the coefficient
+  of t^d;
   it is the CLI's ``series`` method and the check behind ``auto``;
 * the adjoint-placement trace-word sum, sum over partitions of kappa_pi *
   T_pi(Z) / y_pi with T_pi averaging the C(d, d/2) ways of distributing
@@ -503,19 +505,51 @@ def series_norm_pow_stack(
     :func:`_trace_power_stack`.  The coefficient of t^j is kappa_j / j!
     times tr A^j: on the exact stack one Fraction; on a float stack
     kappa_j / j! is rounded once (:attr:`CumulantVector.normalized`) and
-    taken before any product, so that no float carries a factor j!.  Each
-    row's series is exponentiated by :meth:`TruncatedSeries.exp`.
+    taken before any product, so that no float carries a factor j!.  The
+    exact row's series is exponentiated by :meth:`TruncatedSeries.exp`, a
+    float stack's by :func:`_exp_stack`, with the same float values.
     """
     _require_mgf(spec)
     stacks, scale, laws, rows = _prepared(A, spec, d, hermitian=True)
     if not stacks:
         return np.empty(0)
     c, m, den = _factors(laws, rows)
-    a = (_trace_powers(stacks, m) * c).tolist()
-    if den is not None:  # exact: kappa_j / j! = c_j / (den[j] j!)
-        a = [[Fraction(x, den[j] * factorial(j)) for j, x in enumerate(row, 1)] for row in a]
-    totals = [TruncatedSeries([0, *row] + [0] * (d - len(row))).exp().coefficient(d) for row in a]
-    return _rescaled(totals, scale, d)
+    a = _trace_powers(stacks, m) * c
+    if den is None:
+        return _rescaled(_exp_stack(a, d), scale, d)
+    # exact: kappa_j / j! = c_j / (den[j] j!)
+    row = [Fraction(x, den[j] * factorial(j)) for j, x in enumerate(a[0].tolist(), 1)]
+    total = TruncatedSeries([0, *row] + [0] * (d - len(row))).exp().coefficient(d)
+    return _rescaled([total], scale, d)
+
+
+def _exp_stack(f: np.ndarray, d: int) -> np.ndarray:
+    """[t^d] exp(sum_j f[:, j-1] t^j) for each row of a float stack (N, m),
+    m <= d, by the recurrence of :meth:`TruncatedSeries.exp`:
+
+        g_k = (sum_{j=1}^{min(k, m)} (j f_j) g_{k-j}) / k,   g_0 = 1,
+
+    one batched product per k.  Each sum runs over j in ascending order,
+    one term after another from 0, and a term whose f_j is 0 adds +0.0
+    (``exp`` skips it), so every row's value is the float that ``exp``
+    gives its own series, whatever stack it is evaluated in.
+    """
+    N, m = f.shape
+    jf = f * np.arange(1, m + 1)
+    zero = f == 0
+    skip = zero.any()
+    R = np.zeros((N, d + 1))  # R[:, d - k] = g_k
+    R[:, d] = 1.0
+    # as in Python floats, an overflow gives inf and inf * 0 nan, silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, d + 1):
+            K = min(k, m)
+            S = jf[:, :K] * R[:, d - k + 1 : d - k + 1 + K]  # j f_j g_{k-j}
+            if skip:
+                S[zero[:, :K]] = 0.0
+            # + 0.0: a sum of zeros is +0.0, as a sum started from 0 gives it
+            R[:, d - k] = (S.cumsum(axis=1)[:, -1] + 0.0) / k if K else 0.0
+    return R[:, 0]
 
 
 def word_sum_norm_pow(Z: Matrix, spec: DistributionSpec, d: int):

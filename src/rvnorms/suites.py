@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .normengine import (
     word_sum_norm_pow_stack,
 )
 from .oracle import check_seed, khintchine_bounds, khintchine_check
-from .sympoly import hunter_poly, hunter_poly_recursive, hunter_terms
+from .sympoly import chs_prefix, hunter_expansion, hunter_recurrence, hunter_terms
 
 # Trials whose matrices the suites draw and evaluate together, so that
 # peak memory is set by this constant and not by --trials.  The axioms,
@@ -78,11 +79,12 @@ def _hermitian(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return (g + g.conj().swapaxes(-2, -1)) * 0.5
 
 
-def random_rational_vector(rnd: random.Random, n: int) -> list[Fraction]:
-    """n rationals p/q with |p| <= 9 and 1 <= q <= 9, not all zero."""
+def random_rational_vector(rnd: random.Random, n: int) -> list[tuple[int, int]]:
+    """n rationals p/q as int pairs (p, q), |p| <= 9 and 1 <= q <= 9, drawn
+    p then q for each coordinate, and drawn again while every p is 0."""
     while True:
-        out = [Fraction(rnd.randint(-9, 9), rnd.randint(1, 9)) for _ in range(n)]
-        if any(v != 0 for v in out):
+        out = [(rnd.randint(-9, 9), rnd.randint(1, 9)) for _ in range(n)]
+        if any(p for p, _ in out):
             return out
 
 
@@ -322,24 +324,38 @@ def paths_suite(trials: int = 50, seed: int = 2026) -> SuiteReport:
 def hunter_suite(trials: int = 1000, seed: int = 2027) -> SuiteReport:
     """H_{d,alpha} positivity on random nonzero rational points, plus exact
     agreement between the direct expansion and the recursion, for d = 2, 4,
-    6 and alpha = 1..4."""
+    6 and alpha = 1..4.  Each trial draws its point x as int pairs
+    (:func:`random_rational_vector`), scales it once to the ints L x (L the
+    lcm of its denominators), builds its CHS prefix h once and runs both
+    kernels of :mod:`rvnorms.sympoly` on h.  Since H(L x) = L**d H(x) with
+    L**d > 0, the checks compare the ints; a failing check's message shows
+    the values at x, and x itself, as Fractions."""
     report = SuiteReport("hunter", trials)
     rnd = random.Random(seed)
     for d in (2, 4, 6):
         for alpha in (1, 2, 3, 4):
             terms = hunter_terms(d, alpha)
-            for t in range(trials):
+            evaluated = []  # (x, L, direct, rec) per trial
+            for _ in range(trials):
                 x = random_rational_vector(rnd, rnd.randint(2, 4))
-                direct = hunter_poly(d, alpha, x, terms)
-                rec = hunter_poly_recursive(d, alpha, x)
-                report.record(
-                    direct == rec,
-                    "hunter recursion d={} alpha={} trial={}: {} != {}", d, alpha, t, direct, rec,
-                )
-                report.record(
-                    direct > 0,
-                    "hunter positivity d={} alpha={} trial={}: {} at {}", d, alpha, t, direct, x,
-                )
+                L = lcm(*(q for _, q in x))
+                h = chs_prefix(d, [p * (L // q) for p, q in x])
+                evaluated.append((x, L, hunter_expansion(h, terms), hunter_recurrence(h, alpha)))
+            ok = np.array([(direct == rec, direct > 0) for *_, direct, rec in evaluated], dtype=bool)
+
+            def at_x(t):
+                """Trial t's point and its direct and recursive values, as Fractions."""
+                x, L, direct, rec = evaluated[t]
+                return [Fraction(p, q) for p, q in x], Fraction(direct, L**d), Fraction(rec, L**d)
+
+            report.record_rows(ok.reshape(trials, 2), (
+                lambda t: "hunter recursion d={} alpha={} trial={}: {} != {}".format(
+                    d, alpha, t, *at_x(t)[1:]
+                ),
+                lambda t: "hunter positivity d={} alpha={} trial={}: {} at {}".format(
+                    d, alpha, t, at_x(t)[1], at_x(t)[0]
+                ),
+            ))
     return report
 
 

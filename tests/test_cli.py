@@ -356,6 +356,45 @@ def test_hunter_evaluation(capsys):
     assert out["value_recursive"] == [5, 1]
 
 
+def test_hunter_degree_zero_prints_no_trailing_space(capsys):
+    assert cli.main(["hunter", "-d", "0", "--alpha", "2"]) == 0
+    assert capsys.readouterr().out == "H_{0,2} = 1\n"
+    assert cli.main(["hunter", "-d", "0", "--alpha", "2", "--at", "1/2,3"]) == 0
+    assert capsys.readouterr().out == "H_{0,2} = 1\nvalue at 1/2,3: 1\nrecursive form:  1\n"
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["-d", "1", "--alpha", "2"], "H_{1,2} = 2 h1\n"),
+        (
+            ["-d", "2", "--alpha", "2", "--at", "1/2,-3"],
+            "H_{2,2} = 2 h2 + 1 h1^2\nvalue at 1/2,-3: 87/4\nrecursive form:  87/4\n",
+        ),
+        (
+            ["-d", "2", "--alpha", "2", "--at", "1/2,-3", "--json"],
+            '{"degree": 2, "alpha": 2, "terms": [{"coeff": 2, "parts": [2]}, '
+            '{"coeff": 1, "parts": [1, 1]}], "at": [[1, 2], [-3, 1]], '
+            '"value": [87, 4], "value_recursive": [87, 4]}\n',
+        ),
+        (
+            ["-d", "2", "--alpha", "3", "--at", "0.5,2"],
+            "H_{2,3} = 3 h2 + 3 h1^2\nvalue at 0.5,2: 34.5\nrecursive form:  34.5\n",
+        ),
+        (
+            ["-d", "2", "--alpha", "3", "--at", "0.5,2", "--json"],
+            '{"degree": 2, "alpha": 3, "terms": [{"coeff": 3, "parts": [2]}, '
+            '{"coeff": 3, "parts": [1, 1]}], "at": [0.5, [2, 1]], '
+            '"value": 34.5, "value_recursive": 34.5}\n',
+        ),
+    ],
+)
+def test_hunter_positive_degree_bytes(capsys, argv, out):
+    # the bytes printed before the degree-0 text lost its trailing space
+    assert cli.main(["hunter"] + argv) == 0
+    assert capsys.readouterr().out == out
+
+
 @pytest.mark.parametrize(
     "argv",
     [

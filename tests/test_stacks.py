@@ -6,6 +6,7 @@ degree) cells."""
 
 import inspect
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +29,7 @@ from rvnorms.normengine import (
     word_sum_norm_pow_stack,
 )
 from rvnorms.scalars import real_part_checked
+from rvnorms.series import TruncatedSeries
 from rvnorms.suites import default_family_specs, mgf_family_specs, stream
 from rvnorms.words import word_table
 
@@ -453,6 +455,36 @@ def test_word_sum_over_the_support_equals_the_sum_up_to_the_top_cumulant(monkeyp
         normengine._term_coefficients.cache_clear()
     for (Z, spec, d), a, b in zip(cases, want, got):
         assert a.dtype == b.dtype and np.array_equal(a, b), d
+
+
+@pytest.mark.parametrize("d", range(2, 42, 2))
+def test_series_stack_equals_the_per_row_exp(d):
+    # The float stack's batched recurrence against TruncatedSeries.exp row
+    # by row, on the same coefficients, under mixed laws: normal's
+    # cumulants above 2 are 0, so its rows skip terms the others add.
+    rng = stream(8100 + d)
+    specs = [spec for _, spec in mgf_family_specs()]
+    H = random_stack(rng, "hermitian", 24, 4) * rng.uniform(0.1, 4.0, size=(24, 1, 1))
+    laws = [specs[i] for i in rng.integers(0, len(specs), size=24)]
+    stacks, scale, cvs, rows = normengine._prepared(H, laws, d, hermitian=True)
+    c, m, _ = normengine._factors(cvs, rows)
+    a = (normengine._trace_powers(stacks, m) * c).tolist()
+    per_row = [TruncatedSeries([0, *r] + [0] * (d - len(r))).exp().coefficient(d) for r in a]
+    want = normengine._rescaled(per_row, scale, d)
+    got = series_norm_pow_stack(H, laws, d)
+    assert got.tolist() == want.tolist()
+    assert got.tobytes() == want.tobytes()  # the signs of zeros too
+
+
+def test_series_stack_overflow_is_the_per_row_inf():
+    # The second row's series overflows to inf; its law's kappa_1 is 0, and
+    # the term exp skips there must not turn 0 * inf into nan, or warn.
+    H = np.array([np.diag([1.0, -2.0]), np.diag([3.0, 1.0])], dtype=complex)
+    laws = [DistributionSpec.exponential(), DistributionSpec.normal(0, 10**30)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match="normalized value inf times"):
+            series_norm_pow_stack(H, laws, 40)
 
 
 def test_series_stack_refusals():

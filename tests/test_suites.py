@@ -1,3 +1,7 @@
+import math
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -14,6 +18,7 @@ from rvnorms.suites import (
     schur_suite,
     stream,
 )
+from rvnorms.sympoly import chs_prefix, hunter_poly, hunter_poly_recursive
 
 from oracles import random_general, random_hermitian
 
@@ -174,6 +179,80 @@ def test_hunter_suite_builds_each_expansion_once(monkeypatch, trials):
     report = hunter_suite(trials=trials, seed=4)
     assert report.passed and report.checks == trials * 3 * 4 * 2
     assert len(calls) == 12 and len(set(calls)) == 12
+
+
+def hunter_points(trials, seed):
+    """(d, alpha, trial, x, L) for every trial of ``hunter_suite(trials,
+    seed)``, in order, with x replayed from random.Random(seed) as the
+    suite drew it one Fraction p/q at a time: n = randint(2, 4), then p and
+    q per coordinate, drawn again while x is 0.  L is the lcm of the q
+    drawn, reduced or not, by which the suite scales x."""
+    rnd = random.Random(seed)
+    for d in (2, 4, 6):
+        for alpha in (1, 2, 3, 4):
+            for t in range(trials):
+                n = rnd.randint(2, 4)
+                while True:
+                    pq = [(rnd.randint(-9, 9), rnd.randint(1, 9)) for _ in range(n)]
+                    x = [Fraction(p, q) for p, q in pq]
+                    if any(x):
+                        break
+                yield d, alpha, t, x, math.lcm(*(q for _, q in pq))
+
+
+@pytest.mark.parametrize("seed", [0, 4, 2027])
+def test_hunter_suite_checks_the_replayed_points(monkeypatch, seed):
+    # Each trial's ints are L x for the replayed x, and the two kernels'
+    # ints are the public functions' values at x times L**d.
+    seen = []
+    for name in ("hunter_expansion", "hunter_recurrence"):
+        real = getattr(suites, name)
+
+        def spy(h, arg, real=real, name=name):
+            value = real(h, arg)
+            seen.append((name, list(h), value))
+            return value
+
+        monkeypatch.setattr(suites, name, spy)
+    trials = 9
+    report = hunter_suite(trials=trials, seed=seed)
+    assert report.passed and report.checks == trials * 3 * 4 * 2
+    points = list(hunter_points(trials, seed))
+    assert len(seen) == 2 * len(points)
+    for (d, alpha, _, x, L), direct, rec in zip(points, seen[0::2], seen[1::2]):
+        assert direct[0] == "hunter_expansion" and rec[0] == "hunter_recurrence"
+        assert direct[1] == rec[1] == chs_prefix(d, [v * L for v in x])
+        assert hunter_poly(d, alpha, x) == Fraction(direct[2], L**d)
+        assert hunter_poly_recursive(d, alpha, x) == Fraction(rec[2], L**d)
+
+
+def test_hunter_recursion_failures_show_fractions_in_trial_order(monkeypatch):
+    real = suites.hunter_recurrence
+    monkeypatch.setattr(suites, "hunter_recurrence", lambda h, alpha: real(h, alpha) + 1)
+    trials = 3
+    report = hunter_suite(trials=trials, seed=4)
+    want = []
+    for d, alpha, t, x, L in hunter_points(trials, 4):
+        direct = hunter_poly(d, alpha, x)
+        rec = hunter_poly_recursive(d, alpha, x) + Fraction(1, L**d)
+        want.append(f"hunter recursion d={d} alpha={alpha} trial={t}: {direct} != {rec}")
+    assert report.checks == trials * 3 * 4 * 2
+    assert report.failures == want
+    assert any("/" in message for message in want)
+
+
+def test_hunter_positivity_failure_shows_the_point_as_fractions(monkeypatch):
+    for name in ("hunter_expansion", "hunter_recurrence"):
+        real = getattr(suites, name)
+        monkeypatch.setattr(suites, name, lambda h, arg, real=real: -real(h, arg))
+    report = hunter_suite(trials=2, seed=4)
+    want = [
+        f"hunter positivity d={d} alpha={alpha} trial={t}: {-hunter_poly(d, alpha, x)} at {x}"
+        for d, alpha, t, x, _ in hunter_points(2, 4)
+    ]
+    assert report.checks == 2 * 3 * 4 * 2
+    assert report.failures == want
+    assert "Fraction(" in want[0]
 
 
 def test_khintchine_suite_smoke():
