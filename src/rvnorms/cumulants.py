@@ -17,9 +17,10 @@ import inspect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, factorial, isfinite, prod
+from math import comb, factorial, isfinite, lcm, prod
 
 from .errors import MomentExistenceError, ParseError, PreconditionError
+from .scalars import is_exact
 
 FAMILIES = (
     "gamma",
@@ -295,8 +296,14 @@ class CumulantVector:
 
 
 def moments_to_cumulants(mu) -> CumulantVector:
-    """Invert the binomial recursion: moments mu_1..mu_d to kappa_1..kappa_d."""
+    """Invert the binomial recursion: moments mu_1..mu_d to kappa_1..kappa_d.
+
+    Exact moments with a Fraction among them run the recursion in ints
+    (:func:`_scaled_cumulants`); all-int and float moments run it as given.
+    """
     mu = list(mu)
+    if all(is_exact(m) for m in mu) and any(isinstance(m, Fraction) for m in mu):
+        return CumulantVector(_scaled_cumulants(mu))
     kappas: list = []
     for r in range(1, len(mu) + 1):
         acc = mu[r - 1]
@@ -304,6 +311,30 @@ def moments_to_cumulants(mu) -> CumulantVector:
             acc = acc - comb(r - 1, ell) * mu[ell - 1] * kappas[r - ell - 1]
         kappas.append(acc)
     return CumulantVector(tuple(kappas))
+
+
+def _scaled_cumulants(mu: list) -> tuple:
+    """The cumulants of exact moments ``mu`` with a Fraction among them, by
+    the recursion of :func:`moments_to_cumulants` in ints: with L the lcm
+    of the moments' denominators, K_r = kappa_r L^r follows the same
+    recursion from the ints M_r = mu_r L^r, and kappa_r = K_r / L^r is
+    formed once.  It is an int below the first Fraction moment and a
+    Fraction from there on, as the Fraction recursion gives it."""
+    L = lcm(*(m.denominator for m in mu))
+    first = next(r for r, m in enumerate(mu, 1) if isinstance(m, Fraction))
+    M: list[int] = []
+    K: list[int] = []
+    kappas: list = []
+    power = 1  # L^r
+    for r, m in enumerate(mu, 1):
+        power *= L
+        M.append(m.numerator * (power // m.denominator))
+        acc = M[-1]
+        for ell in range(1, r):
+            acc -= comb(r - 1, ell) * M[ell - 1] * K[r - ell - 1]
+        K.append(acc)
+        kappas.append(acc // power if r < first else Fraction(acc, power))
+    return tuple(kappas)
 
 
 def cumulants_to_moments(k: CumulantVector) -> list:

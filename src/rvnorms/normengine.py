@@ -31,7 +31,10 @@ Two independent routes serve as oracles:
   terms of the trace polynomial that :func:`formula_terms` makes (which
   :func:`symbolic_formula` collects and :func:`write_formula`, for the
   ``formula`` command, writes as it goes), multiplying out every distinct
-  trace word once.  It uses no cumulant recurrence and no point matrices,
+  trace word once.  Both weigh a partition by kappa_pi / (y_pi C(d, d/2))
+  from one helper, :func:`_kappa_quotients`, which reads the cumulants'
+  numerators and denominators once per call.  It uses no cumulant
+  recurrence and no point matrices,
   and is compared against by the CLI's ``words`` method, the circle-average
   check and the ``paths`` suite.
 
@@ -563,16 +566,30 @@ def word_sum_norm_pow(Z: Matrix, spec: DistributionSpec, d: int):
     return word_sum_norm_pow_stack(Z, spec, d).item()
 
 
-def _kappa_quotient(kappas, parts, scale: int):
-    """(num, den) with num / den = kappa_pi / scale for the partition
-    ``parts``: where the cumulants of pi are exact, ints, the numerators'
-    product over the denominators' product times ``scale``, not reduced;
-    otherwise the float arithmetic of kappa_pi / scale over 1."""
-    factors = [kappas[i - 1] for i in parts]
-    if all(is_exact(k) for k in factors):
-        num = prod(k.numerator for k in factors)
-        return num, prod((k.denominator for k in factors), start=scale)
-    return prod(factors, start=1) / scale, 1
+def _kappa_quotients(kappas, partitions, scale: int) -> list:
+    """(num, den) for each (parts, y_pi) of ``partitions``, with num / den =
+    kappa_pi / (y_pi * scale): where the cumulants of pi are exact, ints,
+    the product of their numerators over the product of their denominators
+    times y_pi * scale, not reduced; otherwise the float arithmetic of
+    kappa_pi / (y_pi * scale) over 1.  Each cumulant's numerator and
+    denominator are read once per call, not once per partition."""
+    nums, dens, inexact = [None], [None], set()
+    for k, kappa in enumerate(kappas, 1):
+        if is_exact(kappa):
+            nums.append(kappa.numerator)
+            dens.append(kappa.denominator)
+        else:
+            nums.append(None)
+            dens.append(None)
+            inexact.add(k)
+    out = []
+    for parts, y in partitions:
+        if inexact.isdisjoint(parts):
+            num = prod(map(nums.__getitem__, parts))
+            out.append((num, prod(map(dens.__getitem__, parts), start=y * scale)))
+        else:
+            out.append((prod([kappas[k - 1] for k in parts], start=1) / (y * scale), 1))
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -580,14 +597,13 @@ def _term_coefficients(kappas: tuple, types: tuple, d: int, support: frozenset) 
     """Each term's coefficient mult * kappa_pi / (y_pi * C(d, d/2)) in
     :func:`word_table` (d, support), as the float that
     :func:`symbolic_formula`'s coefficient rounds to: where the cumulants of
-    pi are exact, an int quotient of :func:`_kappa_quotient`, rounded once;
+    pi are exact, an int quotient of :func:`_kappa_quotients`, rounded once;
     otherwise :func:`symbolic_formula`'s float arithmetic.  0 where
     kappa_pi = 0.  The cumulants' ``types`` are part of the cache key, since
     an exact and a float cumulant of equal value give differently rounded
     coefficients."""
     table = word_table(d, support)
-    denom = comb(d, d // 2)
-    bases = [_kappa_quotient(kappas, parts, y * denom) for parts, y in table.partitions]
+    bases = _kappa_quotients(kappas, table.partitions, comb(d, d // 2))
     terms = zip(table.mults, map(bases.__getitem__, table.part_of))
     out = np.array([mult * num / den for mult, (num, den) in terms])
     out.flags.writeable = False
@@ -608,7 +624,7 @@ def word_sum_norm_pow_stack(
     call.
 
     On the exact stack of one, each partition's terms are summed in ints
-    and the sum is weighed by :func:`_kappa_quotient`, with one Fraction at
+    and the sum is weighed by :func:`_kappa_quotients`, with one Fraction at
     the end.  On a float stack, each term is its coefficient under its
     row's law (:func:`_term_coefficients`) times its factor traces in turn,
     each product in the arithmetic of Python's ``complex`` (no fused
@@ -633,8 +649,7 @@ def word_sum_norm_pow_stack(
         sums = [0] * len(table.partitions)
         for pi, value in zip(table.part_of, values.tolist()):
             sums[pi] += value
-        denom = comb(d, d // 2)
-        quotients = [_kappa_quotient(kappas[0], parts, y * denom) for parts, y in table.partitions]
+        quotients = _kappa_quotients(kappas[0], table.partitions, comb(d, d // 2))
         D = lcm(*(den for num, den in quotients if num))
         total = sum(num * s * (D // den) for (num, den), s in zip(quotients, sums) if num)
         return _rescaled([Fraction(total, D)], scale, d)
@@ -717,9 +732,10 @@ def formula_terms(kappas, d: int, hermitian_mode: bool = False):
     multiplicity * kappa_pi / (y_pi * C(d, d/2)); in Hermitian mode its one
     term, the product of tr(A^part) (words of 'z'), has kappa_pi / y_pi.
     The quotients kappa_pi / (y_pi C(d, d/2)) of all partitions are formed
-    first (:func:`_kappa_quotient`), and a partition whose quotient is 0
-    is skipped.  ``exact`` tells whether every other quotient is an exact
-    rational, before any table is built.
+    first, in one call of :func:`_kappa_quotients` that reads each
+    cumulant's numerator and denominator once, and a partition whose
+    quotient is 0 is skipped.  ``exact`` tells whether every other
+    quotient is an exact rational, before any table is built.
 
     ``partitions`` yields, in the order of :func:`enumerate_partitions`,
     ``(table, coeffs)`` for each partition kept: ``table`` its
@@ -734,11 +750,12 @@ def formula_terms(kappas, d: int, hermitian_mode: bool = False):
     if len(ks) < d:
         raise PreconditionError(f"need cumulants up to degree {d}, got {len(ks)}")
     denom = 1 if hermitian_mode else comb(d, d // 2)
-    quotients = []
-    for p in enumerate_partitions(d):
-        num, den = _kappa_quotient(ks, p.parts, y_of(p) * denom)
-        if num != 0:
-            quotients.append((p.parts, num, den))
+    partitions = [(p.parts, y_of(p)) for p in enumerate_partitions(d)]
+    quotients = [
+        (parts, num, den)
+        for (parts, _), (num, den) in zip(partitions, _kappa_quotients(ks, partitions, denom))
+        if num != 0
+    ]
     exact = all(isinstance(num, int) for _, num, _ in quotients)
     return exact, _partition_terms(quotients, hermitian_mode)
 

@@ -17,17 +17,21 @@ with a multiplicity.  The table is built one factor multiset at a time,
 each exactly once.  The necklaces of every length up to d come from one
 pass of the FKM algorithm (Ruskey, Savage & Wang, "Generating necklaces",
 J. Algorithms 13, 1992) with their adjoint counts and class sizes
-(periods).  For each distinct part length k with m_k parts a multiset of
-m_k necklaces of that length is chosen, pruned on the adjoints still
-needed so that the total ends at exactly d/2.  A multiset holding m_c
-copies of each necklace c is reached by
+(periods).  The parts are grouped once, in one pass that counts each
+distinct part length k (equal parts need not be adjacent), and for each
+such k with m_k parts a multiset of m_k necklaces of that length is
+chosen, pruned on the adjoints still needed so that the total ends at
+exactly d/2.  A multiset holding m_c copies of each necklace c is reached
+by
 
     prod_k m_k! * prod_c size(c)^m_c / prod_c m_c!
 
 markings: the m_k segments of length k take the chosen necklaces in
 m_k! / prod m_c! orders, and each segment shows any of the size(c)
-rotations of its necklace.  The table depends only on the partition, so it
-is cached and every numeric or symbolic evaluation reuses it.
+rotations of its necklace.  Each term's factor words are sorted, and the
+table is one list of terms sorted in place by factor tuple.  The table
+depends only on the partition, so it is cached and every numeric or
+symbolic evaluation reuses it.
 
 The trace-word sum gathers the partitions' tables into one law-free table
 of terms (:func:`word_table`) with the plan of its words (:func:`word_plan`),
@@ -37,9 +41,7 @@ a stack of complex or exact-int matrices, each distinct prefix once.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
-from itertools import accumulate
 from math import comb
 from typing import NamedTuple
 
@@ -55,13 +57,16 @@ def _necklaces_upto(n: int) -> tuple[tuple[tuple[str, int, int], ...], ...]:
     of length k in lexicographic order, from one FKM pass: the
     Lyndon words of length at most n come out in lexicographic order, and
     each of period p gives the necklace of every length k = p, 2p, ... <= n
-    (the Lyndon word repeated k / p times)."""
+    (the Lyndon word repeated k / p times, grown one copy at a time)."""
     out: list[list] = [[] for _ in range(n)]
     lyndon = "s"
     while lyndon:
         period, adjoints = len(lyndon), lyndon.count("s")
-        for copies, k in enumerate(range(period, n + 1, period), 1):
-            out[k - 1].append((lyndon * copies, adjoints * copies, period))
+        word, adj = lyndon, adjoints
+        for k in range(period, n + 1, period):
+            out[k - 1].append((word, adj, period))
+            word += lyndon
+            adj += adjoints
         # the next Lyndon word: extend periodically to length n, drop the
         # trailing 'z's and turn the last 's' into 'z'
         lyndon = (lyndon * (n // period + 1))[:n].rstrip("z")
@@ -120,36 +125,44 @@ def placement_terms(parts: tuple[int, ...]) -> tuple[tuple[tuple[str, ...], int]
 
     Returns ``((factor_words, multiplicity), ...)`` sorted by factor tuple,
     where ``factor_words`` is the sorted tuple of canonical segment words
-    and the multiplicities sum to C(d, d/2).
+    and the multiplicities sum to C(d, d/2).  The parts may come in any
+    order: they are grouped into (length, count) pairs by counting, not by
+    runs of equal neighbours, and every partition takes the same path, the
+    groups chosen shortest first into one list of terms sorted in place.
     """
     d = sum(parts)
     if d % 2:
         raise PreconditionError(f"adjoint placements need even total degree, got {d}")
     if not parts:
         return (((), 1),)
-    groups = sorted(Counter(parts).items())
-    # room[i]: the most adjoints the groups from i on can take
-    room = list(accumulate((k * m for k, m in reversed(groups)), initial=0))[::-1]
+    # the distinct part lengths k with their multiplicities m, shortest first
+    counts: dict[int, int] = {}
+    for k in parts:
+        counts[k] = counts.get(k, 0) + 1
+    *groups, last = sorted(counts.items())
     # (words, markings, adjoints still needed) over the choices for the
     # groups before the last, each group taking no more adjoints than leaves
-    # the groups after it able to take the rest
+    # the groups after it (``room`` letters in all) able to take the rest;
     # every group's necklaces come from one FKM pass to length d
     partial = [((), 1, d // 2)]
-    for i, (k, m) in enumerate(groups[:-1]):
+    room = d
+    for k, m in groups:
         table = _multisets(k, m, d)
+        room -= k * m
         partial = [
             (words + group_words, markings * count, need - a)
             for words, markings, need in partial
-            for a in range(max(0, need - room[i + 1]), min(k * m, need) + 1)
+            for a in range(max(0, need - room), min(k * m, need) + 1)
             for group_words, count in table[a]
         ]
     # the last group takes exactly the adjoints still needed
-    table = _multisets(*groups[-1], d)
-    terms = sorted(
+    table = _multisets(*last, d)
+    terms = [
         (tuple(sorted(words + group_words)), markings * count)
         for words, markings, need in partial
         for group_words, count in table[need]
-    )
+    ]
+    terms.sort()
     assert sum(count for _, count in terms) == comb(d, d // 2)
     return tuple(terms)
 

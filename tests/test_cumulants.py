@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -54,6 +54,69 @@ def test_bernoulli_numbers():
 def test_moments_to_cumulants_low_order():
     k = moments_to_cumulants([Fraction(3), Fraction(10)])
     assert k.kappas == (Fraction(3), Fraction(1))  # mu2 - mu1^2
+
+
+def _fraction_recursion(mu):
+    """The binomial recursion of moments_to_cumulants in the moments' own
+    arithmetic, one Fraction operation at a time."""
+    kappas = []
+    for r in range(1, len(mu) + 1):
+        acc = mu[r - 1]
+        for ell in range(1, r):
+            acc = acc - comb(r - 1, ell) * mu[ell - 1] * kappas[r - ell - 1]
+        kappas.append(acc)
+    return tuple(kappas)
+
+
+RATIONAL_MOMENT_LAWS = (
+    "bernoulli:q=2/7",
+    "finite_discrete:atoms=-2|1|3,probs=1/6|1/3|1/2",
+    "finite_discrete:atoms=0|1/2|5/3,probs=1/5|2/5|2/5",
+    "pareto:alpha=61/2",
+    "uniform:a=-1,b=3/2",
+    "uniform:a=1/3,b=2",
+)
+
+
+@pytest.mark.parametrize("law", RATIONAL_MOMENT_LAWS)
+def test_moments_to_cumulants_in_ints_equal_the_fraction_recursion(law):
+    spec = parse_distribution(law)
+    for d in range(1, 31):
+        mu = distribution_moments(spec, d)
+        got = moments_to_cumulants(mu).kappas
+        want = _fraction_recursion(mu)
+        assert got == want, (law, d)
+        assert list(map(type, got)) == list(map(type, want)), (law, d)
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [
+        [0, Fraction(1, 2), 0, Fraction(3, 4), 0, Fraction(15, 8)],  # int moments before the first Fraction
+        [2, 5, Fraction(7, 3), 1],
+        [Fraction(4, 2), Fraction(9, 3)],  # Fractions with denominator 1
+        [Fraction(-1, 3), 0, Fraction(2, 9)],
+    ],
+)
+def test_moments_to_cumulants_mixed_exact_types(mu):
+    got = moments_to_cumulants(mu).kappas
+    want = _fraction_recursion(mu)
+    assert got == want
+    assert list(map(type, got)) == list(map(type, want))
+
+
+def test_moments_to_cumulants_int_and_float_moments_keep_their_types():
+    ints = [0, 1, 0, 3, 0, 15]
+    assert moments_to_cumulants(ints).kappas == (0, 1, 0, 0, 0, 0)
+    assert all(type(k) is int for k in moments_to_cumulants(ints).kappas)
+    floats = [0.5, 1.25, 2.0, 4.5]
+    got = moments_to_cumulants(floats).kappas
+    assert got == _fraction_recursion(floats)
+    assert all(type(k) is float for k in got)
+    mixed = [Fraction(1, 2), 0.25, 1]  # a float among exact moments: float arithmetic
+    got = moments_to_cumulants(mixed).kappas
+    assert got == _fraction_recursion(mixed)
+    assert list(map(type, got)) == [Fraction, float, float]
 
 
 def test_moments_to_cumulants_exponential():

@@ -2,10 +2,12 @@
 of the stdout of the enumeration-based placement tables (commit 612983c),
 for six families whose cumulants are all nonzero, at d = 2..10, and of the
 per-part fold that followed them (commit f82f82d) for two families at
-d = 12 and 14."""
+d = 12 and 14.  The d = 10 digests are also checked with every cache of
+the program emptied before the call, as a fresh process runs it."""
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -55,3 +57,31 @@ def test_formula_general_bytes_unchanged_d12_d14(dist, d, fmt, capsys):
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS_D12_D14[f"{dist} -d {d} {fmt}"]
+
+
+def _program_caches():
+    """Every functools cache held by a loaded rvnorms module, as a fresh
+    process starts without them."""
+    seen = {}
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "rvnorms" or module is None:
+            continue
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                seen[id(value)] = value
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("dist", DISTS)
+def test_formula_general_bytes_unchanged_cold(dist, fmt, capsys):
+    # the other fixture tests share warm caches across the test process;
+    # this one empties every cache first, as a fresh `formula` process runs
+    caches = _program_caches()
+    assert any(cache.__name__ == "placement_terms" for cache in caches)
+    for cache in caches:
+        cache.cache_clear()
+    argv = ["formula", dist, "-d", "10"] + (["--json"] if fmt == "json" else [])
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[f"{dist} -d 10 {fmt}"]

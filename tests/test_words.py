@@ -116,8 +116,11 @@ def test_placements_equal_enumeration_d14(parts):
 
 
 def test_placements_unsorted_parts_equal_enumeration():
-    for parts in ((1, 3, 2), (2, 1, 1, 4), (1, 5)):
-        assert placement_terms(parts) == _enumerated_placements(parts)
+    # the last three repeat a part that is not adjacent to its copies: a
+    # grouping that counted runs of equal parts would split (1, 4, 1) into
+    # the groups 1, 4, 1 and miss the multiset orders of its two 1s
+    for parts in ((1, 3, 2), (2, 1, 1, 4), (1, 5), (1, 4, 1), (2, 1, 2, 1), (1, 3, 1, 1)):
+        assert placement_terms(parts) == _enumerated_placements(parts), parts
 
 
 @pytest.mark.parametrize("d", [2, 4, 6, 8, 14])
