@@ -53,13 +53,23 @@ the word sum's sums after its traces, tell exact from float input:
   (one law for every matrix or one per matrix, :func:`_law_rows`), each
   matrix times the power of two 2^-e that puts its largest entry in
   [1/2, 1), which is exact;
+* :func:`_trace_power_stack` forms every power up to the top cumulant of
+  a float stack, but only A^1..A^n of an int stack, whose longer traces
+  it continues by Newton's identities and Cayley--Hamilton in Python ints
+  (:func:`_int_power_sums`);
 * :func:`_factors` gives the cumulant factors, and the recurrence runs on
-  them: in Python ints with one Fraction at the end (:func:`_bell`), or
-  normalized, on B_n / n!, over the float stack (:func:`_bell_stack`);
+  them: in Python ints on a cached plan (:func:`_bell`), or normalized, on
+  B_n / n!, over the float stack (:func:`_bell_stack`);
 * :func:`_rescaled` undoes the scale by absolute homogeneity,
-  |||cZ||| = |c| |||Z|||: the exact power times L^-d, each float power
-  times 2^(d e) in one ``ldexp``.  A float power that leaves the normal
-  range there is refused rather than returned as 0.0, a subnormal or inf.
+  |||cZ||| = |c| |||Z|||: the exact power is the one Fraction of the
+  form's int numerator over its denominator times L^d, each float power
+  the form times 2^(d e) in one ``ldexp``.  A float power that leaves the
+  normal range there is refused rather than returned as 0.0, a subnormal
+  or inf.
+
+An exact evaluation thus runs in Python ints from the scaled matrix to one
+Fraction; its law- and degree-level setup (the Bell plan, the palindromic
+weights) is cached, and nothing is cached per matrix.
 
 On a float stack each matrix gets the value it gets alone under its own
 law, bit for bit; an empty stack (N = 0) gives an empty float array.  The
@@ -123,8 +133,9 @@ def _prepared(Z, spec, d: int, hermitian: bool):
     :class:`CumulantVector` of each distinct law, looked up once.
 
     An exact Matrix whose cumulants are exact too gives the int stack of
-    one L Z, (1, n, n) with ``dtype=object``, L the lcm of its entry
-    denominators, scale Fraction(1, L) and rows None (no law axis).
+    one L Z, (1, n, n) with ``dtype=object``, each entry
+    v.numerator * (L // v.denominator) with L the lcm of its entry
+    denominators, scale L and rows None (no law axis).
     Anything else, a Matrix as a stack of one, gives each Z[i] * 2**-e[i]
     (:func:`scale_exponents`), scale e and, per row, the index of its law
     (:func:`_law_rows`).  Two or more nonempty stacks are copied into one
@@ -141,8 +152,8 @@ def _prepared(Z, spec, d: int, hermitian: bool):
             law = distribution_cumulants(spec, d)
             if all(map(is_exact, law.kappas)):
                 L = lcm(*(v.denominator for v in Z.array.flat))
-                # Fraction(k, 1) // 1 is the int k
-                return [(Z.array * L // 1)[None]], Fraction(1, L), [law], None
+                ints = [[v.numerator * (L // v.denominator) for v in row] for row in Z.array.tolist()]
+                return [np.array([ints], dtype=object)], L, [law], None
         Z = Z.array[None]
     sequence = isinstance(Z, (list, tuple)) and all(np.ndim(S) == 3 for S in Z)
     members = []
@@ -175,16 +186,19 @@ def _rescaled(total, scale, d: int) -> np.ndarray:
     """The norm powers of a prepared stack (:func:`_prepared`) from
     ``total``, the degree-d form at each scaled matrix, by homogeneity.
 
-    On the exact stack of one, total[0] * scale**d, in an object array of
-    one.  On a float stack, ldexp(total[i], d*e[i]) for each row, exact
+    On the exact stack of one, ``total`` is the pair (num, den) with
+    num / den the form at L Z, and the norm power is the one Fraction
+    num / (den L^d), in an object array of one.  On a float stack,
+    ldexp(total[i], d*e[i]) for each row, exact
     unless the result is subnormal, after a complex total is checked real
     by :func:`~rvnorms.scalars.real_parts_checked`.  A float result
     outside the normal range is refused, the first in row order: 0.0 for a
     nonzero matrix would break strict positivity, a subnormal keeps too few
     digits for its d-th root, and inf is no value.
     """
-    if isinstance(scale, Fraction):
-        return np.array([total[0] * scale**d], dtype=object)
+    if isinstance(scale, int):
+        num, den = total
+        return np.array([Fraction(num, den * scale**d)], dtype=object)
     if np.iscomplexobj(total):
         total = real_parts_checked(total)
     total = np.asarray(total, dtype=float)
@@ -201,28 +215,56 @@ def _rescaled(total, scale, d: int) -> np.ndarray:
     return out
 
 
-def _bell(rows, d: int, den):
+def _bell(rows, d: int, den, ks):
     """B_d(a_1, ..., a_d) for each row of exact input, as (numerators b,
     common denominator D): row i's value is b[i] / D.
 
-    ``rows[i][k-1]`` is the numerator of row i's a_k over den[k] for
-    k = 1..m, and a_k = 0 above m.  The recurrence B_n = sum_{k=1}^{n}
-    C(n-1, k-1) a_k B_{n-k}, B_0 = 1, keeps B_n as numerators over
-    D_n = lcm_k(den[k] D_{n-k}), so that integer input stays in integers
-    and no gcd is taken.  D_n and the weights C(n-1, k-1) D_n /
-    (den[k] D_{n-k}) are formed once for all rows, and only the k at which
-    some row's a_k is nonzero are summed.
+    ``rows[i][k-1]`` is the numerator of row i's a_k over den[k], and only
+    the k of ``ks``, the indices at which the law's a_k can be nonzero
+    (ascending, each at most d and len(rows[i])), are summed; every other
+    a_k must be 0.  The recurrence B_n = sum_k C(n-1, k-1) a_k B_{n-k},
+    B_0 = 1, runs in Python ints on the plan of :func:`_bell_plan`, one
+    tuple of (weight, k-1, n-k) triples per n, with no gcd taken.  The
+    plan depends on d, the law's denominators and ``ks`` alone, never on
+    the rows, so it is formed once per law and degree and read on every
+    later call: its cache holds 16 plans, each under 0.7 MB at d = 100
+    for the CLI's laws (the largest, pareto:alpha=1001/2; 0.14 MB for
+    rademacher), so at most about 11 MB in all.
     """
-    ks = [k for k in range(1, min(d, len(rows[0])) + 1) if any(a[k - 1] for a in rows)]
+    plan, D = _bell_plan(d, tuple(den[k] for k in ks), tuple(ks))
+    out = []
+    for a in rows:
+        b = [1]
+        for terms in plan:
+            b.append(sum([w * a[i] * b[j] for w, i, j in terms]))
+        out.append(b[d])
+    return out, D
+
+
+@lru_cache(maxsize=16)
+def _bell_plan(d: int, dens: tuple, ks: tuple):
+    """(plan, D_d): the law- and degree-level setup of :func:`_bell`.
+
+    B_n is kept as a numerator over D_n = lcm_k(den_k D_{n-k}), k in ``ks``
+    up to n, den_k the denominator ``dens`` gives k, so that integer input
+    stays in integers.  ``plan[n-1]`` holds, for each such k, the triple
+    (C(n-1, k-1) D_n / (den_k D_{n-k}), k-1, n-k): the weight of a_k B_{n-k}
+    and the indices of a_k and B_{n-k}.
+
+    Cached per (d, dens, ks), which the law and the degree fix and the
+    matrix does not: a plan holds sum_n |{k in ks : k <= n}| triples, about
+    d^2/2 when every cumulant is nonzero (see :func:`_bell` for the cache's
+    bound and memory).
+    """
+    den = dict(zip(ks, dens))
     D = [1] * (d + 1)
-    B = [[1] for _ in rows]
+    plan = []
     for n in range(1, d + 1):
         terms = [k for k in ks if k <= n]
         D[n] = lcm(*(den[k] * D[n - k] for k in terms))
-        w = [comb(n - 1, k - 1) * (D[n] // (den[k] * D[n - k])) for k in terms]
-        for a, b in zip(rows, B):
-            b.append(sum([wk * a[k - 1] * b[n - k] for wk, k in zip(w, terms)]))
-    return [b[d] for b in B], D[d]
+        weights = (comb(n - 1, k - 1) * (D[n] // (den[k] * D[n - k])) for k in terms)
+        plan.append(tuple((w, k - 1, n - k) for w, k in zip(weights, terms)))
+    return tuple(plan), D[d]
 
 
 def _bell_stack(a: np.ndarray, d: int) -> np.ndarray:
@@ -241,13 +283,23 @@ def _bell_stack(a: np.ndarray, d: int) -> np.ndarray:
     N, m = a.shape
     R = np.zeros((N, d + 1), dtype=a.dtype)  # R[:, d - n] = b_n
     R[:, d] = 1.0
-    weight = np.arange(1, m + 1)[None, :] / np.arange(1, d + 1)[:, None]  # k/n
+    weight = _bell_weights(m, d)
     for n in range(1, d + 1):
         K = min(n, m)
         S = a[:, :K] * R[:, d - n + 1 : d - n + 1 + K]  # a_k b_{n-k}, k = 1..K
         R[:, d - n] = (weight[n - 1, :K] * S).cumsum(axis=1)[:, -1]
     # + 0.0: a sum of zeros is +0.0, as a sum started from 0 gives it
     return R[:, 0] + 0.0
+
+
+@lru_cache(maxsize=32)
+def _bell_weights(m: int, d: int) -> np.ndarray:
+    """The (d, m) table k/n of :func:`_bell_stack`, row n-1 and column
+    k-1, read-only.  Cached per (m, d): 8 m d bytes, at most 80 kB an entry
+    at d = 100."""
+    weight = np.arange(1, m + 1)[None, :] / np.arange(1, d + 1)[:, None]
+    weight.flags.writeable = False
+    return weight
 
 
 @lru_cache(maxsize=64)
@@ -411,43 +463,62 @@ def _point_norm_pow_stack(Z, spec, d: int, hermitian: bool) -> np.ndarray:
         herm = np.concatenate([(S == np.conjugate(S).swapaxes(1, 2)).all((1, 2)) for S in stacks])
     c, m, den = _factors(laws, rows)
     q = d // 2 + 1
-    # the Hermitian rows' points first, then q points for each other row
-    points = [S[herm[r]] for S, r in _stack_rows(stacks) if herm[r].any()]
-    points += [_points(S[~herm[r]], q) for S, r in _stack_rows(stacks) if not herm[r].all()]
-    owner = np.concatenate([np.flatnonzero(herm), np.repeat(np.flatnonzero(~herm), q)])
-    a = _trace_powers(points, m[owner]) * c[owner]
-    if den is not None:  # the exact row
-        b, D = _bell(a.tolist(), d, den)
-        if herm[0]:
-            return _rescaled([Fraction(b[0], D * factorial(d))], scale, d)
-        w, W = _palindromic_weights(d // 2)
-        total = Fraction(sum(map(mul, w, b)), W * D * factorial(d) * comb(d, d // 2))
-        return _rescaled([total], scale, d)
-    values = _bell_stack(a, d)
     k = int(herm.sum())
+    # the Hermitian rows' points first, then q points for each other row
+    if k == len(herm):
+        points, owner = stacks, np.arange(k)
+    elif not k:
+        points, owner = [_points(S, q) for S in stacks], np.repeat(np.arange(len(herm)), q)
+    else:
+        points = [S[herm[r]] for S, r in _stack_rows(stacks) if herm[r].any()]
+        points += [_points(S[~herm[r]], q) for S, r in _stack_rows(stacks) if not herm[r].all()]
+        owner = np.concatenate([np.flatnonzero(herm), np.repeat(np.flatnonzero(~herm), q)])
+    a = _trace_powers(points, m[owner]) * c[owner]
+    if den is not None:  # the exact row, in Python ints to one Fraction
+        ks = [k for k, x in enumerate(c[0].tolist(), 1) if x]
+        b, D = _bell(a.tolist(), d, den, ks)
+        if herm[0]:
+            return _rescaled((b[0], D * factorial(d)), scale, d)
+        w, W = _palindromic_weights(d // 2)
+        return _rescaled((sum(map(mul, w, b)), W * D * factorial(d) * comb(d, d // 2)), scale, d)
+    values = _bell_stack(a, d)
+    if k == len(herm):
+        return _rescaled(values, scale, d)
+    means = values[k:].reshape(-1, q).sum(axis=1) / (q * float(comb(d, d // 2)))
+    if not k:
+        return _rescaled(means, scale, d)
     total = np.empty(len(herm))
     total[herm] = values[:k]
-    total[~herm] = values[k:].reshape(-1, q).sum(axis=1) / (q * float(comb(d, d // 2)))
+    total[~herm] = means
     return _rescaled(total, scale, d)
 
 
 def _points(S: np.ndarray, q: int) -> np.ndarray:
     """(N q, n, n): the q point matrices of each matrix of a prepared stack
     S (N, n, n), a row's points in a run.  On a float stack the Hermitian
-    s_j Z + conj(s_j) Z* at s_j = exp(i pi j / q), j = 0..q-1, whose
-    Hermitian forms are the values at the q-th roots of unity s_j^2 of a
-    polynomial of degree d/2 in s^2 and s^-2, so that their mean is its
-    constant term; on the exact int stack L Z + u (L Z)^T, u = 1..q, at
-    which d! H is the palindromic polynomial P(u) of
-    :func:`_palindromic_weights`."""
+    s_j Z + conj(s_j) Z* at s_j = exp(i pi j / q), j = 0..q-1
+    (:func:`_circle_nodes`), whose Hermitian forms are the values at the
+    q-th roots of unity s_j^2 of a polynomial of degree d/2 in s^2 and
+    s^-2, so that their mean is its constant term; on the exact int stack
+    L Z + u (L Z)^T, u = 1..q, at which d! H is the palindromic polynomial
+    P(u) of :func:`_palindromic_weights`."""
     N, n, _ = S.shape
     if S.dtype == object:
         u = np.arange(1, q + 1, dtype=object)[:, None, None]
         return (S[:, None] + u * S.swapaxes(1, 2)[:, None]).reshape(N * q, n, n)
-    Y = S[:, None] * np.exp(1j * np.pi * np.arange(q) / q)[:, None, None]  # s_j Z
+    Y = S[:, None] * _circle_nodes(q)  # s_j Z
     # conj(s_j) Z* is (s_j Z)*, exactly: the float product of conjugates is
     # the conjugate of the product
     return (Y + np.conjugate(Y).swapaxes(2, 3)).reshape(N * q, n, n)
+
+
+@lru_cache(maxsize=64)
+def _circle_nodes(q: int) -> np.ndarray:
+    """(q, 1, 1): s_j = exp(i pi j / q), j = 0..q-1, read-only.  Cached
+    per q: 16 q bytes an entry."""
+    s = np.exp(1j * np.pi * np.arange(q) / q)[:, None, None]
+    s.flags.writeable = False
+    return s
 
 
 def _trace_powers(stacks, m: np.ndarray) -> np.ndarray:
@@ -461,18 +532,69 @@ def _trace_powers(stacks, m: np.ndarray) -> np.ndarray:
 
 
 def _trace_power_stack(A: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """(N, max(m)): tr A^k for k = 1..m[i] and 0 above, one batched
-    product per power.  A complex stack, of Hermitian matrices, gives the
-    real parts, each checked by :func:`real_parts_checked`; a stack of
-    exact ints (``dtype=object``) gives ints."""
+    """(N, max(m)): tr A^k for k = 1..m[i] and 0 above.
+
+    A complex stack, of Hermitian matrices, gives the real parts, each
+    checked by :func:`real_parts_checked`, from one batched product per
+    power up to max(m).  A stack of exact ints (``dtype=object``) gives
+    Python ints from the powers A^1..A^n alone, n the matrix size, and
+    continues above n by the characteristic polynomial
+    (:func:`_int_power_sums`), so that its cost grows with max(m) by n int
+    products per power, not a matrix product.  The kernel caches nothing:
+    its inputs are the matrices.  Its callers' caches are per q
+    (:func:`_circle_nodes`, 64 entries of 16 q bytes) and per law and
+    degree (:func:`_bell_plan`, :func:`_bell_weights`,
+    :func:`_palindromic_weights`)."""
     top = int(m.max(initial=0))
-    P = np.empty((top,) + A.shape, dtype=A.dtype)  # P[k-1] = A^k
-    if top:
-        P[0] = A
-    for k in range(1, top):
-        np.matmul(P[k - 1], A, out=P[k])
-    tr = np.where(np.arange(1, top + 1) <= m[:, None], P.trace(axis1=2, axis2=3).T, 0)
+    if A.dtype == object:
+        tr = _int_power_sums(A, top)
+    else:
+        P = np.empty((top,) + A.shape, dtype=A.dtype)  # P[k-1] = A^k
+        if top:
+            P[0] = A
+        for k in range(1, top):
+            np.matmul(P[k - 1], A, out=P[k])
+        tr = P.trace(axis1=2, axis2=3).T
+    if (m < top).any():
+        tr = np.where(np.arange(1, top + 1) <= m[:, None], tr, 0)
     return tr if A.dtype == object else real_parts_checked(tr)
+
+
+def _int_power_sums(A: np.ndarray, top: int) -> np.ndarray:
+    """(N, top): the power sums p_k = tr A^k, k = 1..top, of each matrix of
+    an int stack (N, n, n) (``dtype=object``), in Python ints.
+
+    Only A^1..A^K, K = min(n, top), are formed: one batched product per
+    power below K, and p_k as the elementwise sum of A^(k-1) times A^T.
+    Above n the characteristic polynomial continues the sums.  With
+    f_i = (-1)^(i-1) e_i, e_i its coefficients (det(x - A) =
+    sum_i (-1)^i e_i x^(n-i)), Newton's identities read e_1..e_n off
+    p_1..p_n, k f_k = p_k - sum_{i<k} f_i p_{k-i}, each division by k exact
+    since e_k is an integer (a remainder raises ArithmeticError); and
+    Cayley--Hamilton gives p_k = sum_{i=1}^{n} f_i p_{k-i} for k > n, n int
+    products per power in place of a matrix product.
+    """
+    N, n, _ = A.shape
+    K = min(n, top)
+    if not K:
+        return np.empty((N, 0), dtype=object)
+    P, AT, sums = A, A.swapaxes(1, 2), [A.trace(axis1=1, axis2=2)]
+    for k in range(2, K + 1):
+        sums.append((P * AT).sum((1, 2)))  # tr(A^(k-1) A)
+        if k < K:
+            P = np.matmul(P, A)
+    rows = np.stack(sums, 1).tolist()
+    if top > n:
+        for p in rows:
+            f = []  # f_k, ..., f_1
+            for k in range(1, n + 1):
+                fk, r = divmod(p[k - 1] - sum(map(mul, f, p)), k)
+                if r:
+                    raise ArithmeticError(f"Newton's identities left remainder {r} at k={k}")
+                f.insert(0, fk)
+            for k in range(n + 1, top + 1):
+                p.append(sum(map(mul, f, p[k - 1 - n :])))
+    return np.array(rows, dtype=object)
 
 
 def _require_mgf(spec: DistributionSpec | Sequence[DistributionSpec]) -> None:
@@ -523,7 +645,7 @@ def series_norm_pow_stack(
     # exact: kappa_j / j! = c_j / (den[j] j!)
     row = [Fraction(x, den[j] * factorial(j)) for j, x in enumerate(a[0].tolist(), 1)]
     total = TruncatedSeries([0, *row] + [0] * (d - len(row))).exp().coefficient(d)
-    return _rescaled([total], scale, d)
+    return _rescaled((total, 1), scale, d)
 
 
 def _exp_stack(f: np.ndarray, d: int) -> np.ndarray:
@@ -652,7 +774,7 @@ def word_sum_norm_pow_stack(
         quotients = _kappa_quotients(kappas[0], table.partitions, comb(d, d // 2))
         D = lcm(*(den for num, den in quotients if num))
         total = sum(num * s * (D // den) for (num, den), s in zip(quotients, sums) if num)
-        return _rescaled([Fraction(total, D)], scale, d)
+        return _rescaled((total, D), scale, d)
     coeffs = [_term_coefficients(k, tuple(map(type, k)), d, support) for k in kappas]
     tre, tim = traces.real, traces.imag
     re = np.array(coeffs)[rows]

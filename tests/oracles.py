@@ -39,7 +39,7 @@ def bell_value(ell: int, x):
     x = list(x)
     if len(x) < ell:
         raise PreconditionError(f"B_{ell} needs {ell} arguments, got {len(x)}")
-    return _bell([x[:ell]], ell, [1] * (ell + 1))[0][0]
+    return _bell([x[:ell]], ell, [1] * (ell + 1), range(1, ell + 1))[0][0]
 
 
 def z_of(p: Partition) -> int:

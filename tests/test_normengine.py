@@ -130,11 +130,87 @@ def test_exact_bell_kernel_on_several_rows():
             for row in rows:  # a_k = 0 in every row
                 row[k] = 0
             den = [1] + [rng.choice([1, 1, 2, 3, 7, 10**12]) for _ in range(d)]
-            b, D = normengine._bell(rows, d, den)
-            assert len(b) == len(rows)
-            for row, value in zip(rows, b):
-                x = [Fraction(v, den[j]) for j, v in enumerate(row, 1)] + [0] * (d - m)
-                assert Fraction(value, D) == partition_walk_bell(d, x), (d, row, den)
+            # the summed k: all up to m, or all but the one that vanishes everywhere
+            for ks in (range(1, m + 1), [j for j in range(1, m + 1) if j != k + 1]):
+                b, D = normengine._bell(rows, d, den, ks)
+                assert len(b) == len(rows)
+                for row, value in zip(rows, b):
+                    x = [Fraction(v, den[j]) for j, v in enumerate(row, 1)] + [0] * (d - m)
+                    assert Fraction(value, D) == partition_walk_bell(d, x), (d, row, den)
+
+
+def int_stack_traces(A, m):
+    """tr A^k for k = 1..m of one int matrix, by repeated products."""
+    P, out = A, []
+    for _ in range(m):
+        out.append(int(np.trace(P)))
+        P = P.dot(A)
+    return out
+
+
+def special_int_matrices(n):
+    """Zero, nilpotent (strictly upper triangular), identity and 10^30-entry
+    n x n int matrices."""
+    rng = random.Random(n)
+    nil = [[rng.randint(-9, 9) if j > i else 0 for j in range(n)] for i in range(n)]
+    big = [[rng.choice([-1, 1]) * 10**30 + rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    return [[[0] * n for _ in range(n)], nil, [[int(i == j) for j in range(n)] for i in range(n)], big]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_int_power_sums_equal_the_matrix_product_traces(n):
+    # The int stack's trace kernel forms A^1..A^n and continues by
+    # Cayley-Hamilton: every tr A^k up to m = 3n + 2 against repeated
+    # products, with a different m per row (0 above it).
+    rng = random.Random(70 + n)
+    rows = special_int_matrices(n) + [
+        [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)] for _ in range(4)
+    ]
+    A = np.array(rows, dtype=object)
+    top = 3 * n + 2
+    m = np.array([top] + [rng.randint(0, top) for _ in rows[1:]])
+    got = normengine._trace_power_stack(A, m)
+    assert got.shape == (len(rows), top) and got.dtype == object
+    for row, mi, tr in zip(rows, m, got.tolist()):
+        want = int_stack_traces(np.array(row, dtype=object), int(mi))
+        assert tr == want + [0] * (top - mi), (row, mi)
+        assert all(type(v) is int for v in tr)
+
+
+def test_int_power_sums_refuse_a_newton_remainder():
+    # e_k of an int matrix is an int; a non-int entry shows as a remainder.
+    A = np.array([[[Fraction(1, 2), 0], [0, 1]]], dtype=object)
+    with pytest.raises(ArithmeticError, match="remainder"):
+        normengine._trace_power_stack(A, np.array([4]))
+
+
+@pytest.mark.parametrize(
+    "law", ["normal:mu=1/2,sigma=1", "rademacher", "uniform:a=-1,b=3/2", "exponential:beta=5/4"]
+)
+def test_cached_bell_plan_equals_the_fraction_bell(law):
+    # a_k = kappa_k t_k, kept as the numerators over den[k] that the exact
+    # route passes, against the partition walk of the Fractions, on rows
+    # where some t_k (and so a_k) vanishes in one row or in every row; the
+    # plan is keyed by the law's nonzero indices alone and built once.
+    rng = random.Random(63)
+    for d in (2, 4, 8, 14, 20):
+        kappas = distribution_cumulants(parse_distribution(law), d).kappas
+        den = [1] + [kappa.denominator for kappa in kappas]
+        ks = [k for k, kappa in enumerate(kappas, 1) if kappa != 0]
+        m = ks[-1]
+        t = [[rng.randint(-30, 30) for _ in range(m)] for _ in range(3)]
+        t[0][rng.randrange(m)] = 0
+        for row in t:
+            row[ks[len(ks) // 2] - 1] = 0
+        rows = [[kappa.numerator * v for kappa, v in zip(kappas, row)] for row in t]
+        normengine._bell_plan.cache_clear()
+        for _ in range(2):
+            b, D = normengine._bell(rows, d, den, ks)
+            for row, value in zip(t, b):
+                x = [kappa * v for kappa, v in zip(kappas, row)] + [0] * (d - m)
+                assert Fraction(value, D) == partition_walk_bell(d, x), (law, d, row)
+        info = normengine._bell_plan.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
 
 def test_palindromic_weights_give_the_middle_coefficient():
@@ -515,9 +591,9 @@ def test_rescale_refuses_subnormal_and_keeps_in_range_products():
     with pytest.raises(PreconditionError, match="scale"):
         rescaled(0.75, 257, 4)
     assert rescaled(0.0, 300, 4) == [0.0]
-    assert _rescaled(np.array([Fraction(3)], dtype=object), Fraction(1, 2), 4).tolist() == [
-        Fraction(3, 16)
-    ]
+    # exact: the pair (num, den) at L Z, scale L, gives num / (den L^d)
+    assert _rescaled((3, 1), 2, 4).tolist() == [Fraction(3, 16)]
+    assert _rescaled((9, 5), 3, 2).tolist() == [Fraction(1, 5)]
 
 
 def test_norm_root_exact_values_outside_float_range():

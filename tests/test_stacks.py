@@ -5,9 +5,11 @@ oracles on stacks, and the suites' block evaluation across (family,
 degree) cells."""
 
 import inspect
+import json
 import math
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -455,6 +457,50 @@ def test_word_sum_over_the_support_equals_the_sum_up_to_the_top_cumulant(monkeyp
         normengine._term_coefficients.cache_clear()
     for (Z, spec, d), a, b in zip(cases, want, got):
         assert a.dtype == b.dtype and np.array_equal(a, b), d
+
+
+FLOAT_BITS = json.loads((Path(__file__).parent / "fixtures" / "float_stack_hex.json").read_text())
+PINNED_LAWS = (
+    "exponential",
+    "gamma:alpha=7/4,beta=3/4",
+    "normal:mu=1/2,sigma=1",
+    "uniform:a=-1,b=3/2",
+    "poisson:alpha=9/4",
+    "bernoulli:q=2/7",
+)
+
+
+def pinned_float_cases():
+    """{name: (route, stack, laws, d)}: a seeded complex 8x8 stack of 6 rows
+    at d=8 and one of 40 complex 4x4 rows at d=2 and d=4, under a law per
+    row, on the constant-term route, and their Hermitian parts Z + Z* on
+    the Hermitian and series routes.  Row 1 of the 4x4 stack equals its
+    adjoint, so that that stack mixes one-point and q-point rows."""
+    rng = np.random.default_rng(2025)
+    cases = {}
+    for N, n, degrees in ((6, 8, (8,)), (40, 4, (2, 4))):
+        Z = rng.normal(size=(N, n, n)) + 1j * rng.normal(size=(N, n, n))
+        H = Z + np.conjugate(Z).swapaxes(1, 2)
+        if N == 40:
+            Z[1] = H[1]
+        laws = [parse_distribution(PINNED_LAWS[i % len(PINNED_LAWS)]) for i in range(N)]
+        for d in degrees:
+            for name, route, S in (
+                ("general", general_norm_pow_stack, Z),
+                ("hermitian", hermitian_norm_pow_stack, H),
+                ("series", series_norm_pow_stack, H),
+            ):
+                cases[f"{name} {N}x{n}x{n} d={d}"] = (route, S, laws, d)
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_BITS))
+def test_float_stack_values_keep_their_bits(name):
+    # float.hex of every value, recorded at the commit before the exact
+    # constant-term route moved to plain ints with its setup cached: the
+    # float arithmetic of the three point routes is unchanged, bit for bit
+    route, S, laws, d = pinned_float_cases()[name]
+    assert [v.hex() for v in route(S, laws, d).tolist()] == FLOAT_BITS[name]
 
 
 @pytest.mark.parametrize("d", range(2, 42, 2))
