@@ -96,9 +96,10 @@ NORM_MAX_DEGREE = {"partition": 100, "series": 300, "words": 14, "auto": 14}
 # Largest --trials `verify` runs, per suite; above it `verify` exits 3
 # before any suite starts.  Measured in process on a 2-vCPU host at each
 # cap (the slower of two seeds), with each run of trials drawn and checked
-# as arrays: axioms 1.15 ms a trial, schur 0.24, paths 1.05, khintchine
-# 0.058; hunter, checked in ints on its scaled points, 0.23-0.27 (three
-# runs per seed; 0.38-0.48 alongside, with a Fraction point per trial).
+# as arrays: axioms 1.15 ms a trial, schur 0.24, paths 0.55 (its trials
+# zero-padded to 5x5, one stack per degree), khintchine 0.058; hunter,
+# checked in ints on its scaled points, 0.23-0.27 (three runs per seed;
+# 0.38-0.48 alongside, with a Fraction point per trial).
 # The caps were set at about 5 s of each suite at the costs
 # measured before (axioms 2.1 ms, schur 1.3, paths 17.8, hunter 0.62,
 # khintchine 0.21), half a 10 s budget for slower hosts, and each is at

@@ -38,14 +38,16 @@ Two independent routes serve as oracles:
   and is compared against by the CLI's ``words`` method, the circle-average
   check and the ``paths`` suite.
 
-Each route has one body, a function of a stack of matrices (or of a
-sequence of stacks of different sizes) and its laws (``*_norm_pow_stack``);
-the single-matrix function of the same name is its stack of one and
-returns a Fraction or a float.  A body runs one trace kernel on each stack,
-:func:`_trace_power_stack` (Hermitian, constant term, series) or
-:func:`~rvnorms.words.word_traces` (trace words), between shared pieces,
-run once a call, that alone, with the series route's division by j! and
-the word sum's sums after its traces, tell exact from float input:
+Each route has one body, a function of one stack of matrices (N, n, n)
+and its laws (``*_norm_pow_stack``); the single-matrix function of the
+same name is its stack of one and returns a Fraction or a float.  A
+matrix Z goes into a stack of larger matrices as the zero-padded
+diag(Z, 0), whose word traces, and so whose norm, are Z's.  A body runs
+one trace kernel, :func:`_trace_power_stack` (Hermitian, constant term,
+series) or :func:`~rvnorms.words.word_traces` (trace words), between
+shared pieces, run once a call, that alone, with the series route's
+division by j! and the word sum's sums after its traces, tell exact from
+float input:
 
 * :func:`_prepared` checks and scales the input.  An exact Matrix whose
   cumulants are exact too becomes the int stack of one L Z, L the lcm of
@@ -100,6 +102,7 @@ from .matrixcore import (
     hermitian_mask,
     hermitian_tolerance,
     is_hermitian,
+    scale_exponent,
     scale_exponents,
 )
 from .partitions import enumerate_partitions, y_of
@@ -116,21 +119,12 @@ def _require_even_degree(d: int) -> None:
         )
 
 
-def _stack_rows(stacks):
-    """(stack, the slice of the call's rows that it holds) for each stack."""
-    start = 0
-    for S in stacks:
-        yield S, slice(start, start + len(S))
-        start += len(S)
-
-
 def _prepared(Z, spec, d: int, hermitian: bool):
-    """(stacks, scale, laws, rows) for a :class:`Matrix`, a stack
-    (N, n, n) or a sequence of stacks (N_i, n_i, n_i): checked for an even
-    degree d (and, with ``hermitian``, for Hermitian input) and scaled for a
-    route's trace kernels.  ``stacks`` lists the nonempty stacks, whose rows
-    in order are the call's N rows.  ``laws`` holds the
-    :class:`CumulantVector` of each distinct law, looked up once.
+    """(stack, scale, laws, rows) for a :class:`Matrix` or a stack
+    (N, n, n) as an array: checked for an even degree d (and, with
+    ``hermitian``, for Hermitian input) and scaled for a route's trace
+    kernels.  ``laws`` holds the :class:`CumulantVector` of each distinct
+    law, looked up once.
 
     An exact Matrix whose cumulants are exact too gives the int stack of
     one L Z, (1, n, n) with ``dtype=object``, each entry
@@ -138,11 +132,8 @@ def _prepared(Z, spec, d: int, hermitian: bool):
     denominators, scale L and rows None (no law axis).
     Anything else, a Matrix as a stack of one, gives each Z[i] * 2**-e[i]
     (:func:`scale_exponents`), scale e and, per row, the index of its law
-    (:func:`_law_rows`).  Two or more nonempty stacks are copied into one
-    zero-padded stack (N, max n_i, max n_i) for one pass over the largest
-    entries, finiteness, the Hermitian test and the scales (zero padding
-    changes none of them), and come back scaled at their own sizes.  A stack
-    that is not (N, n, n) or has a non-finite entry raises ValueError.
+    (:func:`_law_rows`).  Input that is not a Matrix or an array (N, n, n),
+    or has a non-finite entry, raises ValueError.
     """
     _require_even_degree(d)
     if isinstance(Z, Matrix):
@@ -153,22 +144,12 @@ def _prepared(Z, spec, d: int, hermitian: bool):
             if all(map(is_exact, law.kappas)):
                 L = lcm(*(v.denominator for v in Z.array.flat))
                 ints = [[v.numerator * (L // v.denominator) for v in row] for row in Z.array.tolist()]
-                return [np.array([ints], dtype=object)], L, [law], None
+                return np.array([ints], dtype=object), L, [law], None
         Z = Z.array[None]
-    sequence = isinstance(Z, (list, tuple)) and all(np.ndim(S) == 3 for S in Z)
-    members = []
-    for S in Z if sequence else [Z]:
-        S = np.asarray(S, dtype=complex)
-        if S.ndim != 3 or S.shape[1] != S.shape[2] or S.shape[1] == 0:
-            raise ValueError(f"a stack of square matrices (N, n, n) is required, got shape {S.shape}")
-        members += [S] if len(S) else []
-    if len(members) == 1:
-        Z = members[0]
-    else:
-        top = max((S.shape[1] for S in members), default=1)
-        Z = np.zeros((sum(map(len, members)), top, top), dtype=complex)
-        for S, rows in _stack_rows(members):
-            Z[rows, : S.shape[1], : S.shape[1]] = S
+    if not isinstance(Z, np.ndarray) or Z.ndim != 3 or Z.shape[1] != Z.shape[2] or not Z.shape[1]:
+        got = Z.shape if isinstance(Z, np.ndarray) else type(Z).__name__
+        raise ValueError(f"a Matrix or a stack of square matrices (N, n, n) is required, got {got}")
+    Z = Z.astype(complex, copy=False)
     max_abs = np.abs(Z).max(axis=(1, 2))
     if not np.isfinite(max_abs).all():
         raise ValueError("non-finite entry")
@@ -177,9 +158,7 @@ def _prepared(Z, spec, d: int, hermitian: bool):
     laws, rows = _law_rows(spec, len(Z))
     e = scale_exponents(max_abs)
     laws = [distribution_cumulants(law, d) for law in laws]
-    factor = np.ldexp(1.0, -e)[:, None, None]
-    scaled = (Z[r, : len(S[0]), : len(S[0])] * factor[r] for S, r in _stack_rows(members))
-    return list(scaled), e, laws, rows
+    return Z * np.ldexp(1.0, -e)[:, None, None], e, laws, rows
 
 
 def _rescaled(total, scale, d: int) -> np.ndarray:
@@ -278,9 +257,12 @@ def _bell_stack(a: np.ndarray, d: int) -> np.ndarray:
 
     one batched elementwise product per n.  Its sums run in a fixed order,
     over k, one term after another, so every matrix gets the same value
-    whatever stack it is evaluated in.
+    whatever stack it is evaluated in.  With m = 0 (every a_k is 0, as when
+    every cumulant underflows) each b_n above b_0 is 0.
     """
     N, m = a.shape
+    if not m:
+        return np.zeros(N, dtype=a.dtype)
     R = np.zeros((N, d + 1), dtype=a.dtype)  # R[:, d - n] = b_n
     R[:, d] = 1.0
     weight = _bell_weights(m, d)
@@ -397,12 +379,12 @@ def hermitian_norm_pow(A: Matrix, spec: DistributionSpec, d: int):
 def hermitian_norm_pow_stack(
     A, spec: DistributionSpec | Sequence[DistributionSpec], d: int
 ) -> np.ndarray:
-    """The norm powers of a stack (N, n, n) of Hermitian matrices, a sequence
-    of such stacks or one Matrix, as an array: each B_d(kappa_1 tr A, ...,
-    kappa_d tr A^d) / d! from the trace powers up to its law's top cumulant
-    m, by :func:`_point_norm_pow_stack` after every row is checked
-    Hermitian.  ``spec`` is one law for every matrix or a sequence of N
-    laws, one per matrix (:func:`_law_rows`)."""
+    """The norm powers of a stack (N, n, n) of Hermitian matrices or one
+    Matrix, as an array: each B_d(kappa_1 tr A, ..., kappa_d tr A^d) / d!
+    from the trace powers up to its law's top cumulant m, by
+    :func:`_point_norm_pow_stack` after every row is checked Hermitian.
+    ``spec`` is one law for every matrix or a sequence of N laws, one per
+    matrix (:func:`_law_rows`)."""
     return _point_norm_pow_stack(A, spec, d, hermitian=True)
 
 
@@ -425,9 +407,9 @@ def general_norm_pow(Z: Matrix, spec: DistributionSpec, d: int):
 def general_norm_pow_stack(
     Z, spec: DistributionSpec | Sequence[DistributionSpec], d: int
 ) -> np.ndarray:
-    """The norm powers of a stack (N, n, n) of arbitrary square matrices, a
-    sequence of such stacks or one Matrix, as an array, by the constant-term
-    route of :func:`general_norm_pow` (:func:`_point_norm_pow_stack`).
+    """The norm powers of a stack (N, n, n) of arbitrary square matrices or
+    one Matrix, as an array, by the constant-term route of
+    :func:`general_norm_pow` (:func:`_point_norm_pow_stack`).
     ``spec`` is one law for every matrix or a sequence of N laws, one per
     matrix (:func:`_law_rows`)."""
     return _point_norm_pow_stack(Z, spec, d, hermitian=False)
@@ -437,13 +419,12 @@ def _point_norm_pow_stack(Z, spec, d: int, hermitian: bool) -> np.ndarray:
     """The body of the Hermitian and constant-term routes: each row of the
     prepared stack (:func:`_prepared`) becomes its point matrices
     (:func:`_points`), one Hermitian row one point and any other row
-    q = d/2 + 1 points, all traced by :func:`_trace_powers` up to the
+    q = d/2 + 1 points, all traced by :func:`_trace_power_stack` up to the
     row's top cumulant m and put through one Bell recurrence.  On the
     Hermitian route every row is Hermitian; on the constant-term route a
     row is Hermitian if its scaled matrix equals its adjoint exactly, which
-    is the input's own equality (the scales are exact) and so does not
-    depend on its size, and any other row, however near Hermitian, takes
-    its q points.
+    is the input's own equality (the scales are exact), and any other row,
+    however near Hermitian, takes its q points.
 
     A float row's norm power is H(M) at its one point, or the sum of H at
     its q points divided by q C(d, d/2); the exact row's, H(M) at its one
@@ -454,26 +435,25 @@ def _point_norm_pow_stack(Z, spec, d: int, hermitian: bool) -> np.ndarray:
     alone under its own law.  Float trace powers must be real to within
     :func:`~rvnorms.scalars.real_parts_checked`'s residue.
     """
-    stacks, scale, laws, rows = _prepared(Z, spec, d, hermitian)
-    if not stacks:
+    S, scale, laws, rows = _prepared(Z, spec, d, hermitian)
+    if not len(S):
         return np.empty(0)
     if hermitian:
-        herm = np.ones(sum(map(len, stacks)), dtype=bool)
+        herm = np.ones(len(S), dtype=bool)
     else:
-        herm = np.concatenate([(S == np.conjugate(S).swapaxes(1, 2)).all((1, 2)) for S in stacks])
+        herm = (S == np.conjugate(S).swapaxes(1, 2)).all((1, 2))
     c, m, den = _factors(laws, rows)
     q = d // 2 + 1
     k = int(herm.sum())
     # the Hermitian rows' points first, then q points for each other row
     if k == len(herm):
-        points, owner = stacks, np.arange(k)
+        points, owner = S, np.arange(k)
     elif not k:
-        points, owner = [_points(S, q) for S in stacks], np.repeat(np.arange(len(herm)), q)
+        points, owner = _points(S, q), np.repeat(np.arange(len(herm)), q)
     else:
-        points = [S[herm[r]] for S, r in _stack_rows(stacks) if herm[r].any()]
-        points += [_points(S[~herm[r]], q) for S, r in _stack_rows(stacks) if not herm[r].all()]
+        points = np.concatenate([S[herm], _points(S[~herm], q)])
         owner = np.concatenate([np.flatnonzero(herm), np.repeat(np.flatnonzero(~herm), q)])
-    a = _trace_powers(points, m[owner]) * c[owner]
+    a = _trace_power_stack(points, m[owner]) * c[owner]
     if den is not None:  # the exact row, in Python ints to one Fraction
         ks = [k for k, x in enumerate(c[0].tolist(), 1) if x]
         b, D = _bell(a.tolist(), d, den, ks)
@@ -519,16 +499,6 @@ def _circle_nodes(q: int) -> np.ndarray:
     s = np.exp(1j * np.pi * np.arange(q) / q)[:, None, None]
     s.flags.writeable = False
     return s
-
-
-def _trace_powers(stacks, m: np.ndarray) -> np.ndarray:
-    """(N, max(m)): each stack's :func:`_trace_power_stack`, zero-padded."""
-    if len(stacks) == 1:
-        return _trace_power_stack(stacks[0], m)
-    tp = np.zeros((len(m), int(m.max())))
-    for S, rows in _stack_rows(stacks):
-        tp[rows, : m[rows].max()] = _trace_power_stack(S, m[rows])
-    return tp
 
 
 def _trace_power_stack(A: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -620,9 +590,9 @@ def series_norm_pow(A: Matrix, spec: DistributionSpec, d: int):
 def series_norm_pow_stack(
     A, spec: DistributionSpec | Sequence[DistributionSpec], d: int
 ) -> np.ndarray:
-    """The norm powers of a stack (N, n, n) of Hermitian matrices, a sequence
-    of such stacks or one Matrix, as an array, by the series route of
-    :func:`series_norm_pow`, at the scale of :func:`_prepared`.
+    """The norm powers of a stack (N, n, n) of Hermitian matrices or one
+    Matrix, as an array, by the series route of :func:`series_norm_pow`, at
+    the scale of :func:`_prepared`.
 
     ``spec`` is one law for every matrix or a sequence of N laws, one per
     matrix (:func:`_law_rows`); every law needs a moment generating
@@ -635,11 +605,11 @@ def series_norm_pow_stack(
     float stack's by :func:`_exp_stack`, with the same float values.
     """
     _require_mgf(spec)
-    stacks, scale, laws, rows = _prepared(A, spec, d, hermitian=True)
-    if not stacks:
+    S, scale, laws, rows = _prepared(A, spec, d, hermitian=True)
+    if not len(S):
         return np.empty(0)
     c, m, den = _factors(laws, rows)
-    a = _trace_powers(stacks, m) * c
+    a = _trace_power_stack(S, m) * c
     if den is None:
         return _rescaled(_exp_stack(a, d), scale, d)
     # exact: kappa_j / j! = c_j / (den[j] j!)
@@ -735,9 +705,9 @@ def _term_coefficients(kappas: tuple, types: tuple, d: int, support: frozenset) 
 def word_sum_norm_pow_stack(
     Z, spec: DistributionSpec | Sequence[DistributionSpec], d: int
 ) -> np.ndarray:
-    """The norm powers of a stack (N, n, n) of arbitrary square matrices, a
-    sequence of such stacks or one Matrix, as an array, by the trace-word
-    sum of :func:`word_sum_norm_pow`, at the scale of :func:`_prepared`.
+    """The norm powers of a stack (N, n, n) of arbitrary square matrices or
+    one Matrix, as an array, by the trace-word sum of
+    :func:`word_sum_norm_pow`, at the scale of :func:`_prepared`.
 
     ``spec`` is one law for every matrix or a sequence of N laws, one per
     matrix (:func:`_law_rows`).  The words' traces come from one law-free
@@ -757,13 +727,13 @@ def word_sum_norm_pow_stack(
     of :func:`symbolic_formula`, evaluated term by term with these products
     and sums, gives at its scaled matrix (the tests' reference evaluator).
     """
-    stacks, scale, laws, rows = _prepared(Z, spec, d, hermitian=False)
-    if not stacks:
+    S, scale, laws, rows = _prepared(Z, spec, d, hermitian=False)
+    if not len(S):
         return np.empty(0)
     kappas = [law.kappas for law in laws]
     support = frozenset(k for ks in kappas for k, kappa in enumerate(ks, 1) if kappa != 0)
     table = word_table(d, support)
-    traces = np.concatenate([word_traces(S, table.plan) for S in stacks])
+    traces = word_traces(S, table.plan)
     if rows is None:
         values, traces = np.array(table.mults, dtype=object), traces[0]
         for words in table.factors:
@@ -1046,16 +1016,21 @@ def circle_extension_check(Z: Matrix, spec: DistributionSpec, d: int):
     its independent comparison is the one against the trace words.
     The integrand is a trigonometric polynomial of degree at most d, so the
     trapezoid rule on its 2d + 2 equally spaced points is exact up to
-    roundoff.  Returns (quadrature value as a float, trace-word value as
-    :func:`word_sum_norm_pow` returns it, exact on exact input).
+    roundoff.  The quadrature runs on Z 2^-k (:func:`scale_exponent`),
+    which is exact, and its mean is rescaled by 2^(d k) as
+    :func:`_rescaled` rescales a route's power, so that a Z near the float
+    limit gives finite points.  Returns (quadrature value as a float,
+    trace-word value as :func:`word_sum_norm_pow` returns it, exact on
+    exact input).
     """
     _require_even_degree(d)
     q = 2 * d + 2
     e = np.array([cmath.exp(2j * math.pi * j / q) for j in range(q)])[:, None, None]
-    Zc = Z.to_numpy()
+    k = scale_exponent(Z)
+    Zc = Z.to_numpy() * 2.0**-k
     M = Zc * e + np.conjugate(Zc).T * np.conjugate(e)
     total = 0.0
     for value in hermitian_norm_pow_stack(M, spec, d).tolist():
         total += value
-    quad = total / q / comb(d, d // 2)
+    quad = _rescaled(np.array([total / q / comb(d, d // 2)]), np.array([k]), d).item()
     return quad, word_sum_norm_pow(Z, spec, d)

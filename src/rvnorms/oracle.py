@@ -143,8 +143,10 @@ def mc_norm_pow(
         block, count = args
         rng = block_stream(seed, block)
         draws = sample_block(spec, rng, (count, n))
-        y = np.abs(draws @ lam) ** d
-        return float(np.sum(y)), float(np.sum(y * y))
+        # a power that leaves the float range is refused by mc_norm, silently here
+        with np.errstate(over="ignore", under="ignore"):
+            y = np.abs(draws @ lam) ** d
+            return float(np.sum(y)), float(np.sum(y * y))
 
     ranges = _block_ranges(samples)
     workers = min(threads, len(ranges), os.cpu_count() or 1)
@@ -160,8 +162,9 @@ def mc_norm_pow(
         s1 += a
         s2 += b
     mean = s1 / samples
-    var = max(0.0, (s2 - samples * mean * mean) / (samples - 1))
-    stderr = math.sqrt(var / samples)
+    var = (s2 - samples * mean * mean) / (samples - 1)
+    # nan where the summed squares overflowed (inf - inf), kept as nan
+    stderr = math.nan if math.isnan(var) else math.sqrt(max(0.0, var) / samples)
     scale = factorial(d)
     return McEstimate(mean / scale, stderr / scale, samples, seed)
 
@@ -183,7 +186,11 @@ def mc_norm(
     (:func:`~rvnorms.matrixcore.scale_exponent`), which is exact.  The
     largest eigenvalue magnitude is then below n, so the sampled powers
     |<X, lambda>|^d do not leave the float range at any scale.  The root is
-    taken before 2^e is multiplied back in by ``ldexp``.
+    taken before 2^e is multiplied back in by ``ldexp``.  An estimate that
+    is not a value is refused, as :func:`~rvnorms.normengine.norm_from_power`
+    refuses a float norm power: a non-finite mean or standard error (the
+    sampled powers overflowed), or a mean of 0.0 for a nonzero matrix (they
+    underflowed).  The zero matrix's estimate is 0.0 +/- 0.0.
     """
     if not is_hermitian(A):
         raise NonHermitianError(
@@ -193,8 +200,13 @@ def mc_norm(
     e = scale_exponent(A)
     lams = hermitian_eigenvalues(A * 2.0**-e)
     est = mc_norm_pow(lams, spec, d, samples, seed, threads=threads)
-    if est.value <= 0.0:
+    if est.value == 0.0 and not A.array.any():
         return McEstimate(0.0, 0.0, samples, seed)
+    if not (0.0 < est.value < math.inf and math.isfinite(est.stderr)):
+        raise PreconditionError(
+            f"Monte Carlo estimate {est.value!r} +/- {est.stderr!r} of the norm power "
+            "is not a value: the sampled powers left the float range"
+        )
     value = est.value ** (1.0 / d)
     stderr = est.stderr * value / (d * est.value)
     return McEstimate(math.ldexp(value, e), math.ldexp(stderr, e), samples, seed)

@@ -126,12 +126,14 @@ def hunter_coefficient(p: Partition, alpha: int) -> int:
     """alpha! / ((alpha - r)! * prod_i m_i!) for r = number of parts, 0 when r > alpha.
 
     This counts ordered assignments of the parts to ``alpha`` labeled slots,
-    so it is always a nonnegative integer.
+    so it is always a nonnegative integer.  alpha! / (alpha - r)! is formed
+    as the falling factorial alpha (alpha - 1) ... (alpha - r + 1), r
+    factors, so that its cost does not grow with alpha.
     """
     if not isinstance(alpha, int) or alpha < 1:
         raise ValueError(f"alpha must be a positive integer, got {alpha!r}")
     r = p.num_parts
     if r > alpha:
         return 0
-    den = factorial(alpha - r) * prod(factorial(m) for m in p.multiplicities.values())
-    return factorial(alpha) // den
+    falling = prod(range(alpha - r + 1, alpha + 1))
+    return falling // prod(factorial(m) for m in p.multiplicities.values())

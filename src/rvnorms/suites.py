@@ -193,17 +193,14 @@ def _run_norms(route, run, stacks: np.ndarray) -> np.ndarray:
 def _stack_pows(route, parts) -> list[np.ndarray]:
     """The norm powers of each part (spec, d, stack) by ``route``, one array
     per part.  The parts of one degree are evaluated in one call, as one
-    stack per matrix size (a single stack if they share one size), with
-    each part's law on its rows."""
+    stack with each part's law on its rows."""
     groups: dict = {}
-    for i, (_, d, M) in enumerate(parts):
-        groups.setdefault(d, {}).setdefault(M.shape[-1], []).append(i)
+    for i, (_, d, _) in enumerate(parts):
+        groups.setdefault(d, []).append(i)
     out: list = [None] * len(parts)
-    for d, sizes in groups.items():
-        members = [i for size in sizes.values() for i in size]
+    for d, members in groups.items():
         laws = [parts[i][0] for i in members for _ in range(len(parts[i][2]))]
-        stacks = [np.concatenate([parts[i][2] for i in size]) for size in sizes.values()]
-        pows = route(stacks[0] if len(stacks) == 1 else stacks, laws, d)
+        pows = route(np.concatenate([parts[i][2] for i in members]), laws, d)
         at = 0
         for i in members:
             out[i] = pows[at : at + len(parts[i][2])]
@@ -295,23 +292,20 @@ def paths_suite(trials: int = 50, seed: int = 2026) -> SuiteReport:
     generating function at d = 2, 4 and 6; the trace-word oracle restricts
     to the Hermitian route.  Each run of T trials (:func:`_runs`) draws its
     sizes n in one integers call and its matrices in one normal call
-    (T, 2, 5, 5); a trial takes the leading n x n block of its Hermitian
-    5x5.  Each route evaluates the run's matrices in one call per degree,
-    as one stack per size."""
+    (T, 2, 5, 5); a trial is its Hermitian 5x5 with every entry outside the
+    leading n x n block set to 0, which still has that block's norm (the
+    padding changes no trace word) and is still exactly Hermitian.  Each
+    route evaluates the run's matrices as one stack per degree."""
     report = SuiteReport("paths", trials)
     rng = stream(seed)
     cells = [(name, spec, d) for name, spec in mgf_family_specs() for d in (2, 4, 6)]
+    routes = (hermitian_norm_pow_stack, series_norm_pow_stack, word_sum_norm_pow_stack)
     for run in _runs(cells, trials):
         T = run[-1][2].stop
-        sizes = rng.integers(2, 6, size=T).tolist()
+        inside = np.arange(5) < rng.integers(2, 6, size=T)[:, None]
         g = rng.normal(size=(T, 2, 5, 5))
-        H = _hermitian(g[:, 0], g[:, 1])
-        parts = [
-            (spec, d, H[t, : sizes[t], : sizes[t]][None])
-            for (_, spec, d), _, rows in run
-            for t in range(rows.start, rows.stop)
-        ]
-        routes = (hermitian_norm_pow_stack, series_norm_pow_stack, word_sum_norm_pow_stack)
+        H = np.where(inside[:, :, None] & inside[:, None, :], _hermitian(g[:, 0], g[:, 1]), 0)
+        parts = [(spec, d, H[rows]) for (_, spec, d), _, rows in run]
         a, b, c = (np.concatenate(_stack_pows(route, parts)) for route in routes)
         ref = 1e-10 * np.maximum(1.0, np.abs(a))
         report.record_rows(np.stack([np.abs(a - b) <= ref, np.abs(a - c) <= ref], axis=1), (

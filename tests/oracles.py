@@ -12,7 +12,7 @@ the reference for the trace-word route;
 centralizer order) are the kernel's and the partition walk's plain forms;
 ``matrix_to_json`` writes the matrix file format;
 ``random_unitary``, ``random_hermitian``, ``random_general`` and ``zeros``
-build test inputs.
+build test inputs, and ``block_size`` reads the size of a ``paths`` trial.
 """
 
 import itertools
@@ -81,6 +81,15 @@ def random_general(rng: np.random.Generator, n: int) -> Matrix:
     """X + iY with X, then Y, an n x n array of standard normals from
     ``rng``."""
     return Matrix(_complex_normal(rng, n))
+
+
+def block_size(M: np.ndarray) -> int:
+    """The size n of a ``paths`` suite matrix, asserted 5x5, exactly
+    Hermitian and 0 outside its leading n x n block."""
+    assert M.shape == (5, 5) and np.array_equal(M, M.conj().T)
+    n = 1 + int(np.flatnonzero(M.any(axis=0)).max())
+    assert not M[n:].any() and not M[:, n:].any()
+    return n
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> Matrix:

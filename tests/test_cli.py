@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -440,6 +441,20 @@ def test_oracle_subcommand(identity2, capsys):
     assert out["samples"] == 20000 and out["seed"] == 3
 
 
+@pytest.mark.parametrize("beta, d", [("1e200", 4), ("1e-200", 4), ("1e80", 2)])
+def test_oracle_estimate_that_is_no_value_exit_3(identity2, capsys, beta, d):
+    # The sampled powers overflow to inf (inf +/- nan), underflow to 0.0,
+    # which is no estimate for a nonzero matrix, or stay finite while their
+    # squares overflow (a value +/- nan, not +/- 0.0); none warns.
+    argv = ["oracle", identity2, f"exponential:beta={beta}", "-d", str(d), "--samples", "10000"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Monte Carlo estimate")
+
+
 def test_oracle_non_hermitian_exit_3(tmp_path, capsys):
     path = write_matrix(tmp_path, "n.json", Matrix([[0, 1], [0, 0]]))
     rc = cli.main(["oracle", path, "exponential", "-d", "2", "--samples", "10000"])
@@ -544,6 +559,43 @@ def test_norm_out_of_float_range_exit_3(tmp_path, entry):
     assert r.returncode == 3
     assert r.stdout == ""
     assert "Traceback" not in r.stderr and "scale" in r.stderr
+
+
+@pytest.mark.parametrize("method", ["partition", "series", "words", "auto"])
+@pytest.mark.parametrize("re", [[[1, 0], [0, 1]], [[1, 2], [0, 1]]], ids=["hermitian", "general"])
+def test_norm_with_every_float_cumulant_underflowed_exit_3(tmp_path, capsys, method, re):
+    # sigma^2 = 1e-400 is 0.0 as a float, so is every cumulant: the norm
+    # power is 0.0 on every route (series refuses the general matrix).
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 2, "re": re}))
+    argv = ["norm", str(path), "normal:mu=0,sigma=1e-200", "-d", "4", "--method", method]
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_norm_auto_near_the_float_limit_exit_3(tmp_path):
+    # Z + Z* overflows at these entries: the circle quadrature runs on the
+    # scaled Z, and a norm power beyond the float range is refused.
+    path = tmp_path / "m.json"
+    path.write_text('{"n": 2, "re": [[1e308, 2e307], [1e308, -1e308]]}')
+    r = _run_cli(["norm", str(path), "exponential", "-d", "4", "--method", "auto"])
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert "Traceback" not in r.stderr and "float range" in r.stderr
+
+
+def test_norm_auto_circle_quadrature_is_scale_free():
+    # The quadrature at 2^k Z is 2^(d k) times the one at Z, bit for bit,
+    # from the smallest to the largest scale whose power is a float.
+    from rvnorms.normengine import circle_extension_check
+
+    spec = DistributionSpec.exponential()
+    Z = Matrix([[1.25, -0.5 + 0.75j], [0.375j, -2.0]])
+    quad, _ = circle_extension_check(Z, spec, 4)
+    for k in (-250, -3, 5, 250):
+        assert circle_extension_check(Z * 2.0**k, spec, 4)[0] == math.ldexp(quad, 4 * k), k
 
 
 @pytest.mark.parametrize("method", ["partition", "auto"])

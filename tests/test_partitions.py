@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -128,6 +128,17 @@ def test_hunter_coefficient_fixtures():
     assert hunter_coefficient(Partition((1, 1, 1, 1)), 3) == 0
     assert hunter_coefficient(Partition((2, 2)), 3) == 3
     assert hunter_coefficient(Partition((4,)), 3) == 3
+
+
+def test_hunter_coefficient_is_the_factorial_quotient():
+    # alpha! / ((alpha - r)! prod m_i!), formed without alpha!
+    for p in enumerate_partitions(8):
+        r, den = p.num_parts, prod(map(factorial, p.multiplicities.values()))
+        for alpha in (*range(1, 12), 50, 1000):
+            want = factorial(alpha) // (factorial(alpha - r) * den) if r <= alpha else 0
+            assert hunter_coefficient(p, alpha) == want, (p, alpha)
+    alpha = 10**12
+    assert hunter_coefficient(Partition((3, 1, 1)), alpha) == alpha * (alpha - 1) * (alpha - 2) // 2
 
 
 def test_hunter_coefficient_alpha_validation():

@@ -35,7 +35,7 @@ from rvnorms.series import TruncatedSeries
 from rvnorms.suites import default_family_specs, mgf_family_specs, stream
 from rvnorms.words import word_table
 
-from oracles import evaluate
+from oracles import block_size, evaluate
 
 STACK_ROUTES = {"hermitian": hermitian_norm_pow_stack, "general": general_norm_pow_stack}
 # oracle: (stack route, single-matrix route, kind of matrix it takes)
@@ -158,6 +158,8 @@ def test_stack_refusals():
         general_norm_pow_stack(bad, spec, 4)
     with pytest.raises(ValueError):
         hermitian_norm_pow_stack(H[0], spec, 4)
+    with pytest.raises(ValueError, match="got list"):
+        general_norm_pow_stack([H[:2], H[2:]], spec, 4)
     with pytest.raises(PreconditionError):
         hermitian_norm_pow_stack(H, spec, 3)
     # each matrix has its own scale; one power below the float range is refused
@@ -226,65 +228,31 @@ ALL_STACK_ROUTES = {
     "words": (word_sum_norm_pow_stack, ("hermitian", "general"), default_family_specs),
     "general": (general_norm_pow_stack, ("hermitian", "general"), default_family_specs),
 }
-# (size, count): sizes 1 to 6 with 3 and 1 repeated in stacks that are not
-# adjacent, and an empty stack that holds no row
-MIXED_SIZES = ((3, 2), (1, 1), (6, 2), (2, 0), (3, 3), (2, 1), (5, 2), (1, 2), (4, 1))
 
 
 @pytest.mark.parametrize("name", list(ALL_STACK_ROUTES))
-def test_mixed_size_stack_rows_equal_each_matrix_alone(name):
-    # One call on a sequence of stacks of different sizes: row i of the
-    # result is bit for bit the i-th matrix's value alone, under one law
-    # for all rows and under a law per row.
+def test_zero_padded_matrix_has_its_block_norm(name):
+    # diag(B, 0) has the word traces of B, so its norm power is B's: sizes
+    # 1 to 5 padded to 6 in one stack against each size's own stack, under
+    # one law for all rows and under a law per row.
     route, kinds, families = ALL_STACK_ROUTES[name]
     rng = stream(7250)
     laws = [spec for _, spec in families()]
+    sizes = np.repeat(np.arange(1, 6), 3)
     for kind in kinds:
-        stacks = [
-            random_stack(rng, kind, count, n) * rng.uniform(0.1, 10.0, size=(count, 1, 1))
-            for n, count in MIXED_SIZES
-        ]
-        rows = [M for S in stacks for M in S]
+        blocks = [random_stack(rng, kind, 1, n)[0] * rng.uniform(0.1, 10.0) for n in sizes]
+        padded = np.zeros((len(sizes), 6, 6), dtype=complex)
+        for P, B in zip(padded, blocks):
+            P[: len(B), : len(B)] = B
         for d in (2, 4, 6):
-            row_laws = [laws[i] for i in rng.integers(0, len(laws), size=len(rows))]
+            row_laws = [laws[i] for i in rng.integers(0, len(laws), size=len(sizes))]
             for spec in (laws[int(rng.integers(0, len(laws)))], row_laws):
-                values = route(stacks, spec, d)
-                assert values.dtype == float and values.shape == (len(rows),)
-                specs = row_laws if spec is row_laws else [spec] * len(rows)
-                for M, law, value in zip(rows, specs, values):
-                    assert value == route(M[None], law, d)[0], (kind, law.family, d, len(M))
-
-
-@pytest.mark.parametrize("name", list(ALL_STACK_ROUTES))
-def test_empty_stack_sequences_give_an_empty_float_array(name):
-    route = ALL_STACK_ROUTES[name][0]
-    spec = DistributionSpec.exponential()
-    for stacks in ([], [np.zeros((0, 3, 3))], [np.zeros((0, 2, 2)), np.zeros((0, 4, 4))]):
-        for laws in (spec, []):
-            values = route(stacks, laws, 4)
-            assert values.shape == (0,) and values.dtype == float
-
-
-@pytest.mark.parametrize("name", list(ALL_STACK_ROUTES))
-def test_stack_sequence_refusals(name):
-    route = ALL_STACK_ROUTES[name][0]
-    spec = DistributionSpec.exponential()
-    rng = stream(7350)
-    good = [random_stack(rng, "hermitian", 2, 3), random_stack(rng, "hermitian", 1, 2)]
-    with pytest.raises(ValueError, match="square"):
-        route(good + [np.zeros((1, 2, 3))], spec, 4)
-    bad = random_stack(rng, "hermitian", 2, 4)
-    bad[1, 2, 2] = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
-        route(good + [bad], spec, 4)
-    with pytest.raises(ValueError, match="2 laws for a stack of 3"):
-        route(good, [spec, spec], 4)
-    general = [good[0], random_stack(rng, "general", 2, 4)]
-    if name in ("hermitian", "series"):
-        with pytest.raises(NonHermitianError):
-            route(general, spec, 4)
-    else:
-        assert len(route(general, spec, 4)) == 4
+                specs = row_laws if spec is row_laws else [spec] * len(sizes)
+                values = route(padded, spec, d)
+                for n in range(1, 6):
+                    at = np.flatnonzero(sizes == n)
+                    want = route(np.stack([blocks[i] for i in at]), [specs[i] for i in at], d)
+                    assert np.allclose(values[at], want, rtol=1e-13, atol=0), (kind, d, n)
 
 
 def test_paths_calls_each_route_at_most_once_per_degree(monkeypatch):
@@ -304,17 +272,15 @@ def test_paths_calls_each_route_at_most_once_per_degree(monkeypatch):
 
 
 def _spy_stack_calls(monkeypatch, names=("hermitian_norm_pow_stack", "general_norm_pow_stack")):
-    """Record (route name, matrices, laws, d, values) for each call the
-    suites make to the stack routes ``names``: the matrices are the stack,
-    or the list of the rows of a sequence of stacks."""
+    """Record (route name, stack, laws, d, values) for each call the suites
+    make to the stack routes ``names``."""
     calls = []
     for name in names:
         real = getattr(suites, name)
 
         def spy(M, spec, d, real=real, name=name):
             values = real(M, spec, d)
-            rows = [R for S in M for R in S] if isinstance(M, list) else M
-            calls.append((name, rows, spec, d, values))
+            calls.append((name, M, spec, d, values))
             return values
 
         monkeypatch.setattr(suites, name, spy)
@@ -336,16 +302,16 @@ def test_paths_partition_values_equal_the_single_matrix_route(monkeypatch):
 @pytest.mark.parametrize("trials", [1, 3])
 def test_paths_makes_one_call_per_route_and_degree(monkeypatch, trials):
     # At 1 and 3 trials all 27 (family, degree) cells form one run: each
-    # route gets one call per degree, holding the matrices of every size,
-    # the same matrices in the same order, and each row is its matrix's
-    # value alone.
+    # route gets one stack per degree, of 5x5 matrices whose blocks have
+    # every size, the same matrices in the same order, and each row is its
+    # matrix's value alone.
     routes = ("hermitian_norm_pow_stack", "series_norm_pow_stack", "word_sum_norm_pow_stack")
     calls = _spy_stack_calls(monkeypatch, routes)
     report = suites.paths_suite(trials=trials, seed=35)
     assert report.passed and report.checks == 54 * trials
     by_route = {name: [(d, M, laws) for r, M, laws, d, _ in calls if r == name] for name in routes}
     assert [d for d, _, _ in by_route[routes[0]]] == [2, 4, 6]
-    assert len({len(R) for _, M, _ in by_route[routes[0]] for R in M}) > 1
+    assert {block_size(R) for _, M, _ in by_route[routes[0]] for R in M} == {2, 3, 4, 5}
     assert sum(len(M) for _, M, _ in by_route[routes[0]]) == 27 * trials
     for name in routes[1:]:
         assert [d for d, _, _ in by_route[name]] == [2, 4, 6]
@@ -512,9 +478,9 @@ def test_series_stack_equals_the_per_row_exp(d):
     specs = [spec for _, spec in mgf_family_specs()]
     H = random_stack(rng, "hermitian", 24, 4) * rng.uniform(0.1, 4.0, size=(24, 1, 1))
     laws = [specs[i] for i in rng.integers(0, len(specs), size=24)]
-    stacks, scale, cvs, rows = normengine._prepared(H, laws, d, hermitian=True)
+    S, scale, cvs, rows = normengine._prepared(H, laws, d, hermitian=True)
     c, m, _ = normengine._factors(cvs, rows)
-    a = (normengine._trace_powers(stacks, m) * c).tolist()
+    a = (normengine._trace_power_stack(S, m) * c).tolist()
     per_row = [TruncatedSeries([0, *r] + [0] * (d - len(r))).exp().coefficient(d) for r in a]
     want = normengine._rescaled(per_row, scale, d)
     got = series_norm_pow_stack(H, laws, d)
