@@ -4,9 +4,11 @@ A family of norms on n-by-n complex matrices, one for each iid random
 vector with enough moments and each even degree d: on Hermitian matrices
 the d-th power of the norm is a cumulant-weighted symmetric polynomial in
 the eigenvalues, and the same partition sum over trace words extends it to
-all square matrices.  The package evaluates these norms by three routes
-(partition sum, truncated series, constant term) plus a trace-word sum kept
-as an independent oracle, emits their symbolic trace-polynomial form,
+all square matrices.  The package evaluates these norms by one Bell
+recurrence on trace powers, on three routes (Hermitian, series, constant
+term; the series route's exponential is the same recurrence, and on float
+input only its rounding differs), plus a trace-word sum kept as an
+independent oracle, emits their symbolic trace-polynomial form,
 implements the positive-definite CHS combinations H_{d,alpha}, and
 verifies everything against a seeded Monte Carlo oracle.
 """
@@ -54,7 +56,6 @@ from .oracle import (
     sample,
 )
 from .partitions import Partition, enumerate_partitions, hunter_coefficient, y_of
-from .series import TruncatedSeries
 from .sympoly import (
     chs,
     hunter_poly,
@@ -74,7 +75,6 @@ __all__ = [
     "Partition",
     "PreconditionError",
     "TracePolynomial",
-    "TruncatedSeries",
     "bernoulli_number",
     "chs",
     "circle_extension_check",

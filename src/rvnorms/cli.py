@@ -82,8 +82,10 @@ PARTITION_MAX_DEGREE = 44
 #   uniform and bernoulli and 1.5 s for pareto:alpha=1001/2.  Entries with
 #   9-digit denominators cost more: 1.8 s at d=60 for a 3x3.  Hermitian
 #   input takes 0.3 s at d=100.
-# - series (Hermitian only): up to 3.9 s at d=300 and 9.1 s at d=400
-#   (finite_discrete).
+# - series (Hermitian only; on exact input the Hermitian route's int
+#   kernel): 0.3-0.7 s at d=300 and 0.6-1.1 s at d=400, re-measured on a
+#   host where the former Fraction series took up to 1.6 s and 3.4 s
+#   (finite_discrete); 9-digit denominators: 4.5-6.6 s at d=300.
 # - words: 0.23-0.35 s at d=14 and 0.16-0.38 s at d=16, five families, two
 #   runs each; its table keeps only the partitions whose parts all index
 #   nonzero cumulants (at d=16, 35,492 terms for exponential, 5 for normal).

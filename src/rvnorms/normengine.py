@@ -15,16 +15,17 @@ which gives the Hermitian form H(M) = B_d(a_1, ..., a_d) / d!.
   a fixed rational combination of P(1), ..., P(q)
   (:func:`_palindromic_weights`).  A row equal to its adjoint, exactly, is
   its own one point: the circle points of a Hermitian Z are real multiples
-  of Z, so its norm power is H(Z).
+  of Z, so its norm power is H(Z);
+* the series route (Hermitian inputs, distributions with a moment
+  generating function): [t^d] exp(sum_j kappa_j tr(A^j) t^j / j!), which is
+  B_d(kappa_1 tr A, ..., kappa_d tr A^d) / d!, so it is the Hermitian route
+  with the same Bell recurrence on exact input.  On a float stack only its
+  rounding differs: the exponential's derivative recurrence
+  (:func:`_exp_stack`) takes the place of :func:`_bell_stack`.  It is the
+  CLI's ``series`` method and the check behind ``auto``.
 
-Two independent routes serve as oracles:
+One independent route serves as the oracle:
 
-* truncated-series extraction (Hermitian inputs, distributions with a
-  moment generating function): exponentiate sum_j kappa_j tr(A^j) t^j / j!
-  with :meth:`TruncatedSeries.exp` (on a float stack, its recurrence
-  batched over the rows, :func:`_exp_stack`) and read off the coefficient
-  of t^d;
-  it is the CLI's ``series`` method and the check behind ``auto``;
 * the adjoint-placement trace-word sum, sum over partitions of kappa_pi *
   T_pi(Z) / y_pi with T_pi averaging the C(d, d/2) ways of distributing
   d/2 adjoints over the letter slots: :func:`word_sum_norm_pow` sums the
@@ -45,23 +46,24 @@ matrix Z goes into a stack of larger matrices as the zero-padded
 diag(Z, 0), whose word traces, and so whose norm, are Z's.  A body runs
 one trace kernel, :func:`_trace_power_stack` (Hermitian, constant term,
 series) or :func:`~rvnorms.words.word_traces` (trace words), between
-shared pieces, run once a call, that alone, with the series route's
-division by j! and the word sum's sums after its traces, tell exact from
-float input:
+shared pieces, run once a call, that alone, with the word sum's sums
+after its traces, tell exact from float input:
 
 * :func:`_prepared` checks and scales the input.  An exact Matrix whose
   cumulants are exact too becomes the int stack of one L Z, L the lcm of
   its entry denominators; anything else a complex stack with a law axis
   (one law for every matrix or one per matrix, :func:`_law_rows`), each
   matrix times the power of two 2^-e that puts its largest entry in
-  [1/2, 1), which is exact;
+  [1/2, 1), which is exact, and a law whose float cumulant factors all
+  underflow is refused;
 * :func:`_trace_power_stack` forms every power up to the top cumulant of
   a float stack, but only A^1..A^n of an int stack, whose longer traces
   it continues by Newton's identities and Cayley--Hamilton in Python ints
   (:func:`_int_power_sums`);
 * :func:`_factors` gives the cumulant factors, and the recurrence runs on
   them: in Python ints on a cached plan (:func:`_bell`), or normalized, on
-  B_n / n!, over the float stack (:func:`_bell_stack`);
+  B_n / n!, over the float stack (:func:`_bell_stack`, or
+  :func:`_exp_stack` on the series route);
 * :func:`_rescaled` undoes the scale by absolute homogeneity,
   |||cZ||| = |c| |||Z|||: the exact power is the one Fraction of the
   form's int numerator over its denominator times L^d, each float power
@@ -107,7 +109,6 @@ from .matrixcore import (
 )
 from .partitions import enumerate_partitions, y_of
 from .scalars import is_exact, real_parts_checked
-from .series import TruncatedSeries
 from .words import placement_terms, word_json, word_table, word_text, word_traces
 
 
@@ -133,7 +134,11 @@ def _prepared(Z, spec, d: int, hermitian: bool):
     Anything else, a Matrix as a stack of one, gives each Z[i] * 2**-e[i]
     (:func:`scale_exponents`), scale e and, per row, the index of its law
     (:func:`_law_rows`).  Input that is not a Matrix or an array (N, n, n),
-    or has a non-finite entry, raises ValueError.
+    or has a non-finite entry, raises ValueError.  A law whose float factors
+    kappa_k / k! (:attr:`CumulantVector.normalized`) up to d all underflow,
+    to 0.0 or a subnormal, raises PreconditionError: its terms are 0.0 or
+    subnormal before any trace multiplies them, so no float evaluation
+    keeps the digits of its norm power.
     """
     _require_even_degree(d)
     if isinstance(Z, Matrix):
@@ -155,9 +160,15 @@ def _prepared(Z, spec, d: int, hermitian: bool):
         raise ValueError("non-finite entry")
     if hermitian and not hermitian_mask(Z, hermitian_tolerance(max_abs)).all():
         raise NonHermitianError("the Hermitian route requires Hermitian matrices")
-    laws, rows = _law_rows(spec, len(Z))
+    specs, rows = _law_rows(spec, len(Z))
     e = scale_exponents(max_abs)
-    laws = [distribution_cumulants(law, d) for law in laws]
+    laws = [distribution_cumulants(law, d) for law in specs]
+    for law, cv in zip(specs, laws):
+        if all(abs(x) < sys.float_info.min for x in cv.normalized):
+            raise PreconditionError(
+                f"{law.label()}: every float cumulant factor kappa_k / k! up to "
+                f"degree {d} underflows (is 0.0 or subnormal)"
+            )
     return Z * np.ldexp(1.0, -e)[:, None, None], e, laws, rows
 
 
@@ -249,7 +260,7 @@ def _bell_plan(d: int, dens: tuple, ks: tuple):
 def _bell_stack(a: np.ndarray, d: int) -> np.ndarray:
     """B_d / d! for each row of a float stack.
 
-    ``a[:, k-1]`` holds a_k / k! for k = 1..m (a_k = 0 above m).  The
+    ``a[:, k-1]`` holds a_k / k! for k = 1..m, m >= 1 (a_k = 0 above m).  The
     recurrence runs normalized, on b_n = B_n / n!, so that no float
     intermediate carries a factor n!:
 
@@ -257,12 +268,9 @@ def _bell_stack(a: np.ndarray, d: int) -> np.ndarray:
 
     one batched elementwise product per n.  Its sums run in a fixed order,
     over k, one term after another, so every matrix gets the same value
-    whatever stack it is evaluated in.  With m = 0 (every a_k is 0, as when
-    every cumulant underflows) each b_n above b_0 is 0.
+    whatever stack it is evaluated in.
     """
     N, m = a.shape
-    if not m:
-        return np.zeros(N, dtype=a.dtype)
     R = np.zeros((N, d + 1), dtype=a.dtype)  # R[:, d - n] = b_n
     R[:, d] = 1.0
     weight = _bell_weights(m, d)
@@ -415,16 +423,16 @@ def general_norm_pow_stack(
     return _point_norm_pow_stack(Z, spec, d, hermitian=False)
 
 
-def _point_norm_pow_stack(Z, spec, d: int, hermitian: bool) -> np.ndarray:
-    """The body of the Hermitian and constant-term routes: each row of the
-    prepared stack (:func:`_prepared`) becomes its point matrices
+def _point_norm_pow_stack(Z, spec, d: int, hermitian: bool, kernel=_bell_stack) -> np.ndarray:
+    """The body of the Hermitian, series and constant-term routes: each row
+    of the prepared stack (:func:`_prepared`) becomes its point matrices
     (:func:`_points`), one Hermitian row one point and any other row
     q = d/2 + 1 points, all traced by :func:`_trace_power_stack` up to the
     row's top cumulant m and put through one Bell recurrence.  On the
-    Hermitian route every row is Hermitian; on the constant-term route a
-    row is Hermitian if its scaled matrix equals its adjoint exactly, which
-    is the input's own equality (the scales are exact), and any other row,
-    however near Hermitian, takes its q points.
+    Hermitian and series routes every row is Hermitian; on the
+    constant-term route a row is Hermitian if its scaled matrix equals its
+    adjoint exactly, which is the input's own equality (the scales are
+    exact), and any other row, however near Hermitian, takes its q points.
 
     A float row's norm power is H(M) at its one point, or the sum of H at
     its q points divided by q C(d, d/2); the exact row's, H(M) at its one
@@ -433,7 +441,9 @@ def _point_norm_pow_stack(Z, spec, d: int, hermitian: bool) -> np.ndarray:
     call's largest gets zero factors above it, which add exact zeros at
     the end of each of its sums, so every row's value is the one it gets
     alone under its own law.  Float trace powers must be real to within
-    :func:`~rvnorms.scalars.real_parts_checked`'s residue.
+    :func:`~rvnorms.scalars.real_parts_checked`'s residue.  ``kernel`` is
+    the float stack's recurrence (the series route passes
+    :func:`_exp_stack`); the exact row always takes :func:`_bell`.
     """
     S, scale, laws, rows = _prepared(Z, spec, d, hermitian)
     if not len(S):
@@ -461,7 +471,7 @@ def _point_norm_pow_stack(Z, spec, d: int, hermitian: bool) -> np.ndarray:
             return _rescaled((b[0], D * factorial(d)), scale, d)
         w, W = _palindromic_weights(d // 2)
         return _rescaled((sum(map(mul, w, b)), W * D * factorial(d) * comb(d, d // 2)), scale, d)
-    values = _bell_stack(a, d)
+    values = kernel(a, d)
     if k == len(herm):
         return _rescaled(values, scale, d)
     means = values[k:].reshape(-1, q).sum(axis=1) / (q * float(comb(d, d // 2)))
@@ -591,43 +601,34 @@ def series_norm_pow_stack(
     A, spec: DistributionSpec | Sequence[DistributionSpec], d: int
 ) -> np.ndarray:
     """The norm powers of a stack (N, n, n) of Hermitian matrices or one
-    Matrix, as an array, by the series route of :func:`series_norm_pow`, at
-    the scale of :func:`_prepared`.
+    Matrix, as an array, by the series route of :func:`series_norm_pow`:
+    :func:`_point_norm_pow_stack` on the Hermitian route, with the float
+    stack's recurrence :func:`_exp_stack` in place of :func:`_bell_stack`.
 
     ``spec`` is one law for every matrix or a sequence of N laws, one per
     matrix (:func:`_law_rows`); every law needs a moment generating
-    function.  The trace powers up to each row's top cumulant come from
-    :func:`_trace_power_stack`.  The coefficient of t^j is kappa_j / j!
-    times tr A^j: on the exact stack one Fraction; on a float stack
-    kappa_j / j! is rounded once (:attr:`CumulantVector.normalized`) and
-    taken before any product, so that no float carries a factor j!.  The
-    exact row's series is exponentiated by :meth:`TruncatedSeries.exp`, a
-    float stack's by :func:`_exp_stack`, with the same float values.
+    function.  The coefficient of t^j is kappa_j / j! times tr A^j, so the
+    series' exponential at t^d is B_d(kappa_1 tr A, ..., kappa_d tr A^d) / d!
+    and the exact row takes the Bell recurrence in ints (:func:`_bell`),
+    equal to :func:`hermitian_norm_pow`; a float row differs from it only
+    in its rounding.
     """
     _require_mgf(spec)
-    S, scale, laws, rows = _prepared(A, spec, d, hermitian=True)
-    if not len(S):
-        return np.empty(0)
-    c, m, den = _factors(laws, rows)
-    a = _trace_power_stack(S, m) * c
-    if den is None:
-        return _rescaled(_exp_stack(a, d), scale, d)
-    # exact: kappa_j / j! = c_j / (den[j] j!)
-    row = [Fraction(x, den[j] * factorial(j)) for j, x in enumerate(a[0].tolist(), 1)]
-    total = TruncatedSeries([0, *row] + [0] * (d - len(row))).exp().coefficient(d)
-    return _rescaled((total, 1), scale, d)
+    return _point_norm_pow_stack(A, spec, d, hermitian=True, kernel=_exp_stack)
 
 
 def _exp_stack(f: np.ndarray, d: int) -> np.ndarray:
     """[t^d] exp(sum_j f[:, j-1] t^j) for each row of a float stack (N, m),
-    m <= d, by the recurrence of :meth:`TruncatedSeries.exp`:
+    1 <= m <= d, by the derivative recurrence g' = f' g:
 
         g_k = (sum_{j=1}^{min(k, m)} (j f_j) g_{k-j}) / k,   g_0 = 1,
 
     one batched product per k.  Each sum runs over j in ascending order,
-    one term after another from 0, and a term whose f_j is 0 adds +0.0
-    (``exp`` skips it), so every row's value is the float that ``exp``
-    gives its own series, whatever stack it is evaluated in.
+    one term after another from 0, and a term whose f_j is 0 is skipped
+    (it adds +0.0, never 0 * inf = nan), so every row gets the value that
+    this loop gives its own series alone, whatever stack it is evaluated
+    in.  With f_j = kappa_j tr A^j / j! it is the Bell recurrence of
+    :func:`_bell_stack`, in another rounding.
     """
     N, m = f.shape
     jf = f * np.arange(1, m + 1)
@@ -643,7 +644,7 @@ def _exp_stack(f: np.ndarray, d: int) -> np.ndarray:
             if skip:
                 S[zero[:, :K]] = 0.0
             # + 0.0: a sum of zeros is +0.0, as a sum started from 0 gives it
-            R[:, d - k] = (S.cumsum(axis=1)[:, -1] + 0.0) / k if K else 0.0
+            R[:, d - k] = (S.cumsum(axis=1)[:, -1] + 0.0) / k
     return R[:, 0]
 
 
@@ -827,7 +828,11 @@ def formula_terms(kappas, d: int, hermitian_mode: bool = False):
     first, in one call of :func:`_kappa_quotients` that reads each
     cumulant's numerator and denominator once, and a partition whose
     quotient is 0 is skipped.  ``exact`` tells whether every other
-    quotient is an exact rational, before any table is built.
+    quotient is an exact rational, before any table is built.  A float
+    quotient that is not finite, or is 0.0 although no cumulant of its
+    partition is 0, raises PreconditionError, and so do float cumulants
+    that leave no term at all: each is a coefficient lost to overflow or
+    underflow, which would print wrong or be dropped.
 
     ``partitions`` yields, in the order of :func:`enumerate_partitions`,
     ``(table, coeffs)`` for each partition kept: ``table`` its
@@ -843,11 +848,21 @@ def formula_terms(kappas, d: int, hermitian_mode: bool = False):
         raise PreconditionError(f"need cumulants up to degree {d}, got {len(ks)}")
     denom = 1 if hermitian_mode else comb(d, d // 2)
     partitions = [(p.parts, y_of(p)) for p in enumerate_partitions(d)]
-    quotients = [
-        (parts, num, den)
-        for (parts, _), (num, den) in zip(partitions, _kappa_quotients(ks, partitions, denom))
-        if num != 0
-    ]
+    quotients = []
+    for (parts, _), (num, den) in zip(partitions, _kappa_quotients(ks, partitions, denom)):
+        if isinstance(num, float) and not (
+            math.isfinite(num) and (num or not all(ks[k - 1] for k in parts))
+        ):
+            cause = "underflow" if num == 0 else "overflow"
+            raise PreconditionError(
+                f"the float coefficient of partition {parts} is {num!r}: its cumulants {cause}"
+            )
+        if num != 0:
+            quotients.append((parts, num, den))
+    if not quotients and not all(map(is_exact, ks[:d])):
+        raise PreconditionError(
+            f"no term of degree {d} is left: the float cumulants underflow to 0.0"
+        )
     exact = all(isinstance(num, int) for _, num, _ in quotients)
     return exact, _partition_terms(quotients, hermitian_mode)
 

@@ -2,9 +2,9 @@
 
 Exact values are ``int`` and ``fractions.Fraction``; everything else
 (float, complex) goes through ordinary floating point.  Python's numeric
-tower handles the mixed products, so the only care needed is division
-(``int / int`` must not silently produce a float on the exact path) and
-extracting real parts from complex values that carry roundoff residue.
+tower handles the mixed products, so the care left is telling exact from
+float values and extracting real parts from complex values that carry
+roundoff residue.
 """
 
 from __future__ import annotations
@@ -18,13 +18,6 @@ EXACT_TYPES = (int, Fraction)
 
 def is_exact(value) -> bool:
     return isinstance(value, EXACT_TYPES)
-
-
-def exact_div(num, den):
-    """Divide, keeping exact operands exact."""
-    if is_exact(num) and is_exact(den):
-        return Fraction(num, den) if isinstance(num, int) and isinstance(den, int) else Fraction(num) / den
-    return num / den
 
 
 def real_part_checked(value):

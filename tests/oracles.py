@@ -9,7 +9,9 @@ and the CHS power-sum identity are oracles for ``sympoly``;
 ``evaluate`` evaluates a printed trace polynomial at a matrix term by term,
 the reference for the trace-word route;
 ``bell_value`` (the complete Bell polynomial) and ``z_of`` (the
-centralizer order) are the kernel's and the partition walk's plain forms;
+centralizer order) are the kernel's and the partition walk's plain forms,
+and ``series_exp_coefficient`` the series route's float recurrence, one
+series at a time; ``exact_div`` divides keeping exact operands exact;
 ``matrix_to_json`` writes the matrix file format;
 ``random_unitary``, ``random_hermitian``, ``random_general`` and ``zeros``
 build test inputs, and ``block_size`` reads the size of a ``paths`` trial.
@@ -27,7 +29,7 @@ from rvnorms.errors import MomentExistenceError, NonHermitianError, Precondition
 from rvnorms.matrixcore import Matrix, is_hermitian
 from rvnorms.normengine import TracePolynomial, _bell, _require_even_degree
 from rvnorms.partitions import Partition, enumerate_partitions
-from rvnorms.scalars import exact_div, is_exact, real_part_checked
+from rvnorms.scalars import is_exact, real_part_checked
 from rvnorms.sympoly import chs
 from rvnorms.words import word_plan, word_traces
 
@@ -40,6 +42,32 @@ def bell_value(ell: int, x):
     if len(x) < ell:
         raise PreconditionError(f"B_{ell} needs {ell} arguments, got {len(x)}")
     return _bell([x[:ell]], ell, [1] * (ell + 1), range(1, ell + 1))[0][0]
+
+
+def exact_div(num, den):
+    """num / den, a Fraction when both are exact (int or Fraction)."""
+    if is_exact(num) and is_exact(den):
+        return Fraction(num) / den
+    return num / den
+
+
+def series_exp_coefficient(f, d: int):
+    """[t^d] exp(sum_j f[j-1] t^j) by the derivative recurrence g' = f' g,
+
+        k g_k = sum_{j=1}^{k} j f_j g_{k-j},   g_0 = 1,
+
+    each sum from 0 over ascending j, a term whose f_j is 0 skipped (f_j = 0
+    above len(f)): exact on exact f, and on float f the bits that the float
+    series route gives each row (``normengine._exp_stack``)."""
+    f = list(f) + [0] * (d - len(f))
+    g = [1] + [0] * d
+    for k in range(1, d + 1):
+        acc = 0
+        for j in range(1, k + 1):
+            if f[j - 1] != 0:
+                acc = acc + j * f[j - 1] * g[k - j]
+        g[k] = exact_div(acc, k)
+    return g[d]
 
 
 def z_of(p: Partition) -> int:

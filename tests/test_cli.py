@@ -563,16 +563,26 @@ def test_norm_out_of_float_range_exit_3(tmp_path, entry):
 
 @pytest.mark.parametrize("method", ["partition", "series", "words", "auto"])
 @pytest.mark.parametrize("re", [[[1, 0], [0, 1]], [[1, 2], [0, 1]]], ids=["hermitian", "general"])
-def test_norm_with_every_float_cumulant_underflowed_exit_3(tmp_path, capsys, method, re):
-    # sigma^2 = 1e-400 is 0.0 as a float, so is every cumulant: the norm
-    # power is 0.0 on every route (series refuses the general matrix).
+@pytest.mark.parametrize(
+    "law, d", [("normal:mu=0,sigma=1e-200", "4"), ("uniform:a=0,b=1e-320", "2")]
+)
+def test_norm_with_every_float_cumulant_underflowed_exit_3(tmp_path, capsys, method, re, law, d):
+    # sigma^2 = 1e-400 is 0.0 as a float, so is every cumulant; uniform's
+    # kappa_1 = 5e-321 is subnormal and its kappa_2 0.0.  The law is refused
+    # by name on every route before any evaluation (series refuses the
+    # general matrix as such first).
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"n": 2, "re": re}))
-    argv = ["norm", str(path), "normal:mu=0,sigma=1e-200", "-d", "4", "--method", method]
+    argv = ["norm", str(path), law, "-d", d, "--method", method]
     assert cli.main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    if method == "series" and re[0][1]:
+        assert "Hermitian" in captured.err
+    else:
+        assert f"error: {law}: every float cumulant factor" in captured.err
+        assert "underflows" in captured.err and "lost its precision" not in captured.err
 
 
 def test_norm_auto_near_the_float_limit_exit_3(tmp_path):
@@ -869,6 +879,37 @@ def test_closed_stdout_ends_without_traceback():
         assert proc.wait(timeout=60) == 1, fmt
         assert first == head
         assert err == b"", fmt
+
+
+@pytest.mark.parametrize(
+    "law, cause",
+    [
+        ("normal:mu=0,sigma=1e200", "is inf: its cumulants overflow"),
+        ("normal:mu=1e-170,sigma=1", "(2, 1, 1) is 0.0: its cumulants underflow"),
+        ("normal:mu=0,sigma=1e-200", "no term of degree 4 is left"),
+    ],
+)
+@pytest.mark.parametrize("mode", ["general", "hermitian"])
+def test_formula_with_a_float_coefficient_lost_exit_3(capsys, law, cause, mode):
+    # sigma^2 = 1e400 overflows to inf; mu^2 = 1e-340 underflows to 0.0,
+    # which would drop the terms in mu^2 (the exact twin keeps them); and
+    # sigma^2 = 1e-400 leaves no term at all.  Each is refused, and
+    # nothing is printed.
+    assert cli.main(["formula", law, "-d", "4", "--mode", mode]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and cause in captured.err
+
+
+def test_formula_float_law_at_ordinary_scale_prints_every_term(capsys):
+    # The exact twin of normal:mu=1e-170 prints six terms; at mu = 1/2 the
+    # float law prints the same six, the checks passing every coefficient.
+    assert cli.main(["formula", f"normal:mu=1/{10**170},sigma=1", "-d", "4"]) == 0
+    exact = capsys.readouterr().out.splitlines()
+    assert cli.main(["formula", "normal:mu=0.5,sigma=1", "-d", "4"]) == 0
+    floats = capsys.readouterr().out.splitlines()
+    assert len(exact) == len(floats) == 6
+    assert [line.split(" ", 1)[1] for line in exact] == [line.split(" ", 1)[1] for line in floats]
 
 
 def test_formula_json_with_float_coefficients_exit_3_before_writing(capsys):

@@ -29,7 +29,7 @@ from rvnorms.normengine import (
     write_formula,
 )
 from rvnorms.partitions import enumerate_partitions, y_of
-from rvnorms.scalars import exact_div, real_part_checked
+from rvnorms.scalars import real_part_checked
 from rvnorms.sympoly import chs
 from rvnorms.words import word_json, word_text
 from rvnorms.suites import default_family_specs, mgf_family_specs, stream
@@ -37,12 +37,14 @@ from rvnorms.suites import default_family_specs, mgf_family_specs, stream
 from oracles import (
     bell_value,
     evaluate,
+    exact_div,
     kappa_product,
     normal_norm_pow_closed,
     pareto_norm_pow_multinomial,
     random_general,
     random_hermitian,
     random_unitary,
+    series_exp_coefficient,
     trace_of_product,
     trace_powers,
     zeros,
@@ -407,24 +409,44 @@ def test_series_equals_partition_exact():
             assert series_norm_pow(A, spec, d) == hermitian_norm_pow(A, spec, d), name
 
 
+@pytest.mark.parametrize("d", [2, 4, 10, 20, 40])
+def test_exact_series_equals_the_series_exponential(d):
+    # The series route's definition, [t^d] exp(sum_j kappa_j tr(A^j) t^j / j!),
+    # by the plain recurrence over Fractions, against the route, which runs
+    # the int Bell kernel: equal on random rational symmetric matrices of
+    # sizes 1-4, under every law with a moment generating function.
+    rnd = random.Random(9100 + d)
+    for name, spec in mgf_family_specs():
+        kappas = distribution_cumulants(spec, d).kappas
+        for n in range(1, 5):
+            A = rational_symmetric(rnd, n)
+            tp = trace_powers(A, d)
+            f = [Fraction(kappas[j - 1]) * tp[j - 1] / factorial(j) for j in range(1, d + 1)]
+            assert series_norm_pow(A, spec, d) == series_exp_coefficient(f, d), (name, n)
+
+
+def truncated_product(a, b, d):
+    """The coefficients of a(t) b(t) up to t^d."""
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(d + 1)]
+
+
 def test_series_matches_moment_product():
     # Independent route: [t^d] of the product over i of the truncated moment
     # series sum_k mu_k lambda_i^k t^k / k!, multiplied out directly.
     from rvnorms.cumulants import distribution_moments
-    from rvnorms.series import TruncatedSeries
 
     rnd = random.Random(83)
     d = 4
     for name, spec in mgf_family_specs():
         lam = rational_vector(rnd, 3)
         mom = distribution_moments(spec, d)
-        product = TruncatedSeries.one(d)
+        product = [1] + [0] * d
         for li in lam:
             coeffs = [1] + [
                 mom[k - 1] * li**k * Fraction(1, factorial(k)) for k in range(1, d + 1)
             ]
-            product = product * TruncatedSeries(coeffs)
-        direct = product.coefficient(d)
+            product = truncated_product(product, coeffs, d)
+        direct = product[d]
         got = series_norm_pow(Matrix.diagonal(lam), spec, d)
         if isinstance(direct, Fraction) or isinstance(direct, int):
             assert got == direct, name

@@ -31,11 +31,10 @@ from rvnorms.normengine import (
     word_sum_norm_pow_stack,
 )
 from rvnorms.scalars import real_part_checked
-from rvnorms.series import TruncatedSeries
 from rvnorms.suites import default_family_specs, mgf_family_specs, stream
 from rvnorms.words import word_table
 
-from oracles import block_size, evaluate
+from oracles import block_size, evaluate, series_exp_coefficient
 
 STACK_ROUTES = {"hermitian": hermitian_norm_pow_stack, "general": general_norm_pow_stack}
 # oracle: (stack route, single-matrix route, kind of matrix it takes)
@@ -471,9 +470,9 @@ def test_float_stack_values_keep_their_bits(name):
 
 @pytest.mark.parametrize("d", range(2, 42, 2))
 def test_series_stack_equals_the_per_row_exp(d):
-    # The float stack's batched recurrence against TruncatedSeries.exp row
-    # by row, on the same coefficients, under mixed laws: normal's
-    # cumulants above 2 are 0, so its rows skip terms the others add.
+    # The float stack's batched recurrence against the plain loop row by
+    # row, on the same coefficients, under mixed laws: normal's cumulants
+    # above 2 are 0, so its rows skip terms the others add.
     rng = stream(8100 + d)
     specs = [spec for _, spec in mgf_family_specs()]
     H = random_stack(rng, "hermitian", 24, 4) * rng.uniform(0.1, 4.0, size=(24, 1, 1))
@@ -481,7 +480,7 @@ def test_series_stack_equals_the_per_row_exp(d):
     S, scale, cvs, rows = normengine._prepared(H, laws, d, hermitian=True)
     c, m, _ = normengine._factors(cvs, rows)
     a = (normengine._trace_power_stack(S, m) * c).tolist()
-    per_row = [TruncatedSeries([0, *r] + [0] * (d - len(r))).exp().coefficient(d) for r in a]
+    per_row = [series_exp_coefficient(r, d) for r in a]
     want = normengine._rescaled(per_row, scale, d)
     got = series_norm_pow_stack(H, laws, d)
     assert got.tolist() == want.tolist()
@@ -490,7 +489,8 @@ def test_series_stack_equals_the_per_row_exp(d):
 
 def test_series_stack_overflow_is_the_per_row_inf():
     # The second row's series overflows to inf; its law's kappa_1 is 0, and
-    # the term exp skips there must not turn 0 * inf into nan, or warn.
+    # the term the recurrence skips there must not turn 0 * inf into nan,
+    # or warn.
     H = np.array([np.diag([1.0, -2.0]), np.diag([3.0, 1.0])], dtype=complex)
     laws = [DistributionSpec.exponential(), DistributionSpec.normal(0, 10**30)]
     with warnings.catch_warnings():
