@@ -113,7 +113,9 @@ VERIFY_MAX_TRIALS = {"axioms": 2400, "schur": 4000, "paths": 250, "hunter": 8000
 # `oracle` exits 3 before it reads the matrix.  One thread draws 2*10**7
 # samples of a Hermitian float 8x8 at d=6 in 3.1-10.8 s on a 2-vCPU host
 # (pareto fastest, poisson slowest), and the cost grows with n: 10**7 keeps
-# each law near 5 s there.
+# each law near 5 s there.  Memory does not grow with the samples or with n:
+# each block of 2**16 samples has its own counter range and is drawn in
+# chunks of at most 2**15 variates (4 rows of n above n = 2**13).
 ORACLE_MAX_SAMPLES = 10**7
 
 

@@ -291,8 +291,20 @@ class CumulantVector:
         """The floats kappa_k / k! for k = 1..d, each formed exactly and
         rounded once: the cumulant factors of the float Bell recurrence.
         Formed once per vector, and so once per law and degree for the
-        vectors of :func:`distribution_cumulants`."""
-        return tuple(float(Fraction(kappa) / factorial(k)) for k, kappa in enumerate(self.kappas, 1))
+        vectors of :func:`distribution_cumulants`.  A float cumulant that
+        is inf or nan, or an exact one whose factor is past the float range,
+        raises PreconditionError naming it."""
+        out = []
+        for k, kappa in enumerate(self.kappas, 1):
+            try:
+                out.append(float(Fraction(kappa) / factorial(k)))
+            except (OverflowError, ValueError):  # inf, nan, or too large for a float
+                if isinstance(kappa, float):
+                    what = f"the float cumulant kappa_{k} is {kappa!r}"
+                else:
+                    what = f"the cumulant factor kappa_{k} / {k}! is past the float range"
+                raise PreconditionError(f"{what}: its cumulants overflow") from None
+        return tuple(out)
 
 
 def moments_to_cumulants(mu) -> CumulantVector:

@@ -134,11 +134,12 @@ def _prepared(Z, spec, d: int, hermitian: bool):
     Anything else, a Matrix as a stack of one, gives each Z[i] * 2**-e[i]
     (:func:`scale_exponents`), scale e and, per row, the index of its law
     (:func:`_law_rows`).  Input that is not a Matrix or an array (N, n, n),
-    or has a non-finite entry, raises ValueError.  A law whose float factors
-    kappa_k / k! (:attr:`CumulantVector.normalized`) up to d all underflow,
-    to 0.0 or a subnormal, raises PreconditionError: its terms are 0.0 or
-    subnormal before any trace multiplies them, so no float evaluation
-    keeps the digits of its norm power.
+    or has a non-finite entry, raises ValueError.  A law whose float
+    factors kappa_k / k! (:attr:`CumulantVector.normalized`) up to d
+    include one that overflows, or all underflow, to 0.0 or a subnormal,
+    raises PreconditionError that names it: the one has no float value,
+    and the other's terms are 0.0 or subnormal before any trace multiplies
+    them, so no float evaluation keeps the digits of its norm power.
     """
     _require_even_degree(d)
     if isinstance(Z, Matrix):
@@ -164,7 +165,11 @@ def _prepared(Z, spec, d: int, hermitian: bool):
     e = scale_exponents(max_abs)
     laws = [distribution_cumulants(law, d) for law in specs]
     for law, cv in zip(specs, laws):
-        if all(abs(x) < sys.float_info.min for x in cv.normalized):
+        try:
+            factors = cv.normalized
+        except PreconditionError as exc:
+            raise PreconditionError(f"{law.label()}: {exc}") from None
+        if all(abs(x) < sys.float_info.min for x in factors):
             raise PreconditionError(
                 f"{law.label()}: every float cumulant factor kappa_k / k! up to "
                 f"degree {d} underflows (is 0.0 or subnormal)"

@@ -2,10 +2,17 @@
 estimation of E|<X, lambda>|^d / d!.
 
 Random streams are counter-based Philox generators.  A run is split into
-fixed-size blocks of samples; block b draws from the generator keyed by the
-seed with its counter advanced to block b's private range, so blocks are
-independent of each other and of how much any sampler consumes.  Block
-results are combined in block order, which makes every estimate bit-identical
+blocks of 2^16 samples (``BLOCK_SAMPLES``); block b draws from the generator
+keyed by the seed with its counter advanced to block b's private range, so
+blocks are independent of each other and of how much any sampler consumes.
+Each block is drawn in chunks of a power-of-two number of rows of n
+variates, at most 2^15 entries (``CHUNK_ENTRIES``) or 4 rows, each
+projected onto lambda into the block's one array of powers; a generator
+fills arrays in order, so the chunks are the block's variates exactly, and
+the memory of a sampling worker does not grow with n.  A block's powers
+are scaled by the power of two that puts the largest in [1/2, 1), so that
+their squares cannot overflow, and the block sums are combined in block
+order at a common power of two.  That makes every estimate bit-identical
 for a fixed (seed, samples) pair regardless of the worker count.
 """
 
@@ -30,6 +37,13 @@ from .matrixcore import (
 from .normengine import general_norm_pow_stack
 
 BLOCK_SAMPLES = 1 << 16
+
+# Most variates a block draws at once (256 kB of floats, as
+# words.TRACE_BLOCK), in a power-of-two number of rows of n entries and at
+# least 4 rows.  The chunks' projections then have the bits of the whole
+# block's product: with OpenBLAS 0.3.31, chunks of 1 or 2 rows (n >= 64),
+# or of 5, rounded some of them differently.
+CHUNK_ENTRIES = 1 << 15
 
 # Largest degree the estimate takes: it divides by d!, which leaves the
 # float range from d=171.
@@ -101,6 +115,12 @@ def sample(spec: DistributionSpec, stream: np.random.Generator) -> float:
     return float(sample_block(spec, stream, 1)[0])
 
 
+def _chunk_rows(n: int) -> int:
+    """Rows of n variates in one chunk: the largest power of two whose rows
+    hold at most CHUNK_ENTRIES entries, and at least 4."""
+    return max(4, CHUNK_ENTRIES >> (n - 1).bit_length())
+
+
 def _block_ranges(samples: int):
     out = []
     start = 0
@@ -126,7 +146,12 @@ def mc_norm_pow(
     Accepts any integer d from 2 to ORACLE_MAX_DEGREE (odd included),
     checked before any sample is drawn.  Deterministic for a fixed (seed,
     samples); the worker count, min(threads, blocks, CPUs), never changes
-    the result.
+    the result.  Each block returns the exponent k of its largest power
+    with the sums of its powers and their squares scaled by 2^-k, and the
+    blocks are added at the largest k: scaling by a power of two is exact,
+    so the estimate is the one the unscaled sums give wherever those stay
+    in the float range, and the squares cannot overflow where the powers
+    do not.  The estimate is inf where the powers overflow.
     """
     if not isinstance(d, int) or not 2 <= d <= ORACLE_MAX_DEGREE:
         raise PreconditionError(f"d must be an integer from 2 to {ORACLE_MAX_DEGREE}, got {d!r}")
@@ -138,15 +163,22 @@ def mc_norm_pow(
     if lam.size == 0:
         raise PreconditionError("lambdas must be nonempty")
     n = lam.size
+    rows = _chunk_rows(n)
 
     def run_block(args):
         block, count = args
         rng = block_stream(seed, block)
-        draws = sample_block(spec, rng, (count, n))
+        y = np.empty(count)
+        for lo in range(0, count, rows):
+            hi = min(lo + rows, count)
+            np.matmul(sample_block(spec, rng, (hi - lo, n)), lam, out=y[lo:hi])
         # a power that leaves the float range is refused by mc_norm, silently here
         with np.errstate(over="ignore", under="ignore"):
-            y = np.abs(draws @ lam) ** d
-            return float(np.sum(y)), float(np.sum(y * y))
+            np.abs(y, out=y)
+            y **= d
+            k = math.frexp(y.max())[1]
+            y *= math.ldexp(1.0, -k)
+            return k, float(np.sum(y)), float(np.sum(y * y))
 
     ranges = _block_ranges(samples)
     workers = min(threads, len(ranges), os.cpu_count() or 1)
@@ -156,17 +188,23 @@ def mc_norm_pow(
     else:
         results = [run_block(r) for r in ranges]
 
+    # block order, deterministic reduction, at the scale 2**-top of the
+    # largest block (a block of zeros has no scale)
+    top = max((k for k, a, _ in results if a), default=0)
     s1 = 0.0
     s2 = 0.0
-    for a, b in results:  # block order, deterministic reduction
-        s1 += a
-        s2 += b
+    for k, a, b in results:
+        s1 += math.ldexp(a, k - top)
+        s2 += math.ldexp(b, 2 * (k - top))
     mean = s1 / samples
     var = (s2 - samples * mean * mean) / (samples - 1)
-    # nan where the summed squares overflowed (inf - inf), kept as nan
+    # nan where the powers overflowed (inf - inf), kept as nan
     stderr = math.nan if math.isnan(var) else math.sqrt(max(0.0, var) / samples)
-    scale = factorial(d)
-    return McEstimate(mean / scale, stderr / scale, samples, seed)
+    # d! = f 2**g: dividing by f and scaling by 2**(top - g) rounds once, as
+    # dividing the unscaled sums by d! would; neither leaves the float range
+    # unless the powers did (the mean is below the largest, and d! >= 2)
+    f, g = math.frexp(factorial(d))
+    return McEstimate(math.ldexp(mean / f, top - g), math.ldexp(stderr / f, top - g), samples, seed)
 
 
 def mc_norm(

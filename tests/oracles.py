@@ -13,6 +13,8 @@ centralizer order) are the kernel's and the partition walk's plain forms,
 and ``series_exp_coefficient`` the series route's float recurrence, one
 series at a time; ``exact_div`` divides keeping exact operands exact;
 ``matrix_to_json`` writes the matrix file format;
+``mc_norm_pow_one_shot`` is the Monte Carlo kernel with each block drawn
+as one array and summed unscaled, the reference for the chunked one;
 ``random_unitary``, ``random_hermitian``, ``random_general`` and ``zeros``
 build test inputs, and ``block_size`` reads the size of a ``paths`` trial.
 """
@@ -28,6 +30,7 @@ from rvnorms.cumulants import CumulantVector
 from rvnorms.errors import MomentExistenceError, NonHermitianError, PreconditionError
 from rvnorms.matrixcore import Matrix, is_hermitian
 from rvnorms.normengine import TracePolynomial, _bell, _require_even_degree
+from rvnorms.oracle import McEstimate, _block_ranges, block_stream, sample_block
 from rvnorms.partitions import Partition, enumerate_partitions
 from rvnorms.scalars import is_exact, real_part_checked
 from rvnorms.sympoly import chs
@@ -331,3 +334,27 @@ def evaluate(poly: TracePolynomial, Z: Matrix):
         return sum(values)
     # thousands of rounded terms: a running sum would lose digits
     return complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
+
+
+def mc_norm_pow_one_shot(lambdas, spec, degrees, samples: int, seed: int) -> list:
+    """E|sum_i lambda_i X_i|^d / d! as ``mc_norm_pow`` estimates it, for
+    each d of ``degrees`` from the same draws: each block drawn as one
+    (count, n) array from its stream, its powers and their squares summed
+    unscaled, the block sums added in block order."""
+    lam = np.array([float(v) for v in lambdas])
+    sums = [[0.0, 0.0] for _ in degrees]
+    for block, count in _block_ranges(samples):
+        draws = sample_block(spec, block_stream(seed, block), (count, lam.size))
+        s = np.abs(draws @ lam)
+        for acc, d in zip(sums, degrees):
+            with np.errstate(over="ignore", under="ignore"):
+                y = s**d
+                acc[0] += float(np.sum(y))
+                acc[1] += float(np.sum(y * y))
+    out = []
+    for (s1, s2), d in zip(sums, degrees):
+        mean = s1 / samples
+        var = (s2 - samples * mean * mean) / (samples - 1)
+        stderr = math.nan if math.isnan(var) else math.sqrt(max(0.0, var) / samples)
+        out.append(McEstimate(mean / factorial(d), stderr / factorial(d), samples, seed))
+    return out

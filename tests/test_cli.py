@@ -441,11 +441,23 @@ def test_oracle_subcommand(identity2, capsys):
     assert out["samples"] == 20000 and out["seed"] == 3
 
 
-@pytest.mark.parametrize("beta, d", [("1e200", 4), ("1e-200", 4), ("1e80", 2)])
+@pytest.mark.parametrize("beta", ["1e80", "1e-100"])
+def test_oracle_estimate_whose_squared_powers_leave_the_float_range(identity2, capsys, beta):
+    # the squared powers, near 1e320 and 1e-400, would overflow or underflow
+    # unscaled: each block sums them scaled by a power of two
+    argv = ["oracle", identity2, f"exponential:beta={beta}", "-d", "2", "--samples", "10000"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv + ["--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert 0 < out["stderr"] < out["value"]
+    assert abs(out["value"] - 3**0.5 * float(beta)) <= 5 * out["stderr"]
+
+
+@pytest.mark.parametrize("beta, d", [("1e200", 4), ("1e-200", 4)])
 def test_oracle_estimate_that_is_no_value_exit_3(identity2, capsys, beta, d):
-    # The sampled powers overflow to inf (inf +/- nan), underflow to 0.0,
-    # which is no estimate for a nonzero matrix, or stay finite while their
-    # squares overflow (a value +/- nan, not +/- 0.0); none warns.
+    # The sampled powers overflow to inf (inf +/- nan) or underflow to 0.0,
+    # which is no estimate for a nonzero matrix; neither warns.
     argv = ["oracle", identity2, f"exponential:beta={beta}", "-d", str(d), "--samples", "10000"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -583,6 +595,34 @@ def test_norm_with_every_float_cumulant_underflowed_exit_3(tmp_path, capsys, met
     else:
         assert f"error: {law}: every float cumulant factor" in captured.err
         assert "underflows" in captured.err and "lost its precision" not in captured.err
+
+
+@pytest.mark.parametrize("method", ["partition", "series", "words", "auto"])
+@pytest.mark.parametrize("re", [[[1, 0], [0, 1]], [[1, 2], [0, 1]]], ids=["hermitian", "general"])
+@pytest.mark.parametrize(
+    "law, cause",
+    [
+        ("normal:mu=0,sigma=1e200", "the float cumulant kappa_2 is inf"),
+        ("normal:mu=0,sigma=1" + "0" * 200, "the cumulant factor kappa_2 / 2! is past the float range"),
+    ],
+    ids=["float-law", "exact-law"],
+)
+def test_norm_with_an_overflowed_float_cumulant_exit_3(tmp_path, capsys, method, re, law, cause):
+    # sigma^2 = 1e400 is inf as a float, and the exact 10^400 / 2! has no
+    # float: on a float matrix the law is refused by name, and its cumulant
+    # with it, on every route before any evaluation (series refuses the
+    # general matrix as such first)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 2, "re": [[float(v) for v in row] for row in re]}))
+    argv = ["norm", str(path), law, "-d", "4", "--method", method]
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if method == "series" and re[0][1]:
+        assert "Hermitian" in captured.err
+    else:
+        label = "normal:mu=0,sigma=" + ("1e+200" if "e" in law else "1" + "0" * 200)
+        assert captured.err == f"error: {label}: {cause}: its cumulants overflow\n"
 
 
 def test_norm_auto_near_the_float_limit_exit_3(tmp_path):

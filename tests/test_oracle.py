@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,7 @@ from rvnorms.oracle import (
     sample_block,
 )
 
-from oracles import frobenius_norm, zeros
+from oracles import frobenius_norm, mc_norm_pow_one_shot, zeros
 
 I = 1j
 
@@ -122,6 +123,84 @@ def test_workers_clamped_to_threads_blocks_and_cpus(monkeypatch, threads, blocks
     assert got == want
 
 
+CATALOG = [
+    DistributionSpec.gamma(Fraction(3, 2), Fraction(1, 2)),
+    DistributionSpec.exponential(2),
+    DistributionSpec.normal(Fraction(1, 3), Fraction(3, 2)),
+    DistributionSpec.uniform(-1, Fraction(3, 2)),
+    DistributionSpec.laplace(Fraction(-1, 2), 1),
+    DistributionSpec.bernoulli(Fraction(1, 3)),
+    DistributionSpec.finite_discrete((-1, Fraction(1, 2), 2), (Fraction(1, 4),) * 2 + (Fraction(1, 2),)),
+    DistributionSpec.rademacher(),
+    DistributionSpec.poisson(Fraction(3, 2)),
+    DistributionSpec.pareto(9),
+]
+
+
+@pytest.mark.parametrize("spec", CATALOG, ids=lambda spec: spec.family)
+def test_chunked_draws_are_the_whole_block_draws(spec):
+    # rows of 3 variates: 5 in chunks of 2 rows, then 4 chunks of 4096 rows
+    # and a last chunk of 7
+    for size, rows in ((5, 2), (4 * 4096 + 7, 4096)):
+        whole = sample_block(spec, block_stream(3, 1), (size, 3))
+        rng = block_stream(3, 1)
+        chunks = [sample_block(spec, rng, (min(rows, size - lo), 3)) for lo in range(0, size, rows)]
+        assert np.array_equal(np.concatenate(chunks), whole)
+
+
+@pytest.mark.parametrize("spec", CATALOG, ids=lambda spec: spec.family)
+def test_chunked_kernel_equals_the_one_shot_kernel(spec):
+    # chunks of 2^15, 2^13, 2^12 and 2^9 rows; one partial block, a block
+    # and one sample, three blocks and 17 samples
+    for n in (1, 3, 8, 64):
+        lam = np.random.default_rng(n).standard_normal(n)
+        for samples in (10**4, BLOCK_SAMPLES + 1, 3 * BLOCK_SAMPLES + 17):
+            want = mc_norm_pow_one_shot(lam, spec, (2, 6, 7), samples, 11)
+            for d, one_shot in zip((2, 6, 7), want):
+                for threads in (1, 2):
+                    assert mc_norm_pow(lam, spec, d, samples, 11, threads=threads) == one_shot
+
+
+def test_sampling_memory_does_not_grow_with_n():
+    # one block of 2^16 draws of 64 variates would be 32 MB
+    lam = np.linspace(-1.0, 1.0, 64)
+    tracemalloc.start()
+    try:
+        mc_norm_pow(lam, DistributionSpec.normal(0, 1), 6, 2 * BLOCK_SAMPLES, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+
+
+def test_block_sums_are_scaled_by_powers_of_two():
+    # beta = 2^266 scales every draw, and each power |<X, lambda>|^2 by 2^532,
+    # exactly: the squares, near 2^1064, would overflow unscaled
+    unit = mc_norm_pow([1.0, 1.0], DistributionSpec.exponential(1), 2, 3 * 10**4, seed=4)
+    big = mc_norm_pow([1.0, 1.0], DistributionSpec.exponential(2**266), 2, 3 * 10**4, seed=4)
+    assert big.value == math.ldexp(unit.value, 532)
+    assert big.stderr == math.ldexp(unit.stderr, 532) > 0
+
+
+def test_a_block_of_zeros_takes_no_part_in_the_scale():
+    # the one-sample last block of seed 1 draws the atom 0: the first block's
+    # squares, near 2^-1328, are summed at the first block's own scale
+    coin = (Fraction(1, 2), Fraction(1, 2))
+    unit = mc_norm_pow([1.0], DistributionSpec.finite_discrete((0, 1), coin), 2, BLOCK_SAMPLES + 1, 1)
+    tiny = DistributionSpec.finite_discrete((0, Fraction(1, 2**332)), coin)
+    assert sample_block(tiny, block_stream(1, 1), 1)[0] == 0.0
+    est = mc_norm_pow([1.0], tiny, 2, BLOCK_SAMPLES + 1, 1)
+    assert est.value == math.ldexp(unit.value, -664)
+    assert est.stderr == math.ldexp(unit.stderr, -664) > 0
+
+
+@pytest.mark.parametrize(
+    "n, rows", [(1, 1 << 15), (3, 1 << 13), (8, 1 << 12), (64, 1 << 9), (8192, 4), (10**5, 4)]
+)
+def test_chunk_rows(n, rows):
+    assert oracle._chunk_rows(n) == rows
+
+
 def test_mc_zero_vector():
     est = mc_norm_pow([0.0, 0.0], DistributionSpec.rademacher(), 2, 10**4, seed=1)
     assert est.value == 0.0 and est.stderr == 0.0
@@ -217,7 +296,7 @@ def test_mc_refuses_degree_above_the_float_range_before_sampling(monkeypatch):
         with pytest.raises(PreconditionError, match="from 2 to 170"):
             mc_norm(Matrix([[1, 0], [0, 2]]), spec, d, 10**4, seed=1)
     assert calls == []
-    # small weights keep the square of |<X, lambda>|^170 below the float limit
+    # small weights keep |<X, lambda>|^170 in the float range
     mc_norm_pow([0.01, 0.005], spec, 170, 10**4, seed=1)
     assert len(calls) == 1
 
