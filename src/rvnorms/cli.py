@@ -115,7 +115,7 @@ VERIFY_MAX_TRIALS = {"axioms": 2400, "schur": 4000, "paths": 250, "hunter": 8000
 # (pareto fastest, poisson slowest), and the cost grows with n: 10**7 keeps
 # each law near 5 s there.  Memory does not grow with the samples or with n:
 # each block of 2**16 samples has its own counter range and is drawn in
-# chunks of at most 2**15 variates (4 rows of n above n = 2**13).
+# chunks of at most 2**15 variates (oracle.CHUNK_ENTRIES).
 ORACLE_MAX_SAMPLES = 10**7
 
 

@@ -5,11 +5,8 @@ Random streams are counter-based Philox generators.  A run is split into
 blocks of 2^16 samples (``BLOCK_SAMPLES``); block b draws from the generator
 keyed by the seed with its counter advanced to block b's private range, so
 blocks are independent of each other and of how much any sampler consumes.
-Each block is drawn in chunks of a power-of-two number of rows of n
-variates, at most 2^15 entries (``CHUNK_ENTRIES``) or 4 rows, each
-projected onto lambda into the block's one array of powers; a generator
-fills arrays in order, so the chunks are the block's variates exactly, and
-the memory of a sampling worker does not grow with n.  A block's powers
+Each block is drawn in chunks of at most 2^15 variates (``CHUNK_ENTRIES``),
+so the memory of a sampling worker does not grow with n.  A block's powers
 are scaled by the power of two that puts the largest in [1/2, 1), so that
 their squares cannot overflow, and the block sums are combined in block
 order at a common power of two.  That makes every estimate bit-identical
@@ -39,10 +36,14 @@ from .normengine import general_norm_pow_stack
 BLOCK_SAMPLES = 1 << 16
 
 # Most variates a block draws at once (256 kB of floats, as
-# words.TRACE_BLOCK), in a power-of-two number of rows of n entries and at
-# least 4 rows.  The chunks' projections then have the bits of the whole
-# block's product: with OpenBLAS 0.3.31, chunks of 1 or 2 rows (n >= 64),
-# or of 5, rounded some of them differently.
+# words.TRACE_BLOCK): a power-of-two number of rows of n entries, at least
+# one.  A generator fills arrays in order, so the chunks are the block's
+# variates exactly.  Each chunk is projected onto lambda by einsum, whose
+# dot product has one order per row whatever the number of rows; a BLAS
+# matrix-vector product groups rows by its kernel and thread split, and
+# with OpenBLAS 0.3.31 chunks of 1, 2 or 5 rows rounded some projections
+# differently from the whole block's product.  So the estimate does not
+# depend on the chunk size, the BLAS library or its thread count.
 CHUNK_ENTRIES = 1 << 15
 
 # Largest degree the estimate takes: it divides by d!, which leaves the
@@ -116,9 +117,8 @@ def sample(spec: DistributionSpec, stream: np.random.Generator) -> float:
 
 
 def _chunk_rows(n: int) -> int:
-    """Rows of n variates in one chunk: the largest power of two whose rows
-    hold at most CHUNK_ENTRIES entries, and at least 4."""
-    return max(4, CHUNK_ENTRIES >> (n - 1).bit_length())
+    """Rows of n variates in one chunk (see CHUNK_ENTRIES)."""
+    return max(1, CHUNK_ENTRIES >> (n - 1).bit_length())
 
 
 def _block_ranges(samples: int):
@@ -149,9 +149,10 @@ def mc_norm_pow(
     the result.  Each block returns the exponent k of its largest power
     with the sums of its powers and their squares scaled by 2^-k, and the
     blocks are added at the largest k: scaling by a power of two is exact,
-    so the estimate is the one the unscaled sums give wherever those stay
-    in the float range, and the squares cannot overflow where the powers
-    do not.  The estimate is inf where the powers overflow.
+    so the estimate is the one the unscaled sums give wherever those and
+    the estimate are normal floats (a subnormal estimate may differ by one
+    step of the subnormal grid), and the squares cannot overflow where the
+    powers do not.  The estimate is inf where the powers overflow.
     """
     if not isinstance(d, int) or not 2 <= d <= ORACLE_MAX_DEGREE:
         raise PreconditionError(f"d must be an integer from 2 to {ORACLE_MAX_DEGREE}, got {d!r}")
@@ -171,13 +172,14 @@ def mc_norm_pow(
         y = np.empty(count)
         for lo in range(0, count, rows):
             hi = min(lo + rows, count)
-            np.matmul(sample_block(spec, rng, (hi - lo, n)), lam, out=y[lo:hi])
+            np.einsum("ij,j->i", sample_block(spec, rng, (hi - lo, n)), lam, out=y[lo:hi])
         # a power that leaves the float range is refused by mc_norm, silently here
         with np.errstate(over="ignore", under="ignore"):
             np.abs(y, out=y)
             y **= d
+            # 2**-k itself is no float when the largest power is below 2**-1022
             k = math.frexp(y.max())[1]
-            y *= math.ldexp(1.0, -k)
+            np.ldexp(y, -k, out=y)
             return k, float(np.sum(y)), float(np.sum(y * y))
 
     ranges = _block_ranges(samples)

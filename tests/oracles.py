@@ -339,13 +339,14 @@ def evaluate(poly: TracePolynomial, Z: Matrix):
 def mc_norm_pow_one_shot(lambdas, spec, degrees, samples: int, seed: int) -> list:
     """E|sum_i lambda_i X_i|^d / d! as ``mc_norm_pow`` estimates it, for
     each d of ``degrees`` from the same draws: each block drawn as one
-    (count, n) array from its stream, its powers and their squares summed
-    unscaled, the block sums added in block order."""
+    (count, n) array from its stream and projected by the same einsum, its
+    powers and their squares summed unscaled, the block sums added in block
+    order."""
     lam = np.array([float(v) for v in lambdas])
     sums = [[0.0, 0.0] for _ in degrees]
     for block, count in _block_ranges(samples):
         draws = sample_block(spec, block_stream(seed, block), (count, lam.size))
-        s = np.abs(draws @ lam)
+        s = np.abs(np.einsum("ij,j->i", draws, lam))
         for acc, d in zip(sums, degrees):
             with np.errstate(over="ignore", under="ignore"):
                 y = s**d

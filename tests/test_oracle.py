@@ -139,9 +139,9 @@ CATALOG = [
 
 @pytest.mark.parametrize("spec", CATALOG, ids=lambda spec: spec.family)
 def test_chunked_draws_are_the_whole_block_draws(spec):
-    # rows of 3 variates: 5 in chunks of 2 rows, then 4 chunks of 4096 rows
-    # and a last chunk of 7
-    for size, rows in ((5, 2), (4 * 4096 + 7, 4096)):
+    # rows of 3 variates: 5 in chunks of 1 and of 2 rows, then 4 chunks of
+    # 4096 rows and a last chunk of 7
+    for size, rows in ((5, 1), (5, 2), (4 * 4096 + 7, 4096)):
         whole = sample_block(spec, block_stream(3, 1), (size, 3))
         rng = block_stream(3, 1)
         chunks = [sample_block(spec, rng, (min(rows, size - lo), 3)) for lo in range(0, size, rows)]
@@ -159,6 +159,17 @@ def test_chunked_kernel_equals_the_one_shot_kernel(spec):
             for d, one_shot in zip((2, 6, 7), want):
                 for threads in (1, 2):
                     assert mc_norm_pow(lam, spec, d, samples, 11, threads=threads) == one_shot
+
+
+@pytest.mark.parametrize("entries", [1, 2, 8, 5 * 2**10])
+def test_the_estimate_does_not_depend_on_the_chunk_size(monkeypatch, entries):
+    # chunks of 1 row up to 2^10 rows, of 3 or of 64 variates
+    monkeypatch.setattr(oracle, "CHUNK_ENTRIES", entries)
+    spec = DistributionSpec.normal(Fraction(1, 3), Fraction(3, 2))
+    for n in (3, 64):
+        lam = np.random.default_rng(n).standard_normal(n)
+        (want,) = mc_norm_pow_one_shot(lam, spec, (6,), 10**4, 5)
+        assert mc_norm_pow(lam, spec, 6, 10**4, 5) == want
 
 
 def test_sampling_memory_does_not_grow_with_n():
@@ -182,6 +193,27 @@ def test_block_sums_are_scaled_by_powers_of_two():
     assert big.stderr == math.ldexp(unit.stderr, 532) > 0
 
 
+def test_a_block_whose_powers_are_subnormal_is_scaled_up():
+    # the one-sample last block of seed 2 draws x = -0.0134: |x|^170 is
+    # 4.1e-319, so 2**-k, k from frexp of it, would be past the float range
+    spec = DistributionSpec.normal(0, 1)
+    assert 0.0 < abs(sample_block(spec, block_stream(2, 1), 1)[0]) ** 170 < 2.0**-1022
+    (one_shot,) = mc_norm_pow_one_shot([1.0], spec, (170,), BLOCK_SAMPLES + 1, 2)
+    assert mc_norm_pow([1.0], spec, 170, BLOCK_SAMPLES + 1, 2) == one_shot
+
+
+def test_a_law_whose_powers_are_all_subnormal():
+    # every power U^2 lies in [2^-1060, 2^-1056]; the unscaled squares are 0
+    spec = DistributionSpec.uniform(Fraction(1, 2**530), Fraction(1, 2**528))
+    (one_shot,) = mc_norm_pow_one_shot([1.0], spec, (2,), 10**4, 1)
+    est = mc_norm_pow([1.0], spec, 2, 10**4, 1)
+    # a subnormal mean: the scaled and unscaled sums round it to the
+    # subnormal grid by different steps
+    assert 0.0 < one_shot.value < 2.0**-1022
+    assert abs(est.value - one_shot.value) <= 2.0**-1074
+    assert 0.0 < est.stderr < est.value
+
+
 def test_a_block_of_zeros_takes_no_part_in_the_scale():
     # the one-sample last block of seed 1 draws the atom 0: the first block's
     # squares, near 2^-1328, are summed at the first block's own scale
@@ -195,7 +227,7 @@ def test_a_block_of_zeros_takes_no_part_in_the_scale():
 
 
 @pytest.mark.parametrize(
-    "n, rows", [(1, 1 << 15), (3, 1 << 13), (8, 1 << 12), (64, 1 << 9), (8192, 4), (10**5, 4)]
+    "n, rows", [(1, 1 << 15), (3, 1 << 13), (8, 1 << 12), (64, 1 << 9), (8192, 4), (32768, 1), (10**5, 1)]
 )
 def test_chunk_rows(n, rows):
     assert oracle._chunk_rows(n) == rows
