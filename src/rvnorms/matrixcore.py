@@ -163,26 +163,21 @@ def hermitian_tolerance(max_abs):
     return 1e-12 * max_abs
 
 
-def hermitian_mask(Z: np.ndarray, tol=None) -> np.ndarray:
+def hermitian_mask(Z: np.ndarray, tol) -> np.ndarray:
     """For a stack of inexact matrices (..., n, n): True where the
-    largest entrywise |Z - Z*| is at most ``tol`` (a float, or one per
-    matrix), by default :func:`hermitian_tolerance` of that matrix."""
-    if tol is None:
-        tol = hermitian_tolerance(np.abs(Z).max(axis=(-2, -1)))
+    largest entrywise |Z - Z*| is at most ``tol``, one per matrix: its
+    :func:`hermitian_tolerance`."""
     with np.errstate(over="ignore"):  # an inf difference is simply > tol
         diff = np.abs(Z - np.conjugate(Z).swapaxes(-2, -1)).max(axis=(-2, -1))
     return diff <= tol
 
 
-def is_hermitian(Z: Matrix, tol: float | None = None) -> bool:
-    """True iff max entrywise |Z - Z*| <= tol.
-
-    Without ``tol``, an exact matrix must equal its adjoint exactly and any
-    other gets :func:`hermitian_tolerance` (see :func:`hermitian_mask`).
-    """
-    if tol is None and Z.is_exact():
+def is_hermitian(Z: Matrix) -> bool:
+    """True iff Z equals its adjoint: exactly for an exact matrix, and
+    within :func:`hermitian_tolerance` of its largest entry otherwise."""
+    if Z.is_exact():
         return Z.array.tolist() == Z.array.T.tolist()  # exact entries are real
-    return bool(hermitian_mask(Z.array, tol))
+    return bool(hermitian_mask(Z.array, hermitian_tolerance(Z.max_abs())))
 
 
 def hermitian_eigenvalues(A: Matrix) -> list[float]:

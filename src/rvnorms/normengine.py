@@ -907,40 +907,45 @@ class _Rendered(dict):
         return name
 
 
-class FormulaRenderer:
-    """The printed terms of a trace polynomial, the one renderer of
-    :func:`write_formula`.
+def write_formula(
+    write, kappas, d: int, hermitian_mode: bool = False, as_json: bool = False, fields=None
+) -> None:
+    """Write the trace polynomial of :func:`symbolic_formula` through
+    ``write``, one partition's terms at a time as :func:`formula_terms`
+    makes them, without holding the polynomial.
 
-    A term is a text line, its coefficient and then its factors, a
+    As text: one line per term, its coefficient and then its factors, a
     repeated factor as w^count (``tr(Z*Z) tr(Z)^2``; ``tr(A^2)`` in
-    Hermitian mode), or a JSON object ``{"coeff": [num, den], "factors":
-    ["sZ", "Z", "Z"]}`` (``"A^2"`` in Hermitian mode), exactly as
-    ``json.dumps`` writes it.  :attr:`names` renders each distinct factor
-    word once, and the JSON form quotes each once.
-    """
-
-    def __init__(self, hermitian: bool, as_json: bool):
-        if as_json:
-            form = (lambda w: f"A^{len(w)}") if hermitian else word_json
-        elif hermitian:
-            form = lambda w: "tr(A)" if len(w) == 1 else f"tr(A^{len(w)})"  # noqa: E731
-        else:
-            form = lambda w: f"tr({word_text(w)})"  # noqa: E731
-        self.as_json = as_json
-        self.separator = ", " if as_json else "\n"
-        self.names = _Rendered(form)
-        self._quoted = _Rendered(lambda w: json.dumps(form(w)))
-
-    def chunk(self, table, coeffs) -> str:
-        """The terms ((factor words, key), ...) of ``table``, each with the
-        coefficient ``coeffs[key]`` = (num, den), joined by
-        :attr:`separator`; each coefficient is rendered once."""
-        if self.as_json:
+    Hermitian mode), or ``0``, and a newline.  As JSON: ``json.dumps`` of
+    ``{"degree", "mode", "terms"}`` with the keys of ``fields`` added, and
+    a newline, each term ``{"coeff": [num, den], "factors": ["sZ", "Z",
+    "Z"]}`` (``"A^2"`` in Hermitian mode).  Each distinct factor word is
+    rendered once (and quoted once), and each coefficient once per
+    partition.  The JSON form of a polynomial with an inexact coefficient
+    raises PreconditionError before anything is written."""
+    exact, partitions = formula_terms(kappas, d, hermitian_mode)
+    separator = ""
+    if as_json:
+        if not exact:
+            raise PreconditionError("JSON form requires exact rational coefficients")
+        form = (lambda w: f"A^{len(w)}") if hermitian_mode else word_json
+        quoted = _Rendered(lambda w: json.dumps(form(w))).__getitem__
+        mode = "hermitian" if hermitian_mode else "general"
+        write(f'{{"degree": {d}, "mode": "{mode}", "terms": [')
+        for table, coeffs in partitions:
             heads = {k: f'{{"coeff": [{n}, {q}], "factors": [' for k, (n, q) in coeffs.items()}
-            quoted = self._quoted.__getitem__
-            return ", ".join([heads[k] + ", ".join(map(quoted, key)) + "]}" for key, k in table])
+            write(separator)
+            write(", ".join([heads[k] + ", ".join(map(quoted, key)) + "]}" for key, k in table]))
+            separator = ", "
+        extra = "".join(f", {json.dumps(k)}: {json.dumps(v)}" for k, v in (fields or {}).items())
+        write(f"]{extra}}}\n")
+        return
+    if hermitian_mode:
+        names = _Rendered(lambda w: "tr(A)" if len(w) == 1 else f"tr(A^{len(w)})")
+    else:
+        names = _Rendered(lambda w: f"tr({word_text(w)})")
+    for table, coeffs in partitions:
         heads = {k: f"{n} " if q == 1 else f"{n}/{q} " for k, (n, q) in coeffs.items()}
-        names = self.names
         lines = []
         for key, k in table:
             distinct = dict.fromkeys(key)
@@ -951,36 +956,10 @@ class FormulaRenderer:
                     [names[w] if (c := key.count(w)) == 1 else f"{names[w]}^{c}" for w in distinct]
                 )
             lines.append(heads[k] + factors)
-        return "\n".join(lines)
-
-
-def write_formula(
-    write, kappas, d: int, hermitian_mode: bool = False, as_json: bool = False, fields=None
-) -> None:
-    """Write the trace polynomial of :func:`symbolic_formula` through
-    ``write``, one partition's terms at a time as :func:`formula_terms`
-    makes them, without holding the polynomial: one line per term
-    (:class:`FormulaRenderer`), or ``0``, and a newline; or ``json.dumps``
-    of ``{"degree", "mode", "terms"}`` with the keys of ``fields`` added,
-    and a newline.  The JSON form of a polynomial with an inexact
-    coefficient raises PreconditionError before anything is written."""
-    exact, partitions = formula_terms(kappas, d, hermitian_mode)
-    render = FormulaRenderer(hermitian_mode, as_json)
-    if as_json:
-        if not exact:
-            raise PreconditionError("JSON form requires exact rational coefficients")
-        mode = "hermitian" if hermitian_mode else "general"
-        write(f'{{"degree": {d}, "mode": "{mode}", "terms": [')
-    separator = ""
-    for table, coeffs in partitions:
         write(separator)
-        write(render.chunk(table, coeffs))
-        separator = render.separator
-    if as_json:
-        extra = "".join(f", {json.dumps(k)}: {json.dumps(v)}" for k, v in (fields or {}).items())
-        write(f"]{extra}}}\n")
-    else:
-        write("\n" if separator else "0\n")
+        write("\n".join(lines))
+        separator = "\n"
+    write("\n" if separator else "0\n")
 
 
 @dataclass(eq=True, slots=True)

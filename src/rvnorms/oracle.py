@@ -36,14 +36,13 @@ from .normengine import general_norm_pow_stack
 BLOCK_SAMPLES = 1 << 16
 
 # Most variates a block draws at once (256 kB of floats, as
-# words.TRACE_BLOCK): a power-of-two number of rows of n entries, at least
-# one.  A generator fills arrays in order, so the chunks are the block's
+# words.TRACE_BLOCK): CHUNK_ENTRIES // n rows of n entries, at least one.
+# A generator fills arrays in order, so the chunks are the block's
 # variates exactly.  Each chunk is projected onto lambda by einsum, whose
-# dot product has one order per row whatever the number of rows; a BLAS
-# matrix-vector product groups rows by its kernel and thread split, and
-# with OpenBLAS 0.3.31 chunks of 1, 2 or 5 rows rounded some projections
-# differently from the whole block's product.  So the estimate does not
-# depend on the chunk size, the BLAS library or its thread count.
+# dot product has one order per row whatever the number of rows, and not
+# by a BLAS matrix-vector product, which groups rows by its kernel and
+# thread split.  So the estimate does not depend on the chunk size, the
+# BLAS library or its thread count.
 CHUNK_ENTRIES = 1 << 15
 
 # Largest degree the estimate takes: it divides by d!, which leaves the
@@ -118,7 +117,7 @@ def sample(spec: DistributionSpec, stream: np.random.Generator) -> float:
 
 def _chunk_rows(n: int) -> int:
     """Rows of n variates in one chunk (see CHUNK_ENTRIES)."""
-    return max(1, CHUNK_ENTRIES >> (n - 1).bit_length())
+    return max(1, CHUNK_ENTRIES // n)
 
 
 def _block_ranges(samples: int):
@@ -248,7 +247,10 @@ def mc_norm(
             "is not a value: the sampled powers left the float range"
         )
     value = est.value ** (1.0 / d)
-    stderr = est.stderr * value / (d * est.value)
+    # scaled by 2**-k, exactly, so that stderr * value cannot leave the
+    # float range before the division brings it back
+    k = math.frexp(est.value)[1]
+    stderr = math.ldexp(est.stderr, -k) * value / (d * math.ldexp(est.value, -k))
     return McEstimate(math.ldexp(value, e), math.ldexp(stderr, e), samples, seed)
 
 

@@ -454,6 +454,23 @@ def test_oracle_estimate_whose_squared_powers_leave_the_float_range(identity2, c
     assert abs(out["value"] - 3**0.5 * float(beta)) <= 5 * out["stderr"]
 
 
+@pytest.mark.parametrize(
+    "beta, d, samples, seed",
+    [("1e80", 3, 20000, 9), ("1e-100", 3, 20000, 9), ("1e120", 2, 10000, 1), ("1e-50", 6, 10000, 1)],
+)
+def test_oracle_stderr_is_finite_and_positive(identity2, capsys, beta, d, samples, seed):
+    # the stderr of the norm power times the norm, near beta^(d+1), leaves
+    # the float range: the error bar is propagated at the estimate's scale
+    argv = ["oracle", identity2, f"exponential:beta={beta}", "-d", str(d)]
+    argv += ["--samples", str(samples), "--seed", str(seed)]
+    assert cli.main(argv) == 0
+    text = capsys.readouterr().out
+    assert 0.0 < float(text.split("+/- ")[1].split()[0]) < math.inf
+    assert cli.main(argv + ["--json"]) == 0
+    out = json.loads(capsys.readouterr().out, parse_constant=lambda name: pytest.fail(name))
+    assert 0.0 < out["stderr"] < out["value"]
+
+
 @pytest.mark.parametrize("beta, d", [("1e200", 4), ("1e-200", 4)])
 def test_oracle_estimate_that_is_no_value_exit_3(identity2, capsys, beta, d):
     # The sampled powers overflow to inf (inf +/- nan) or underflow to 0.0,

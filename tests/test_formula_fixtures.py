@@ -3,9 +3,12 @@ of the stdout of the enumeration-based placement tables (commit 612983c),
 for six families whose cumulants are all nonzero, at d = 2..10, and of the
 per-part fold that followed them (commit f82f82d) for two families at
 d = 12 and 14.  The d = 10 digests are also checked with every cache of
-the program emptied before the call, as a fresh process runs it."""
+the program emptied before the call, as a fresh process runs it.  In
+Hermitian mode, `write_formula` at d = 20 is pinned for an exact law
+(text and JSON) and a float law (text), as written at commit 235c051."""
 
 import hashlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -13,10 +16,13 @@ from pathlib import Path
 import pytest
 
 from rvnorms import cli
+from rvnorms.cumulants import distribution_cumulants, parse_distribution
+from rvnorms.normengine import write_formula
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DIGESTS = json.loads((FIXTURES / "formula_general_sha256.json").read_text())
 DIGESTS_D12_D14 = json.loads((FIXTURES / "formula_general_d12_d14_sha256.json").read_text())
+DIGESTS_HERMITIAN_D20 = json.loads((FIXTURES / "formula_hermitian_d20_sha256.json").read_text())
 
 DISTS = (
     "gamma:alpha=7/4,beta=3/4",
@@ -85,3 +91,19 @@ def test_formula_general_bytes_unchanged_cold(dist, fmt, capsys):
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[f"{dist} -d 10 {fmt}"]
+
+
+@pytest.mark.parametrize(
+    "dist, fmt",
+    [
+        ("gamma:alpha=7/4,beta=3/4", "text"),
+        ("gamma:alpha=7/4,beta=3/4", "json"),
+        ("gamma:alpha=1.5,beta=0.3", "text"),
+    ],
+)
+def test_hermitian_formula_bytes_unchanged_d20(dist, fmt):
+    kappas = distribution_cumulants(parse_distribution(dist), 20)
+    out = io.StringIO()
+    write_formula(out.write, kappas, 20, hermitian_mode=True, as_json=fmt == "json")
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digest == DIGESTS_HERMITIAN_D20[f"{dist} -d 20 {fmt}"]

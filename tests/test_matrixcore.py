@@ -32,20 +32,21 @@ I = 1j
 
 
 def test_is_hermitian_fixtures():
-    assert is_hermitian(Matrix.identity(3), tol=0)
-    assert not is_hermitian(Matrix([[0, I], [0, 0]]), tol=0)
-    assert is_hermitian(Matrix([[1, 2 + I], [2 - I, 3]]), tol=0)
+    assert is_hermitian(Matrix.identity(3))
+    assert not is_hermitian(Matrix([[0, I], [0, 0]]))
+    assert is_hermitian(Matrix([[1, 2 + I], [2 - I, 3]]))
+    assert not is_hermitian(Matrix([[1, 2 + I], [2 + I, 3]]))
 
 
 def test_is_hermitian_exact_matrices_compared_exactly():
-    # 1e-14 is far below the default float tolerance, but an exact matrix
-    # with it off the diagonal is not Hermitian.
+    # 1e-14 is far below the float tolerance, but an exact matrix with it
+    # off the diagonal is not Hermitian.
     tiny = Fraction(1, 10**14)
     assert not is_hermitian(Matrix([[1, tiny], [0, 1]]))
     assert is_hermitian(Matrix([[1, tiny], [tiny, 1]]))
-    assert is_hermitian(Matrix([[1, tiny], [0, 1]]), tol=1e-12)
-    # float matrices keep the default tolerance
+    # float matrices are compared within 1e-12 of their largest entry
     assert is_hermitian(Matrix([[1.0, 1e-14], [0.0, 1.0]]))
+    assert not is_hermitian(Matrix([[1.0, 1e-11], [0.0, 1.0]]))
 
 
 def test_matrix_validation():

@@ -148,22 +148,25 @@ def test_chunked_draws_are_the_whole_block_draws(spec):
         assert np.array_equal(np.concatenate(chunks), whole)
 
 
-@pytest.mark.parametrize("spec", CATALOG, ids=lambda spec: spec.family)
-def test_chunked_kernel_equals_the_one_shot_kernel(spec):
-    # chunks of 2^15, 2^13, 2^12 and 2^9 rows; one partial block, a block
-    # and one sample, three blocks and 17 samples
-    for n in (1, 3, 8, 64):
+@pytest.mark.parametrize("i, spec", enumerate(CATALOG), ids=[spec.family for spec in CATALOG])
+def test_chunked_kernel_equals_the_one_shot_kernel(i, spec):
+    # every family at n=64 (chunks of 512 rows) over two blocks with two
+    # workers; across the families, also n = 1, 3 and 8 (chunks of 2^15,
+    # 10922 and 2^12 rows), one partial block and three blocks and 17
+    # samples, d = 2, 6 and 7, and one or two workers
+    cases = (
+        (64, BLOCK_SAMPLES + 1, (2, 6, 7)[i % 3], 2),
+        ((1, 3, 8)[i % 3], (10**4, 3 * BLOCK_SAMPLES + 17)[i % 2], (6, 7, 2)[i % 3], 1 + i // 2 % 2),
+    )
+    for n, samples, d, threads in cases:
         lam = np.random.default_rng(n).standard_normal(n)
-        for samples in (10**4, BLOCK_SAMPLES + 1, 3 * BLOCK_SAMPLES + 17):
-            want = mc_norm_pow_one_shot(lam, spec, (2, 6, 7), samples, 11)
-            for d, one_shot in zip((2, 6, 7), want):
-                for threads in (1, 2):
-                    assert mc_norm_pow(lam, spec, d, samples, 11, threads=threads) == one_shot
+        (one_shot,) = mc_norm_pow_one_shot(lam, spec, (d,), samples, 11)
+        assert mc_norm_pow(lam, spec, d, samples, 11, threads=threads) == one_shot
 
 
 @pytest.mark.parametrize("entries", [1, 2, 8, 5 * 2**10])
 def test_the_estimate_does_not_depend_on_the_chunk_size(monkeypatch, entries):
-    # chunks of 1 row up to 2^10 rows, of 3 or of 64 variates
+    # chunks of 1 row up to 1706 rows, of 3 or of 64 variates
     monkeypatch.setattr(oracle, "CHUNK_ENTRIES", entries)
     spec = DistributionSpec.normal(Fraction(1, 3), Fraction(3, 2))
     for n in (3, 64):
@@ -227,7 +230,7 @@ def test_a_block_of_zeros_takes_no_part_in_the_scale():
 
 
 @pytest.mark.parametrize(
-    "n, rows", [(1, 1 << 15), (3, 1 << 13), (8, 1 << 12), (64, 1 << 9), (8192, 4), (32768, 1), (10**5, 1)]
+    "n, rows", [(1, 1 << 15), (3, 10922), (8, 1 << 12), (64, 1 << 9), (8192, 4), (32768, 1), (10**5, 1)]
 )
 def test_chunk_rows(n, rows):
     assert oracle._chunk_rows(n) == rows
@@ -271,6 +274,19 @@ def test_mc_norm_is_scale_safe(scale):
     est = mc_norm(Matrix.diagonal([scale, scale]), spec, 4, 10**4, seed=11)
     assert math.isfinite(est.value) and est.value > 0
     assert abs(est.value - scale * unit.value) <= 5 * est.stderr
+
+
+@pytest.mark.parametrize("d, e", [(2, 80), (2, 100), (2, 120), (2, 150), (3, 80), (3, 100), (6, 50)])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_mc_norm_stderr_is_a_value_where_the_norm_power_is(d, e, sign):
+    # the norm power, near beta^d, is a float, while the stderr of the
+    # power times the norm, near beta^(d+1), may overflow or underflow
+    beta = Fraction(10) ** (sign * e)
+    unit = mc_norm(Matrix.identity(2), DistributionSpec.exponential(), d, 10**4, seed=1)
+    est = mc_norm(Matrix.identity(2), DistributionSpec.exponential(beta), d, 10**4, seed=1)
+    assert 0.0 < est.stderr < math.inf
+    assert math.isclose(est.value, float(beta) * unit.value, rel_tol=1e-12)
+    assert math.isclose(est.stderr / est.value, unit.stderr / unit.value, rel_tol=1e-9)
 
 
 def test_mc_norm_zero_matrix():
