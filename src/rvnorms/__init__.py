@@ -11,6 +11,11 @@ input only its rounding differs), plus a trace-word sum kept as an
 independent oracle, emits their symbolic trace-polynomial form,
 implements the positive-definite CHS combinations H_{d,alpha}, and
 verifies everything against a seeded Monte Carlo oracle.
+
+A :class:`Matrix` is one read-only numpy array with no arithmetic of its
+own: object dtype when every entry is an int or a Fraction, complex128
+otherwise.  A partition is the nonincreasing tuple of its parts, as
+:func:`enumerate_partitions` lists them.
 """
 
 from .cumulants import (
@@ -28,7 +33,6 @@ from .matrixcore import (
     Matrix,
     hermitian_eigenvalues,
     is_hermitian,
-    is_majorized,
     load_matrix,
     matrix_from_json,
 )
@@ -55,7 +59,7 @@ from .oracle import (
     mc_norm_pow,
     sample,
 )
-from .partitions import Partition, enumerate_partitions, hunter_coefficient, y_of
+from .partitions import enumerate_partitions, hunter_coefficient, y_of
 from .sympoly import (
     chs,
     hunter_poly,
@@ -72,7 +76,6 @@ __all__ = [
     "MomentExistenceError",
     "NonHermitianError",
     "ParseError",
-    "Partition",
     "PreconditionError",
     "TracePolynomial",
     "bernoulli_number",
@@ -91,7 +94,6 @@ __all__ = [
     "hunter_poly",
     "hunter_poly_recursive",
     "is_hermitian",
-    "is_majorized",
     "khintchine_bounds",
     "khintchine_check",
     "khintchine_constant",

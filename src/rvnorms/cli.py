@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from .cumulants import distribution_cumulants, parse_distribution, parse_scalar
@@ -329,7 +330,7 @@ def _cmd_hunter(args) -> int:
         out = {
             "degree": d,
             "alpha": alpha,
-            "terms": [{"coeff": c, "parts": list(p.parts)} for p, c in terms],
+            "terms": [{"coeff": c, "parts": list(p)} for p, c in terms],
         }
         if point is not None:
             out["at"] = [_json_value(v) for v in point]
@@ -341,7 +342,7 @@ def _cmd_hunter(args) -> int:
         for p, c in terms:
             factors = " ".join(
                 f"h{i}" + (f"^{m}" if m > 1 else "")
-                for i, m in sorted(p.multiplicities.items())
+                for i, m in sorted(Counter(p).items())
             )
             pieces.append(f"{c} {factors}" if factors else str(c))
         print(f"H_{{{d},{alpha}}} = {' + '.join(pieces) or '0'}")

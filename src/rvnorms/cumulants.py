@@ -414,8 +414,17 @@ def _law_key(spec: DistributionSpec, d: int) -> tuple:
 
 def distribution_cumulants(spec: DistributionSpec, d: int) -> CumulantVector:
     """Cumulants kappa_1..kappa_d for the named distribution, computed once
-    per law and degree."""
-    return _cumulants(*_law_key(spec, d))
+    per law and degree.  A float parameter whose power up to d (Python's
+    float ``**``, here or in :func:`distribution_moments`) is past the float
+    range raises PreconditionError naming the law."""
+    key = _law_key(spec, d)
+    try:
+        return _cumulants(*key)
+    except OverflowError:
+        raise PreconditionError(
+            f"{spec.label()}: a float moment or cumulant up to degree {d} is past "
+            "the float range: its cumulants overflow"
+        ) from None
 
 
 @lru_cache(maxsize=256)

@@ -1,14 +1,13 @@
 """Dense square matrices with the Hermitian test and tolerance, Hermitian
-eigenvalues, majorization, the power-of-two scale of a float matrix, and
-the JSON matrix file format.  The norm routes' trace kernels work on numpy
-stacks (:mod:`rvnorms.normengine`), not on Matrix.
+eigenvalues, majorization of float rows, the power-of-two scale of a float
+matrix, and the JSON matrix file format.  The norm routes' trace kernels
+work on numpy stacks (:mod:`rvnorms.normengine`), not on Matrix.
 
 A Matrix is immutable and holds one numpy array, validated once in its
-constructor.  Entries that are all exact (int, Fraction) or a mix of exact
-and inexact values are stored with ``dtype=object``, so exact arithmetic
-stays in Python ints and Fractions and never overflows; all-inexact entries
-(float, complex, or a numeric ndarray) are stored as complex128.  Entries
-and traces come out as Python int, Fraction or complex.
+constructor.  Entries that are all exact (int, Fraction) are stored with
+``dtype=object``, so exact arithmetic stays in Python ints and Fractions
+and never overflows; any other entries (an inexact value among them, or a
+numeric ndarray) are stored as complex128.
 The analytic norm paths never touch the eigensolver (LAPACK ``eigvalsh``
 through numpy); it exists for the Monte Carlo oracle and the
 Schur-convexity tests.
@@ -16,7 +15,6 @@ Schur-convexity tests.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from fractions import Fraction
@@ -26,24 +24,21 @@ from typing import Iterable
 import numpy as np
 
 from .errors import NonHermitianError, ParseError
-from .scalars import EXACT_TYPES, is_exact
+from .scalars import EXACT_TYPES
 
 _INEXACT_TYPES = (float, complex)
-
-
-def _scalar(v):
-    """A Python int, Fraction or complex for one entry or sum of entries."""
-    return v if is_exact(v) else complex(v)
 
 
 class Matrix:
     """Immutable dense n-by-n matrix over one numpy array ``array``.
 
     Built from rows of int, Fraction, float or complex entries, or from a
-    square ndarray.  Non-finite and unsupported entries raise ValueError.
+    square ndarray.  Non-finite and unsupported entries raise ValueError;
+    an exact entry too large for a float, among inexact ones, raises
+    OverflowError.
     """
 
-    __slots__ = ("array", "n", "_exact")
+    __slots__ = ("array", "n")
 
     def __init__(self, rows: Iterable[Iterable] | np.ndarray):
         if isinstance(rows, np.ndarray) and rows.dtype != object:
@@ -56,75 +51,25 @@ class Matrix:
             a = np.array(rows, dtype=object)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
             raise ValueError("matrix must be square and nonempty")
-        exact = False
         if a.dtype == object:
             kinds = {type(v) for v in a.flat}
             for t in kinds:
                 if not issubclass(t, EXACT_TYPES + _INEXACT_TYPES):
                     raise ValueError(f"unsupported entry type {t.__name__}")
-            exact = all(issubclass(t, EXACT_TYPES) for t in kinds)
-            if not any(issubclass(t, EXACT_TYPES) for t in kinds):
+            if not all(issubclass(t, EXACT_TYPES) for t in kinds):
                 a = a.astype(complex)
-            elif not exact:
-                for v in a.flat:
-                    if isinstance(v, _INEXACT_TYPES) and not cmath.isfinite(v):
-                        raise ValueError(f"non-finite entry {v!r}")
         if a.dtype != object and not np.isfinite(a).all():
             raise ValueError("non-finite entry")
         a.flags.writeable = False
         self.array = a
         self.n = a.shape[0]
-        self._exact = exact
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def diagonal(cls, values) -> "Matrix":
-        values = list(values)
-        n = len(values)
-        return cls([[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def __getitem__(self, ij):
-        return _scalar(self.array[ij])
-
-    def _same_size(self, other: "Matrix") -> None:
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_size(other)
-        return Matrix(self.array + other.array)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_size(other)
-        return Matrix(self.array - other.array)
-
-    def __neg__(self) -> "Matrix":
-        return Matrix(-self.array)
-
-    def __mul__(self, scalar) -> "Matrix":
-        return Matrix(self.array * scalar)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        self._same_size(other)
-        return Matrix(self.array @ other.array)
-
-    def adjoint(self) -> "Matrix":
-        return Matrix(np.conjugate(self.array).T)
-
-    def trace(self):
-        return _scalar(np.trace(self.array))
 
     def max_abs(self) -> float:
         return float(np.abs(self.array).max())
 
     def is_exact(self) -> bool:
         """True iff every entry is an int or a Fraction."""
-        return self._exact
+        return self.array.dtype == object
 
     def to_numpy(self) -> np.ndarray:
         return self.array.astype(complex)
@@ -201,37 +146,13 @@ def majorized_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (xs <= ys + tol[:, None]).all(axis=-1) & (np.abs(xs[:, -1] - ys[:, -1]) <= tol)
 
 
-def is_majorized(x, y) -> bool:
-    """True iff y majorizes x: equal totals and the partial sums of the
-    nonincreasing rearrangement of x never exceed those of y.
-
-    Exact comparison on all-rational input; otherwise the floats of x and
-    y go to :func:`majorized_rows` as one row.
-    """
-    x = list(x)
-    y = list(y)
-    if len(x) != len(y):
-        raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
-    if not all(isinstance(v, (int, Fraction)) for v in x + y):
-        return bool(majorized_rows(np.array([x], dtype=float), np.array([y], dtype=float))[0])
-    xs = sorted(x, reverse=True)
-    ys = sorted(y, reverse=True)
-    run_x = run_y = Fraction(0)
-    for k in range(len(xs)):
-        run_x += xs[k]
-        run_y += ys[k]
-        if run_x > run_y:
-            return False
-    return run_x == run_y
-
-
 # -- JSON matrix file format ------------------------------------------------
 #
 # {"n": 2, "re": [[0, 1], [1, 0]], "im": [[0, 0], [0, 0]]}
 #
-# "im" may be omitted for real matrices.  Integer entries stay exact and
-# strings "p/q" are parsed as exact rationals; an entry whose "im" is not 0
-# becomes the complex of the two as floats.
+# "im" may be omitted for real matrices.  Integer entries and strings "p/q"
+# are exact; an entry whose "im" is not 0 is the complex of the two as
+# floats.  A document with any float or complex entry reads as complex128.
 
 
 def _entry_from_json(v):

@@ -279,10 +279,12 @@ def _bell_stack(a: np.ndarray, d: int) -> np.ndarray:
     R = np.zeros((N, d + 1), dtype=a.dtype)  # R[:, d - n] = b_n
     R[:, d] = 1.0
     weight = _bell_weights(m, d)
-    for n in range(1, d + 1):
-        K = min(n, m)
-        S = a[:, :K] * R[:, d - n + 1 : d - n + 1 + K]  # a_k b_{n-k}, k = 1..K
-        R[:, d - n] = (weight[n - 1, :K] * S).cumsum(axis=1)[:, -1]
+    # as in Python floats, an overflow gives inf and inf * 0 nan, silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, d + 1):
+            K = min(n, m)
+            S = a[:, :K] * R[:, d - n + 1 : d - n + 1 + K]  # a_k b_{n-k}, k = 1..K
+            R[:, d - n] = (weight[n - 1, :K] * S).cumsum(axis=1)[:, -1]
     # + 0.0: a sum of zeros is +0.0, as a sum started from 0 gives it
     return R[:, 0] + 0.0
 
@@ -852,7 +854,7 @@ def formula_terms(kappas, d: int, hermitian_mode: bool = False):
     if len(ks) < d:
         raise PreconditionError(f"need cumulants up to degree {d}, got {len(ks)}")
     denom = 1 if hermitian_mode else comb(d, d // 2)
-    partitions = [(p.parts, y_of(p)) for p in enumerate_partitions(d)]
+    partitions = [(p, y_of(p)) for p in enumerate_partitions(d)]
     quotients = []
     for (parts, _), (num, den) in zip(partitions, _kappa_quotients(ks, partitions, denom)):
         if isinstance(num, float) and not (

@@ -237,7 +237,7 @@ def mc_norm(
             "general Z is covered analytically by the circle-average check"
         )
     e = scale_exponent(A)
-    lams = hermitian_eigenvalues(A * 2.0**-e)
+    lams = hermitian_eigenvalues(Matrix(A.to_numpy() * 2.0**-e))
     est = mc_norm_pow(lams, spec, d, samples, seed, threads=threads)
     if est.value == 0.0 and not A.array.any():
         return McEstimate(0.0, 0.0, samples, seed)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm, prod
 
-from .partitions import Partition, enumerate_partitions, hunter_coefficient
+from .partitions import enumerate_partitions, hunter_coefficient
 from .scalars import is_exact
 
 
@@ -46,8 +46,8 @@ def chs_prefix(d: int, x) -> list:
     return h
 
 
-def hunter_terms(d: int, alpha: int) -> list[tuple[Partition, int]]:
-    """The (partition, coefficient) expansion of H_{d,alpha}, coefficients
+def hunter_terms(d: int, alpha: int) -> list[tuple[tuple[int, ...], int]]:
+    """The (parts, coefficient) expansion of H_{d,alpha}, coefficients
     alpha!/((alpha-r)! prod m_i!), partitions with more than alpha parts dropped."""
     out = []
     for p in enumerate_partitions(d):
@@ -78,12 +78,12 @@ def _rescaled(total, x, L: int | None, d: int):
 
 def hunter_expansion(h: list, terms) -> object:
     """H_{d,alpha} from h = ``chs_prefix(d, x)``: the sum over ``terms``,
-    the (partition, coefficient) pairs of ``hunter_terms(d, alpha)``, of the
+    the (parts, coefficient) pairs of ``hunter_terms(d, alpha)``, of the
     coefficient times the product of the CHS factors h_{part}.  On int h an
     int."""
     total = 0
     for p, c in terms:
-        total = total + c * prod([h[part] for part in p.parts])
+        total = total + c * prod([h[part] for part in p])
     return total
 
 

@@ -280,8 +280,8 @@ def word_table(d: int, support: frozenset[int]) -> WordTable:
     no odd k above 1) has kappa_pi = 0 on the others.  A partition's terms
     have one factor per part, so ordering the partitions by part count
     orders the terms."""
-    kept = (p for p in enumerate_partitions(d) if support.issuperset(p.parts))
-    partitions = [(p.parts, y_of(p)) for p in kept]
+    kept = (p for p in enumerate_partitions(d) if support.issuperset(p))
+    partitions = [(p, y_of(p)) for p in kept]
     order = sorted(range(len(partitions)), key=lambda i: -len(partitions[i][0]))
     tables = [placement_terms(partitions[i][0]) for i in order]
     plan = word_plan(tuple(sorted({w for table in tables for key, _ in table for w in key})))

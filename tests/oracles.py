@@ -15,12 +15,14 @@ series at a time; ``exact_div`` divides keeping exact operands exact;
 ``matrix_to_json`` writes the matrix file format;
 ``mc_norm_pow_one_shot`` is the Monte Carlo kernel with each block drawn
 as one array and summed unscaled, the reference for the chunked one;
-``random_unitary``, ``random_hermitian``, ``random_general`` and ``zeros``
-build test inputs, and ``block_size`` reads the size of a ``paths`` trial.
+``random_unitary``, ``random_hermitian``, ``random_general``, ``zeros``
+and ``diagonal`` build test inputs, and ``block_size`` reads the size of
+a ``paths`` trial.
 """
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
 
@@ -31,7 +33,7 @@ from rvnorms.errors import MomentExistenceError, NonHermitianError, Precondition
 from rvnorms.matrixcore import Matrix, is_hermitian
 from rvnorms.normengine import TracePolynomial, _bell, _require_even_degree
 from rvnorms.oracle import McEstimate, _block_ranges, block_stream, sample_block
-from rvnorms.partitions import Partition, enumerate_partitions
+from rvnorms.partitions import enumerate_partitions
 from rvnorms.scalars import is_exact, real_part_checked
 from rvnorms.sympoly import chs
 from rvnorms.words import word_plan, word_traces
@@ -73,9 +75,9 @@ def series_exp_coefficient(f, d: int):
     return g[d]
 
 
-def z_of(p: Partition) -> int:
+def z_of(p: tuple[int, ...]) -> int:
     """Weight prod_i i^{m_i} * m_i!, the cycle-type centralizer order."""
-    return prod(i**m * factorial(m) for i, m in p.multiplicities.items())
+    return prod(i**m * factorial(m) for i, m in Counter(p).items())
 
 
 def _entry_to_json(v):
@@ -96,6 +98,13 @@ def matrix_to_json(Z: Matrix) -> dict:
 
 def zeros(n: int) -> Matrix:
     return Matrix([[0] * n for _ in range(n)])
+
+
+def diagonal(values) -> Matrix:
+    """diag(values), with exact zeros off the diagonal: exact values give
+    an exact matrix."""
+    values = list(values)
+    return Matrix([[v if i == j else 0 for j in range(len(values))] for i, v in enumerate(values)])
 
 
 def _complex_normal(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -203,13 +212,13 @@ def chs_monomial_sum(d: int, x) -> object:
     return total
 
 
-def power_sum_product(p: Partition, x) -> object:
+def power_sum_product(p: tuple[int, ...], x) -> object:
     """p_pi(x) = product over parts of sum_i x_i^part."""
     x = list(x)
-    return prod((sum(xi**part for xi in x) for part in p.parts), start=1)
+    return prod((sum(xi**part for xi in x) for part in p), start=1)
 
 
-def monomial_sym(p: Partition, x) -> object:
+def monomial_sym(p: tuple[int, ...], x) -> object:
     """Monomial symmetric polynomial m_pi(x): one term per distinct way of
     assigning the parts as exponents to distinct variables.
 
@@ -217,9 +226,9 @@ def monomial_sym(p: Partition, x) -> object:
     """
     x = list(x)
     n = len(x)
-    if p.num_parts > n:
+    if len(p) > n:
         return 0
-    values = sorted(p.multiplicities.items())  # (part value, multiplicity)
+    values = sorted(Counter(p).items())  # (part value, multiplicity)
     total = 0
 
     def assign(vi: int, free: tuple[int, ...], acc) -> None:
@@ -273,22 +282,27 @@ def bernoulli_norm_hermitian(lambdas, q, d: int) -> object:
         m = monomial_sym(p, lambdas)
         if m == 0:
             continue
-        coeff = exact_div(q ** p.num_parts, prod(factorial(part) for part in p.parts))
+        coeff = exact_div(q ** len(p), prod(factorial(part) for part in p))
         total = total + coeff * m
     return total
 
 
-def kappa_product(p: Partition, k: CumulantVector):
+def kappa_product(p: tuple[int, ...], k: CumulantVector):
     """kappa_pi = product of kappa over the parts of the partition."""
-    if p.parts and p.parts[0] > k.degree:
+    if p and p[0] > k.degree:
         raise PreconditionError(
-            f"partition needs kappa_{p.parts[0]} but only degree {k.degree} is available"
+            f"partition needs kappa_{p[0]} but only degree {k.degree} is available"
         )
-    return prod((k.kappas[i - 1] for i in p.parts), start=1)
+    return prod((k.kappas[i - 1] for i in p), start=1)
 
 
 def frobenius_norm(Z: Matrix) -> float:
     return float(np.linalg.norm(Z.to_numpy()))
+
+
+def _scalar(v):
+    """A Python int, Fraction or complex for a sum of entries."""
+    return v if is_exact(v) else complex(v)
 
 
 def trace_of_product(A: Matrix, B: Matrix):
@@ -296,19 +310,19 @@ def trace_of_product(A: Matrix, B: Matrix):
     int or Fraction for exact input, a complex otherwise."""
     if A.n != B.n:
         raise ValueError("dimension mismatch")
-    total = (A.array * B.array.T).sum()
-    return total if is_exact(total) else complex(total)
+    return _scalar((A.array * B.array.T).sum())
 
 
 def trace_powers(A: Matrix, d: int) -> list:
-    """(tr A, tr A^2, ..., tr A^d) by iterated multiplication."""
+    """(tr A, tr A^2, ..., tr A^d) by iterated multiplication of A's array,
+    each a Python int or Fraction for exact input, a complex otherwise."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    out = [A.trace()]
-    P = A
+    out = [_scalar(np.trace(A.array))]
+    P = A.array
     for _ in range(d - 1):
-        P = P @ A
-        out.append(P.trace())
+        P = P @ A.array
+        out.append(_scalar(np.trace(P)))
     return out
 
 

@@ -7,15 +7,16 @@ import sys
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rvnorms import cli
 from rvnorms.cumulants import DistributionSpec
-from rvnorms.matrixcore import Matrix
+from rvnorms.matrixcore import Matrix, load_matrix
 from rvnorms.normengine import hermitian_norm_pow
 from rvnorms.suites import SuiteReport
 
-from oracles import matrix_to_json, random_hermitian, zeros
+from oracles import diagonal, matrix_to_json, random_hermitian, zeros
 
 
 def write_matrix(tmp_path, name, M):
@@ -26,7 +27,7 @@ def write_matrix(tmp_path, name, M):
 
 @pytest.fixture
 def identity2(tmp_path):
-    return write_matrix(tmp_path, "id2.json", Matrix.identity(2))
+    return write_matrix(tmp_path, "id2.json", diagonal([1, 1]))
 
 
 def test_norm_identity_exponential(identity2, capsys):
@@ -614,21 +615,38 @@ def test_norm_with_every_float_cumulant_underflowed_exit_3(tmp_path, capsys, met
         assert "underflows" in captured.err and "lost its precision" not in captured.err
 
 
+# A float parameter raised to a power up to d = 4 past the float range:
+# Python's float ** raises OverflowError, which is refused by the law's name
+POWER_PAST_FLOAT_RANGE = "a float moment or cumulant up to degree 4 is past the float range"
+OVERFLOWED_LAWS = [
+    ("normal:mu=0,sigma=1e200", "normal:mu=0,sigma=1e+200", "the float cumulant kappa_2 is inf"),
+    (
+        "normal:mu=0,sigma=1" + "0" * 200,
+        "normal:mu=0,sigma=1" + "0" * 200,
+        "the cumulant factor kappa_2 / 2! is past the float range",
+    ),
+    ("exponential:beta=1e80", "exponential:beta=1e+80", POWER_PAST_FLOAT_RANGE),
+    ("gamma:alpha=2,beta=1e80", "gamma:alpha=2,beta=1e+80", POWER_PAST_FLOAT_RANGE),
+    ("laplace:mu=0,beta=1e80", "laplace:mu=0,beta=1e+80", POWER_PAST_FLOAT_RANGE),
+    ("uniform:a=0,b=1e80", "uniform:a=0,b=1e+80", POWER_PAST_FLOAT_RANGE),
+    (
+        "finite_discrete:atoms=-1e200|1e200,probs=1/2|1/2",
+        "finite_discrete:atoms=-1e+200|1e+200,probs=1/2|1/2",
+        POWER_PAST_FLOAT_RANGE,
+    ),
+]
+OVERFLOWED_LAW_IDS = ["float-law", "exact-law", "exponential", "gamma", "laplace", "uniform", "discrete"]
+
+
 @pytest.mark.parametrize("method", ["partition", "series", "words", "auto"])
 @pytest.mark.parametrize("re", [[[1, 0], [0, 1]], [[1, 2], [0, 1]]], ids=["hermitian", "general"])
-@pytest.mark.parametrize(
-    "law, cause",
-    [
-        ("normal:mu=0,sigma=1e200", "the float cumulant kappa_2 is inf"),
-        ("normal:mu=0,sigma=1" + "0" * 200, "the cumulant factor kappa_2 / 2! is past the float range"),
-    ],
-    ids=["float-law", "exact-law"],
-)
-def test_norm_with_an_overflowed_float_cumulant_exit_3(tmp_path, capsys, method, re, law, cause):
-    # sigma^2 = 1e400 is inf as a float, and the exact 10^400 / 2! has no
-    # float: on a float matrix the law is refused by name, and its cumulant
-    # with it, on every route before any evaluation (series refuses the
-    # general matrix as such first)
+@pytest.mark.parametrize("law, label, cause", OVERFLOWED_LAWS, ids=OVERFLOWED_LAW_IDS)
+def test_norm_with_an_overflowed_float_cumulant_exit_3(tmp_path, capsys, method, re, law, label, cause):
+    # sigma^2 = 1e400 is inf as a float, the exact 10^400 / 2! has no
+    # float, and 1e80^4 or (1e200)^2 raise in Python's float **: on a float
+    # matrix the law is refused by name, and its cumulant with it, on every
+    # route before any evaluation (series refuses the general matrix as
+    # such first)
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"n": 2, "re": [[float(v) for v in row] for row in re]}))
     argv = ["norm", str(path), law, "-d", "4", "--method", method]
@@ -638,8 +656,26 @@ def test_norm_with_an_overflowed_float_cumulant_exit_3(tmp_path, capsys, method,
     if method == "series" and re[0][1]:
         assert "Hermitian" in captured.err
     else:
-        label = "normal:mu=0,sigma=" + ("1e+200" if "e" in law else "1" + "0" * 200)
         assert captured.err == f"error: {label}: {cause}: its cumulants overflow\n"
+
+
+@pytest.mark.parametrize("mode", ["general", "hermitian"])
+@pytest.mark.parametrize("law, label, cause", OVERFLOWED_LAWS[2:], ids=OVERFLOWED_LAW_IDS[2:])
+def test_formula_with_a_float_power_past_the_float_range_exit_3(capsys, mode, law, label, cause):
+    assert cli.main(["formula", law, "-d", "4", "--mode", mode]) == 3
+    assert capsys.readouterr() == ("", f"error: {label}: {cause}: its cumulants overflow\n")
+
+
+@pytest.mark.parametrize("method", ["partition", "auto"])
+@pytest.mark.parametrize("re", [[[1, 0], [0, 1]], [[1, 2], [0, 1]]], ids=["hermitian", "general"])
+def test_norm_whose_float_bell_recurrence_overflows_prints_one_error_line(tmp_path, method, re):
+    # the recurrence's products overflow to inf, silently, and the inf
+    # norm power is refused
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 2, "re": re}))
+    r = _run_cli(["norm", str(path), "poisson:alpha=1e300", "-d", "4", "--method", method])
+    assert (r.returncode, r.stdout) == (3, "")
+    assert r.stderr.startswith("error: norm power outside float range") and r.stderr.count("\n") == 1
 
 
 def test_norm_auto_near_the_float_limit_exit_3(tmp_path):
@@ -662,7 +698,7 @@ def test_norm_auto_circle_quadrature_is_scale_free():
     Z = Matrix([[1.25, -0.5 + 0.75j], [0.375j, -2.0]])
     quad, _ = circle_extension_check(Z, spec, 4)
     for k in (-250, -3, 5, 250):
-        assert circle_extension_check(Z * 2.0**k, spec, 4)[0] == math.ldexp(quad, 4 * k), k
+        assert circle_extension_check(Matrix(Z.array * 2.0**k), spec, 4)[0] == math.ldexp(quad, 4 * k), k
 
 
 @pytest.mark.parametrize("method", ["partition", "auto"])
@@ -1045,3 +1081,32 @@ def test_exact_norm_output_bytes_are_pinned(tmp_path, monkeypatch, capsys):
                         out = capsys.readouterr().out
                         digest.update(f"{' '.join(argv)}\0{rc}\0{out}\0".encode())
     assert digest.hexdigest() == EXACT_NORM_DIGEST
+
+
+@pytest.mark.parametrize(
+    "re",
+    [[[2, "1/3"], ["1/3", -0.5]], [[1, "-2/7"], [0.25, "5/3"]]],
+    ids=["hermitian", "general"],
+)
+def test_mixed_document_prints_the_bytes_of_its_all_float_twin(tmp_path, capsys, re):
+    # a document of int, p/q and float entries reads as complex128: it
+    # prints what the document of the same entries as floats prints
+    path = tmp_path / "m.json"
+    twin = [[float(Fraction(v)) for v in row] for row in re]
+    runs = [
+        ["norm", str(path), "exponential", "-d", "4", "--method", method, "--json"]
+        for method in ("partition", "series", "words", "auto")
+    ]
+    runs += [
+        ["oracle", str(path), "exponential", "-d", "4", "--samples", "20000", "--seed", "7",
+         "--threads", threads, "--json"]
+        for threads in ("1", "2")
+    ]
+    outputs = []
+    for rows in (re, twin):
+        path.write_text(json.dumps({"n": 2, "re": rows}))
+        assert load_matrix(path) == Matrix(np.array(twin))
+        outputs.append([(cli.main(argv), capsys.readouterr()) for argv in runs])
+    assert outputs[0] == outputs[1]
+    hermitian = re[0][1] == re[1][0]
+    assert [rc for rc, _ in outputs[0]] == [0, 0 if hermitian else 3, 0, 0] + [0 if hermitian else 3] * 2

@@ -16,7 +16,6 @@ from rvnorms.cumulants import (
     parse_scalar,
 )
 from rvnorms.errors import MomentExistenceError, ParseError, PreconditionError
-from rvnorms.partitions import Partition
 
 from oracles import kappa_product
 
@@ -238,18 +237,18 @@ def test_uniform_symmetric_odd_cumulants_vanish():
 
 def test_kappa_product():
     k = CumulantVector(tuple(Fraction(r) for r in range(1, 5)))
-    assert kappa_product(Partition((2, 2)), k) == 4
-    assert kappa_product(Partition((1,)), k) == 1
-    assert kappa_product(Partition((4, 4, 2, 1, 1, 1)), k) == Fraction(4) ** 2 * 2 * 1
+    assert kappa_product((2, 2), k) == 4
+    assert kappa_product((1,), k) == 1
+    assert kappa_product((4, 4, 2, 1, 1, 1), k) == Fraction(4) ** 2 * 2 * 1
     spec = DistributionSpec.gamma(1, 1)
     kg = distribution_cumulants(spec, 2)
-    assert kappa_product(Partition((2, 2)), kg) == 1
+    assert kappa_product((2, 2), kg) == 1
 
 
 def test_kappa_product_degree_check():
     k = CumulantVector((1, 2))
     with pytest.raises(PreconditionError):
-        kappa_product(Partition((3,)), k)
+        kappa_product((3,), k)
 
 
 def test_pareto_moment_existence():

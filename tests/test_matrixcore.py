@@ -13,13 +13,14 @@ from rvnorms.matrixcore import (
     Matrix,
     hermitian_eigenvalues,
     is_hermitian,
-    is_majorized,
     load_matrix,
+    majorized_rows,
     matrix_from_json,
 )
 from rvnorms.suites import stream
 
 from oracles import (
+    diagonal,
     frobenius_norm,
     matrix_to_json,
     random_hermitian,
@@ -32,7 +33,7 @@ I = 1j
 
 
 def test_is_hermitian_fixtures():
-    assert is_hermitian(Matrix.identity(3))
+    assert is_hermitian(diagonal([1, 1, 1]))
     assert not is_hermitian(Matrix([[0, I], [0, 0]]))
     assert is_hermitian(Matrix([[1, 2 + I], [2 - I, 3]]))
     assert not is_hermitian(Matrix([[1, 2 + I], [2 + I, 3]]))
@@ -61,13 +62,13 @@ def test_matrix_validation():
 
 
 def test_trace_powers_fixtures():
-    assert trace_powers(Matrix.diagonal([1, 2]), 3) == [3, 5, 9]
+    assert trace_powers(diagonal([1, 2]), 3) == [3, 5, 9]
     assert trace_powers(zeros(3), 4) == [0, 0, 0, 0]
     assert trace_powers(Matrix([[0, 1], [1, 0]]), 4) == [0, 2, 0, 2]
 
 
 def test_trace_powers_exact_fractions():
-    A = Matrix.diagonal([Fraction(1, 3), Fraction(1, 2)])
+    A = diagonal([Fraction(1, 3), Fraction(1, 2)])
     tp = trace_powers(A, 3)
     assert tp == [Fraction(5, 6), Fraction(13, 36), Fraction(35, 216)]
     assert all(isinstance(v, Fraction) for v in tp)
@@ -79,7 +80,7 @@ def test_trace_powers_similarity_invariance():
         n = int(rng.integers(2, 6))
         A = random_hermitian(rng, n)
         U = random_unitary(rng, n)
-        B = U @ A @ U.adjoint()
+        B = Matrix(U.array @ A.array @ U.array.conj().T)
         ta = trace_powers(A, 5)
         tb = trace_powers(B, 5)
         for a, b in zip(ta, tb):
@@ -89,13 +90,12 @@ def test_trace_powers_similarity_invariance():
 def test_unitary_really_unitary():
     rng = stream(12)
     U = random_unitary(rng, 4)
-    P = U @ U.adjoint()
-    E = P - Matrix.identity(4)
-    assert E.max_abs() < 1e-12
+    E = U.array @ U.array.conj().T - np.eye(4)
+    assert np.abs(E).max() < 1e-12
 
 
 def test_eigenvalues_sorted_diag():
-    assert hermitian_eigenvalues(Matrix.diagonal([3, 1, 2])) == [3.0, 2.0, 1.0]
+    assert hermitian_eigenvalues(diagonal([3, 1, 2])) == [3.0, 2.0, 1.0]
 
 
 def test_eigenvalues_pauli_x():
@@ -133,18 +133,19 @@ def test_eigenvalues_zero_matrix():
     assert hermitian_eigenvalues(zeros(3)) == [0.0, 0.0, 0.0]
 
 
+def _majorized(x, y) -> bool:
+    return bool(majorized_rows(np.array([x], dtype=float), np.array([y], dtype=float))[0])
+
+
 def test_majorization_fixtures():
-    assert is_majorized([1, 1], [2, 0])
-    assert not is_majorized([2, 0], [1, 1])
-    assert is_majorized([1, 1, 1], [3, 0, 0])
-
-
-def test_majorization_reflexive_and_exact():
-    assert is_majorized([Fraction(1, 3), Fraction(2, 3)], [Fraction(2, 3), Fraction(1, 3)])
-    assert not is_majorized([Fraction(1, 3), Fraction(2, 3)], [Fraction(2, 3), Fraction(1, 2)])
+    assert _majorized([1, 1], [2, 0])
+    assert not _majorized([2, 0], [1, 1])
+    assert _majorized([1, 1, 1], [3, 0, 0])
 
 
 def test_majorization_transitive_on_chains():
+    # the transfers move multiples of 1/8 between small ints: every float
+    # entry, partial sum and total here is exact
     rnd = random.Random(5)
     for _ in range(50):
         n = rnd.randint(2, 6)
@@ -164,17 +165,12 @@ def test_majorization_transitive_on_chains():
 
         y = transfer(z)
         x = transfer(y)
-        assert is_majorized(y, z) and is_majorized(x, y)
-        assert is_majorized(x, z)
-
-
-def test_majorization_length_mismatch():
-    with pytest.raises(ValueError):
-        is_majorized([1], [1, 0])
+        assert _majorized(y, z) and _majorized(x, y)
+        assert _majorized(x, z)
 
 
 def test_majorization_requires_equal_totals():
-    assert not is_majorized([1, 0], [2, 0])
+    assert not _majorized([1, 0], [2, 0])
 
 
 def test_frobenius_norm():
@@ -186,9 +182,9 @@ def test_json_round_trip(tmp_path):
     Z = Matrix([[1, 2 + I], [2 - I, Fraction(1, 3)]])
     doc = matrix_to_json(Z)
     back = matrix_from_json(doc)
-    assert back.n == 2
-    assert back[0, 1] == 2 + I
-    assert back[1, 1] == Fraction(1, 3)
+    assert back.n == 2 and back == Z
+    assert back.array[0, 1] == 2 + I
+    assert back.array[1, 1] == 1 / 3
     path = tmp_path / "m.json"
     path.write_text(json.dumps(doc))
     assert load_matrix(path) == back
@@ -281,17 +277,20 @@ def test_non_finite_float_entries_name_the_first_in_row_order(tmp_path, capsys, 
     [
         ({"n": 2, "re": [[1, 0], [0, -2]]}, {int}),
         ({"n": 2, "re": [["1/2", 3], [0, "-2/3"]], "im": [[0, 0], [0, 0]]}, {int, Fraction}),
-        ({"n": 2, "re": [[1.5, 2], [0.5, 1.0]]}, {int, complex}),
-        ({"n": 2, "re": [[1.5, "1/3"], [0.5, 1.0]]}, {Fraction, complex}),
+        ({"n": 2, "re": [[1.5, 2], [0.5, 1.0]]}, {complex}),
+        ({"n": 2, "re": [[1.5, "1/3"], [0.5, 1.0]]}, {complex}),
         ({"n": 2, "re": [[1.5, 2.0], [0.5, 1.0]], "im": [[0, 1], [-1, 0]]}, {complex}),
-        ({"n": 2, "re": [[1, 2], [3, 4]], "im": [[0.0, 0.5], [-0.5, 0.0]]}, {int, complex}),
+        ({"n": 2, "re": [[1, 2], [3, 4]], "im": [[0.0, 0.5], [-0.5, 0.0]]}, {complex}),
     ],
     ids=["ints", "rationals", "float-and-int", "float-and-rational", "int-im", "float-im"],
 )
 def test_other_documents_keep_the_per_entry_read(monkeypatch, doc, kinds):
+    # all-exact entries stay Python ints and Fractions; any inexact entry
+    # makes the whole matrix complex128
     M = matrix_from_json(doc)
-    assert {type(M[i, j]) for i in range(2) for j in range(2)} == kinds
+    assert {type(v) for row in M.array.tolist() for v in row} == kinds
     assert M.is_exact() == (kinds <= {int, Fraction})
+    assert M.array.dtype == (object if M.is_exact() else complex)
     assert M.array.dtype == _per_entry(monkeypatch, doc).array.dtype
     assert M == _per_entry(monkeypatch, doc)
 
@@ -316,10 +315,10 @@ def test_other_documents_keep_their_errors(doc, message):
 def test_int_entries_stay_exact_through_json():
     doc = {"n": 2, "re": [[1, 0], [0, 1]]}
     M = matrix_from_json(doc)
-    assert isinstance(M[0, 0], int)
+    assert isinstance(M.array[0, 0], int)
 
 
-def test_jacobi_matches_numpy_eigh():
+def test_eigenvalues_of_a_unitary_similarity_of_a_diagonal():
     # U diag(lam) U* with U unitary has the spectrum lam by construction.
     rng = stream(14)
     for _ in range(8):
@@ -333,34 +332,43 @@ def test_jacobi_matches_numpy_eigh():
 def test_eigenvalues_at_float_limit():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert hermitian_eigenvalues(Matrix.diagonal([1e308, 1e308])) == [1e308, 1e308]
+        assert hermitian_eigenvalues(diagonal([1e308, 1e308])) == [1e308, 1e308]
 
 
 @pytest.mark.parametrize(
-    "rows, kinds",
+    "rows, exact",
     [
-        ([[1, Fraction(1, 2)], [3, 10**40]], (int, Fraction)),
-        ([[1, 0.5], [Fraction(1, 3), 2 + I]], (int, Fraction, complex)),
-        ([[1.0, 0.5], [0.25, 2 + I]], (complex,)),
-        (np.array([[1.0, 0.5], [0.25, 2.0]]), (complex,)),
+        ([[1, Fraction(1, 2)], [3, 10**40]], True),
+        ([[1, 0.5], [Fraction(1, 3), 2 + I]], False),
+        ([[1.0, 0.5], [0.25, 2 + I]], False),
+        (np.array([[1.0, 0.5], [0.25, 2.0]]), False),
+        (np.array([[1, 2], [3, 4]]), False),
     ],
-    ids=["exact", "mixed", "float", "ndarray"],
+    ids=["exact", "mixed", "float", "ndarray", "int-ndarray"],
 )
-def test_entries_and_traces_are_python_scalars(rows, kinds):
+def test_exact_entries_are_an_object_array_and_others_complex128(rows, exact):
     Z = Matrix(rows)
-    entries = [Z[i, j] for i in range(2) for j in range(2)]
-    assert all(type(v) in kinds for v in entries)
-    assert type(Z.trace()) in kinds
-    assert type((Z @ Z.adjoint()).trace()) in kinds
-    assert Z.is_exact() == (kinds == (int, Fraction))
+    assert Z.is_exact() == exact
+    assert Z.array.dtype == (object if exact else complex)
+    kinds = {type(v) for row in Z.array.tolist() for v in row}
+    assert kinds <= ({int, Fraction} if exact else {complex})
+    assert not Z.array.flags.writeable
+    if not exact:
+        assert Z == Matrix(np.array(rows, dtype=complex))
+
+
+def test_an_exact_entry_past_the_float_range_among_floats_overflows():
+    with pytest.raises(OverflowError):
+        Matrix([[10**400, 0.5], [0, 1]])
 
 
 def test_exact_entries_do_not_overflow():
     big = 10**40
     Z = Matrix([[big, 1], [Fraction(1, 3), 2]])
-    assert (Z @ Z)[0, 0] == big * big + Fraction(1, 3)
+    a = Z.array
+    assert (a @ a)[0, 0] == big * big + Fraction(1, 3)
     assert trace_powers(Z, 3)[2] == sum(
-        Z[i, j] * Z[j, k] * Z[k, i] for i in range(2) for j in range(2) for k in range(2)
+        a[i, j] * a[j, k] * a[k, i] for i in range(2) for j in range(2) for k in range(2)
     )
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import warnings
 from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
@@ -36,6 +37,7 @@ from rvnorms.suites import default_family_specs, mgf_family_specs, stream
 
 from oracles import (
     bell_value,
+    diagonal,
     evaluate,
     exact_div,
     kappa_product,
@@ -71,7 +73,7 @@ def partition_walk_bell(ell, x):
     """B_ell(x) = ell! * sum over partitions pi of ell of x_pi / y_pi."""
     total = 0
     for p in enumerate_partitions(ell):
-        total = total + exact_div(math.prod(x[i - 1] for i in p.parts), y_of(p))
+        total = total + exact_div(math.prod(x[i - 1] for i in p), y_of(p))
     return factorial(ell) * total
 
 
@@ -84,7 +86,7 @@ def partition_walk_norm_pow(A, spec, d):
     for p in enumerate_partitions(d):
         kp = kappa_product(p, k)
         if kp != 0:
-            total = total + exact_div(kp * math.prod(tp[i - 1] for i in p.parts), y_of(p))
+            total = total + exact_div(kp * math.prod(tp[i - 1] for i in p), y_of(p))
     return total
 
 
@@ -234,7 +236,7 @@ def test_hermitian_norm_is_bell_transform():
     for name, spec in mgf_family_specs():
         d = 4
         lam = rational_vector(rnd, 3)
-        A = Matrix.diagonal(lam)
+        A = diagonal(lam)
         k = distribution_cumulants(spec, d)
         tp = trace_powers(A, d)
         args = [k.kappas[j] * tp[j] for j in range(d)]
@@ -256,10 +258,10 @@ def oracle_family_specs():
 @pytest.mark.parametrize("d", range(2, 25, 2))
 def test_bell_kernel_equals_partition_walk_exact(d):
     rnd = random.Random(200 + d)
-    diagonal = Matrix.diagonal(rational_vector(rnd, 3))
+    diag = diagonal(rational_vector(rnd, 3))
     dense = rational_symmetric(rnd, 3)
     for name, spec in oracle_family_specs():
-        for A in (diagonal, dense):
+        for A in (diag, dense):
             got = hermitian_norm_pow(A, spec, d)
             want = partition_walk_norm_pow(A, spec, d)
             assert got == want and type(got) is type(want) is Fraction, (name, d)
@@ -278,7 +280,7 @@ def test_bell_kernel_matches_series_float_high_degree(d):
     # Near-diagonal input; test_series_float_generic_high_degree takes a
     # generic Hermitian matrix.
     rng = stream(97)
-    A = Matrix.diagonal(rng.uniform(-2.0, 2.0, size=8).tolist()) + random_hermitian(rng, 8) * 0.01
+    A = Matrix(np.diag(rng.uniform(-2.0, 2.0, size=8)) + random_hermitian(rng, 8).array * 0.01)
     spec = DistributionSpec.exponential()
     a = hermitian_norm_pow(A, spec, d)
     b = series_norm_pow(A, spec, d)
@@ -305,7 +307,7 @@ def test_exponential_gives_chs():
         n = rnd.randint(1, 5)
         lam = rational_vector(rnd, n)
         for d in (2, 4, 6):
-            assert hermitian_norm_pow(Matrix.diagonal(lam), spec, d) == chs(d, lam)
+            assert hermitian_norm_pow(diagonal(lam), spec, d) == chs(d, lam)
 
 
 def test_normal_centered_d2_is_half_frobenius_sq():
@@ -319,7 +321,7 @@ def test_normal_centered_d2_is_half_frobenius_sq():
 def test_rademacher_displays():
     spec = DistributionSpec.rademacher()
     l1, l2 = Fraction(3, 2), Fraction(-2, 3)
-    A = Matrix.diagonal([l1, l2])
+    A = diagonal([l1, l2])
     assert hermitian_norm_pow(A, spec, 2) == (l1**2 + l2**2) / 2
     assert hermitian_norm_pow(A, spec, 4) == (l1**4 + 6 * l1**2 * l2**2 + l2**4) / 24
     expected6 = (l1**6 + 15 * l1**4 * l2**2 + 15 * l1**2 * l2**4 + l2**6) / 720
@@ -329,7 +331,7 @@ def test_rademacher_displays():
 def test_uniform_01_displays():
     spec = DistributionSpec.uniform(0, 1)
     l1, l2 = Fraction(1, 2), Fraction(5, 3)
-    A = Matrix.diagonal([l1, l2])
+    A = diagonal([l1, l2])
     assert hermitian_norm_pow(A, spec, 2) == (2 * l1**2 + 3 * l1 * l2 + 2 * l2**2) / 12
     expected4 = (
         6 * l1**4 + 15 * l1**3 * l2 + 20 * l1**2 * l2**2 + 15 * l1 * l2**3 + 6 * l2**4
@@ -342,9 +344,9 @@ def test_hermitian_path_rejects():
     with pytest.raises(NonHermitianError):
         hermitian_norm_pow(Matrix([[0, 1], [0, 0]]), spec, 2)
     with pytest.raises(PreconditionError):
-        hermitian_norm_pow(Matrix.identity(2), spec, 3)
+        hermitian_norm_pow(diagonal([1, 1]), spec, 3)
     with pytest.raises(PreconditionError):
-        hermitian_norm_pow(Matrix.identity(2), DistributionSpec.pareto(3), 4)
+        hermitian_norm_pow(diagonal([1, 1]), DistributionSpec.pareto(3), 4)
 
 
 def test_strict_positivity_random():
@@ -364,7 +366,7 @@ def test_series_zero_matrix():
 
 def test_series_laplace_fixture():
     spec = DistributionSpec.laplace(1, 1)
-    A = Matrix.identity(2)
+    A = diagonal([1, 1])
     assert series_norm_pow(A, spec, 2) == 4
     assert hermitian_norm_pow(A, spec, 2) == 4
 
@@ -392,13 +394,13 @@ def test_series_gamma_matches_binomial_expansion():
             * (beta * l2) ** (d - k)
             for k in range(d + 1)
         )
-        got = series_norm_pow(Matrix.diagonal([l1, l2]), spec, d)
+        got = series_norm_pow(diagonal([l1, l2]), spec, d)
         assert got == expected
 
 
 def test_series_rejects_pareto():
     with pytest.raises(PreconditionError):
-        series_norm_pow(Matrix.identity(2), DistributionSpec.pareto(20), 4)
+        series_norm_pow(diagonal([1, 1]), DistributionSpec.pareto(20), 4)
 
 
 def test_series_equals_partition_exact():
@@ -447,7 +449,7 @@ def test_series_matches_moment_product():
             ]
             product = truncated_product(product, coeffs, d)
         direct = product[d]
-        got = series_norm_pow(Matrix.diagonal(lam), spec, d)
+        got = series_norm_pow(diagonal(lam), spec, d)
         if isinstance(direct, Fraction) or isinstance(direct, int):
             assert got == direct, name
         else:
@@ -480,7 +482,7 @@ def test_laplace_chs_expansion():
             tr ** (2 * k) * Fraction(1, factorial(2 * k)) * chs(d // 2 - k, lam2)
             for k in range(d // 2 + 1)
         )
-        assert hermitian_norm_pow(Matrix.diagonal(lam), spec, d) == expected
+        assert hermitian_norm_pow(diagonal(lam), spec, d) == expected
 
 
 def test_normal_closed_form_cross_check():
@@ -492,7 +494,7 @@ def test_normal_closed_form_cross_check():
         spec = DistributionSpec.normal(mu, sigma)
         lam = rational_vector(rnd, 3)
         d = rnd.choice([2, 4, 6])
-        A = Matrix.diagonal(lam)
+        A = diagonal(lam)
         assert normal_norm_pow_closed(A, mu, sigma, d) == hermitian_norm_pow(A, spec, d)
         H = random_hermitian(rng, 3)
         a = float(normal_norm_pow_closed(H, float(mu), float(sigma), d))
@@ -508,12 +510,12 @@ def test_general_d2_formula():
     for name, spec in [mgf_family_specs()[0], mgf_family_specs()[3]]:
         k = distribution_cumulants(spec, 2)
         for _ in range(5):
-            Z = random_general(rng, 3)
-            Zs = Z.adjoint()
-            expected = float(k.kappa(2)) / 2 * real_part_checked((Zs @ Z).trace()) + float(
+            Z = random_general(rng, 3).array
+            Zs = Z.conj().T
+            expected = float(k.kappa(2)) / 2 * real_part_checked(np.trace(Zs @ Z)) + float(
                 k.kappa(1)
-            ) ** 2 / 2 * real_part_checked(Zs.trace() * Z.trace())
-            got = float(general_norm_pow(Z, spec, 2))
+            ) ** 2 / 2 * real_part_checked(np.trace(Zs) * np.trace(Z))
+            got = float(general_norm_pow(Matrix(Z), spec, 2))
             assert got == pytest.approx(expected), name
 
 
@@ -522,15 +524,15 @@ def test_general_uniform_d4_display():
     rng = stream(37)
     for _ in range(8):
         Z = random_general(rng, 3)
-        Zs = Z.adjoint()
-        tr = lambda M: M.trace()
+        Zs = Z.array.conj().T
+        Z, tr = Z.array, np.trace
         display = (
             10 * tr(Zs @ Z) ** 2
             + 5 * tr(Z @ Z) * tr(Zs @ Zs)
             - 4 * tr(Z @ Z @ Zs @ Zs)
             - 2 * tr(Z @ Zs @ Z @ Zs)
         ) / 1080
-        got = float(general_norm_pow(Z, spec, 4))
+        got = float(general_norm_pow(Matrix(Z), spec, 4))
         assert got == pytest.approx(real_part_checked(display))
 
 
@@ -564,25 +566,25 @@ def test_unitary_invariance():
         Z = random_general(rng, 3)
         U = random_unitary(rng, 3)
         a = norm(Z, spec, 4)
-        b = norm(U @ Z @ U.adjoint(), spec, 4)
+        b = norm(Matrix(U.array @ Z.array @ U.array.conj().T), spec, 4)
         assert abs(a - b) <= 1e-9 * max(1.0, a)
 
 
 def test_norm_fixtures():
     spec = DistributionSpec.exponential()
     assert norm(zeros(2), spec, 2) == 0
-    assert norm(Matrix.identity(2), spec, 2) == pytest.approx(math.sqrt(3))
+    assert norm(diagonal([1, 1]), spec, 2) == pytest.approx(math.sqrt(3))
     rng = stream(53)
     Z = random_general(rng, 3)
     for c in (2.0, -0.5):
-        assert norm(Z * c, spec, 4) == pytest.approx(abs(c) * norm(Z, spec, 4), rel=1e-12)
+        assert norm(Matrix(Z.array * c), spec, 4) == pytest.approx(abs(c) * norm(Z, spec, 4), rel=1e-12)
 
 
 def test_scale_guard_large_entries():
     spec = DistributionSpec.rademacher()
     rng = stream(59)
     A = random_hermitian(rng, 3)
-    big = A * 1e8
+    big = Matrix(A.array * 1e8)
     a = float(hermitian_norm_pow(A, spec, 6))
     b = float(hermitian_norm_pow(big, spec, 6))
     assert b == pytest.approx(a * (1e8) ** 6, rel=1e-10)
@@ -593,9 +595,27 @@ def test_scale_guard_large_entries():
 @pytest.mark.parametrize("entry", [1e-200, 1e308])
 def test_scale_guard_refuses_out_of_range(route, entry):
     # diag(1e-200)^4 underflows to 0.0, diag(1e308)^4 overflows: both refused.
-    A = Matrix.diagonal([entry, entry])
+    A = diagonal([entry, entry])
     with pytest.raises(PreconditionError, match="scale"):
         route(A, DistributionSpec.exponential(), 4)
+
+
+@pytest.mark.parametrize(
+    "route, rows",
+    [
+        (hermitian_norm_pow, [[1.0, 0.0], [0.0, 1.0]]),
+        (general_norm_pow, [[1.0, 0.0], [0.0, 1.0]]),
+        (general_norm_pow, [[1.0, 2.0], [0.0, 1.0]]),
+    ],
+    ids=["hermitian", "general-at-hermitian", "general"],
+)
+def test_float_bell_recurrence_overflow_is_refused_without_a_warning(route, rows):
+    # poisson(1e300) has every kappa_k = 1e300: the float Bell recurrence's
+    # products overflow to inf, silently, and the inf power is refused
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match="outside float range"):
+            route(Matrix(rows), DistributionSpec.poisson(1e300), 4)
 
 
 def test_rescale_refuses_subnormal_and_keeps_in_range_products():
@@ -639,7 +659,7 @@ def test_norm_refuses_a_float_power_that_lost_its_precision(d):
     # diag(1.0, -0.5) under uniform(-1, 3/2): the constant-term route takes
     # this Hermitian matrix as its one point, and its float Hermitian form
     # gives a negative power at d=40 and 0.0 at d=70, which the CLI refuses
-    Z, spec = Matrix.diagonal([1.0, -0.5]), DistributionSpec.uniform(-1, Fraction(3, 2))
+    Z, spec = diagonal([1.0, -0.5]), DistributionSpec.uniform(-1, Fraction(3, 2))
     value = general_norm_pow(Z, spec, d)
     assert value < 0 if d == 40 else value == 0.0
     with pytest.raises(PreconditionError, match="lost its precision"):
@@ -652,7 +672,7 @@ def test_norm_refuses_a_float_power_that_lost_its_precision(d):
 def rational_general(rnd, n):
     while True:
         Z = Matrix([rational_vector(rnd, n) for _ in range(n)])
-        if Z != Z.adjoint():
+        if Z.array.tolist() != Z.array.T.tolist():
             return Z
 
 
@@ -725,15 +745,8 @@ def test_constant_term_route_float_cumulants_on_exact_matrix(denominators, d):
 
 
 def test_constant_term_route_matrix_products(monkeypatch):
-    calls = []
-    matmul = Matrix.__matmul__
-
-    def counting(self, other):
-        calls.append(1)
-        return matmul(self, other)
-
     Z = random_general(stream(102), 8)
-    monkeypatch.setattr(Matrix, "__matmul__", counting)
+    calls = _count_products(monkeypatch)
     general_norm_pow(Z, DistributionSpec.gamma(2, Fraction(1, 2)), 8)
     # C_{k,j} for k = 2, 3, 4: 3 + 3 + 5 products; the word sum takes 233.
     assert len(calls) <= 16
@@ -846,13 +859,14 @@ def test_symbolic_formula_evaluates_to_norm():
     poly = symbolic_formula(distribution_cumulants(spec, 4), 4)
     for _ in range(5):
         Z = random_general(rng, 3)
+        letters = {"z": Z.array, "s": Z.array.conj().T}
         words = {w for key in poly.terms for w in key}
         cache = {}
         for w in words:
-            M = Z if w[0] == "z" else Z.adjoint()
+            M = letters[w[0]]
             for ch in w[1:]:
-                M = M @ (Z if ch == "z" else Z.adjoint())
-            cache[w] = M.trace()
+                M = M @ letters[ch]
+            cache[w] = complex(np.trace(M))
         total = 0
         for key, coeff in poly.terms.items():
             term = coeff
@@ -873,15 +887,15 @@ def test_evaluate_on_float_input_equals_the_fraction_products():
             poly = symbolic_formula(distribution_cumulants(spec, d), d)
             assert all(isinstance(c, Fraction) for c in poly.terms.values())
             Z = random_general(rng, 3)
-            letters = {"z": Z, "s": Z.adjoint()}
+            letters = {"z": Z, "s": Matrix(Z.array.conj().T)}
 
             def trace(w):
                 if len(w) == 1:
-                    return letters[w].trace()
-                M = letters[w[0]]
+                    return complex(np.trace(letters[w].array))
+                M = letters[w[0]].array
                 for ch in w[1:-1]:
-                    M = M @ letters[ch]
-                return trace_of_product(M, letters[w[-1]])
+                    M = M @ letters[ch].array
+                return trace_of_product(Matrix(M), letters[w[-1]])
 
             traces = {w: trace(w) for key in poly.terms for w in key}
             values = [math.prod((traces[w] for w in key), start=c) for key, c in poly.terms.items()]
@@ -890,26 +904,21 @@ def test_evaluate_on_float_input_equals_the_fraction_products():
 
 
 def _count_products(monkeypatch):
-    """Record one entry per ``numpy.matmul`` call and per ``Matrix`` product."""
+    """Record one entry per ``numpy.matmul`` call."""
     calls = []
-    matmul, matrix_matmul = np.matmul, Matrix.__matmul__
+    matmul = np.matmul
 
     def counting(*args, **kwargs):
         calls.append(1)
         return matmul(*args, **kwargs)
 
-    def counting_matrix(self, other):
-        calls.append(1)
-        return matrix_matmul(self, other)
-
     monkeypatch.setattr(np, "matmul", counting)
-    monkeypatch.setattr(Matrix, "__matmul__", counting_matrix)
     return calls
 
 
 def test_word_sum_one_product_per_distinct_prefix(monkeypatch):
     # exact and float input both take one batched product per distinct
-    # prefix of the formula's words, and no Matrix product
+    # prefix of the formula's words
     d = 8
     spec = DistributionSpec.exponential()
     poly = symbolic_formula(distribution_cumulants(spec, d), d)
@@ -958,7 +967,7 @@ ORDER_LAWS = (
 def test_ordered_terms_are_the_canonical_sort(d, hermitian_mode):
     # the terms keep the order symbolic_formula builds them in, which must be
     # the explicit sort by (partition rank, factor tuple)
-    rank = {p.parts: i for i, p in enumerate(enumerate_partitions(d))}
+    rank = {p: i for i, p in enumerate(enumerate_partitions(d))}
 
     def canonical(term):
         return rank[tuple(sorted(map(len, term[0]), reverse=True))], term[0]
@@ -1141,7 +1150,7 @@ def test_pareto_multinomial_matches_cumulant_path():
         d = rnd.choice([2, 4])
         spec = DistributionSpec.pareto(a)
         direct = pareto_norm_pow_multinomial(lam, a, d)
-        via_kappas = hermitian_norm_pow(Matrix.diagonal(lam), spec, d)
+        via_kappas = hermitian_norm_pow(diagonal(lam), spec, d)
         assert direct == via_kappas
 
 
@@ -1210,7 +1219,7 @@ def test_float_route_scales_by_the_oracle_power_of_two(monkeypatch, route):
     from rvnorms import oracle
     from rvnorms.matrixcore import scale_exponent
 
-    A = random_hermitian(stream(41), 3) * 37.0
+    A = Matrix(random_hermitian(stream(41), 3).array * 37.0)
     e = scale_exponent(A)
     assert 0.5 <= A.max_abs() * 2.0**-e < 1.0
     want = route(A, DistributionSpec.exponential(), 4)
@@ -1218,11 +1227,11 @@ def test_float_route_scales_by_the_oracle_power_of_two(monkeypatch, route):
     seen = _spy_on_evaluated_matrix(monkeypatch, route)
     assert route(A, DistributionSpec.exponential(), 4) == want
     assert len(seen) == 1 and seen[0].shape == (1, 3, 3) and seen[0].dtype == complex
-    assert Matrix(seen[0][0]) == A * 2.0**-e
+    assert Matrix(seen[0][0]) == Matrix(A.array * 2.0**-e)
     assert all(x * 2.0**e == y for x, y in zip(seen[0].flat, A.array.flat))
 
     eig_inputs = []
     real_eig = oracle.hermitian_eigenvalues
     monkeypatch.setattr(oracle, "hermitian_eigenvalues", lambda M: eig_inputs.append(M) or real_eig(M))
     oracle.mc_norm(A, DistributionSpec.exponential(), 4, 10**4, seed=3)
-    assert eig_inputs == [A * 2.0**-e]
+    assert eig_inputs == [Matrix(A.array * 2.0**-e)]

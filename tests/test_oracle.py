@@ -22,7 +22,7 @@ from rvnorms.oracle import (
     sample_block,
 )
 
-from oracles import frobenius_norm, mc_norm_pow_one_shot, zeros
+from oracles import diagonal, frobenius_norm, mc_norm_pow_one_shot, zeros
 
 I = 1j
 
@@ -250,7 +250,7 @@ def test_mc_norm_pow_fixtures():
 
 def test_mc_norm_rademacher_diag():
     # lambda = (1,-1): Lam in {-2, 0, 0, 2}, so E|Lam|^2/2 = 1 and the norm is 1.
-    A = Matrix.diagonal([1, -1])
+    A = diagonal([1, -1])
     est = mc_norm(A, DistributionSpec.rademacher(), 2, 10**5, seed=8)
     assert est.stderr > 0
     assert abs(est.value - 1.0) <= 4 * est.stderr
@@ -270,8 +270,8 @@ def test_mc_norm_is_scale_safe(scale):
     # Same seed, so the draws are shared: the estimate for scale * I is
     # scale times the one for I, up to rounding.
     spec = DistributionSpec.normal(0, 1)
-    unit = mc_norm(Matrix.identity(2), spec, 4, 10**4, seed=11)
-    est = mc_norm(Matrix.diagonal([scale, scale]), spec, 4, 10**4, seed=11)
+    unit = mc_norm(diagonal([1, 1]), spec, 4, 10**4, seed=11)
+    est = mc_norm(diagonal([scale, scale]), spec, 4, 10**4, seed=11)
     assert math.isfinite(est.value) and est.value > 0
     assert abs(est.value - scale * unit.value) <= 5 * est.stderr
 
@@ -282,8 +282,8 @@ def test_mc_norm_stderr_is_a_value_where_the_norm_power_is(d, e, sign):
     # the norm power, near beta^d, is a float, while the stderr of the
     # power times the norm, near beta^(d+1), may overflow or underflow
     beta = Fraction(10) ** (sign * e)
-    unit = mc_norm(Matrix.identity(2), DistributionSpec.exponential(), d, 10**4, seed=1)
-    est = mc_norm(Matrix.identity(2), DistributionSpec.exponential(beta), d, 10**4, seed=1)
+    unit = mc_norm(diagonal([1, 1]), DistributionSpec.exponential(), d, 10**4, seed=1)
+    est = mc_norm(diagonal([1, 1]), DistributionSpec.exponential(beta), d, 10**4, seed=1)
     assert 0.0 < est.stderr < math.inf
     assert math.isclose(est.value, float(beta) * unit.value, rel_tol=1e-12)
     assert math.isclose(est.stderr / est.value, unit.stderr / unit.value, rel_tol=1e-9)
@@ -295,7 +295,7 @@ def test_mc_norm_zero_matrix():
 
 
 def test_mc_norm_accepts_odd_degree():
-    A = Matrix.diagonal([1.0, 0.5])
+    A = diagonal([1.0, 0.5])
     est = mc_norm(A, DistributionSpec.exponential(), 3, 10**5, seed=11)
     assert est.value > 0
 
@@ -306,9 +306,9 @@ def test_mc_odd_degree_triangle_on_diagonals():
     y = [-0.5, 2.0]
     s = [a + b for a, b in zip(x, y)]
     d = 3
-    nx = mc_norm(Matrix.diagonal(x), spec, d, 10**5, seed=12).value
-    ny = mc_norm(Matrix.diagonal(y), spec, d, 10**5, seed=13).value
-    ns = mc_norm(Matrix.diagonal(s), spec, d, 10**5, seed=14).value
+    nx = mc_norm(diagonal(x), spec, d, 10**5, seed=12).value
+    ny = mc_norm(diagonal(y), spec, d, 10**5, seed=13).value
+    ns = mc_norm(diagonal(s), spec, d, 10**5, seed=14).value
     assert ns <= nx + ny + 0.05 * (nx + ny)  # statistical slack
 
 
@@ -372,7 +372,7 @@ def test_khintchine_constants():
 
 
 def test_khintchine_single_atom_equality():
-    A = Matrix.diagonal([1, 0, 0])
+    A = diagonal([1, 0, 0])
     for p in (2, 4, 6):
         lower, middle, upper = khintchine_check(A, p)
         assert lower == pytest.approx(1.0, abs=1e-12)
@@ -388,7 +388,7 @@ def test_khintchine_p2_tight():
 
 
 def test_khintchine_diag11_p4_fixture():
-    A = Matrix.diagonal([1, 1])
+    A = diagonal([1, 1])
     lower, middle, upper = khintchine_check(A, 4)
     assert lower == pytest.approx(math.sqrt(2))
     assert middle == pytest.approx(8 ** 0.25)
@@ -407,7 +407,7 @@ def test_khintchine_general_matrix():
 
 def test_khintchine_odd_p_rejected():
     with pytest.raises(PreconditionError):
-        khintchine_check(Matrix.identity(2), 3)
+        khintchine_check(diagonal([1, 1]), 3)
 
 
 def test_block_stream_disjoint():

@@ -68,7 +68,7 @@ def expansion_hunter_poly(d, alpha, x):
     h = chs_prefix(d, x)
     total = 0
     for p, c in hunter_terms(d, alpha):
-        total = total + c * prod((h[part] for part in p.parts), start=1)
+        total = total + c * prod((h[part] for part in p), start=1)
     return total
 
 

@@ -34,7 +34,7 @@ from rvnorms.scalars import real_part_checked
 from rvnorms.suites import default_family_specs, mgf_family_specs, stream
 from rvnorms.words import word_table
 
-from oracles import block_size, evaluate, series_exp_coefficient
+from oracles import block_size, diagonal, evaluate, series_exp_coefficient
 
 STACK_ROUTES = {"hermitian": hermitian_norm_pow_stack, "general": general_norm_pow_stack}
 # oracle: (stack route, single-matrix route, kind of matrix it takes)
@@ -163,7 +163,7 @@ def test_stack_refusals():
         hermitian_norm_pow_stack(H, spec, 3)
     # each matrix has its own scale; one power below the float range is refused
     tiny = np.array([np.eye(2), np.eye(2) * 1e-200])
-    assert hermitian_norm_pow_stack(tiny[:1], spec, 4)[0] == hermitian_norm_pow(Matrix.identity(2), spec, 4)
+    assert hermitian_norm_pow_stack(tiny[:1], spec, 4)[0] == hermitian_norm_pow(diagonal([1, 1]), spec, 4)
     with pytest.raises(PreconditionError, match="outside float range"):
         hermitian_norm_pow_stack(tiny, spec, 4)
 
@@ -355,7 +355,7 @@ def test_float_word_sum_is_the_formula_evaluated_at_the_scaled_matrix():
             Z = Matrix(random_stack(rng, "general", 1, 4)[0] * 37.0)
             e = scale_exponent(Z)
             poly = symbolic_formula(distribution_cumulants(spec, d), d)
-            want = math.ldexp(real_part_checked(evaluate(poly, Z * 2.0**-e)), d * e)
+            want = math.ldexp(real_part_checked(evaluate(poly, Matrix(Z.array * 2.0**-e))), d * e)
             assert word_sum_norm_pow(Z, spec, d) == want, (name, d)
 
 

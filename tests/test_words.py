@@ -97,7 +97,7 @@ def _enumerated_placements(parts):
 @pytest.mark.parametrize("d", [2, 4, 6, 8, 10, 12])
 def test_placements_equal_enumeration(d):
     for p in enumerate_partitions(d):
-        assert placement_terms(p.parts) == _enumerated_placements(p.parts), p.parts
+        assert placement_terms(p) == _enumerated_placements(p), p
 
 
 # a sample of the 135 partitions of 14: one part, two equal or unequal
@@ -126,7 +126,7 @@ def test_placements_unsorted_parts_equal_enumeration():
 @pytest.mark.parametrize("d", [2, 4, 6, 8, 14])
 def test_placement_count_conservation(d):
     for p in enumerate_partitions(d):
-        total = sum(mult for _, mult in placement_terms(p.parts))
+        total = sum(mult for _, mult in placement_terms(p))
         assert total == comb(d, d // 2)
 
 
