@@ -56,10 +56,11 @@ after its traces, tell exact from float input:
   matrix times the power of two 2^-e that puts its largest entry in
   [1/2, 1), which is exact, and a law whose float cumulant factors all
   underflow is refused;
-* :func:`_trace_power_stack` forms every power up to the top cumulant of
-  a float stack, but only A^1..A^n of an int stack, whose longer traces
-  it continues by Newton's identities and Cayley--Hamilton in Python ints
-  (:func:`_int_power_sums`);
+* :func:`_trace_power_stack` forms the powers up to half the top
+  cumulant of a float stack, whose longer traces are entrywise sums of
+  products of two of them, but only A^1..A^n of an int stack, whose longer
+  traces it continues by Newton's identities and Cayley--Hamilton in
+  Python ints (:func:`_int_power_sums`);
 * :func:`_factors` gives the cumulant factors, and the recurrence runs on
   them: in Python ints on a cached plan (:func:`_bell`), or normalized, on
   B_n / n!, over the float stack (:func:`_bell_stack`, or
@@ -106,6 +107,7 @@ from .matrixcore import (
     is_hermitian,
     scale_exponent,
     scale_exponents,
+    stack_product,
 )
 from .partitions import enumerate_partitions, y_of
 from .scalars import is_exact, real_parts_checked
@@ -522,8 +524,15 @@ def _trace_power_stack(A: np.ndarray, m: np.ndarray) -> np.ndarray:
     """(N, max(m)): tr A^k for k = 1..m[i] and 0 above.
 
     A complex stack, of Hermitian matrices, gives the real parts, each
-    checked by :func:`real_parts_checked`, from one batched product per
-    power up to max(m).  A stack of exact ints (``dtype=object``) gives
+    checked by :func:`real_parts_checked`, from the powers A^1..A^h alone,
+    h = ceil(max(m) / 2), one batched product each
+    (:func:`~rvnorms.matrixcore.stack_product`).  tr A is read off the
+    diagonal, and tr A^k for k >= 2 is the sum over ij of
+    (A^ceil(k/2))_ji (A^floor(k/2))_ij in row-major order, both by einsum.
+    The split depends on k alone, so a row's traces do not depend on the
+    stack's top power; up to :data:`~rvnorms.matrixcore.EINSUM_MAX_N` no
+    float bit depends on the BLAS kernel or on the other rows.  A stack of
+    exact ints (``dtype=object``) gives
     Python ints from the powers A^1..A^n alone, n the matrix size, and
     continues above n by the characteristic polynomial
     (:func:`_int_power_sums`), so that its cost grows with max(m) by n int
@@ -536,12 +545,17 @@ def _trace_power_stack(A: np.ndarray, m: np.ndarray) -> np.ndarray:
     if A.dtype == object:
         tr = _int_power_sums(A, top)
     else:
-        P = np.empty((top,) + A.shape, dtype=A.dtype)  # P[k-1] = A^k
-        if top:
+        h = (top + 1) // 2
+        P, T = np.empty((2, h) + A.shape, dtype=A.dtype)  # P[k-1] = A^k, T[k-1] its transpose
+        if h:
             P[0] = A
-        for k in range(1, top):
-            np.matmul(P[k - 1], A, out=P[k])
-        tr = P.trace(axis1=2, axis2=3).T
+        for k in range(1, h):
+            stack_product(P[k - 1], A, out=P[k])
+        T[...] = P.swapaxes(2, 3)
+        tr = np.empty((len(A), top), dtype=A.dtype)
+        tr[:, :1] = np.einsum("kNii->Nk", P[:1])
+        tr[:, 1::2] = np.einsum("kNij,kNij->Nk", T[: top // 2], P[: top // 2])  # k = 2j
+        tr[:, 2::2] = np.einsum("kNij,kNij->Nk", T[1:h], P[: h - 1])  # k = 2j + 1
     if (m < top).any():
         tr = np.where(np.arange(1, top + 1) <= m[:, None], tr, 0)
     return tr if A.dtype == object else real_parts_checked(tr)

@@ -48,6 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PreconditionError
+from .matrixcore import stack_product
 from .partitions import enumerate_partitions, y_of
 
 
@@ -233,13 +234,16 @@ TRACE_BLOCK = 1 << 14
 def word_traces(Z: np.ndarray, plan: WordPlan) -> np.ndarray:
     """(N, len(plan.words)): the trace of each word of ``plan`` at each
     matrix of a stack (N, n, n), complex or of exact Python numbers
-    (``dtype=object``).  Each distinct prefix costs one batched product;
-    the words of two or more letters take one entrywise product and one
-    reduction per block of :data:`TRACE_BLOCK` entries."""
+    (``dtype=object``).  Each distinct prefix costs one batched product,
+    by :func:`~rvnorms.matrixcore.stack_product` (einsum on a complex stack
+    up to :data:`~rvnorms.matrixcore.EINSUM_MAX_N`, so that no float bit
+    depends on the BLAS kernel); the words of two or more letters take one
+    entrywise product and one reduction per block of :data:`TRACE_BLOCK`
+    entries."""
     N, n, _ = Z.shape
     mats = [Z, np.conjugate(Z).swapaxes(1, 2)]
     for parent, letter in plan.steps:
-        mats.append(np.matmul(mats[parent], mats[letter]))
+        mats.append(stack_product(mats[parent], mats[letter]))
     out = np.empty((N, len(plan.words)), dtype=Z.dtype)
     for i, letter in plan.singles:
         out[:, i] = np.diagonal(mats[letter], axis1=1, axis2=2).sum(axis=1)

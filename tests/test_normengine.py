@@ -16,8 +16,9 @@ from rvnorms.cumulants import (
     parse_distribution,
 )
 from rvnorms import cli, normengine
+from rvnorms import words as word_module
 from rvnorms.errors import NonHermitianError, PreconditionError
-from rvnorms.matrixcore import Matrix
+from rvnorms.matrixcore import EINSUM_MAX_N, Matrix, stack_product
 from rvnorms.normengine import (
     circle_extension_check,
     general_norm_pow,
@@ -745,11 +746,33 @@ def test_constant_term_route_float_cumulants_on_exact_matrix(denominators, d):
 
 
 def test_constant_term_route_matrix_products(monkeypatch):
+    # gamma's top cumulant is d = 8: the five points of the 8x8 matrix go
+    # through A^2, A^3 and A^4 in one stack, three batched products, and
+    # tr A^5..A^8 are entrywise sums of products of those powers
     Z = random_general(stream(102), 8)
     calls = _count_products(monkeypatch)
     general_norm_pow(Z, DistributionSpec.gamma(2, Fraction(1, 2)), 8)
-    # C_{k,j} for k = 2, 3, 4: 3 + 3 + 5 products; the word sum takes 233.
-    assert len(calls) <= 16
+    assert calls == ["stack_product"] * 3
+
+
+@pytest.mark.parametrize("n", [1, 4, EINSUM_MAX_N, EINSUM_MAX_N + 1])
+def test_stack_product_takes_blas_only_above_the_einsum_size(monkeypatch, n):
+    # complex stacks up to EINSUM_MAX_N by einsum, larger ones and exact
+    # stacks by matmul; both give the product
+    rng = stream(103)
+    A = rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n))
+    E = np.array([[[Fraction(i - j, i + 1) for j in range(n)] for i in range(n)]], dtype=object)
+    want = [A @ A, E @ E]
+    used = []
+    for name in ("einsum", "matmul"):
+        real = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda *a, real=real, name=name, **k: used.append(name) or real(*a, **k))
+    got = stack_product(A, A)
+    assert used == ["einsum" if n <= EINSUM_MAX_N else "matmul"]
+    assert np.allclose(got, want[0], rtol=1e-13, atol=1e-13)
+    used.clear()
+    assert stack_product(E, E).tolist() == want[1].tolist()
+    assert used == ["matmul"]
 
 
 def test_hermitian_route_forms_powers_only_up_to_the_top_cumulant(monkeypatch):
@@ -892,10 +915,10 @@ def test_evaluate_on_float_input_equals_the_fraction_products():
             def trace(w):
                 if len(w) == 1:
                     return complex(np.trace(letters[w].array))
-                M = letters[w[0]].array
+                M = letters[w[0]].array[None]
                 for ch in w[1:-1]:
-                    M = M @ letters[ch].array
-                return trace_of_product(Matrix(M), letters[w[-1]])
+                    M = stack_product(M, letters[ch].array[None])
+                return trace_of_product(Matrix(M[0]), letters[w[-1]])
 
             traces = {w: trace(w) for key in poly.terms for w in key}
             values = [math.prod((traces[w] for w in key), start=c) for key, c in poly.terms.items()]
@@ -904,15 +927,29 @@ def test_evaluate_on_float_input_equals_the_fraction_products():
 
 
 def _count_products(monkeypatch):
-    """Record one entry per ``numpy.matmul`` call."""
+    """Record one entry per batched product: per call of the shared
+    ``stack_product``, at each module that holds it, and per ``numpy.matmul``
+    call outside it (the int trace kernel's)."""
     calls = []
+    inside = []
     matmul = np.matmul
 
-    def counting(*args, **kwargs):
-        calls.append(1)
+    def counting_matmul(*args, **kwargs):
+        if not inside:
+            calls.append("matmul")
         return matmul(*args, **kwargs)
 
-    monkeypatch.setattr(np, "matmul", counting)
+    def counting_product(*args, **kwargs):
+        calls.append("stack_product")
+        inside.append(1)
+        try:
+            return stack_product(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(np, "matmul", counting_matmul)
+    for module in (normengine, word_module):
+        monkeypatch.setattr(module, "stack_product", counting_product)
     return calls
 
 

@@ -4,20 +4,27 @@ stack of one, the law axis (one law per matrix), the series and trace-word
 oracles on stacks, and the suites' block evaluation across (family,
 degree) cells."""
 
+import hashlib
 import inspect
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rvnorms import cli, normengine, suites
 from rvnorms.cumulants import DistributionSpec, distribution_cumulants, parse_distribution
 from rvnorms.errors import NonHermitianError, PreconditionError
-from rvnorms.matrixcore import Matrix, scale_exponent
+from rvnorms.matrixcore import EINSUM_MAX_N, Matrix, scale_exponent
 from rvnorms.normengine import (
     circle_extension_check,
     general_norm_pow,
@@ -461,11 +468,87 @@ def pinned_float_cases():
 
 @pytest.mark.parametrize("name", sorted(FLOAT_BITS))
 def test_float_stack_values_keep_their_bits(name):
-    # float.hex of every value, recorded at the commit before the exact
-    # constant-term route moved to plain ints with its setup cached: the
-    # float arithmetic of the three point routes is unchanged, bit for bit
+    # float.hex of every value, recorded when the trace kernel came to form
+    # half the powers by einsum (within 1e-15 of the values of BLAS's
+    # products): the float arithmetic of the three point routes is pinned
+    # bit for bit, and on this size no bit depends on the BLAS kernel
     route, S, laws, d = pinned_float_cases()[name]
     assert [v.hex() for v in route(S, laws, d).tolist()] == FLOAT_BITS[name]
+
+
+FLOAT_ROUTES = {
+    "hermitian": hermitian_norm_pow_stack,
+    "general": general_norm_pow_stack,
+    "series": series_norm_pow_stack,
+    "words": word_sum_norm_pow_stack,
+}
+
+
+def float_stack_digest() -> str:
+    """sha256 of the float.hex of every value of seeded float stacks of 6
+    rows under mixed laws, on the Hermitian, constant-term, series and
+    trace-word routes, at n = 3, 4, 5, 8 and d = 4, 8."""
+    rng = np.random.default_rng(3101)
+    digest = hashlib.sha256()
+    for n in (3, 4, 5, 8):
+        for d in (4, 8):
+            for name, route in FLOAT_ROUTES.items():
+                specs = mgf_family_specs() if name == "series" else default_family_specs()
+                laws = [spec for _, spec in specs][:6]
+                Z = rng.normal(size=(6, n, n)) + 1j * rng.normal(size=(6, n, n))
+                if name in ("hermitian", "series"):
+                    Z = Z + np.conjugate(Z).swapaxes(1, 2)
+                values = route(Z, laws, d).tolist()
+                digest.update(f"{name} {n} {d} {[v.hex() for v in values]}\n".encode())
+    return digest.hexdigest()
+
+
+def _openblas_on_x86_64() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "openblas" in blas.get("name", "").lower() and platform.machine() in ("x86_64", "AMD64")
+
+
+@pytest.mark.skipif(not _openblas_on_x86_64(), reason="needs numpy on OpenBLAS, on x86-64")
+def test_float_stack_bits_do_not_follow_the_blas_kernel():
+    # OpenBLAS picks its CPU kernel when it loads, and each kernel sums a
+    # matrix product in its own order; the float trace kernels multiply
+    # these stacks without BLAS, so every kernel gives the same bits.
+    here = Path(__file__).parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+    code = "from test_stacks import float_stack_digest; print(float_stack_digest())"
+    digests = {}
+    for core in ("Prescott", "Haswell", "SkylakeX"):
+        env["OPENBLAS_CORETYPE"] = core
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        digests[core] = run.stdout.strip()
+    assert len(set(digests.values())) == 1, digests
+    assert digests["SkylakeX"] == float_stack_digest()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    name=st.sampled_from(sorted(FLOAT_ROUTES)),
+    N=st.integers(1, 64),
+    n=st.integers(1, EINSUM_MAX_N + 2),
+    d=st.sampled_from([2, 4, 6, 8]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_float_stack_rows_get_their_bits_alone(name, N, n, d, seed):
+    # einsum's loop order follows the shapes of its operands; whatever it
+    # picks for a stack of N, each row gets the bits of its stack of one
+    # under its own law, the signs of zeros included.
+    rng = np.random.default_rng(seed)
+    specs = [spec for _, spec in (mgf_family_specs() if name == "series" else default_family_specs())]
+    laws = [specs[i] for i in rng.integers(0, len(specs), size=N)]
+    Z = rng.normal(size=(N, n, n)) + 1j * rng.normal(size=(N, n, n))
+    if name in ("hermitian", "series"):
+        Z = Z + np.conjugate(Z).swapaxes(1, 2)
+    Z *= rng.uniform(0.1, 10.0, size=(N, 1, 1))
+    route = FLOAT_ROUTES[name]
+    values = route(Z, laws, d)
+    for M, spec, value in zip(Z, laws, values):
+        assert value.tobytes() == route(M[None], spec, d)[0].tobytes(), (spec.family, N, n, d)
 
 
 @pytest.mark.parametrize("d", range(2, 42, 2))
