@@ -5,6 +5,7 @@ oracles on stacks, and the suites' block evaluation across (family,
 degree) cells."""
 
 import hashlib
+import importlib
 import inspect
 import json
 import math
@@ -503,27 +504,61 @@ def float_stack_digest() -> str:
     return digest.hexdigest()
 
 
-def _openblas_on_x86_64() -> bool:
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return "openblas" in blas.get("name", "").lower() and platform.machine() in ("x86_64", "AMD64")
+# The OpenBLAS core types the cross-kernel test forces, each with the CPU
+# features (as numpy names them) a host needs to run it: OpenBLAS runs a
+# forced core type without checking that the host has its instructions.
+CORE_TYPE_FEATURES = {
+    "Prescott": ("SSE3",),
+    "Haswell": ("AVX2", "FMA3"),
+    "SkylakeX": ("AVX512F", "AVX512_SKX"),
+}
 
 
-@pytest.mark.skipif(not _openblas_on_x86_64(), reason="needs numpy on OpenBLAS, on x86-64")
+def _cpu_features() -> dict:
+    """numpy's map of CPU feature names to whether this host has them, or
+    {} where numpy does not expose it."""
+    for name in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+        try:
+            return dict(importlib.import_module(name).__cpu_features__)
+        except (ImportError, AttributeError):
+            continue
+    return {}
+
+
+def _runnable_core_types() -> list[str]:
+    """The core types of :data:`CORE_TYPE_FEATURES` this host can run, when
+    numpy is built on OpenBLAS on x86-64; otherwise the test skips."""
+    if platform.machine() not in ("x86_64", "AMD64"):
+        pytest.skip("needs an x86-64 host")
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        pytest.skip("this numpy does not report its BLAS library")
+    if "openblas" not in blas.lower():
+        pytest.skip(f"needs numpy on OpenBLAS, not {blas}")
+    features = _cpu_features()
+    cores = [core for core, needs in CORE_TYPE_FEATURES.items() if all(features.get(f) for f in needs)]
+    if "Haswell" not in cores:
+        pytest.skip("needs a host with AVX2, which runs two core types or more")
+    return cores
+
+
 def test_float_stack_bits_do_not_follow_the_blas_kernel():
     # OpenBLAS picks its CPU kernel when it loads, and each kernel sums a
     # matrix product in its own order; the float trace kernels multiply
-    # these stacks without BLAS, so every kernel gives the same bits.
+    # these stacks without BLAS, so every kernel the host can run gives the
+    # bits of this process.
+    cores = _runnable_core_types()
     here = Path(__file__).parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
     code = "from test_stacks import float_stack_digest; print(float_stack_digest())"
     digests = {}
-    for core in ("Prescott", "Haswell", "SkylakeX"):
+    for core in cores:
         env["OPENBLAS_CORETYPE"] = core
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-        assert run.returncode == 0, run.stderr
+        assert run.returncode == 0, (core, run.stderr)
         digests[core] = run.stdout.strip()
-    assert len(set(digests.values())) == 1, digests
-    assert digests["SkylakeX"] == float_stack_digest()
+    assert set(digests.values()) == {float_stack_digest()}, digests
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
